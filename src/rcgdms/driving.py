@@ -38,11 +38,6 @@ class DrivingSystem:
             if abs(sum(self.weights) - 1.0) > 1e-12:
                 raise ValueError("weights must sum to 1 within 1e-12 after tail inclusion")
 
-    @property
-    def closed_form_marginal(self) -> bool:
-        """True when marginal expectations can be evaluated without sampling."""
-        return True  # all three supported kinds have explicit marginals
-
     def expectation(self, fn: Callable[[object], float]) -> float:
         """Exact expectation of fn(state) under the marginal of the base measure."""
         if self.kind == "deterministic":

@@ -23,6 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .driving import DrivingOrbit, DrivingSystem, bernoulli
+from .potentials import log_sum_exp
 from .shift import GeometricTail, SymbolicSystem, Word, enumerate_words, full_shift
 
 
@@ -262,18 +263,10 @@ def example_weights(count: int = 40) -> tuple[list[int], list[float]]:
     precision and is folded in by normalization."""
     raw = []
     for i in range(1, count + 1):
-        log_den = i * _LOG2 + _logsum(k * k * _LOG2 for k in range(1, i + 1))
+        log_den = i * _LOG2 + log_sum_exp(k * k * _LOG2 for k in range(1, i + 1))
         raw.append(math.exp(-log_den) if log_den < 700 else 0.0)
     total = math.fsum(raw)
     return list(range(1, count + 1)), [w / total for w in raw]
-
-
-def _logsum(terms) -> float:
-    xs = list(terms)
-    m = max(xs)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(math.fsum(math.exp(x - m) for x in xs))
 
 
 class BlockTailExample:
@@ -319,9 +312,7 @@ class BlockTailExample:
         log_q = -s * _LOG8
         if start < 1e15:
             terms.append(start * log_q - math.log1p(-math.exp(log_q)))
-        if not terms:
-            return -math.inf
-        return _logsum(terms)
+        return log_sum_exp(terms)
 
     def ru_moment(self, s: float, tol: float = 1e-18, max_block: int = 400) -> tuple[float, bool]:
         """Essential-sup moment sum over edges: sum_l 2^(l^2-1) * 2^(-s(l^2+l)).

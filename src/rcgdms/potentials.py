@@ -6,31 +6,55 @@ class covers potentials that depend on the leading symbol and the fiber state
 only (geometric potentials of similarity systems, custom weight tables, the
 zero potential); these are exact on cylinders.  Declared Hölder data widens
 the bounds for general conformal instances.
+
+Transfer sums read a lazily built table: one float64 row of base(state, e)
+over the materialized edges per fiber state, plus per-symbol-set column
+indices and 0/1 admissibility matrices.  Every scaled(s) copy shares it, so a
+sum at scale s is one vectorised log-sum-exp of s * row.  Filling an entry is
+idempotent, so concurrent readers need no lock.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import mpmath
+import numpy as np
 
 from .driving import DrivingOrbit, DrivingSystem
 from .shift import SymbolicSystem
 
 
 def log_sum_exp(values) -> float:
-    xs = [x for x in values]
-    if not xs:
-        return -math.inf
-    m = max(xs)
-    if m == -math.inf:
-        return -math.inf
-    if m == math.inf:
-        return math.inf
+    """log of the sum of exp(x) over an iterable or a 1-d numpy array.
+
+    Empty input or a maximum of -inf gives -inf; a maximum of +inf gives
+    +inf.  Arrays are summed by numpy, other iterables exactly by math.fsum.
+    """
+    if isinstance(values, np.ndarray):
+        m = float(values.max()) if values.size else -math.inf
+        if math.isinf(m):
+            return m
+        return m + math.log(float(np.exp(values - m).sum()))
+    xs = list(values)
+    m = float(max(xs)) if xs else -math.inf
+    if math.isinf(m):
+        return m
     return m + math.log(math.fsum(math.exp(x - m) for x in xs))
+
+
+def _log_incoming(vals: np.ndarray, adm: np.ndarray) -> np.ndarray:
+    """Per target b, log of the sum of exp(vals[e]) over e with adm[e, b] = 1;
+    -inf for a target no symbol enters.  Each target is shifted by its own
+    (finite) maximum, so no admissible term underflows against a larger one."""
+    terms = np.where(adm.T > 0, vals, -np.inf)
+    m = terms.max(axis=1)
+    shift = np.where(np.isfinite(m), m, 0.0)[:, None]
+    with np.errstate(divide="ignore"):
+        return (shift + np.log(np.exp(terms - shift).sum(axis=1, keepdims=True))).ravel()
 
 
 @dataclass(frozen=True)
@@ -73,6 +97,8 @@ class FirstSymbolPotential:
     base_range: Optional[Callable[[int], tuple[float, float]]] = None
     exact_base: Optional[Callable[[object, int], Fraction]] = None
     driving: Optional[DrivingSystem] = None
+    # Lazily filled tables of the unscaled potential, shared by scaled copies.
+    _table: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     # -- basic evaluation ---------------------------------------------------
 
@@ -121,7 +147,40 @@ class FirstSymbolPotential:
         return abs(self.scale) * self.holder.log_distortion()
 
     def scaled(self, s: float) -> "FirstSymbolPotential":
-        return replace(self, scale=float(s))
+        out = replace(self, scale=float(s))
+        object.__setattr__(out, "_table", self._table)
+        return out
+
+    # -- tabulated values ------------------------------------------------------
+
+    def _cached(self, key, build):
+        got = self._table.get(key)
+        return got if got is not None else self._table.setdefault(key, build())
+
+    def _row(self, state) -> np.ndarray:
+        return self._cached(
+            ("row", state),
+            lambda: np.array([self.base(state, e) for e in self.system.edges], dtype=float),
+        )
+
+    def _columns(self, symbols: tuple) -> np.ndarray:
+        index = self._cached("index", lambda: {e: i for i, e in enumerate(self.system.edges)})
+        build = lambda: np.array([index[e] for e in symbols], dtype=np.intp)
+        return self._cached(("columns", symbols), build)
+
+    def log_weights(self, state, symbols: Optional[tuple] = None) -> np.ndarray:
+        """scale * base(state, e) over the edges, or over a sorted symbol tuple."""
+        row = self._row(state)
+        return self.scale * (row if symbols is None else row[self._columns(symbols)])
+
+    def admissibility(self, symbols: tuple) -> np.ndarray:
+        """0/1 matrix of admissible pairs (row: first symbol) over a sorted
+        symbol tuple, cached per tuple."""
+        adm = self.system.admissible_pair
+        return self._cached(
+            ("admissibility", symbols),
+            lambda: np.array([[1.0 if adm(a, b) else 0.0 for b in symbols] for a in symbols]),
+        )
 
     # -- transfer-operator unit bounds ---------------------------------------
 
@@ -135,32 +194,31 @@ class FirstSymbolPotential:
         if symbols is None:
             if self.system.incidence_kind != "full":
                 raise ValueError("full-alphabet transfer bounds need a full shift")
-            vals = [self.value(state, e) for e in self.system.edges]
+            vals = self.log_weights(state)
             if self.system.has_tail:
                 if self.tail_moment is None:
                     raise ValueError("countable alphabet needs a tail moment hook")
-                vals.append(self.tail_moment(self.scale, state))
+                vals = np.append(vals, self.tail_moment(self.scale, state))
             total = log_sum_exp(vals)
             return (total, total)
         symbols = tuple(sorted(symbols))
+        vals = self.log_weights(state, symbols)
         if self.system.incidence_kind == "full":
-            total = log_sum_exp(self.value(state, e) for e in symbols)
+            total = log_sum_exp(vals)
             return (total, total)
-        per_target = []
-        for b in symbols:
-            incoming = [self.value(state, e) for e in symbols if self.system.admissible_pair(e, b)]
-            per_target.append(log_sum_exp(incoming))
-        return (max(per_target), min(per_target))
+        per_target = _log_incoming(vals, self.admissibility(symbols))
+        return (float(per_target.max()), float(per_target.min()))
 
     def sup_log_norm(self, symbols: Sequence[int]) -> float:
         """Uniform bound over fibers of |f| restricted to a finite symbol set."""
+        if self.base_range is not None:
+            ranges = [self.base_range(e) for e in symbols]
+        else:
+            cols = self._columns(tuple(sorted(symbols)))
+            block = np.array([self._row(st)[cols] for st in self._support_states()])
+            ranges = zip(block.min(axis=0).tolist(), block.max(axis=0).tolist())
         worst = 0.0
-        for e in symbols:
-            if self.base_range is not None:
-                lo, hi = self.base_range(e)
-            else:
-                vals = [self.base(s, e) for s in self._support_states()]
-                lo, hi = min(vals), max(vals)
+        for lo, hi in ranges:
             worst = max(worst, abs(self.scale * lo), abs(self.scale * hi))
         return worst
 

@@ -403,22 +403,14 @@ def _product_pressure(
 
 
 def _spectral_pressure(
-    system: SymbolicSystem,
-    symbols: Sequence[int],
-    potential: FirstSymbolPotential,
-    cycle: Sequence,
+    symbols: Sequence[int], potential: FirstSymbolPotential, cycle: Sequence
 ) -> float:
     symbols = tuple(sorted(symbols))
-    idx = {e: i for i, e in enumerate(symbols)}
-    adm = np.zeros((len(symbols), len(symbols)))
-    for a in symbols:
-        for b in symbols:
-            if system.admissible_pair(a, b):
-                adm[idx[a], idx[b]] = 1.0
+    adm = potential.admissibility(symbols)
     shift_total = 0.0
     prod = np.eye(len(symbols))
     for st in cycle:
-        logs = np.array([potential.value(st, e) for e in symbols])
+        logs = potential.log_weights(st, symbols)
         shift = logs.max()
         shift_total += shift
         step = np.diag(np.exp(logs - shift)) @ adm.T
@@ -475,7 +467,7 @@ def pressure(
         and drv.kind in ("deterministic", "periodic")
         and len(symbols) <= 128
     ):
-        val = _spectral_pressure(system, symbols, potential, drv.states)
+        val = _spectral_pressure(symbols, potential, drv.states)
         return PressureEstimate(value=val, method="exact-spectral")
 
     if orbits is None:

@@ -43,6 +43,12 @@ def test_pressure_command_and_worker_determinism(tmp_path):
     body1 = (out1 / "pressure.csv").read_bytes()
     assert body1 == (out2 / "pressure.csv").read_bytes()
     assert body1 == (out4 / "pressure.csv").read_bytes()
+    # worker threads share the potential's lazily filled log-weight table
+    paper1, paper4 = tmp_path / "p1", tmp_path / "p4"
+    config = CONFIGS / "paper-example.json"
+    assert run_cli("pressure", "--config", config, "--out", paper1, "--workers", 1) == 0
+    assert run_cli("pressure", "--config", config, "--out", paper4, "--workers", 4) == 0
+    assert (paper1 / "pressure.csv").read_bytes() == (paper4 / "pressure.csv").read_bytes()
 
 
 def test_measures_command(tmp_path):

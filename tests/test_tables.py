@@ -1,0 +1,168 @@
+"""The tabulated transfer sums against per-symbol evaluation of the potential.
+
+The reference sums potential.value symbol by symbol with an exact
+math.fsum log-sum-exp, the way the transfer sums were computed before the
+log-weight table existed.
+"""
+
+import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rcgdms.driving import periodic
+from rcgdms.potentials import geometric_potential, log_sum_exp, table_potential
+from rcgdms.shift import from_matrix, full_shift
+from rcgdms.thermo import _spectral_pressure, pressure
+
+TOL = 1e-12
+
+
+def ref_lse(xs):
+    xs = list(xs)
+    if not xs or max(xs) == -math.inf:
+        return -math.inf
+    m = max(xs)
+    return m + math.log(math.fsum(math.exp(x - m) for x in xs))
+
+
+def ref_bounds(pot, state, symbols):
+    symbols = sorted(symbols)
+    if pot.system.incidence_kind == "full":
+        total = ref_lse(pot.value(state, e) for e in symbols)
+        return (total, total)
+    per_target = [
+        ref_lse(pot.value(state, e) for e in symbols if pot.system.admissible_pair(e, b))
+        for b in symbols
+    ]
+    return (max(per_target), min(per_target))
+
+
+def ref_spectral(pot, symbols, cycle):
+    symbols = sorted(symbols)
+    prod = np.eye(len(symbols))
+    for state in cycle:
+        step = np.array([
+            [math.exp(pot.value(state, a)) if pot.system.admissible_pair(b, a) else 0.0 for b in symbols]
+            for a in symbols
+        ])
+        prod = step @ prod
+    return math.log(max(abs(np.linalg.eigvals(prod)))) / len(cycle)
+
+
+def close(got, want):
+    if math.isinf(want):
+        return got == want
+    return abs(got - want) <= TOL * max(1.0, abs(want))
+
+
+@st.composite
+def small_systems(draw):
+    """2-6 symbols with scattered labels, 1-3 fiber states, random log
+    weights, and full or primitive non-full incidence."""
+    n = draw(st.integers(2, 6))
+    edges = tuple(sorted(draw(st.sets(st.integers(0, 40), min_size=n, max_size=n))))
+    states = tuple(range(draw(st.integers(1, 3))))
+    weight = st.floats(-6.0, 1.0, allow_nan=False)
+    table = {s: {e: draw(weight) for e in edges} for s in states}
+    if draw(st.booleans()):
+        system = full_shift(edges)
+    else:
+        # a Hamiltonian cycle with one self-loop is primitive; random extra edges
+        rows = [[int(draw(st.booleans())) for _ in edges] for _ in edges]
+        for i in range(n):
+            rows[i][(i + 1) % n] = 1
+        rows[0][0] = 1
+        system = from_matrix(edges, rows)
+    pot = table_potential(system, table, driving=periodic(states))
+    return pot.scaled(draw(st.floats(-3.0, 3.0, allow_nan=False))), states
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_systems(), st.data())
+def test_tabulated_transfer_bounds_match_reference(system_and_states, data):
+    pot, states = system_and_states
+    edges = pot.system.edges
+    symbols = data.draw(st.sets(st.sampled_from(edges), min_size=1, max_size=len(edges)))
+    for state in states:
+        got = pot.unit_transfer_bounds(state, symbols)
+        want = ref_bounds(pot, state, symbols)
+        assert close(got[0], want[0]) and close(got[1], want[1]), (got, want)
+
+
+def test_target_without_incoming_symbol_gives_minus_inf():
+    # within {0, 1} nothing enters symbol 1: only 2 -> 1 is allowed
+    system = from_matrix((0, 1, 2), [[1, 0, 1], [1, 0, 0], [0, 1, 0]])
+    pot = table_potential(system, {0: {0: -1.0, 1: -2.0, 2: -0.5}})
+    hi, lo = pot.unit_transfer_bounds(0, (0, 1))
+    assert lo == -math.inf
+    assert close(hi, ref_lse([-1.0, -2.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_systems())
+def test_tabulated_spectral_pressure_matches_reference(system_and_states):
+    pot, states = system_and_states
+    got = _spectral_pressure(pot.system.edges, pot, states)
+    assert close(got, ref_spectral(pot, pot.system.edges, states))
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 1.0, 1.7])
+def test_paper_full_alphabet_bounds_match_reference(paper, s):
+    zeta = geometric_potential(paper).scaled(s)
+    for state in (1, 2, 5, 17, 31):
+        want = ref_lse(
+            [zeta.value(state, e) for e in paper.symbolic.edges] + [zeta.tail_moment(s, state)]
+        )
+        hi, lo = zeta.unit_transfer_bounds(state, None)
+        assert hi == lo
+        assert close(hi, want)
+
+
+def test_scaled_copies_share_one_table(paper):
+    calls = 0
+    zeta = geometric_potential(paper)
+
+    def counting(state, e):
+        nonlocal calls
+        calls += 1
+        return zeta.base(state, e)
+
+    pot = replace(zeta, base=counting)
+    for s in np.linspace(0.3, 3.0, 20):
+        assert math.isfinite(pressure(paper.symbolic, None, pot.scaled(s)).value)
+    support = paper.driving.state_support()
+    assert 0 < calls <= len(support) * len(paper.symbolic.edges)
+
+
+def test_threads_filling_one_table_agree_with_serial(paper):
+    grid = np.linspace(0.3, 3.0, 16)
+    serial = [pressure(paper.symbolic, None, geometric_potential(paper).scaled(s)).value for s in grid]
+    shared = geometric_potential(paper)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda s: pressure(paper.symbolic, None, shared.scaled(s)).value, s) for s in grid]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_log_sum_exp_conventions():
+    for empty in ([], (), iter(()), np.array([])):
+        assert log_sum_exp(empty) == -math.inf
+    cases = [([-math.inf, -math.inf], -math.inf), ([1.0, math.inf, -math.inf], math.inf), ([-math.inf, 0.0], 0.0)]
+    for xs, want in cases:
+        assert log_sum_exp(xs) == want
+        assert log_sum_exp(np.array(xs)) == want
+        assert log_sum_exp(x for x in xs) == want
+    xs = [-3.0, 0.5, -40.0, 2.0]
+    assert log_sum_exp(np.array(xs)) == pytest.approx(log_sum_exp(xs), abs=1e-15)
+    assert log_sum_exp(xs) == pytest.approx(math.log(sum(math.exp(x) for x in xs)), abs=1e-14)

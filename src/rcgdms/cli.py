@@ -470,7 +470,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--s-min", type=float, default=None)
         p.add_argument("--s-max", type=float, default=None)
         p.add_argument("--s-steps", type=int, default=None)
@@ -507,7 +506,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 seed=args.seed,
                 workers=args.workers,
                 out_dir=args.out,
-                fmt=args.format,
                 overrides=overrides,
             )
     except ConfigError as exc:
@@ -534,7 +532,6 @@ def _default_example_run(args) -> RunConfig:
         system=instances.paper_example(),
         analysis=analysis,
         out_dir=Path(args.out or "out"),
-        fmt=args.format or "json",
         seed=args.seed or 0,
         workers=args.workers or 1,
         name="paper-example",

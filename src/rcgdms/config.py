@@ -53,7 +53,6 @@ class RunConfig:
     system: RCGDMS
     analysis: Analysis
     out_dir: Path
-    fmt: str = "csv"
     seed: int = 0
     workers: int = 1
     name: str = "run"
@@ -174,7 +173,6 @@ def load_config(
     seed: Optional[int] = None,
     workers: Optional[int] = None,
     out_dir: Optional[str] = None,
-    fmt: Optional[str] = None,
     overrides: Optional[dict] = None,
 ) -> RunConfig:
     path = Path(path)
@@ -207,11 +205,9 @@ def load_config(
         system=system,
         analysis=analysis,
         out_dir=Path(out_dir or output.get("dir", "out")),
-        fmt=fmt or output.get("format", "csv"),
         seed=seed if seed is not None else int(cfg.get("seed", 0)),
         workers=workers or 1,
         name=cfg.get("name", system.name),
         potential_spec=potential_spec,
     )
-    _require(run.fmt in ("csv", "json"), "output.format", "csv or json")
     return run

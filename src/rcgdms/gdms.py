@@ -33,9 +33,9 @@ class RCGDMS:
 
     log_ratio(e, state) is log |phi'_{e,omega}| (constant for similarities);
     offset(e, state) is the left endpoint of the image interval.  For
-    non-similarity instances the declared constants (distortion_bound,
-    derivative_holder_*) bound the geometry; the per-edge min_log_ratio map
-    realizes the normality lower bounds.
+    non-similarity instances the declared constants (derivative_holder_*)
+    bound the geometry; the per-edge min_log_ratio map realizes the
+    normality lower bounds.
     """
 
     symbolic: SymbolicSystem
@@ -49,8 +49,6 @@ class RCGDMS:
     edge_vertex: Optional[Mapping[int, tuple[object, object]]] = None  # (initial, terminal)
     ratio_fraction: Optional[Callable[[int, object], Fraction]] = None
     tail_log_moment: Optional[Callable[[float, object], float]] = None
-    distortion_bound: float = 1.0  # K_bd
-    diameter_bound: float = 1.0  # D_Phi
     derivative_holder_const: float = 0.0  # L
     derivative_holder_exp: float = 1.0  # alpha_Phi
     name: str = "system"
@@ -76,10 +74,6 @@ class RCGDMS:
 
     def max_diameter(self) -> float:
         return max(hi - lo for lo, hi in self.spaces.values())
-
-    @property
-    def is_similarity(self) -> bool:
-        return self.derivative_holder_const == 0.0
 
 
 @dataclass(frozen=True)
@@ -231,10 +225,6 @@ def similarity_system(
         min_log_ratio=min_log,
         log_ratio_range=log_range,
         ratio_fraction=lambda e, s: ratio_f[s][e],
-        diameter_bound=max(
-            max(hi - lo for lo, hi in spaces.values()),
-            1.0 / min(hi - lo for lo, hi in spaces.values()),
-        ),
         name=name,
     )
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .driving import DrivingOrbit
-from .potentials import FirstSymbolPotential
+from .potentials import FirstSymbolPotential, float_log
 from .shift import SubalphabetLadder, SymbolicSystem, Word, enumerate_words
 
 
@@ -82,28 +82,19 @@ def _pull_back(
 ):
     """One dual-operator step: masses of L*m on words of length <= depth,
     then normalization by the eigenvalue lambda = (L*m)(1)."""
-    weight = potential.exact_weight_fn("fraction") if exact else None
+    weight = potential.exact_weight_fn("fraction" if exact else "float")
     raw: dict = {}
     depth = measure.depth
     for n in range(1, depth + 1):
         for w in enumerate_words(system, symbols, n):
-            if exact:
-                wt = weight(state, w[0])
-            else:
-                wt = math.exp(potential.value(state, w[0]))
+            wt = weight(state, w[0])
             if n == 1:
-                inner = 0 if exact else 0.0
-                for b in symbols:
-                    if system.admissible_pair(w[0], b):
-                        inner = inner + measure.mass((b,))
+                inner = sum(measure.mass((b,)) for b in symbols if system.admissible_pair(w[0], b))
                 raw[w] = wt * inner
             else:
                 raw[w] = wt * measure.mass(w[1:])
     lam = sum(raw[w] for w in raw if len(w) == 1)
     masses = {w: m / lam for w, m in raw.items()}
-    log_lam = float(math.log(lam)) if not isinstance(lam, Fraction) else float(
-        math.log(lam.numerator) - math.log(lam.denominator)
-    )
     return (
         CylinderMeasure(
             symbols=measure.symbols,
@@ -111,7 +102,7 @@ def _pull_back(
             depth=depth,
             masses=masses,
         ),
-        log_lam,
+        float_log(lam),
     )
 
 
@@ -120,12 +111,8 @@ def _product_chain(system, symbols, potential, orbit, horizon, depth, exact):
     potentials: per-position transfer sums normalize independent weights."""
     symbols = tuple(sorted(symbols))
     states = [orbit.state(k) for k in range(horizon + depth + 1)]
-    if exact:
-        weight = potential.exact_weight_fn("fraction")
-        norms = [sum(weight(st, e) for e in symbols) for st in states]
-    else:
-        weight = lambda st, e: math.exp(potential.value(st, e))
-        norms = [math.fsum(weight(st, e) for e in symbols) for st in states]
+    weight = potential.exact_weight_fn("fraction" if exact else "float")
+    norms = [sum(weight(st, e) for e in symbols) for st in states]
     measures = []
     for k in range(horizon + 1):
         masses: dict = {}
@@ -138,10 +125,7 @@ def _product_chain(system, symbols, potential, orbit, horizon, depth, exact):
         measures.append(
             CylinderMeasure(symbols=symbols, position=k, depth=depth, masses=masses)
         )
-    logs = tuple(
-        float(math.log(v)) if not isinstance(v, Fraction) else float(math.log(v.numerator) - math.log(v.denominator))
-        for v in norms[: horizon]
-    )
+    logs = tuple(float_log(v) for v in norms[:horizon])
     return measures, EigenvalueSequence(log_values=logs)
 
 

@@ -46,6 +46,17 @@ def log_sum_exp(values) -> float:
     return m + math.log(math.fsum(math.exp(x - m) for x in xs))
 
 
+def float_log(x) -> float:
+    """Natural log, as a float, of a nonnegative float, Fraction or mpf; -inf
+    at 0.  A Fraction goes through mpmath, so a ratio of huge integers keeps
+    full precision."""
+    if x == 0:
+        return -math.inf
+    if isinstance(x, Fraction):
+        x = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+    return float(mpmath.log(x)) if isinstance(x, mpmath.mpf) else math.log(x)
+
+
 def _log_incoming(vals: np.ndarray, adm: np.ndarray) -> np.ndarray:
     """Per target b, log of the sum of exp(vals[e]) over e with adm[e, b] = 1;
     -inf for a target no symbol enters.  Each target is shifted by its own
@@ -114,10 +125,6 @@ class FirstSymbolPotential:
         lo = self.base_inf(state, e) if self.base_inf is not None else hi
         a, b = self.scale * hi, self.scale * lo
         return (a, b) if a >= b else (b, a)
-
-    def word_sum(self, orbit: DrivingOrbit, k: int, word: Sequence[int]) -> float:
-        """Exact Birkhoff sum for cylinder-constant potentials."""
-        return self.scale * math.fsum(self.base(orbit.state(k + j), word[j]) for j in range(len(word)))
 
     def sum_bounds(
         self, orbit: DrivingOrbit, k: int, word: Sequence[int], n: Optional[int] = None
@@ -228,11 +235,14 @@ class FirstSymbolPotential:
     # -- exact arithmetic ------------------------------------------------------
 
     def exact_weight_fn(self, arithmetic: str) -> Callable[[object, int], object]:
-        """Per-symbol weights exp(scale * base) as Fractions or mpmath floats.
+        """Per-symbol weights exp(scale * base) as floats, Fractions or mpmath
+        floats (arithmetic "float", "fraction" or "mpf").
 
         The Fraction path requires rational base weights and an integer scale;
         it keeps sandwich margins and Gibbs brackets provably nonnegative.
         """
+        if arithmetic == "float":
+            return lambda state, e: math.exp(self.value(state, e))
         if not self.exact_on_cylinders or self.exact_base is None:
             raise ValueError("exact weights need a cylinder-constant rational potential")
         if arithmetic == "fraction":

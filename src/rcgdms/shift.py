@@ -45,15 +45,12 @@ class SymbolicSystem:
 
     incidence_kind is one of
       "full"   -- every transition allowed,
-      "vertex" -- transition e1 -> e2 allowed iff terminal(e1) == initial(e2),
       "matrix" -- explicit successor sets.
     """
 
     vertices: tuple
     edges: tuple[int, ...]
     incidence_kind: str = "full"
-    initial: Optional[Mapping[int, object]] = None
-    terminal: Optional[Mapping[int, object]] = None
     successors_map: Optional[Mapping[int, frozenset[int]]] = None
     tail: Optional[GeometricTail] = None
 
@@ -62,10 +59,7 @@ class SymbolicSystem:
             raise ValueError("edge indices must be unique")
         if len(self.edges) < 1:
             raise ValueError("alphabet cutoff must be >= 1")
-        if self.incidence_kind == "vertex":
-            if self.initial is None or self.terminal is None:
-                raise ValueError("vertex-rule incidence needs initial/terminal maps")
-        elif self.incidence_kind == "matrix":
+        if self.incidence_kind == "matrix":
             if self.successors_map is None:
                 raise ValueError("matrix incidence needs explicit successor sets")
         elif self.incidence_kind != "full":
@@ -76,8 +70,6 @@ class SymbolicSystem:
     def admissible_pair(self, e1: int, e2: int) -> bool:
         if self.incidence_kind == "full":
             return True
-        if self.incidence_kind == "vertex":
-            return self.terminal[e1] == self.initial[e2]
         return e2 in self.successors_map.get(e1, frozenset())
 
     def successors(self, e: int, symbols: Sequence[int]) -> tuple[int, ...]:
@@ -107,21 +99,6 @@ def from_matrix(edges: Iterable[int], rows: Sequence[Sequence[int]]) -> Symbolic
     }
     return SymbolicSystem(
         vertices=("v",), edges=edges, incidence_kind="matrix", successors_map=succ
-    )
-
-
-def from_vertex_maps(
-    vertices: Iterable,
-    edges: Iterable[int],
-    initial: Mapping[int, object],
-    terminal: Mapping[int, object],
-) -> SymbolicSystem:
-    return SymbolicSystem(
-        vertices=tuple(vertices),
-        edges=tuple(edges),
-        incidence_kind="vertex",
-        initial=dict(initial),
-        terminal=dict(terminal),
     )
 
 

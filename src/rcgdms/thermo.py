@@ -15,6 +15,13 @@ They share one exponential growth rate; the sandwich chain bounding each by
 the next with explicit constants is checked inequality by inequality, in
 Fraction or high-precision arithmetic when requested.
 
+For cylinder-constant potentials the four sums are row and column sums of
+the transfer product prod_j D_{omega_j} M^T (D the diagonal of per-symbol
+weights at fiber omega_j, M the incidence matrix), built one symbol at a
+time.  One code path serves float (log space), Fraction and mpf arithmetic.
+Streamed word enumeration remains only for Hölder-widened bounds, which do
+not factor over symbols.
+
 Pressure evaluation prefers exact routes: product structure (full shift with
 a cylinder-constant potential) gives the marginal expectation of the log
 transfer sum; deterministic or periodic driving over a finite alphabet gives
@@ -26,15 +33,17 @@ independent orbits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import reduce
+from typing import Callable, Optional, Sequence
 
 import mpmath
 import numpy as np
 
 from .driving import DrivingOrbit, DrivingSystem, orbit_family
-from .potentials import FirstSymbolPotential
+from .potentials import FirstSymbolPotential, _log_incoming, float_log, log_sum_exp
 from .shift import (
     PrimitivityWitness,
     SubalphabetLadder,
@@ -112,6 +121,125 @@ class PartitionSums:
     exact: Optional[dict] = None
 
 
+@dataclass(frozen=True)
+class _Lane:
+    """One arithmetic for the transfer recursion and the sandwich chain.
+
+    The float lane carries logs: `mul` adds, `div` subtracts, `power`
+    multiplies and `push` is the per-target log-sum-exp.  The Fraction and
+    mpf lanes carry the values themselves, in numpy object vectors.  Either
+    way the margin of lhs <= rhs is rhs - lhs.
+    """
+
+    exact: bool
+    zero: object
+    weights: Callable  # (state, symbols) -> per-symbol weights
+    mul: Callable
+    div: Callable
+    power: Callable
+    push: Callable  # (vector, adm) -> per target, sum over admissible predecessors
+    total: Callable  # vector -> sum of its entries
+    log: Callable  # lane number -> float log
+    cylinder_inf: Callable  # (orbit, position, word) -> inf of the weight product over [word]
+    bounds: Callable  # (connector symbols, fiber states) -> (B, e^K)
+
+
+def _lane(potential: FirstSymbolPotential, arithmetic: str) -> _Lane:
+    if arithmetic == "float":
+        return _Lane(
+            exact=False,
+            zero=-math.inf,
+            weights=potential.log_weights,
+            mul=operator.add,
+            div=operator.sub,
+            power=operator.mul,
+            push=_log_incoming,
+            total=log_sum_exp,
+            log=float,
+            cylinder_inf=lambda orbit, p, word: potential.sum_bounds(orbit, p, word)[1],
+            bounds=lambda conn, states: (potential.log_distortion(), potential.sup_log_norm(conn)),
+        )
+    weight = potential.exact_weight_fn(arithmetic)
+    zero, one = (Fraction(0), Fraction(1)) if arithmetic == "fraction" else (mpmath.mpf(0), mpmath.mpf(1))
+
+    def bounds(conn, states):
+        # exact weights exist only for Hölder-free potentials, so B = 1
+        return one, max(max(weight(st, e), one / weight(st, e)) for st in states for e in conn)
+
+    return _Lane(
+        exact=True,
+        zero=zero,
+        weights=lambda state, symbols: np.array([weight(state, e) for e in symbols], dtype=object),
+        mul=operator.mul,
+        div=operator.truediv,
+        power=operator.pow,
+        push=lambda v, adm: np.where(adm.T > 0, v, zero).sum(axis=1),
+        total=lambda v: sum(v, zero),
+        log=float_log,
+        cylinder_inf=lambda orbit, p, word: reduce(
+            operator.mul, (weight(orbit.state(p + j), e) for j, e in enumerate(word))
+        ),
+        bounds=bounds,
+    )
+
+
+def _transfer_sums(lane: _Lane, potential, symbols, anchor, states) -> dict:
+    """Z, L, Lop and A of a cylinder-constant potential as lane numbers.
+
+    v_1 = w_0 and v_{j+1} = w_j * (M^T v_j) hold, per last symbol b, the
+    total weight of the admissible words ending in b; starting from w_0 on
+    the anchor alone gives the anchored words.  The sums add v_n over every
+    last symbol (A) or over those that may precede the anchor (L; Z = Lop
+    for the anchored words).
+    """
+    adm = potential.admissibility(symbols)
+    first = lane.weights(states[0], symbols)
+    vectors = (first, np.where(np.array(symbols) == anchor, first, lane.zero))
+    for state in states[1:]:
+        w = lane.weights(state, symbols)
+        vectors = tuple(lane.mul(w, lane.push(v, adm)) for v in vectors)
+    every, anchored = vectors
+    back = adm[:, symbols.index(anchor)] > 0
+    z = lane.total(anchored[back])
+    return {"anchored_sup": z, "return": lane.total(every[back]), "operator": z, "all": lane.total(every)}
+
+
+def _enumerated_sums(system, symbols, potential, orbit, anchor, n, position, tail) -> dict:
+    """Log Z, L, Lop and A of a Hölder-widened potential, word by word: its
+    cylinder bounds do not factor over symbols."""
+    acc_a, acc_z, acc_l, acc_op = (_LogAccumulator() for _ in range(4))
+    for w in enumerate_words(system, symbols, n):
+        sup, _ = potential.sum_bounds(orbit, position, w, n)
+        ext_hi, ext_lo = potential.sum_bounds(orbit, position, w + tail, n)
+        anchored = 0.5 * (ext_hi + ext_lo)
+        acc_a.add(sup)
+        if system.admissible_pair(w[-1], anchor):
+            acc_l.add(anchored)
+            if w[0] == anchor:
+                acc_z.add(sup)
+                acc_op.add(anchored)
+    return {
+        "anchored_sup": acc_z.value(),
+        "return": acc_l.value(),
+        "operator": acc_op.value(),
+        "all": acc_a.value(),
+    }
+
+
+def _sums(lane, system, symbols, potential, orbit, anchor, n, position, witness, anchor_extension=12):
+    """Z, L, Lop and A as lane numbers, by the recursion wherever the
+    potential factors over symbols."""
+    if anchor not in symbols:
+        raise ValueError("anchor symbol must belong to the symbol set")
+    if n < 1:
+        raise ValueError("depth must be >= 1")
+    if potential.exact_on_cylinders:
+        states = [orbit.state(position + j) for j in range(n)]
+        return _transfer_sums(lane, potential, symbols, anchor, states)
+    tail = anchored_tail(system, symbols, anchor, witness, anchor_extension)
+    return _enumerated_sums(system, symbols, potential, orbit, anchor, n, position, tail)
+
+
 def partition_sums(
     system: SymbolicSystem,
     symbols: Sequence[int],
@@ -124,82 +252,29 @@ def partition_sums(
     arithmetic: str = "float",
     anchor_extension: int = 12,
 ) -> PartitionSums:
-    """Exact partition sums by streamed lexicographic word enumeration.
+    """Depth-n partition sums Z, L, Lop and A at one orbit position.
 
-    Empty admissible sets contribute 0 (log value -inf).  The "exact"
-    arithmetic modes return Fraction/mpf sums alongside float logs for
-    provably signed comparisons.
+    A cylinder-constant potential factors over symbols, so the sums are row
+    and column sums of the transfer product prod_j D_{omega_j} M^T, built
+    one symbol at a time in O(n |F|^2).  Hölder-widened bounds do not
+    factor; only they are summed by streamed word enumeration (float only).
+    Empty admissible sets contribute 0 (log value -inf).  The "fraction" and
+    "mpf" arithmetic modes return the exact sums alongside the float logs
+    for provably signed comparisons.
     """
     symbols = tuple(sorted(symbols))
-    if anchor not in symbols:
-        raise ValueError("anchor symbol must belong to the symbol set")
-    if n < 1:
-        raise ValueError("depth must be >= 1")
-    exact_mode = arithmetic != "float"
-    weight = potential.exact_weight_fn(arithmetic) if exact_mode else None
-    zero = Fraction(0) if arithmetic == "fraction" else (mpmath.mpf(0) if exact_mode else None)
-
-    states = [orbit.state(position + j) for j in range(n)]
-    cylinder_exact = potential.exact_on_cylinders
-    tail = None
-    if not cylinder_exact:
-        tail = anchored_tail(system, symbols, anchor, witness, anchor_extension)
-
-    if exact_mode:
-        tot_a = tot_z = tot_l = tot_op = zero
-        for w in enumerate_words(system, symbols, n):
-            wt = weight(states[0], w[0])
-            for j in range(1, n):
-                wt = wt * weight(states[j], w[j])
-            tot_a = tot_a + wt
-            if system.admissible_pair(w[-1], anchor):
-                tot_l = tot_l + wt
-                if w[0] == anchor:
-                    tot_z = tot_z + wt
-                    tot_op = tot_op + wt
-        exact = {"all": tot_a, "anchored_sup": tot_z, "return": tot_l, "operator": tot_op}
-
-        def flog(x):
-            if x == 0:
-                return -math.inf
-            return float(mpmath.log(mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator))) if isinstance(x, Fraction) else float(mpmath.log(x))
-
-        return PartitionSums(
-            depth=n,
-            anchor=anchor,
-            symbols=symbols,
-            position=position,
-            log_anchored_sup=flog(tot_z),
-            log_return=flog(tot_l),
-            log_operator=flog(tot_op),
-            log_all=flog(tot_a),
-            exact=exact,
-        )
-
-    acc_a, acc_z, acc_l, acc_op = (_LogAccumulator() for _ in range(4))
-    for w in enumerate_words(system, symbols, n):
-        if cylinder_exact:
-            sup = math.fsum(potential.value(states[j], w[j]) for j in range(n))
-            anchored = sup
-        else:
-            sup, _ = potential.sum_bounds(orbit, position, w, n)
-            ext_hi, ext_lo = potential.sum_bounds(orbit, position, w + tail, n)
-            anchored = 0.5 * (ext_hi + ext_lo)
-        acc_a.add(sup)
-        if system.admissible_pair(w[-1], anchor):
-            acc_l.add(anchored)
-            if w[0] == anchor:
-                acc_z.add(sup)
-                acc_op.add(anchored)
+    lane = _lane(potential, arithmetic)
+    sums = _sums(lane, system, symbols, potential, orbit, anchor, n, position, witness, anchor_extension)
     return PartitionSums(
         depth=n,
         anchor=anchor,
         symbols=symbols,
         position=position,
-        log_anchored_sup=acc_z.value(),
-        log_return=acc_l.value(),
-        log_operator=acc_op.value(),
-        log_all=acc_a.value(),
+        log_anchored_sup=lane.log(sums["anchored_sup"]),
+        log_return=lane.log(sums["return"]),
+        log_operator=lane.log(sums["operator"]),
+        log_all=lane.log(sums["all"]),
+        exact=sums if lane.exact else None,
     )
 
 
@@ -227,30 +302,6 @@ class SandwichReport:
         return min(m for _, m in self.inequalities)
 
 
-def _connector_minimum(
-    potential: FirstSymbolPotential,
-    orbit: DrivingOrbit,
-    position: int,
-    words: Sequence[Word],
-    arithmetic: str,
-):
-    """min over the given words of the anchored-cylinder weight product."""
-    if arithmetic == "float":
-        best = math.inf
-        for w in words:
-            _, lo = potential.sum_bounds(orbit, position, w)
-            best = min(best, lo)
-        return best
-    weight = potential.exact_weight_fn(arithmetic)
-    best = None
-    for w in words:
-        wt = weight(orbit.state(position), w[0])
-        for j in range(1, len(w)):
-            wt = wt * weight(orbit.state(position + j), w[j])
-        best = wt if best is None or wt < best else best
-    return best
-
-
 def check_sandwich(
     system: SymbolicSystem,
     symbols: Sequence[int],
@@ -276,13 +327,11 @@ def check_sandwich(
         if witness is None:
             raise ValueError("symbol set is not finitely primitive")
     N = witness.order
-    exact_mode = arithmetic != "float"
+    lane = _lane(potential, arithmetic)
+    mul = lane.mul
 
     def sums(depth, position):
-        return partition_sums(
-            system, symbols, potential, orbit, anchor, depth,
-            position=position, witness=witness, arithmetic=arithmetic,
-        )
+        return _sums(lane, system, symbols, potential, orbit, anchor, depth, position, witness)
 
     base = sums(n, 0)
     deeper = sums(N + n, 0)
@@ -290,85 +339,39 @@ def check_sandwich(
     op_forward = sums(N + 1 + n, 0)
     l_shifted = sums(n, N + 1)
 
-    # constants
-    logB = potential.log_distortion()
-    if exact_mode:
-        weight = potential.exact_weight_fn(arithmetic)
-        one = Fraction(1) if arithmetic == "fraction" else mpmath.mpf(1)
-        if logB != 0.0:
-            raise ValueError("exact sandwich arithmetic needs a distortion-free potential")
-        B = one
-        # e^K = sup over connector alphabet and relevant fibers of the inverse weight
-        states = orbit.system.state_support()
-        conn = sorted(witness.connector_alphabet)
-        eK = max(
-            max(weight(st, e), one / weight(st, e)) for st in states for e in conn
-        )
-        eNK = eK ** N
-    else:
-        logB = potential.log_distortion()
-        log_eNK = N * potential.sup_log_norm(sorted(witness.connector_alphabet))
+    B, eK = lane.bounds(sorted(witness.connector_alphabet), orbit.system.state_support())
+    C = mul(lane.power(B, 3), lane.power(eK, N))  # B^3 e^{NK}
 
     # R at fiber position p: min over connectors w with anchor*w admissible of
-    # the inf of the (N+1)-sum over [anchor w]
-    def connector_r(p):
-        words = [
-            (anchor,) + w
-            for w in witness.connectors
-            if system.admissible_pair(anchor, w[0]) and system.is_admissible((anchor,) + w)
-        ]
-        return _connector_minimum(potential, orbit, p, words, arithmetic)
+    # the inf of the (N+1)-sum over [anchor w]; R_n: the same over [w], over B
+    def connector_inf(words, p):
+        return min(lane.cylinder_inf(orbit, p, w) for w in words)
 
-    def connector_rn(p):
-        words = [w for w in witness.connectors]
-        m = _connector_minimum(potential, orbit, p, words, arithmetic)
-        if exact_mode:
-            return m / B
-        return m - logB
+    anchored = [
+        (anchor,) + w
+        for w in witness.connectors
+        if system.admissible_pair(anchor, w[0]) and system.is_admissible((anchor,) + w)
+    ]
+    R_back = connector_inf(anchored, -(N + 1))
+    R_fwd = connector_inf(anchored, 0)
+    Rn = lane.div(connector_inf(witness.connectors, n), B)
 
-    ineqs = []
-    if exact_mode:
-        ex = lambda s: s.exact
-        b0, bd, bo, bf, bl = ex(base), ex(deeper), ex(op_shifted), ex(op_forward), ex(l_shifted)
-        R_back = connector_r(-(N + 1))
-        R_fwd = connector_r(0)
-        Rn = connector_rn(n)
-        ineqs = [
-            ("operator<=anchored_sup", b0["anchored_sup"] - b0["operator"]),
-            ("anchored_sup<=B*return", B * b0["return"] - b0["anchored_sup"]),
-            ("B*return<=B*all", B * b0["all"] - B * b0["return"]),
-            ("B*all<=B^3 e^{NK} deeper_return", B ** 3 * eNK * bd["return"] - B * b0["all"]),
-            (
-                "deeper_return<=.../R operator_shifted",
-                B ** 3 * eNK / R_back * bo["operator"] - B ** 3 * eNK * bd["return"],
-            ),
-            ("comparability: operator>=R*return_shifted", bf["operator"] - R_fwd * bl["return"]),
-            ("comparability: deeper_return>=R_n*all", bd["return"] - Rn * b0["all"]),
-        ]
-        margins = tuple((name, float(v)) for name, v in ineqs)
-    else:
-        R_back = connector_r(-(N + 1))
-        R_fwd = connector_r(0)
-        Rn = connector_rn(n)
-        margins = (
-            ("operator<=anchored_sup", base.log_anchored_sup - base.log_operator),
-            ("anchored_sup<=B*return", logB + base.log_return - base.log_anchored_sup),
-            ("B*return<=B*all", base.log_all - base.log_return),
-            (
-                "B*all<=B^3 e^{NK} deeper_return",
-                2 * logB + log_eNK + deeper.log_return - base.log_all,
-            ),
-            (
-                "deeper_return<=.../R operator_shifted",
-                op_shifted.log_operator - R_back - deeper.log_return,
-            ),
-            (
-                "comparability: operator>=R*return_shifted",
-                op_forward.log_operator - (R_fwd + l_shifted.log_return),
-            ),
-            ("comparability: deeper_return>=R_n*all", deeper.log_return - (Rn + base.log_all)),
-        )
-    return SandwichReport(depth=n, anchor=anchor, inequalities=tuple(margins))
+    chain = (
+        ("operator<=anchored_sup", base["operator"], base["anchored_sup"]),
+        ("anchored_sup<=B*return", base["anchored_sup"], mul(B, base["return"])),
+        ("B*return<=B*all", mul(B, base["return"]), mul(B, base["all"])),
+        ("B*all<=B^3 e^{NK} deeper_return", mul(B, base["all"]), mul(C, deeper["return"])),
+        (
+            "deeper_return<=.../R operator_shifted",
+            mul(C, deeper["return"]),
+            mul(lane.div(C, R_back), op_shifted["operator"]),
+        ),
+        ("comparability: operator>=R*return_shifted", mul(R_fwd, l_shifted["return"]), op_forward["operator"]),
+        ("comparability: deeper_return>=R_n*all", mul(Rn, base["all"]), deeper["return"]),
+    )
+    return SandwichReport(
+        depth=n, anchor=anchor, inequalities=tuple((name, float(rhs - lhs)) for name, lhs, rhs in chain)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .gdms import sample_limit_set
 from .gibbs import conformal_measures
 from .oracle import box_counting, corrected_coarse_dimensions, level_histogram
 from .potentials import geometric_potential, s_infinity
-from .shift import PrimitivityWitness, build_ladder, find_primitivity, verify_primitivity
+from .shift import PrimitivityWitness, build_ladder, count_words, find_primitivity, verify_primitivity
 from .spectrum import (
     bowen_dimension,
     cofinite_regularity,
@@ -290,7 +290,7 @@ def cmd_limitset(run: RunConfig) -> int:
     symbols = _finite_symbols(run)
     orbit = sample_orbit(run.system.driving, run.seed)
     depth = run.analysis.depth
-    exhaustive = len(symbols) ** depth <= 4096
+    exhaustive = count_words(run.system.symbolic, symbols, depth) <= 4096
     sample = sample_limit_set(
         run.system,
         orbit,
@@ -336,7 +336,7 @@ def _verify_checks(run: RunConfig) -> list[dict]:
     s_star = bowen_dimension(curve)
 
     depth = max(9, run.analysis.depth)
-    sample = sample_limit_set(sysm, orbit, depth=depth, symbols=symbols) if len(symbols) ** depth <= 500_000 else None
+    sample = sample_limit_set(sysm, orbit, depth=depth, symbols=symbols) if count_words(sysm.symbolic, symbols, depth) <= 500_000 else None
     if sample is not None:
         scales = [sysm.contraction ** j for j in range(2, 8)]
         est = box_counting(sample, scales)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .driving import DrivingOrbit, DrivingSystem, bernoulli
 from .potentials import log_sum_exp
-from .shift import GeometricTail, SymbolicSystem, Word, enumerate_words, full_shift
+from .shift import GeometricTail, SymbolicSystem, Word, full_shift, word_index
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,17 @@ class RCGDMS:
 @dataclass(frozen=True)
 class LimitSetSample:
     """Depth-n truncation of a fiber limit set: one point per sampled word,
-    each within radius_bound of the true coded point."""
+    each within radius_bound of the true coded point.  `codes` holds the
+    words as rows of symbols; `words` builds the tuples when read."""
 
-    position: int
     depth: int
-    words: tuple[Word, ...]
+    codes: np.ndarray
     points: np.ndarray
     radius_bound: float
+
+    @property
+    def words(self) -> tuple[Word, ...]:
+        return tuple(map(tuple, self.codes.tolist()))
 
 
 def code_point(gdms: RCGDMS, orbit: DrivingOrbit, prefix: Sequence[int]) -> tuple[float, float]:
@@ -117,6 +121,22 @@ def image_of_word(gdms: RCGDMS, orbit: DrivingOrbit, prefix: Sequence[int]) -> t
     return (center - half, center + half)
 
 
+def code_words(
+    gdms: RCGDMS, orbit: DrivingOrbit, symbols: Sequence[int], index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """code_point of every row of `index` (positions in `symbols`) at once,
+    from maps tabulated per (level, symbol): the same operations in the same
+    order, so centers and half-widths are bit-identical to code_point's."""
+    spaces = np.array([gdms.space_of_edge_target(e) for e in symbols], dtype=float).reshape(-1, 2)
+    lo, hi = spaces[index[:, -1]].T
+    for k in range(index.shape[1] - 1, -1, -1):
+        state, col = orbit.state(k), index[:, k]
+        a = np.array([gdms.offset(e, state) for e in symbols], dtype=float)[col]
+        r = np.array([math.exp(gdms.log_ratio(e, state)) for e in symbols])[col]
+        lo, hi = a + r * (lo - spaces[col, 0]), a + r * (hi - spaces[col, 0])
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
 def sample_limit_set(
     gdms: RCGDMS,
     orbit: DrivingOrbit,
@@ -133,7 +153,7 @@ def sample_limit_set(
     """
     symbols = tuple(sorted(symbols if symbols is not None else gdms.symbolic.edges))
     if sampler == "exhaustive":
-        words = tuple(enumerate_words(gdms.symbolic, symbols, depth))
+        index = word_index(gdms.symbolic, symbols, depth)
     elif sampler == "random-words":
         if count is None:
             raise ValueError("random-words sampling needs a count")
@@ -147,13 +167,15 @@ def sample_limit_set(
                     break
                 w.append(nxt[rng.integers(len(nxt))])
             if len(w) == depth:
-                picked.append(tuple(w))
-        words = tuple(picked)
+                picked.append(w)
+        index = np.searchsorted(symbols, np.array(picked, dtype=np.int64).reshape(-1, depth))
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
-    pts = np.array([code_point(gdms, orbit, w)[0] for w in words], dtype=float)
+    dtype = np.result_type(np.min_scalar_type(symbols[0]), np.min_scalar_type(symbols[-1]))
+    codes = np.array(symbols, dtype=dtype)[index]
     bound = gdms.contraction ** depth * gdms.max_diameter()
-    return LimitSetSample(position=0, depth=depth, words=words, points=pts, radius_bound=bound)
+    points = code_words(gdms, orbit, symbols, index)[0]
+    return LimitSetSample(depth=depth, codes=codes, points=points, radius_bound=bound)
 
 
 def check_rbsc(

@@ -25,9 +25,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .driving import DrivingOrbit
-from .gdms import RCGDMS, LimitSetSample, check_rbsc, code_point, image_of_word
+from .gdms import RCGDMS, LimitSetSample, check_rbsc, code_point, code_words, image_of_word
 from .gibbs import CylinderMeasure
-from .shift import Word, enumerate_words
+from .shift import Word, prefix_tree, word_index
 
 _ENUMERATION_BUDGET = 10_000_000
 
@@ -55,39 +55,14 @@ class LevelHistogram:
 
 
 def _exponent_sums(gdms: RCGDMS, orbit: DrivingOrbit, symbols, n: int) -> np.ndarray:
-    """Birkhoff sums -log|phi'| for every admissible word, by exact streamed
-    enumeration vectorized over the last symbol."""
+    """Birkhoff sums -log|phi'| of every admissible word, carried down the
+    prefix tree one level at a time (lexicographic word order)."""
     symbols = tuple(sorted(symbols))
-    states = [orbit.state(j) for j in range(n)]
-    vals = [
-        {e: -gdms.log_ratio(e, st) for e in symbols}
-        for st in states
-    ]
-    full = gdms.symbolic.incidence_kind == "full" or all(
-        gdms.symbolic.admissible_pair(a, b) for a in symbols for b in symbols
-    )
-    if full:
-        acc = np.array([vals[0][e] for e in symbols])
-        for j in range(1, n):
-            step = np.array([vals[j][e] for e in symbols])
-            acc = (acc[:, None] + step[None, :]).ravel()
-            if acc.size > _ENUMERATION_BUDGET:
-                raise ValueError("enumeration budget exceeded")
-        return acc
-    by_last = {e: np.array([vals[0][e]]) for e in symbols}
-    for j in range(1, n):
-        nxt = {}
-        for b in symbols:
-            parts = [
-                by_last[a] + vals[j][b]
-                for a in symbols
-                if gdms.symbolic.admissible_pair(a, b) and by_last[a].size
-            ]
-            nxt[b] = np.concatenate(parts) if parts else np.empty(0)
-        by_last = nxt
-        if sum(v.size for v in by_last.values()) > _ENUMERATION_BUDGET:
-            raise ValueError("enumeration budget exceeded")
-    return np.concatenate([by_last[e] for e in symbols])
+    acc = np.zeros(1)
+    for j, (parent, last) in enumerate(prefix_tree(gdms.symbolic, symbols, n, _ENUMERATION_BUDGET)):
+        state = orbit.state(j)
+        acc = acc[parent] + np.array([-gdms.log_ratio(e, state) for e in symbols])[last]
+    return acc
 
 
 def level_histogram(
@@ -235,11 +210,11 @@ def local_dimension_samples(
             if mass <= 0 or diam <= 0:
                 continue
             mk = math.log(mass) / math.log(diam)
+            index = word_index(gdms.symbolic, symbols, j)
+            center, half = code_words(gdms, orbit, symbols, index)
             ball_mass = 0.0
-            for w in enumerate_words(gdms.symbolic, symbols, j):
-                a, b = image_of_word(gdms, orbit, w)
-                if b >= x - diam and a <= x + diam:
-                    ball_mass += measure.mass(w)
+            for i in np.flatnonzero((center + half >= x - diam) & (center - half <= x + diam)):
+                ball_mass += measure.mass(tuple(symbols[p] for p in index[i]))
             mt = math.log(ball_mass) / math.log(diam)
             depths.append(j)
             markov.append(mk)

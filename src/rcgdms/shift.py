@@ -16,6 +16,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
+import numpy as np
+
 Word = tuple[int, ...]
 
 
@@ -137,6 +139,35 @@ def enumerate_words(
         if e not in succ:
             continue
         yield from extend([e])
+
+
+def prefix_tree(
+    system: SymbolicSystem, symbols: Sequence[int], n: int, budget: float = float("inf")
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Admissible words over `symbols`, lexicographic, one level per step for n
+    levels: yields (parent, last), parent[i] the index of word i's prefix one
+    level up (0 at level 1), last[i] the position of its last symbol in
+    sorted(symbols).  A level of more than `budget` words raises unbuilt."""
+    if n < 1:
+        raise ValueError("word length must be >= 1")
+    symbols = tuple(sorted(symbols))
+    succ = np.array([[system.admissible_pair(a, b) for b in symbols] for a in symbols], dtype=bool)
+    last = np.arange(len(symbols))
+    yield np.zeros_like(last), last
+    for _ in range(n - 1):
+        if succ.sum(axis=1)[last].sum() > budget:
+            raise ValueError("enumeration budget exceeded")
+        parent, last = np.nonzero(succ[last])
+        yield parent, last
+
+
+def word_index(system: SymbolicSystem, symbols: Sequence[int], n: int) -> np.ndarray:
+    """The words enumerate_words yields, as rows of positions in sorted(symbols)
+    (in the smallest unsigned dtype that holds them)."""
+    index = np.zeros((1, 0), dtype=np.min_scalar_type(len(symbols)))
+    for parent, last in prefix_tree(system, symbols, n):
+        index = np.column_stack((index[parent], last.astype(index.dtype)))
+    return index
 
 
 def count_words(system: SymbolicSystem, symbols: Sequence[int], n: int) -> int:

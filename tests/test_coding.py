@@ -1,0 +1,182 @@
+"""Limit-set coding and Birkhoff sums over the prefix-tree kernel, against
+per-word references.
+
+The references code one word at a time with `code_point` and enumerate words
+with `enumerate_words` or itertools.product, so they share no code with the
+array path in `code_words`, `word_index` and `shift.prefix_tree`.
+"""
+
+import itertools
+import math
+from dataclasses import replace
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rcgdms.gdms
+import rcgdms.oracle
+import rcgdms.shift
+from rcgdms.driving import bernoulli, deterministic, periodic, sample_orbit
+from rcgdms.gdms import code_point, image_of_word, sample_limit_set, similarity_system
+from rcgdms.gibbs import conformal_measures
+from rcgdms.oracle import _exponent_sums, level_histogram, local_dimension_samples
+from rcgdms.potentials import geometric_potential
+from rcgdms.shift import enumerate_words, from_matrix, full_shift
+
+TOL = 1e-12
+
+
+@st.composite
+def systems(draw):
+    """A random similarity system on 2-5 symbols: full or primitive non-full
+    incidence, 1-3 fiber states under Bernoulli or periodic driving, random
+    ratios below 1, offsets and per-symbol target spaces, plus a random
+    nonempty symbol subset."""
+    k = draw(st.integers(2, 5))
+    symbols = tuple(sorted(draw(st.sets(st.integers(0, 300), min_size=k, max_size=k))))
+    if draw(st.booleans()):
+        symbolic = full_shift(symbols)
+    else:
+        # a Hamiltonian cycle with one self-loop is primitive; random extra edges
+        rows = [[int(draw(st.booleans())) for _ in symbols] for _ in symbols]
+        for i in range(k):
+            rows[i][(i + 1) % k] = 1
+        rows[0][0] = 1
+        symbolic = from_matrix(symbols, rows)
+    states = tuple(range(draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        driving = bernoulli(states, [1.0] * len(states))
+    else:
+        driving = periodic(draw(st.lists(st.sampled_from(states), min_size=1, max_size=4)))
+    ratio = st.builds(Fraction, st.integers(1, 8), st.sampled_from((9, 10, 17)))
+    offset = st.floats(0.0, 1.0, allow_nan=False)
+    system = similarity_system(
+        symbolic,
+        driving,
+        {s: {e: draw(ratio) for e in symbols} for s in states},
+        {s: {e: draw(offset) for e in symbols} for s in states},
+    )
+    # each symbol maps into its own target space, so spaces differ per symbol
+    ends = st.tuples(st.floats(-2.0, 2.0), st.floats(0.5, 3.0))
+    spaces = {e: (lo, lo + width) for e, (lo, width) in ((e, draw(ends)) for e in symbols)}
+    system = replace(system, spaces=spaces, edge_vertex={e: (e, e) for e in symbols})
+    subset = draw(st.sets(st.sampled_from(symbols), min_size=1)) if draw(st.booleans()) else symbols
+    orbit = sample_orbit(driving, draw(st.integers(0, 5)))
+    return system, orbit, tuple(sorted(subset))
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(), st.integers(1, 5))
+def test_exhaustive_sample_matches_per_word_coding(case, depth):
+    system, orbit, symbols = case
+    sample = sample_limit_set(system, orbit, depth=depth, symbols=symbols)
+    words = tuple(enumerate_words(system.symbolic, symbols, depth))
+    assert sample.words == words
+    assert sample.codes.shape == (len(words), depth)
+    assert sample.codes.dtype == np.min_scalar_type(max(symbols))
+    # bit-for-bit, not approximately
+    assert sample.points.tolist() == [code_point(system, orbit, w)[0] for w in words]
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems(), st.integers(1, 6), st.integers(0, 40), st.integers(0, 1000))
+def test_random_words_match_per_word_coding(case, depth, count, seed):
+    system, orbit, symbols = case
+    sample = sample_limit_set(
+        system, orbit, depth=depth, count=count, sampler="random-words", seed=seed, symbols=symbols
+    )
+    # the documented protocol: a uniform first symbol, then uniform admissible
+    # successors, from a PCG64 stream of the seed; words that die are dropped
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    want = []
+    for _ in range(count):
+        w = [symbols[rng.integers(len(symbols))]]
+        while len(w) < depth:
+            nxt = [b for b in symbols if system.symbolic.admissible_pair(w[-1], b)]
+            if not nxt:
+                break
+            w.append(nxt[rng.integers(len(nxt))])
+        if len(w) == depth:
+            want.append(tuple(w))
+    assert sample.words == tuple(want)
+    assert sample.points.tolist() == [code_point(system, orbit, w)[0] for w in sample.words]
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(), st.integers(1, 6))
+def test_exponent_sums_match_product_enumeration(case, n):
+    system, orbit, symbols = case
+    want = sorted(
+        math.fsum(-system.log_ratio(e, orbit.state(j)) for j, e in enumerate(w))
+        for w in itertools.product(symbols, repeat=n)
+        if system.symbolic.is_admissible(w)
+    )
+    got = np.sort(_exponent_sums(system, orbit, symbols, n))
+    assert len(got) == len(want)
+    assert np.allclose(got, want, rtol=TOL, atol=TOL)
+
+
+def test_coding_enumerates_no_words_and_calls_no_code_point(monkeypatch, paper, golden):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-word coding or enumeration on the array path")
+
+    monkeypatch.setattr(rcgdms.gdms, "code_point", forbidden)
+    monkeypatch.setattr(rcgdms.oracle, "code_point", forbidden)
+    monkeypatch.setattr(rcgdms.shift, "enumerate_words", forbidden)
+    orbit = sample_orbit(paper.driving, 0)
+    sample = sample_limit_set(paper, orbit, depth=6, symbols=(1, 2, 3, 4))
+    assert sample.points.shape == (4 ** 6,)
+    sample = sample_limit_set(paper, orbit, depth=4, count=50, sampler="random-words", seed=3, symbols=(1, 2, 3, 4))
+    assert sample.points.shape == (50,)
+    assert level_histogram(golden, sample_orbit(golden.driving, 0), (0, 1), n=12).total == 377
+
+
+def test_ball_mass_matches_per_word_images(monkeypatch):
+    """Metric ratios against a test-local ball mass over every word's image, on
+    maps that almost tile the interval, so balls meet neighboring cylinders
+    (three, of unequal masses, for these words, so the summation order shows)."""
+    symbols = (0, 1)
+    system = similarity_system(
+        full_shift(symbols),
+        deterministic(0),
+        {0: {0: Fraction(47, 100), 1: Fraction(41, 100)}},
+        {0: {0: 0.02, 1: 0.53}},
+    )
+    zeta = geometric_potential(system).scaled(0.85)
+    orbit = sample_orbit(system.driving, 0)
+    measure = conformal_measures(system.symbolic, symbols, zeta, orbit, depth=7)[0][0]
+    words = [(0, 1, 1, 0, 1, 0, 0), (1, 1, 1, 0, 0, 0, 1)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ball mass by word enumeration")
+
+    monkeypatch.setattr(rcgdms.shift, "enumerate_words", forbidden)
+    samples = local_dimension_samples(system, orbit, measure, words)
+    most_hits = 0
+    for word, got in zip(words, samples):
+        x = code_point(system, orbit, word)[0]
+        want = []
+        for j in got.depths:
+            lo, hi = image_of_word(system, orbit, word[:j])
+            diam = hi - lo
+            ball, hits = 0.0, 0
+            for w in itertools.product(symbols, repeat=j):
+                a, b = image_of_word(system, orbit, w)
+                if b >= x - diam and a <= x + diam:
+                    ball += measure.mass(w)
+                    hits += 1
+            most_hits = max(most_hits, hits)
+            want.append(math.log(ball) / math.log(diam))
+        assert got.depths == tuple(range(1, 8))
+        assert got.metric_ratios == tuple(want)
+    assert most_hits >= 3
+
+
+def test_budget_raises_before_the_level_is_built(paper):
+    levels = rcgdms.shift.prefix_tree(paper.symbolic, tuple(range(1, 101)), 6, budget=10 ** 5)
+    assert [len(last) for _, last in itertools.islice(levels, 2)] == [100, 10 ** 4]
+    with pytest.raises(ValueError, match="budget"):
+        next(levels)

@@ -3,8 +3,9 @@ deterministic result serialization.
 
 Artifacts are CSV for curves and JSON for scalar summaries.  Bodies are
 byte-reproducible for a fixed config and seed (floats are serialized with
-round-trip repr, reductions are order-fixed regardless of worker count);
-timestamps live only in the run_meta.json sidecar.
+round-trip repr); timestamps live only in the run_meta.json sidecar.  Every
+command runs in one thread: `--workers` is parsed and recorded in
+run_meta.json but changes nothing.
 
 Exit codes: 0 success, 2 configuration/schema violation, 3 numeric failure,
 4 verification failure.
@@ -17,9 +18,8 @@ import datetime
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,14 +39,6 @@ from .spectrum import (
     pressure_curve,
 )
 from .thermo import check_gibbs, check_sandwich, pressure, pressure_compact_approx
-
-
-def _pmap(fn: Callable, items: Sequence, workers: int) -> list:
-    """Order-preserving map; results are independent of the worker count."""
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(value) -> str:
@@ -136,8 +128,7 @@ def _exponent_hull(sysm) -> tuple[float, float]:
     return (min(los), hi)
 
 
-def _curve(run: RunConfig, symbols=None):
-    zeta = _zeta(run)
+def _curve(run: RunConfig, zeta, symbols=None):
     sysm = run.system
     if symbols is None and sysm.symbolic.incidence_kind != "full":
         symbols = _finite_symbols(run)
@@ -199,8 +190,8 @@ def cmd_pressure(run: RunConfig) -> int:
             out.append((s, "full", "exact", est.value, est.spread))
         return out
 
-    for chunk in _pmap(one, list(run.analysis.s_grid()), run.workers):
-        rows.extend(chunk)
+    for s in run.analysis.s_grid():
+        rows.extend(one(s))
     _write_csv(run.out_dir / "pressure.csv", ("s", "rung", "depth", "estimate", "spread"), rows)
     return 0
 
@@ -214,8 +205,8 @@ def _write_curve_csv(run: RunConfig, curve) -> None:
 
 
 def cmd_dimension(run: RunConfig) -> int:
-    curve = _curve(run)
     zeta = _zeta(run)
+    curve = _curve(run, zeta)
     s_star = bowen_dimension(curve)
     _write_curve_csv(run, curve)
     regularity = cofinite_regularity(zeta)
@@ -235,7 +226,7 @@ def cmd_dimension(run: RunConfig) -> int:
 
 
 def cmd_spectrum(run: RunConfig) -> int:
-    curve = _curve(run)
+    curve = _curve(run, _zeta(run))
     s_star = bowen_dimension(curve)
     _write_curve_csv(run, curve)
     lo, hi = curve.validity_interval
@@ -248,11 +239,7 @@ def cmd_spectrum(run: RunConfig) -> int:
     betas = run.analysis.beta_grid(lo + 1e-9, hi)
     betas = betas[betas > 0]
     result = legendre_spectrum(curve, betas, bowen=s_star)
-
-    def one(i: int):
-        return (float(result.betas[i]), float(result.values[i]), result.flags[i])
-
-    rows = _pmap(one, range(len(result.betas)), run.workers)
+    rows = [(float(b), float(v), flag) for b, v, flag in zip(result.betas, result.values, result.flags)]
     _write_csv(run.out_dir / "spectrum.csv", ("beta", "l", "flag"), rows)
     _write_json(
         run.out_dir / "spectrum.json",
@@ -332,7 +319,7 @@ def _verify_checks(run: RunConfig) -> list[dict]:
         {"name": "gibbs", "ok": gibbs.ok, "detail": f"{gibbs.checked} cylinders, worst dev {gibbs.worst_ratio_deviation:.3e}"}
     )
 
-    curve = _curve(run, symbols=None if sysm.symbolic.incidence_kind == "full" else symbols)
+    curve = _curve(run, zeta, symbols=None if sysm.symbolic.incidence_kind == "full" else symbols)
     s_star = bowen_dimension(curve)
 
     depth = max(9, run.analysis.depth)
@@ -468,7 +455,7 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--workers", type=int, default=None, help="recorded in run_meta.json; no effect")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--s-min", type=float, default=None)
         p.add_argument("--s-max", type=float, default=None)

@@ -54,7 +54,7 @@ class RunConfig:
     analysis: Analysis
     out_dir: Path
     seed: int = 0
-    workers: int = 1
+    workers: int = 1  # recorded in run_meta.json; every command runs in one thread
     name: str = "run"
     potential_spec: Optional[dict] = None  # None means the geometric potential
 

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .driving import DrivingOrbit, DrivingSystem, bernoulli
-from .potentials import log_sum_exp
+from .potentials import _segment_log_sums, log_sum_exp
 from .shift import GeometricTail, SymbolicSystem, Word, full_shift, word_index
 
 
@@ -48,7 +48,11 @@ class RCGDMS:
     log_ratio_range: Callable[[int], tuple[float, float]]  # (lo, hi) over fibers
     edge_vertex: Optional[Mapping[int, tuple[object, object]]] = None  # (initial, terminal)
     ratio_fraction: Optional[Callable[[int, object], Fraction]] = None
-    tail_log_moment: Optional[Callable[[float, object], float]] = None
+    # tail_log_moment(s, states): for each fiber state of the sequence, log of
+    # the sum over the edges past the materialized cutoff of
+    # exp(s * log_ratio(e, state)), +inf where that series diverges.  One call
+    # serves every support state of a pressure evaluation.
+    tail_log_moment: Optional[Callable[[float, tuple], np.ndarray]] = None
     derivative_holder_const: float = 0.0  # L
     derivative_holder_exp: float = 1.0  # alpha_Phi
     name: str = "system"
@@ -158,11 +162,14 @@ def sample_limit_set(
         if count is None:
             raise ValueError("random-words sampling needs a count")
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        succ: dict = {}  # successor tuple per visited symbol
         picked = []
         for _ in range(count):
             w = [symbols[rng.integers(len(symbols))]]
             for _ in range(depth - 1):
-                nxt = gdms.symbolic.successors(w[-1], symbols)
+                nxt = succ.get(w[-1])
+                if nxt is None:
+                    nxt = succ[w[-1]] = gdms.symbolic.successors(w[-1], symbols)
                 if not nxt:
                     break
                 w.append(nxt[rng.integers(len(nxt))])
@@ -287,12 +294,21 @@ class BlockTailExample:
     For fiber state i, edges within blocks 2..i carry the block ratio
     2^-(l^2+l) and everything past block i decays like 8^-e.  Edges beyond
     the materialized cutoff are summed in closed form, block by block, so
-    the per-fiber transfer sums are exact for every state.
+    the per-fiber transfer sums are exact for every state.  `log_moments`
+    evaluates every state at once from a (state x block) table of log edge
+    counts; the scalar `log_moment` is the term-by-term reference.
     """
 
     def __init__(self, cutoff: int, max_block: int = 64):
         self.cutoff = cutoff
         self.bounds = _block_boundaries(max_block)
+        # blocks reaching past the cutoff, with their edge counts beyond it
+        self._blocks = np.arange(self.block_of(cutoff + 1), max_block)
+        self._rates = (self._blocks * self._blocks + self._blocks).astype(float)
+        self._log_counts = np.array(
+            [math.log(self.bounds[l] - max(self.bounds[l - 1], cutoff)) for l in self._blocks.tolist()]
+        )
+        self._tables: dict = {}
 
     def block_of(self, e: int) -> int:
         return bisect.bisect_left(self.bounds, e)
@@ -323,8 +339,34 @@ class BlockTailExample:
         start = max(self.bounds[min(i, len(self.bounds) - 1)], self.cutoff) + 1
         log_q = -s * _LOG8
         if start < 1e15:
-            terms.append(start * log_q - math.log1p(-math.exp(log_q)))
+            terms.append(start * log_q - math.log(-math.expm1(log_q)))
         return log_sum_exp(terms)
+
+    def _table(self, states: tuple):
+        """Per state, the log edge counts of the unlocked blocks past the
+        cutoff (-inf for locked ones) and the first edge of the geometric
+        remainder (+inf when it is dropped)."""
+        got = self._tables.get(states)
+        if got is None:
+            unlocked = self._blocks <= np.array([int(st) for st in states])[:, None]
+            log_counts = np.where(unlocked, self._log_counts, -np.inf)
+            first_edges = []
+            for st in states:
+                start = max(self.bounds[min(int(st), len(self.bounds) - 1)], self.cutoff) + 1
+                first_edges.append(float(start) if start < 1e15 else math.inf)
+            got = self._tables.setdefault(states, (log_counts, np.array(first_edges)[:, None]))
+        return got
+
+    def log_moments(self, s: float, states) -> np.ndarray:
+        """log_moment of every state of the sequence, in one log-sum-exp."""
+        states = tuple(states)
+        if s <= 0.0:
+            return np.full(len(states), math.inf)
+        log_counts, first_edges = self._table(states)
+        log_q = -s * _LOG8
+        geometric = first_edges * log_q - math.log(-math.expm1(log_q))
+        terms = np.hstack((log_counts - s * self._rates * _LOG2, geometric))
+        return _segment_log_sums(terms.ravel(), np.arange(0, terms.size, terms.shape[1]), None)
 
     def ru_moment(self, s: float, tol: float = 1e-18, max_block: int = 400) -> tuple[float, bool]:
         """Essential-sup moment sum over edges: sum_l 2^(l^2-1) * 2^(-s(l^2+l)).
@@ -366,7 +408,7 @@ def build_paper_example(cutoff: int = 1024, weight_states: int = 40) -> RCGDMS:
         got = offset_cache.get(state)
         if got is None:
             widths = [math.exp(tail.log_ratio(e, state)) for e in edges]
-            total = math.fsum(widths) + math.exp(tail.log_moment(1.0, state))
+            total = math.fsum(widths) + math.exp(tail.log_moments(1.0, (state,))[0])
             gap = (1.0 - total) / (len(edges) + 1)
             got, acc = {}, gap
             for e, w in zip(edges, widths):
@@ -392,6 +434,6 @@ def build_paper_example(cutoff: int = 1024, weight_states: int = 40) -> RCGDMS:
         contraction=0.25,
         min_log_ratio=min_log,
         log_ratio_range=log_range,
-        tail_log_moment=tail.log_moment,
+        tail_log_moment=tail.log_moments,
         name="paper-example",
     )

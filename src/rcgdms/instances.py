@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from . import gdms
 from .driving import deterministic, periodic
 from .gdms import RCGDMS, similarity_system
@@ -77,11 +79,12 @@ def pure_tail(cutoff: int = 64) -> RCGDMS:
         # left-to-right packing, gaps irrelevant for symbolic quantities
         return sum(8.0 ** -k for k in range(1, e)) + e * 1e-3
 
-    def log_moment(s, state):
+    def log_moment(s, states):
+        # the tail does not depend on the fiber state
         if s <= 0.0:
-            return math.inf
+            return np.full(len(states), math.inf)
         log_q = -s * log8
-        return (cutoff + 1) * log_q - math.log1p(-math.exp(log_q))
+        return np.full(len(states), (cutoff + 1) * log_q - math.log(-math.expm1(log_q)))
 
     return RCGDMS(
         symbolic=sym,

@@ -75,6 +75,8 @@ class SymbolicSystem:
         return e2 in self.successors_map.get(e1, frozenset())
 
     def successors(self, e: int, symbols: Sequence[int]) -> tuple[int, ...]:
+        if self.incidence_kind == "full":
+            return tuple(symbols)
         return tuple(b for b in symbols if self.admissible_pair(e, b))
 
     def is_admissible(self, word: Sequence[int]) -> bool:

@@ -190,7 +190,7 @@ def cofinite_regularity(
     exponentially widening ladder without leveling off (the bisection
     estimate can land a hair inside the summable side, where the transfer
     sums are finite but enormous)."""
-    from .potentials import s_infinity as _s_inf, summability
+    from .potentials import _expected, s_infinity as _s_inf, summability
 
     if not potential.system.has_tail:
         return RegularityReport(applicable=False, s_infinity=-math.inf, cofinitely_regular=True)
@@ -201,10 +201,8 @@ def cofinite_regularity(
     sizes = [k for k in rung_sizes if k <= len(edges)] or [len(edges)]
     scaled = potential.scaled(s_inf)
     drv = potential.driving
-    rungs = []
-    for k in sizes:
-        symbols = tuple(edges[:k])
-        rungs.append(drv.expectation(lambda st: scaled.unit_transfer_bounds(st, symbols)[0]))
+    states = drv.state_support()
+    rungs = [_expected(drv, states, scaled.transfer_bounds(states, edges[:k])[0]) for k in sizes]
     increments = [rungs[i + 1] - rungs[i] for i in range(len(rungs) - 1)]
     diverging = (
         len(increments) >= 2

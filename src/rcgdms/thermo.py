@@ -43,7 +43,7 @@ import mpmath
 import numpy as np
 
 from .driving import DrivingOrbit, DrivingSystem, orbit_family
-from .potentials import FirstSymbolPotential, _log_incoming, float_log, log_sum_exp
+from .potentials import FirstSymbolPotential, _expected, _log_incoming, float_log, log_sum_exp
 from .shift import (
     PrimitivityWitness,
     SubalphabetLadder,
@@ -402,7 +402,8 @@ def _is_full_over(system: SymbolicSystem, symbols: Sequence[int]) -> bool:
 def _product_pressure(
     potential: FirstSymbolPotential, driving: DrivingSystem, symbols: Optional[Sequence[int]]
 ) -> float:
-    return driving.expectation(lambda st: potential.unit_transfer_bounds(st, symbols)[0])
+    states = driving.state_support()
+    return _expected(driving, states, potential.transfer_bounds(states, symbols)[0])
 
 
 def _spectral_pressure(

@@ -134,6 +134,23 @@ def test_coding_enumerates_no_words_and_calls_no_code_point(monkeypatch, paper, 
     assert level_histogram(golden, sample_orbit(golden.driving, 0), (0, 1), n=12).total == 377
 
 
+def test_random_words_on_a_full_shift_check_no_pair(monkeypatch, paper):
+    # every successor of a full shift is admissible; the walk asks no pair
+    calls = 0
+    admissible_pair = rcgdms.shift.SymbolicSystem.admissible_pair
+
+    def counting(self, a, b):
+        nonlocal calls
+        calls += 1
+        return admissible_pair(self, a, b)
+
+    monkeypatch.setattr(rcgdms.shift.SymbolicSystem, "admissible_pair", counting)
+    orbit = sample_orbit(paper.driving, 0)
+    sample = sample_limit_set(paper, orbit, depth=3, count=512, sampler="random-words", seed=5)
+    assert sample.codes.shape == (512, 3)
+    assert calls == 0
+
+
 def test_ball_mass_matches_per_word_images(monkeypatch):
     """Metric ratios against a test-local ball mass over every word's image, on
     maps that almost tile the interval, so balls meet neighboring cylinders

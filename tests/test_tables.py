@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcgdms.driving import periodic
+from rcgdms.gdms import BlockTailExample
 from rcgdms.potentials import geometric_potential, log_sum_exp, table_potential
 from rcgdms.shift import from_matrix, full_shift
 from rcgdms.thermo import _spectral_pressure, pressure
@@ -115,9 +116,10 @@ def test_tabulated_spectral_pressure_matches_reference(system_and_states):
 @pytest.mark.parametrize("s", [0.25, 0.5, 1.0, 1.7])
 def test_paper_full_alphabet_bounds_match_reference(paper, s):
     zeta = geometric_potential(paper).scaled(s)
+    tail = BlockTailExample(len(paper.symbolic.edges))
     for state in (1, 2, 5, 17, 31):
         want = ref_lse(
-            [zeta.value(state, e) for e in paper.symbolic.edges] + [zeta.tail_moment(s, state)]
+            [zeta.value(state, e) for e in paper.symbolic.edges] + [tail.log_moment(s, state)]
         )
         hi, lo = zeta.unit_transfer_bounds(state, None)
         assert hi == lo

@@ -86,7 +86,10 @@ def _build_driving(block: dict):
         return periodic(states)
     weights = block.get("weights")
     _require(isinstance(weights, list) and len(weights) == len(states), "driving.weights", "one weight per state required")
-    return bernoulli(states, [float(w) for w in weights])
+    weights = [float(w) for w in weights]
+    _require(all(w >= 0.0 for w in weights), "driving.weights", "weights must be nonnegative")
+    _require(sum(weights) > 0.0, "driving.weights", "weights must have positive mass")
+    return bernoulli(states, weights)
 
 
 def _build_custom_system(cfg: dict) -> RCGDMS:

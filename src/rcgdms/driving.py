@@ -33,7 +33,7 @@ class DrivingSystem:
         if self.kind == "bernoulli":
             if self.weights is None or len(self.weights) != len(self.states):
                 raise ValueError("bernoulli driving needs one weight per state")
-            if any(w < 0 for w in self.weights):
+            if not all(w >= 0 for w in self.weights):  # NaN fails too
                 raise ValueError("weights must be nonnegative")
             if abs(sum(self.weights) - 1.0) > 1e-12:
                 raise ValueError("weights must sum to 1 within 1e-12 after tail inclusion")

@@ -162,14 +162,11 @@ def sample_limit_set(
         if count is None:
             raise ValueError("random-words sampling needs a count")
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        succ: dict = {}  # successor tuple per visited symbol
         picked = []
         for _ in range(count):
             w = [symbols[rng.integers(len(symbols))]]
             for _ in range(depth - 1):
-                nxt = succ.get(w[-1])
-                if nxt is None:
-                    nxt = succ[w[-1]] = gdms.symbolic.successors(w[-1], symbols)
+                nxt = gdms.symbolic.successors(w[-1], symbols)
                 if not nxt:
                     break
                 w.append(nxt[rng.integers(len(nxt))])
@@ -366,7 +363,8 @@ class BlockTailExample:
         log_q = -s * _LOG8
         geometric = first_edges * log_q - math.log(-math.expm1(log_q))
         terms = np.hstack((log_counts - s * self._rates * _LOG2, geometric))
-        return _segment_log_sums(terms.ravel(), np.arange(0, terms.size, terms.shape[1]), None)
+        width = terms.shape[1]
+        return _segment_log_sums(terms.ravel(), np.arange(0, terms.size, width), np.full(len(states), width))
 
     def ru_moment(self, s: float, tol: float = 1e-18, max_block: int = 400) -> tuple[float, bool]:
         """Essential-sup moment sum over edges: sum_l 2^(l^2-1) * 2^(-s(l^2+l)).

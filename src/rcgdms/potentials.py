@@ -15,7 +15,7 @@ Filling an entry is idempotent, so concurrent readers need no lock.
 Under full incidence the transfer sums of a tuple of fiber states come from
 an atom table, cached per (states, symbol set): the distinct values of each
 state's row with the logs of their multiplicities, flattened state after
-state with segment offsets.  A sum at scale s is then one segmented
+state with segment starts and sizes.  A sum at scale s is then one segmented
 log-sum-exp of s * value + log count over every state at once (the paper
 example's 31 rows of 1,024 edges hold 2,915 atoms).  The whole-alphabet
 sum (symbol set None) adds the analytic tail, whose hook
@@ -66,18 +66,15 @@ def float_log(x) -> float:
     return float(mpmath.log(x)) if isinstance(x, mpmath.mpf) else math.log(x)
 
 
-def _segment_log_sums(terms: np.ndarray, starts: np.ndarray, segment: Optional[np.ndarray]) -> np.ndarray:
-    """Per segment, log of the sum of exp(terms) over it: segment k starts at
-    starts[k], and segment[i] is the segment of terms[i] (None: all segments
-    have the same length).  Each segment is shifted by its own finite
-    maximum; an all -inf segment gives -inf.  `terms` is overwritten."""
+def _segment_log_sums(terms: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per segment, log of the sum of exp(terms) over it: segment k is the
+    sizes[k] consecutive terms from starts[k], and the segments cover terms.
+    Each segment is shifted by its own finite maximum, so no term underflows
+    against a larger one; an all -inf segment gives -inf.  `terms` is
+    overwritten."""
     m = np.maximum.reduceat(terms, starts)
     shift = np.where(np.isfinite(m), m, 0.0)
-    if segment is None:
-        rows = terms.reshape(len(starts), -1)  # a view of terms
-        rows -= shift[:, None]
-    else:
-        terms -= shift[segment]
+    terms -= np.repeat(shift, sizes)
     np.exp(terms, out=terms)
     with np.errstate(divide="ignore"):
         return shift + np.log(np.add.reduceat(terms, starts))
@@ -226,26 +223,20 @@ class FirstSymbolPotential:
     # -- transfer-operator unit bounds ---------------------------------------
 
     def _atoms(self, states: tuple, symbols: Optional[tuple]):
-        """The rows of the states over the symbols (None: every edge),
-        flattened state after state: (values, log_counts, starts, segment).
-
-        Each row is reduced to its distinct values with the logs of their
-        multiplicities, unless that keeps more than half of the entries; then
-        the rows stay whole, log_counts is None and segment is None."""
+        """The distinct values of each state's row over the symbols (None:
+        every edge) with the logs of their multiplicities, flattened state
+        after state: (values, log_counts, starts, sizes)."""
 
         def build():
             cols = None if symbols is None else self._columns(symbols)
             rows = [self._row(st) if cols is None else self._row(st)[cols] for st in states]
             atoms = [np.unique(row, return_counts=True) for row in rows]
-            sizes = [len(values) for values, _ in atoms]
-            if 2 * sum(sizes) > sum(map(len, rows)):
-                width = len(rows[0])
-                return (np.concatenate(rows), None, np.arange(0, width * len(rows), width), None)
+            sizes = np.array([len(values) for values, _ in atoms])
             return (
                 np.concatenate([values for values, _ in atoms]),
                 np.log(np.concatenate([counts for _, counts in atoms])),
-                np.cumsum([0] + sizes[:-1]),
-                np.repeat(np.arange(len(states)), sizes),
+                np.cumsum(sizes) - sizes,
+                sizes,
             )
 
         return self._cached(("atoms", states, symbols), build)
@@ -272,11 +263,8 @@ class FirstSymbolPotential:
             raise ValueError("full-alphabet transfer bounds need a full shift")
         elif self.system.has_tail and self.tail_moment is None:
             raise ValueError("countable alphabet needs a tail moment hook")
-        values, log_counts, starts, segment = self._atoms(states, symbols)
-        terms = self.scale * values
-        if log_counts is not None:
-            terms += log_counts
-        total = _segment_log_sums(terms, starts, segment)
+        values, log_counts, starts, sizes = self._atoms(states, symbols)
+        total = _segment_log_sums(self.scale * values + log_counts, starts, sizes)
         if symbols is None and self.system.has_tail:
             total = np.logaddexp(total, self.tail_moment(self.scale, states))
         return total, total

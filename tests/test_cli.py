@@ -110,6 +110,17 @@ def test_missing_maps_exits_2(tmp_path):
     assert run_cli("dimension", "--config", bad, "--out", tmp_path) == 2
 
 
+@pytest.mark.parametrize("weights", [[-0.5, 1.5], [math.nan, 1.0], [0.0, 0.0]])
+def test_bad_bernoulli_weights_exit_2(tmp_path, weights):
+    bad = tmp_path / "bad.json"
+    config = json.loads((CONFIGS / "custom-example.json").read_text())
+    config["driving"] = {"kind": "bernoulli", "states": [0, 1], "weights": weights}
+    config["maps"]["ratios"]["1"] = config["maps"]["ratios"]["0"]
+    config["maps"]["offsets"]["1"] = config["maps"]["offsets"]["0"]
+    bad.write_text(json.dumps(config))
+    assert run_cli("pressure", "--config", bad, "--out", tmp_path) == 2
+
+
 def test_invalid_rungs_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(

@@ -49,6 +49,9 @@ def test_two_sided_consistency_independent_of_access_order():
 def test_weight_normalization_guard():
     with pytest.raises(ValueError):
         bernoulli((0, 1), (0.0, 0.0))
+    for weights in ((-0.5, 1.5), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            bernoulli((0, 1), weights)
     drv = bernoulli((0, 1), (2.0, 6.0))  # normalized internally
     assert drv.weights == (0.25, 0.75)
 

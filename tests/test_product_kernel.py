@@ -151,7 +151,7 @@ def test_vectorised_block_tail_matches_scalar(cutoff):
 
 
 def test_rows_without_repeats_match_reference():
-    # distinct values in every row keep the rows whole instead of merging them
+    # every value of a row is distinct: each atom has multiplicity 1
     rng = np.random.default_rng(3)
     edges, states = tuple(range(50)), (0, 1, 2)
     table = {st: dict(zip(edges, rng.uniform(-6.0, 1.0, len(edges)).tolist())) for st in states}

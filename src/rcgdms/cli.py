@@ -26,7 +26,7 @@ import numpy as np
 from . import gdms as gdms_mod
 from . import instances
 from .config import ConfigError, RunConfig, load_config
-from .driving import sample_orbit
+from .driving import orbit_family, sample_orbit
 from .gdms import sample_limit_set
 from .gibbs import conformal_measures
 from .oracle import box_counting, corrected_coarse_dimensions, level_histogram
@@ -132,10 +132,11 @@ def _curve(run: RunConfig, zeta, symbols=None):
     sysm = run.system
     if symbols is None and sysm.symbolic.incidence_kind != "full":
         symbols = _finite_symbols(run)
+    orbits = orbit_family(sysm.driving, 16, 0)  # one family for every s; drawn on first read
 
     def evaluate(s: float) -> float:
         try:
-            return pressure(sysm.symbolic, symbols, zeta.scaled(s)).value
+            return pressure(sysm.symbolic, symbols, zeta.scaled(s), orbits=orbits).value
         except ValueError:
             return math.inf
 
@@ -177,12 +178,13 @@ def cmd_pressure(run: RunConfig) -> int:
     witness = _witness(run, symbols)
     rung_sizes = run.analysis.rungs or (len(symbols),)
     ladder = build_ladder(sysm.symbolic, rung_sizes, witness)
+    orbits = orbit_family(sysm.driving, 16, 0)
     rows = []
 
     def one(s: float):
         out = []
         for rung in ladder:
-            est = pressure(sysm.symbolic, rung, zeta.scaled(s))
+            est = pressure(sysm.symbolic, rung, zeta.scaled(s), orbits=orbits)
             depth = "exact" if est.exact else est.depths[-1]
             out.append((s, len(rung), depth, est.value, est.spread))
         if sysm.symbolic.has_tail or sysm.symbolic.incidence_kind == "full":

@@ -85,45 +85,50 @@ class DrivingOrbit:
     """Lazily materialized two-sided state sequence (omega_k), k in Z.
 
     The same seed always yields the same sequence, and the state at index k
-    does not depend on the access order.  Block materialization is
-    synchronized so concurrent readers observe a consistent orbit.
+    does not depend on the access order.  A bernoulli orbit keeps its draws
+    as indices into system.states; block materialization is synchronized so
+    concurrent readers observe a consistent orbit.
     """
 
     def __init__(self, system: DrivingSystem, seed: int = 0):
         self.system = system
         self.seed = int(seed)
         self._lock = threading.Lock()
+        self._rngs = None  # forward and backward generators, spawned on the first draw
+        self._drawn = [np.empty(0, dtype=np.intp)] * 2  # k >= 0 at k, k < 0 at -1 - k
         if system.kind == "bernoulli":
-            root = np.random.SeedSequence(self.seed)
-            fwd, bwd = root.spawn(2)
-            self._rng_fwd = np.random.Generator(np.random.PCG64(fwd))
-            self._rng_bwd = np.random.Generator(np.random.PCG64(bwd))
             self._cum = np.cumsum(np.asarray(system.weights, dtype=float))
             self._cum[-1] = 1.0
-            self._fwd: list = []
-            self._bwd: list = []
 
-    def _draw_block(self, rng) -> list:
-        u = rng.random(_BLOCK)
-        idx = np.searchsorted(self._cum, u, side="right")
-        idx = np.minimum(idx, len(self.system.states) - 1)
-        return [self.system.states[i] for i in idx]
+    def _draws(self, side: int, length: int) -> np.ndarray:
+        """At least `length` state indices of one side (0 forward, 1 backward),
+        drawn in whole blocks.  A drawn array is replaced, never changed, so a
+        long enough one is read without the lock."""
+        if len(self._drawn[side]) < length:
+            with self._lock:
+                drawn = self._drawn[side]
+                if len(drawn) < length:
+                    if self._rngs is None:
+                        children = np.random.SeedSequence(self.seed).spawn(2)
+                        self._rngs = [np.random.Generator(np.random.PCG64(c)) for c in children]
+                    u = self._rngs[side].random(-((len(drawn) - length) // _BLOCK) * _BLOCK)
+                    idx = np.minimum(np.searchsorted(self._cum, u, side="right"), len(self.system.states) - 1)
+                    self._drawn[side] = np.concatenate([drawn, idx])
+        return self._drawn[side]
 
     def state(self, k: int):
         sys = self.system
-        if sys.kind == "deterministic":
-            return sys.states[0]
-        if sys.kind == "periodic":
+        if sys.kind != "bernoulli":
             return sys.states[k % len(sys.states)]
-        with self._lock:
-            if k >= 0:
-                while len(self._fwd) <= k:
-                    self._fwd.extend(self._draw_block(self._rng_fwd))
-                return self._fwd[k]
-            j = -1 - k
-            while len(self._bwd) <= j:
-                self._bwd.extend(self._draw_block(self._rng_bwd))
-            return self._bwd[j]
+        return sys.states[self._draws(0, k + 1)[k] if k >= 0 else self._draws(1, -k)[-1 - k]]
+
+    def state_indices(self, start: int, stop: int) -> np.ndarray:
+        """Indices into system.states of the states at start, ..., stop - 1."""
+        ks = np.arange(start, stop)
+        if self.system.kind != "bernoulli":
+            return ks % len(self.system.states)
+        back, fwd = ks[ks < 0], ks[ks >= 0]
+        return np.concatenate([self._draws(1, -start)[-1 - back], self._draws(0, stop)[fwd]])
 
     def states(self, start: int, stop: int) -> list:
         return [self.state(k) for k in range(start, stop)]

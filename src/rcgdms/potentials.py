@@ -88,14 +88,15 @@ def _expected(driving: DrivingSystem, states: tuple, values: np.ndarray) -> floa
 
 
 def _log_incoming(vals: np.ndarray, adm: np.ndarray) -> np.ndarray:
-    """Per target b, log of the sum of exp(vals[e]) over e with adm[e, b] = 1;
-    -inf for a target no symbol enters.  Each target is shifted by its own
-    (finite) maximum, so no admissible term underflows against a larger one."""
-    terms = np.where(adm.T > 0, vals, -np.inf)
-    m = terms.max(axis=1)
-    shift = np.where(np.isfinite(m), m, 0.0)[:, None]
+    """Per target b, log of the sum of exp(vals[..., e]) over e with
+    adm[e, b] = 1, for every leading index of vals; -inf for a target no
+    symbol enters.  Each target is shifted by its own (finite) maximum, so no
+    admissible term underflows against a larger one."""
+    terms = np.where(adm.T > 0, vals[..., None, :], -np.inf)
+    m = terms.max(axis=-1)
+    shift = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
-        return (shift + np.log(np.exp(terms - shift).sum(axis=1, keepdims=True))).ravel()
+        return shift + np.log(np.exp(terms - shift[..., None]).sum(axis=-1))
 
 
 @dataclass(frozen=True)
@@ -256,8 +257,8 @@ class FirstSymbolPotential:
             if not symbols:
                 raise ValueError("symbol set must be nonempty")
             if self.system.incidence_kind != "full":
-                adm = self.admissibility(symbols)
-                per_target = np.array([_log_incoming(self.log_weights(st, symbols), adm) for st in states])
+                weights = np.array([self.log_weights(st, symbols) for st in states])
+                per_target = _log_incoming(weights, self.admissibility(symbols))
                 return per_target.max(axis=1), per_target.min(axis=1)
         elif self.system.incidence_kind != "full":
             raise ValueError("full-alphabet transfer bounds need a full shift")

@@ -26,8 +26,10 @@ Pressure evaluation prefers exact routes: product structure (full shift with
 a cylinder-constant potential) gives the marginal expectation of the log
 transfer sum; deterministic or periodic driving over a finite alphabet gives
 the spectral radius of the weighted transition matrix (cycle product).  The
-Monte Carlo route averages depth-extrapolated partition-sum slopes over
-independent orbits.
+Monte Carlo route averages depth-extrapolated slopes log A_n / n over
+independent orbits; for cylinder-constant potentials all orbits run through
+the same recursion in one batched pass, and every depth is read off the way
+to the deepest.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ class _Lane:
     mul: Callable
     div: Callable
     power: Callable
-    push: Callable  # (vector, adm) -> per target, sum over admissible predecessors
+    push: Callable  # (rows, adm) -> per row and target, sum over admissible predecessors
     total: Callable  # vector -> sum of its entries
     log: Callable  # lane number -> float log
     cylinder_inf: Callable  # (orbit, position, word) -> inf of the weight product over [word]
@@ -173,7 +175,7 @@ def _lane(potential: FirstSymbolPotential, arithmetic: str) -> _Lane:
         mul=operator.mul,
         div=operator.truediv,
         power=operator.pow,
-        push=lambda v, adm: np.where(adm.T > 0, v, zero).sum(axis=1),
+        push=lambda v, adm: np.where(adm.T > 0, v[..., None, :], zero).sum(axis=-1),
         total=lambda v: sum(v, zero),
         log=float_log,
         cylinder_inf=lambda orbit, p, word: reduce(
@@ -183,22 +185,30 @@ def _lane(potential: FirstSymbolPotential, arithmetic: str) -> _Lane:
     )
 
 
+def _transfer_steps(lane: _Lane, adm: np.ndarray, weights, rows=True):
+    """Yield v_1 = w_0 on the start rows, then v_{j+1} = w_j * (M^T v_j): per
+    row and last symbol b, the total weight of the admissible words ending in
+    b.  Each w_j (weights[j]) broadcasts against the rows, so one loop runs
+    one orbit from several start rows or many orbits from one."""
+    v = np.where(rows, weights[0], lane.zero)
+    yield v
+    for w in weights[1:]:
+        v = lane.mul(w, lane.push(v, adm))
+        yield v
+
+
 def _transfer_sums(lane: _Lane, potential, symbols, anchor, states) -> dict:
     """Z, L, Lop and A of a cylinder-constant potential as lane numbers.
 
-    v_1 = w_0 and v_{j+1} = w_j * (M^T v_j) hold, per last symbol b, the
-    total weight of the admissible words ending in b; starting from w_0 on
-    the anchor alone gives the anchored words.  The sums add v_n over every
-    last symbol (A) or over those that may precede the anchor (L; Z = Lop
-    for the anchored words).
+    The recursion runs from two start rows, every first symbol and the anchor
+    alone (the anchored words).  The sums add v_n over every last symbol (A)
+    or over those that may precede the anchor (L; Z = Lop for the anchored
+    words).
     """
     adm = potential.admissibility(symbols)
-    first = lane.weights(states[0], symbols)
-    vectors = (first, np.where(np.array(symbols) == anchor, first, lane.zero))
-    for state in states[1:]:
-        w = lane.weights(state, symbols)
-        vectors = tuple(lane.mul(w, lane.push(v, adm)) for v in vectors)
-    every, anchored = vectors
+    rows = np.array([[True] * len(symbols), [e == anchor for e in symbols]])
+    weights = [lane.weights(state, symbols) for state in states]
+    *_, (every, anchored) = _transfer_steps(lane, adm, weights, rows)
     back = adm[:, symbols.index(anchor)] > 0
     z = lane.total(anchored[back])
     return {"anchored_sup": z, "return": lane.total(every[back]), "operator": z, "all": lane.total(every)}
@@ -425,19 +435,23 @@ def _spectral_pressure(
     return (shift_total + math.log(rho)) / len(cycle)
 
 
-def _depth_extrapolate(depths: Sequence[int], values: Sequence[float]) -> float:
-    """Fit value = p + c/n over the deepest three levels; returns p.
+def _mc_log_all(system, symbols, potential, orbits, depths, witness) -> np.ndarray:
+    """log A_n at orbit position 0, one row per depth and one column per orbit.
 
-    The sandwich constants contribute an O(1/n) bias to every approximant, so
-    the intercept of the 1/n fit is the honest depth-infinity estimate."""
-    ns = list(depths)[-3:]
-    vs = list(values)[-3:]
-    if len(ns) == 1:
-        return vs[0]
-    x = np.array([1.0 / n for n in ns])
-    y = np.array(vs)
-    coef = np.polyfit(x, y, 1)
-    return float(coef[1])
+    A cylinder-constant potential runs every orbit through one recursion over
+    a log-weight table of the drawn states, reading log A_n after each step;
+    Hölder-widened bounds are summed per orbit and depth by word enumeration.
+    """
+    lane = _lane(potential, "float")
+    if not potential.exact_on_cylinders:
+        sums = [[_sums(lane, system, symbols, potential, o, min(symbols), n, 0, witness) for o in orbits] for n in depths]
+        return np.array([[row["all"] for row in by_orbit] for by_orbit in sums])
+    idx = np.array([o.state_indices(0, depths[-1]) for o in orbits]).T  # steps x orbits
+    used, inverse = np.unique(idx, return_inverse=True)
+    table = np.array([lane.weights(orbits[0].system.states[i], symbols) for i in used])
+    steps = _transfer_steps(lane, potential.admissibility(symbols), table[inverse.reshape(idx.shape)])
+    sink = np.ones((len(symbols), 1))  # every last symbol enters one sink: its value is log A_n
+    return np.array([_log_incoming(v, sink)[:, 0] for v in steps])[np.array(depths) - 1]
 
 
 def pressure(
@@ -454,7 +468,10 @@ def pressure(
 
     Route selection: product structure and deterministic/periodic transfer
     matrices are exact; otherwise depth-extrapolated Monte Carlo across
-    orbits, reported with the cross-orbit spread.
+    orbits (default: 16 seeded from root 0), reported with the cross-orbit
+    spread: one batched pass to max(depths) yields log A_n at every orbit and
+    depth, and value = p + c/n is fitted per orbit over the deepest three of
+    the depths, which must be strictly increasing integers >= 1.
     """
     drv = potential.driving
     if drv is None:
@@ -474,30 +491,28 @@ def pressure(
         val = _spectral_pressure(symbols, potential, drv.states)
         return PressureEstimate(value=val, method="exact-spectral")
 
-    if orbits is None:
-        orbits = orbit_family(drv, count=16, root_seed=0)
-    anchor = min(symbols)
-    per_orbit = []
-    per_depth_all = []
-    for orbit in orbits:
-        vals = []
-        for n in depths:
-            ps = partition_sums(
-                system, symbols, potential, orbit, anchor, n, witness=witness
-            )
-            vals.append(ps.log_all / n)
-        per_depth_all.append(vals)
-        per_orbit.append(_depth_extrapolate(depths, vals))
-    mean = float(np.mean(per_orbit))
-    spread = float(np.std(per_orbit, ddof=1)) if len(per_orbit) > 1 else 0.0
-    per_depth = tuple(float(np.mean([v[i] for v in per_depth_all])) for i in range(len(depths)))
+    depths = tuple(depths)
+    integral = all(isinstance(n, (int, np.integer)) for n in depths)
+    if not (depths and integral and depths[0] >= 1 and all(a < b for a, b in zip(depths, depths[1:]))):
+        raise ValueError(f"depths must be strictly increasing integers >= 1, got {depths}")
+    orbits = orbit_family(drv, count=16, root_seed=0) if orbits is None else orbits
+    ns = np.array(depths)
+    # Per orbit, the intercept p of p + c/n over the deepest three depths: the
+    # sandwich constants bias every approximant by O(1/n).  An orbit with no
+    # admissible word has pressure -inf.
+    per_depth = _mc_log_all(system, tuple(sorted(symbols)), potential, orbits, depths, witness) / ns[:, None]
+    fit = per_depth[-3:]
+    empty = np.isneginf(fit).any(axis=0)
+    per_orbit = fit[0] if len(fit) == 1 else np.polyfit(1.0 / ns[-3:], np.where(empty, 0.0, fit), 1)[1]
+    per_orbit = np.where(empty, -np.inf, per_orbit)
+    mean_per_depth = tuple(per_depth.mean(axis=1).tolist())
     return PressureEstimate(
-        value=mean,
+        value=float(np.mean(per_orbit)),
         method="monte-carlo",
-        depths=tuple(depths),
-        per_depth=per_depth,
-        spread=spread,
-        raw_value=per_depth[-1],
+        depths=depths,
+        per_depth=mean_per_depth,
+        spread=float(np.std(per_orbit, ddof=1)) if len(per_orbit) > 1 else 0.0,
+        raw_value=mean_per_depth[-1],
     )
 
 

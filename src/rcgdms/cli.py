@@ -135,10 +135,7 @@ def _curve(run: RunConfig, zeta, symbols=None):
     orbits = orbit_family(sysm.driving, 16, 0)  # one family for every s; drawn on first read
 
     def evaluate(s: float) -> float:
-        try:
-            return pressure(sysm.symbolic, symbols, zeta.scaled(s), orbits=orbits).value
-        except ValueError:
-            return math.inf
+        return pressure(sysm.symbolic, symbols, zeta.scaled(s), orbits=orbits).value
 
     s_inf = s_infinity(zeta) if sysm.symbolic.has_tail else -math.inf
     grid = [s for s in run.analysis.s_grid() if s > s_inf]
@@ -264,9 +261,9 @@ def cmd_measures(run: RunConfig) -> int:
     )
     rows = []
     for position in range(min(3, len(measures))):
-        m = measures[position]
-        for word in sorted(m.masses):
-            rows.append(("-".join(map(str, word)), len(word), position, m.masses[word]))
+        masses = measures[position].masses
+        for word in sorted(masses):
+            rows.append(("-".join(map(str, word)), len(word), position, masses[word]))
     _write_csv(run.out_dir / "measures.csv", ("word", "depth", "position", "mass"), rows)
     _write_json(
         run.out_dir / "eigenvalues.json",

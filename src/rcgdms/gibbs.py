@@ -5,42 +5,95 @@ the dual transfer relation L*_{omega_k} m_{k+1} = lambda_k m_k.  The chain is
 built by pulling a terminal uniform-on-cylinders seed backward through the
 normalized dual operator; the seed's influence decays from the horizon at a
 geometric rate, and the default horizon 2*depth + 10 leaves the monitored
-positions effectively converged.
+positions effectively converged.  On product systems (full shift,
+cylinder-constant potential) the induction reproduces the closed form
+mass([tau]) = prod_j w(tau_j, omega_{k+j}) / M(omega_{k+j}).
 
-Product systems (full shift, cylinder-constant potential) have the closed
-form mass([tau]) = prod_j w(tau_j, omega_{k+j}) / M(omega_{k+j}), eigenvalue
-lambda_k = M(omega_k); the backward induction reproduces it and is kept as an
-independent route for residual checks.
+A measure is one mass array per word length, in `shift.prefix_tree` order.
+Every pull-back step reads each word's first symbol and the index of its
+suffix w[1:] one level up from a table built once per (system, symbols,
+depth), so a step is one gather and one product per level:
+(L* m)(w) = w(first) * m(suffix).  Floats and Fractions run the same code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .driving import DrivingOrbit
 from .potentials import FirstSymbolPotential, float_log
-from .shift import SubalphabetLadder, SymbolicSystem, Word, enumerate_words
+from .shift import SubalphabetLadder, SymbolicSystem, Word, prefix_tree, word_index
 
 
-@dataclass(frozen=True)
+class _WordTree:
+    """The admissible words of length 1..depth over sorted symbols, level by
+    level in prefix_tree order.  Per level n: parent and last (prefix_tree's
+    arrays), first (position of the first symbol) and suffix (index of w[1:]
+    at level n-1; 0, the empty word, at level 1), and child[i, b], the index
+    of word i of level n-1 extended by symbol position b (-1: inadmissible).
+    successors[a] lists the positions b with (a, b) admissible."""
+
+    def __init__(self, system: SymbolicSystem, symbols: tuple, depth: int):
+        self.system, self.symbols = system, symbols
+        levels = []
+        for parent, last in prefix_tree(system, symbols, depth):
+            if levels:
+                _, up_last, up_first, up_suffix, up_child = levels[-1]
+                first, suffix, width = up_first[parent], up_child[up_suffix[parent], last], len(up_last)
+            else:  # one level up is the empty word alone
+                first, suffix, width = last, np.zeros_like(last), 1
+            child = np.full((width, len(symbols)), -1, dtype=np.intp)
+            child[parent, last] = np.arange(len(last))
+            levels.append((parent, last, first, suffix, child))
+        self.parent, self.last, self.first, self.suffix, self.child = zip(*levels)
+        position = {e: i for i, e in enumerate(symbols)}
+        self.successors = [[position[b] for b in system.successors(a, symbols)] for a in symbols]
+
+
+@dataclass(frozen=True, eq=False)
 class CylinderMeasure:
-    """Mass assignment on all admissible words of length <= depth at one
-    orbit position.  Masses of each fixed depth sum to one and refine
-    consistently: mass(w) = sum over admissible extensions w+e."""
+    """Masses of the admissible words of length <= depth at one orbit
+    position, one array per length: levels[n-1] holds the length-n words in
+    prefix_tree order (float64, or Fractions in an object array), and all
+    positions of a chain share one word tree.  Each level sums to one and
+    refines consistently: mass(w) = sum over admissible extensions w+e.
+    mass(word) and masses ({word: mass}) are lookups for output and tests."""
 
     symbols: tuple[int, ...]
     position: int
-    depth: int
-    masses: dict
+    levels: tuple[np.ndarray, ...]
+    tree: _WordTree = field(repr=False)
 
-    def mass(self, word: Sequence[int]) -> float:
-        return self.masses.get(tuple(word), 0.0)
+    @property
+    def depth(self) -> int:
+        return len(self.levels)
 
-    def depth_slice(self, d: int) -> dict:
-        return {w: m for w, m in self.masses.items() if len(w) == d}
+    def mass(self, word: Sequence[int]):
+        """Mass of one cylinder; 0.0 for a word outside the tree."""
+        if not 0 < len(word) <= self.depth:
+            return 0.0
+        i = 0
+        for child, e in zip(self.tree.child, word):
+            if e not in self.symbols:
+                return 0.0
+            i = child[i, self.symbols.index(e)]
+            if i < 0:
+                return 0.0
+        return self.levels[len(word) - 1].item(i)
+
+    @property
+    def masses(self) -> dict:
+        """{word: mass} over every level."""
+        out = {}
+        for n, level in enumerate(self.levels, 1):
+            rows = word_index(self.tree.system, self.symbols, n).tolist()
+            out.update(zip((tuple(self.symbols[p] for p in row) for row in rows), level.tolist()))
+        return out
 
 
 @dataclass(frozen=True)
@@ -53,80 +106,21 @@ class EigenvalueSequence:
         return math.fsum(self.log_values[:n])
 
 
-def _uniform_seed(system, symbols, position, depth, number=float):
-    words = list(enumerate_words(system, symbols, depth))
-    if not words:
-        raise ValueError("no admissible words at the requested depth")
-    if number is Fraction:
-        unit = Fraction(1, len(words))
-    else:
-        unit = 1.0 / len(words)
-    masses = {w: unit for w in words}
-    # aggregate shallower cylinders from the deepest level
-    for d in range(depth - 1, 0, -1):
-        level: dict = {}
-        for w, m in masses.items():
-            if len(w) == d + 1:
-                level[w[:-1]] = level.get(w[:-1], 0 * m) + m
-        masses.update(level)
-    return CylinderMeasure(symbols=tuple(sorted(symbols)), position=position, depth=depth, masses=masses)
-
-
-def _pull_back(
-    system: SymbolicSystem,
-    symbols: Sequence[int],
-    potential: FirstSymbolPotential,
-    state,
-    measure: CylinderMeasure,
-    exact: bool,
-):
-    """One dual-operator step: masses of L*m on words of length <= depth,
-    then normalization by the eigenvalue lambda = (L*m)(1)."""
+def _weights(potential: FirstSymbolPotential, symbols, state, exact: bool) -> np.ndarray:
     weight = potential.exact_weight_fn("fraction" if exact else "float")
-    raw: dict = {}
-    depth = measure.depth
-    for n in range(1, depth + 1):
-        for w in enumerate_words(system, symbols, n):
-            wt = weight(state, w[0])
-            if n == 1:
-                inner = sum(measure.mass((b,)) for b in symbols if system.admissible_pair(w[0], b))
-                raw[w] = wt * inner
-            else:
-                raw[w] = wt * measure.mass(w[1:])
-    lam = sum(raw[w] for w in raw if len(w) == 1)
-    masses = {w: m / lam for w, m in raw.items()}
-    return (
-        CylinderMeasure(
-            symbols=measure.symbols,
-            position=measure.position - 1,
-            depth=depth,
-            masses=masses,
-        ),
-        float_log(lam),
-    )
+    return np.array([weight(state, e) for e in symbols], dtype=object if exact else float)
 
 
-def _product_chain(system, symbols, potential, orbit, horizon, depth, exact):
-    """Closed-form conformal chain for full shifts with cylinder-constant
-    potentials: per-position transfer sums normalize independent weights."""
-    symbols = tuple(sorted(symbols))
-    states = [orbit.state(k) for k in range(horizon + depth + 1)]
-    weight = potential.exact_weight_fn("fraction" if exact else "float")
-    norms = [sum(weight(st, e) for e in symbols) for st in states]
-    measures = []
-    for k in range(horizon + 1):
-        masses: dict = {}
-        for n in range(1, depth + 1):
-            for w in enumerate_words(system, symbols, n):
-                m = weight(states[k], w[0]) / norms[k]
-                for j in range(1, n):
-                    m = m * weight(states[k + j], w[j]) / norms[k + j]
-                masses[w] = m
-        measures.append(
-            CylinderMeasure(symbols=symbols, position=k, depth=depth, masses=masses)
-        )
-    logs = tuple(float_log(v) for v in norms[:horizon])
-    return measures, EigenvalueSequence(log_values=logs)
+def _pulled(tree: _WordTree, weights: np.ndarray, levels: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Unnormalized (L* m)(w) on every level of m: weight of the first symbol
+    times the mass of the suffix, the admissible level-1 successors summed
+    at level 1."""
+    singles = levels[0].tolist()
+    inner = np.array([sum(singles[b] for b in row) for row in tree.successors], dtype=levels[0].dtype)
+    raw = [weights * inner]
+    for n in range(1, len(levels)):
+        raw.append(weights[tree.first[n]] * levels[n - 1][tree.suffix[n]])
+    return raw
 
 
 def conformal_measures(
@@ -136,15 +130,12 @@ def conformal_measures(
     orbit: DrivingOrbit,
     depth: int,
     horizon: Optional[int] = None,
-    method: str = "auto",
     exact: bool = False,
 ) -> tuple[list[CylinderMeasure], EigenvalueSequence]:
-    """Conformal measure chain at orbit positions 0..horizon.
-
-    method "auto" takes the closed form on product systems and the backward
-    induction otherwise; "induction" forces the backward route (used to
-    cross-check the closed form).  exact=True computes in Fractions, which
-    requires rational weights and an integer potential scale.
+    """Conformal measure chain at orbit positions 0..horizon, by backward
+    induction from a uniform seed at the horizon.  exact=True computes in
+    Fractions, which requires rational weights and an integer potential
+    scale.
     """
     symbols = tuple(sorted(symbols))
     if not potential.exact_on_cylinders:
@@ -152,25 +143,28 @@ def conformal_measures(
             "conformal chains need a cylinder-constant potential; "
             "declared-bounds potentials only bracket the dual relation"
         )
+    if not symbols:
+        raise ValueError("symbol set must be nonempty")
     if horizon is None:
         horizon = 2 * depth + 10
-    full = system.incidence_kind == "full" or all(
-        system.admissible_pair(a, b) for a in symbols for b in symbols
-    )
-    if method == "auto" and full and potential.exact_on_cylinders:
-        return _product_chain(system, symbols, potential, orbit, horizon, depth, exact)
-
-    number = Fraction if exact else float
-    seed = _uniform_seed(system, symbols, horizon, depth, number=number)
-    chain = [seed]
+    tree = _WordTree(system, symbols, depth)
+    count = len(tree.last[-1])
+    if count == 0:
+        raise ValueError("no admissible words at the requested depth")
+    # uniform on the deepest cylinders, aggregated up one level at a time
+    levels = [np.full(count, Fraction(1, count) if exact else 1.0 / count, dtype=object if exact else float)]
+    for n in range(depth - 1, 0, -1):
+        up = np.zeros(len(tree.last[n - 1]), dtype=levels[0].dtype)
+        np.add.at(up, tree.parent[n], levels[0])
+        levels.insert(0, up)
+    chain = [CylinderMeasure(symbols=symbols, position=horizon, levels=tuple(levels), tree=tree)]
     logs = []
     for k in range(horizon - 1, -1, -1):
-        measure, log_lam = _pull_back(
-            system, symbols, potential, orbit.state(k), chain[0], exact
-        )
-        chain.insert(0, measure)
-        logs.insert(0, log_lam)
-    return chain, EigenvalueSequence(log_values=tuple(logs))
+        raw = _pulled(tree, _weights(potential, symbols, orbit.state(k), exact), chain[-1].levels)
+        lam = sum(raw[0].tolist())
+        chain.append(CylinderMeasure(symbols=symbols, position=k, levels=tuple(r / lam for r in raw), tree=tree))
+        logs.append(float_log(lam))
+    return chain[::-1], EigenvalueSequence(log_values=tuple(logs[::-1]))
 
 
 def conformality_residual(
@@ -187,21 +181,12 @@ def conformality_residual(
     k = position
     m_next, m_here = measures[k + 1], measures[k]
     lam = math.exp(eigens.log_values[k])
-    state = orbit.state(k)
-    worst = 0.0
-    for n in range(1, m_here.depth):
-        for w in enumerate_words(system, tuple(sorted(symbols)), n):
-            wt = math.exp(potential.value(state, w[0]))
-            if n == 1:
-                pulled = wt * math.fsum(
-                    m_next.mass((b,))
-                    for b in symbols
-                    if system.admissible_pair(w[0], b)
-                )
-            else:
-                pulled = wt * m_next.mass(w[1:])
-            worst = max(worst, abs(pulled - lam * m_here.mass(w)))
-    return worst
+    weights = _weights(potential, m_here.symbols, orbit.state(k), exact=False)
+    raw = _pulled(m_here.tree, weights, m_next.levels)
+    return max(
+        (float(np.max(np.abs(r - lam * m))) for r, m in zip(raw[:-1], m_here.levels[:-1])),
+        default=0.0,
+    )
 
 
 @dataclass(frozen=True)

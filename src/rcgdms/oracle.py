@@ -186,14 +186,14 @@ def local_dimension_samples(
     orbit: DrivingOrbit,
     measure: CylinderMeasure,
     words: Sequence[Word],
-    symbols: Optional[Sequence[int]] = None,
 ) -> list[LocalDimensionSample]:
     """Markov and metric local-dimension ratios along word prefixes.
 
     Requires a positive boundary-separation margin so the coding is a
     bijection and balls of cylinder size meet few neighboring cylinders; the
-    gap between the two ratios is expected to vanish with depth."""
-    symbols = tuple(sorted(symbols if symbols is not None else measure.symbols))
+    gap between the two ratios is expected to vanish with depth.  Ball masses
+    sum the measure's level arrays, whose order is word_index's."""
+    symbols = measure.symbols
     margin = check_rbsc(gdms, symbols)
     if margin <= 0:
         raise ValueError(f"boundary separation margin {margin:.3g} is not positive")
@@ -210,12 +210,9 @@ def local_dimension_samples(
             if mass <= 0 or diam <= 0:
                 continue
             mk = math.log(mass) / math.log(diam)
-            index = word_index(gdms.symbolic, symbols, j)
-            center, half = code_words(gdms, orbit, symbols, index)
-            ball_mass = 0.0
-            for i in np.flatnonzero((center + half >= x - diam) & (center - half <= x + diam)):
-                ball_mass += measure.mass(tuple(symbols[p] for p in index[i]))
-            mt = math.log(ball_mass) / math.log(diam)
+            center, half = code_words(gdms, orbit, symbols, word_index(gdms.symbolic, symbols, j))
+            ball = np.flatnonzero((center + half >= x - diam) & (center - half <= x + diam))
+            mt = math.log(sum(measure.levels[j - 1][ball].tolist())) / math.log(diam)
             depths.append(j)
             markov.append(mk)
             metric.append(mt)

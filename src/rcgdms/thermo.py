@@ -506,12 +506,15 @@ def pressure(
     per_orbit = fit[0] if len(fit) == 1 else np.polyfit(1.0 / ns[-3:], np.where(empty, 0.0, fit), 1)[1]
     per_orbit = np.where(empty, -np.inf, per_orbit)
     mean_per_depth = tuple(per_depth.mean(axis=1).tolist())
+    spread = 0.0  # also when every orbit is empty: they agree exactly
+    if len(per_orbit) > 1 and not empty.all():
+        spread = math.inf if empty.any() else float(np.std(per_orbit, ddof=1))
     return PressureEstimate(
         value=float(np.mean(per_orbit)),
         method="monte-carlo",
         depths=depths,
         per_depth=mean_per_depth,
-        spread=float(np.std(per_orbit, ddof=1)) if len(per_orbit) > 1 else 0.0,
+        spread=spread,
         raw_value=mean_per_depth[-1],
     )
 
@@ -599,20 +602,27 @@ def check_gibbs(
     measures[0] supplies cylinder masses at the base orbit position; the
     partial sums of log_eigenvalues play the role of the accumulated
     normalization.  The lower constant is
-    1 / (B * e^{2NK} * N * prod_{i<2N} M(omega_{n+i})).
+    1 / (B * e^{2NK} * N * prod_{i<2N} M(omega_{n+i})).  The Birkhoff-sum
+    bounds of `FirstSymbolPotential.sum_bounds` are carried down the
+    measure's word tree, one level at a time.
     """
     symbols = tuple(sorted(symbols))
+    base = measures[0]
+    if symbols != base.symbols:
+        raise ValueError("the measures live on a different symbol set")
     if witness is None:
         witness = find_primitivity(system, symbols, max_order=8)
     N = witness.order
     logB = potential.log_distortion()
     K = potential.sup_log_norm(sorted(witness.connector_alphabet))
-    base = measures[0]
+    v = abs(potential.scale) * potential.holder.constant
+    beta = potential.holder.exponent
     checked = violations = 0
     max_up = -math.inf
     min_lo = math.inf
     worst_dev = 0.0
-    for n in range(1, depth + 1):
+    sup_sum = inf_sum = np.zeros(1)  # Birkhoff-sum bounds of the current level's words
+    for n in range(1, min(depth, base.depth) + 1):
         log_pn = math.fsum(log_eigenvalues[:n])
         log_lower = -(
             logB
@@ -623,21 +633,24 @@ def check_gibbs(
                 for i in range(2 * N)
             )
         )
-        for w in enumerate_words(system, symbols, n):
-            mass = base.mass(w)
-            if mass <= 0.0:
-                continue
-            sup, lo = potential.sum_bounds(orbit, 0, w, n)
-            log_ratio_hi = math.log(mass) - (lo - log_pn)  # worst case vs upper bound
-            log_ratio_lo = math.log(mass) - (sup - log_pn)  # worst case vs lower bound
-            checked += 1
-            up_excess = log_ratio_hi - logB
-            lo_slack = log_ratio_lo - log_lower
-            max_up = max(max_up, up_excess)
-            min_lo = min(min_lo, lo_slack)
-            worst_dev = max(worst_dev, abs(log_ratio_hi), abs(log_ratio_lo))
-            if up_excess > rel_tol or lo_slack < -rel_tol:
-                violations += 1
+        bounds = np.array([potential.value_bounds(orbit.state(n - 1), e) for e in symbols])
+        parent, last = base.tree.parent[n - 1], base.tree.last[n - 1]
+        sup_sum, inf_sum = sup_sum[parent] + bounds[last, 0], inf_sum[parent] + bounds[last, 1]
+        hi = sup_sum
+        if v > 0.0:
+            osc = v * math.exp(-beta) * (1 - math.exp(-beta * n)) / (1 - math.exp(-beta))
+            hi = np.minimum(sup_sum, inf_sum + osc)
+        log_mass = np.array([math.log(m) if m > 0.0 else -math.inf for m in base.levels[n - 1].tolist()])
+        keep = log_mass > -math.inf
+        log_ratio_hi = log_mass[keep] - (inf_sum[keep] - log_pn)  # worst case vs upper bound
+        log_ratio_lo = log_mass[keep] - (hi[keep] - log_pn)  # worst case vs lower bound
+        up_excess = log_ratio_hi - logB
+        lo_slack = log_ratio_lo - log_lower
+        checked += int(keep.sum())
+        max_up = max(max_up, float(up_excess.max(initial=-math.inf)))
+        min_lo = min(min_lo, float(lo_slack.min(initial=math.inf)))
+        worst_dev = max(worst_dev, float(np.abs(np.concatenate((log_ratio_hi, log_ratio_lo))).max(initial=0.0)))
+        violations += int(np.count_nonzero((up_excess > rel_tol) | (lo_slack < -rel_tol)))
     return GibbsReport(
         checked=checked,
         violations=violations,

@@ -222,7 +222,7 @@ def test_criterion_5_pressure_properties(paper, cantor, twoscale, period2, twosc
         zeta = geometric_potential(system).scaled(1.0)
         orbit = sample_orbit(system.driving, 0)
         _, eigens = conformal_measures(
-            system.symbolic, (0, 1), zeta, orbit, depth=2, horizon=30, method="induction"
+            system.symbolic, (0, 1), zeta, orbit, depth=2, horizon=30
         )
         for n in range(1, 31):
             lam_route = eigens.partial_sum(n) / n

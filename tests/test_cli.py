@@ -194,3 +194,22 @@ def test_dimension_emits_curve_csv(tmp_path):
     assert lines[0] == "s,p,p_repaired"
     s0, p0, r0 = lines[1].split(",")
     assert float(p0) == pytest.approx(math.log(2) - float(s0) * math.log(3), abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["dimension", "spectrum"])
+def test_pressure_failure_exits_3(tmp_path, monkeypatch, capsys, command):
+    # a failing pressure evaluation is a numeric failure, not a +inf grid point
+    import rcgdms.cli as cli
+
+    real = cli.pressure
+
+    def failing(system, symbols, potential, **kwargs):
+        if 0.2 < potential.scale < 0.4:
+            raise ValueError(f"no pressure at s = {potential.scale}")
+        return real(system, symbols, potential, **kwargs)
+
+    monkeypatch.setattr(cli, "pressure", failing)
+    code = run_cli(command, "--config", CONFIGS / "cantor.json", "--out", tmp_path)
+    assert code == 3
+    assert "numeric failure: no pressure at s = 0.25" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()

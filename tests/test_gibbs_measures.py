@@ -32,9 +32,8 @@ def test_zero_potential_measures_uniform(twoscale):
     pot = replace(zero_potential(twoscale.symbolic), driving=twoscale.driving)
     orbit = sample_orbit(twoscale.driving, 0)
     measures, _ = conformal_measures(twoscale.symbolic, (0, 1), pot, orbit, depth=4)
-    for d in range(1, 5):
-        for mass in measures[0].depth_slice(d).values():
-            assert mass == pytest.approx(2.0 ** -d)
+    for d, level in enumerate(measures[0].levels, 1):
+        assert level.tolist() == pytest.approx([2.0 ** -d] * 2 ** d)
 
 
 def test_cantor_unit_eigenvalue_at_root(cantor):
@@ -45,17 +44,13 @@ def test_cantor_unit_eigenvalue_at_root(cantor):
         assert math.exp(v) == pytest.approx(1.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("method", ["auto", "induction"])
-def test_refinement_and_normalization(golden, method):
+def test_refinement_and_normalization(golden):
     zeta = geometric_potential(golden).scaled(1.0)
     orbit = sample_orbit(golden.driving, 0)
-    measures, _ = conformal_measures(
-        golden.symbolic, (0, 1), zeta, orbit, depth=4, method=method
-    )
+    measures, _ = conformal_measures(golden.symbolic, (0, 1), zeta, orbit, depth=4)
     for m in measures[:3]:
-        for d in range(1, 5):
-            level = m.depth_slice(d)
-            assert math.fsum(level.values()) == pytest.approx(1.0, abs=1e-12)
+        for level in m.levels:
+            assert math.fsum(level) == pytest.approx(1.0, abs=1e-12)
         for w, mass in m.masses.items():
             if len(w) < m.depth:
                 children = [
@@ -69,9 +64,7 @@ def test_refinement_and_normalization(golden, method):
 def test_eigenvalues_within_transfer_bounds(golden):
     zeta = geometric_potential(golden).scaled(1.0)
     orbit = sample_orbit(golden.driving, 0)
-    _, eigens = conformal_measures(
-        golden.symbolic, (0, 1), zeta, orbit, depth=4, method="induction"
-    )
+    _, eigens = conformal_measures(golden.symbolic, (0, 1), zeta, orbit, depth=4)
     for k, log_lam in enumerate(eigens.log_values):
         hi, lo = zeta.unit_transfer_bounds(orbit.state(k), (0, 1))
         assert lo - 1e-12 <= log_lam <= hi + 1e-12
@@ -80,9 +73,7 @@ def test_eigenvalues_within_transfer_bounds(golden):
 def test_conformality_residual_tiny(golden):
     zeta = geometric_potential(golden).scaled(1.0)
     orbit = sample_orbit(golden.driving, 0)
-    measures, eigens = conformal_measures(
-        golden.symbolic, (0, 1), zeta, orbit, depth=4, method="induction"
-    )
+    measures, eigens = conformal_measures(golden.symbolic, (0, 1), zeta, orbit, depth=4)
     for position in range(3):
         res = conformality_residual(
             golden.symbolic, (0, 1), zeta, orbit, measures, eigens, position=position
@@ -91,16 +82,16 @@ def test_conformality_residual_tiny(golden):
 
 
 def test_induction_agrees_with_product_route(period2):
+    # closed form on a product system: mass([tau]) = prod_j w(tau_j, omega_j) / M(omega_j)
     zeta = geometric_potential(period2).scaled(1.0)
     orbit = sample_orbit(period2.driving, 0)
-    product, eig_p = conformal_measures(period2.symbolic, (0, 1), zeta, orbit, depth=3)
-    induced, eig_i = conformal_measures(
-        period2.symbolic, (0, 1), zeta, orbit, depth=3, method="induction"
-    )
-    for w, mass in product[0].masses.items():
-        assert induced[0].mass(w) == pytest.approx(mass, abs=1e-12)
-    for a, b in zip(eig_p.log_values[:5], eig_i.log_values[:5]):
-        assert a == pytest.approx(b, abs=1e-12)
+    measures, eigens = conformal_measures(period2.symbolic, (0, 1), zeta, orbit, depth=3)
+    weight = zeta.exact_weight_fn("float")
+    norms = [sum(weight(orbit.state(j), e) for e in (0, 1)) for j in range(5)]
+    for w, mass in measures[0].masses.items():
+        closed = math.prod(weight(orbit.state(j), e) / norms[j] for j, e in enumerate(w))
+        assert mass == pytest.approx(closed, abs=1e-12)
+    assert eigens.log_values[:5] == pytest.approx([math.log(v) for v in norms], abs=1e-12)
 
 
 def test_exact_fraction_masses(period2):

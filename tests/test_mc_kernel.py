@@ -139,6 +139,7 @@ def test_empty_rows_give_minus_infinity():
         est = pressure(pot.system, (0, 1), pot, depths=depths)
         assert est.value == -math.inf
         assert est.raw_value == -math.inf
+        assert est.spread == 0.0  # every orbit is empty: they agree exactly
         assert not any(math.isnan(v) for v in est.per_depth)
     # one fiber state admits no symbol: only the orbits that draw it are empty
     dead = FirstSymbolPotential(
@@ -153,7 +154,9 @@ def test_empty_rows_give_minus_infinity():
             want = partition_sums(dead.system, (0, 1), dead, o, 0, n).log_all
             assert log_all[i, j] == want
     assert np.isneginf(log_all).any() and np.isfinite(log_all).any()
-    assert pressure(dead.system, (0, 1), dead, orbits=orbits, depths=(1, 2)).value == -math.inf
+    mixed = pressure(dead.system, (0, 1), dead, orbits=orbits, depths=(1, 2))
+    assert mixed.value == -math.inf
+    assert mixed.spread == math.inf  # only some orbits are empty
 
 
 @pytest.mark.parametrize("depths", [(), (8, 4, 6), (4, 4), (0, 1, 2), (1.0, 2.0), (-3,)])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from rcgdms.driving import bernoulli, deterministic, periodic, sample_orbit
 from rcgdms.gibbs import conformal_measures, conformality_residual
-from rcgdms.potentials import FirstSymbolPotential, HolderClass, float_log
+from rcgdms.potentials import FirstSymbolPotential, HolderClass, float_log, geometric_potential
 from rcgdms.shift import PrimitivityWitness, enumerate_words, find_primitivity, from_matrix, full_shift
 from rcgdms.thermo import GibbsReport, check_gibbs
 
@@ -226,8 +226,6 @@ def test_gibbs_report_and_residual_match_word_loops(case, holder_constant):
 
 
 def test_mass_outside_the_tree_is_zero(golden):
-    from rcgdms.potentials import geometric_potential
-
     zeta = geometric_potential(golden).scaled(1.0)
     measures, _ = conformal_measures(golden.symbolic, (0, 1), zeta, sample_orbit(golden.driving, 0), depth=3)
     m = measures[0]
@@ -240,8 +238,6 @@ def test_mass_outside_the_tree_is_zero(golden):
 
 
 def test_gibbs_rejects_measures_on_other_symbols(golden):
-    from rcgdms.potentials import geometric_potential
-
     zeta = geometric_potential(golden).scaled(1.0)
     orbit = sample_orbit(golden.driving, 0)
     measures, eigens = conformal_measures(golden.symbolic, (0,), zeta, orbit, depth=2)

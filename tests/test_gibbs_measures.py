@@ -44,10 +44,15 @@ def test_cantor_unit_eigenvalue_at_root(cantor):
         assert math.exp(v) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_refinement_and_normalization(golden):
+# auto: the default horizon; induction: a horizon of 3, so measures[:3] are
+# one to three pull-back steps from the uniform seed
+@pytest.mark.parametrize("horizon", [None, 3], ids=["auto", "induction"])
+def test_refinement_and_normalization(golden, horizon):
     zeta = geometric_potential(golden).scaled(1.0)
     orbit = sample_orbit(golden.driving, 0)
-    measures, _ = conformal_measures(golden.symbolic, (0, 1), zeta, orbit, depth=4)
+    measures, _ = conformal_measures(
+        golden.symbolic, (0, 1), zeta, orbit, depth=4, horizon=horizon
+    )
     for m in measures[:3]:
         for level in m.levels:
             assert math.fsum(level) == pytest.approx(1.0, abs=1e-12)

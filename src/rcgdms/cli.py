@@ -141,9 +141,7 @@ def _curve(run: RunConfig, zeta, symbols=None):
     grid = [s for s in run.analysis.s_grid() if s > s_inf]
     if not grid:
         raise ConfigError("the whole s grid sits at or below the summability threshold")
-    return pressure_curve(
-        evaluate, grid, s_infinity=s_inf, exponent_hull=_exponent_hull(sysm), exact=True
-    )
+    return pressure_curve(evaluate, grid, s_infinity=s_inf, exponent_hull=_exponent_hull(sysm))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +235,7 @@ def cmd_spectrum(run: RunConfig) -> int:
         hi = run.analysis.beta_max
     betas = run.analysis.beta_grid(lo + 1e-9, hi)
     betas = betas[betas > 0]
-    result = legendre_spectrum(curve, betas, bowen=s_star)
+    result = legendre_spectrum(curve, betas)
     rows = [(float(b), float(v), flag) for b, v, flag in zip(result.betas, result.values, result.flags)]
     _write_csv(run.out_dir / "spectrum.csv", ("beta", "l", "flag"), rows)
     _write_json(
@@ -357,7 +355,7 @@ def _verify_checks(run: RunConfig) -> list[dict]:
         for j in range(len(hist.counts)):
             if hist.counts[j] < 100 or math.isnan(corrected[j]):
                 continue
-            at_chi = legendre_spectrum(curve, [float(hist.bin_exponents[j])], bowen=s_star)
+            at_chi = legendre_spectrum(curve, [float(hist.bin_exponents[j])])
             worst = max(worst, abs(corrected[j] - float(at_chi.values[0])))
         checks.append(
             {
@@ -403,7 +401,6 @@ def cmd_example_paper(run: RunConfig) -> int:
         [s for s in np.linspace(0.05, 1.5, 30)],
         s_infinity=0.0,
         exponent_hull=_exponent_hull(sysm),
-        exact=True,
     )
     s_star = bowen_dimension(curve)
     s_inf = s_infinity(zeta)

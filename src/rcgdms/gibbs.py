@@ -168,8 +168,6 @@ def conformal_measures(
 
 
 def conformality_residual(
-    system: SymbolicSystem,
-    symbols: Sequence[int],
     potential: FirstSymbolPotential,
     orbit: DrivingOrbit,
     measures: Sequence[CylinderMeasure],
@@ -177,7 +175,7 @@ def conformality_residual(
     position: int = 0,
 ) -> float:
     """Max absolute defect of L* m_{k+1} = lambda_k m_k over depth-(d-1)
-    cylinders at the given position."""
+    cylinders at the given position, on the measures' own word tree."""
     k = position
     m_next, m_here = measures[k + 1], measures[k]
     lam = math.exp(eigens.log_values[k])

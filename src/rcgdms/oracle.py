@@ -197,9 +197,15 @@ def local_dimension_samples(
     margin = check_rbsc(gdms, symbols)
     if margin <= 0:
         raise ValueError(f"boundary separation margin {margin:.3g} is not positive")
+    words = [tuple(w) for w in words]
+    depth = min(max(map(len, words), default=0), measure.depth)
+    # (centers, half-widths) of all words of each prefix length, coded once
+    coded = [
+        code_words(gdms, orbit, symbols, word_index(gdms.symbolic, symbols, j))
+        for j in range(1, depth + 1)
+    ]
     out = []
     for word in words:
-        word = tuple(word)
         x = code_point(gdms, orbit, word)[0]
         depths, markov, metric, gaps = [], [], [], []
         for j in range(1, min(len(word), measure.depth) + 1):
@@ -210,7 +216,7 @@ def local_dimension_samples(
             if mass <= 0 or diam <= 0:
                 continue
             mk = math.log(mass) / math.log(diam)
-            center, half = code_words(gdms, orbit, symbols, word_index(gdms.symbolic, symbols, j))
+            center, half = coded[j - 1]
             ball = np.flatnonzero((center + half >= x - diam) & (center - half <= x + diam))
             mt = math.log(sum(measure.levels[j - 1][ball].tolist())) / math.log(diam)
             depths.append(j)

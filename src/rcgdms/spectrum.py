@@ -3,10 +3,11 @@
 The pressure of the scaled geometric potential is sampled over an s-grid,
 projected onto its lower convex hull (Monte Carlo noise may break convexity;
 the true curve is convex, so the repair is a projection onto the feasible
-class), and consumed three ways: root-finding for the Bowen dimension,
-the Legendre transform l(beta) = inf_s (beta*s + p(s)) / beta on the open
-interval of admissible exponents, and the implicit temperature curve T(q)
-solving p(T(q)) = q * p(0) with its concave transform.
+class), and consumed through one root solver: the Bowen dimension is the root
+of p; the Legendre transform l(beta) = inf_s (beta*s + p(s)) / beta is taken
+where p'(s) = -beta (a central difference; the value is second order in the
+solve's error); T(q) solves p(T(q)) = q * p(0), and its concave transform is
+taken where alpha + T'(q) = alpha + p(0)/p'(T(q)) = 0.
 
 Exponent-interval endpoints are estimated from secant slopes at the grid
 edges, widened by the analytic per-edge exponent hull when the instance
@@ -23,31 +24,40 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-
-def _golden_minimize(fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10):
-    """Golden-section minimum of a convex function on [lo, hi].
-
-    The stopping width is relative to the bracket location: an absolute
-    target below the local float resolution would never be reached."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(300):
-        if b - a <= tol * (1.0 + abs(a) + abs(b)):
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
+def _root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
+    """A sign change of f on [a, b] by Illinois regula falsi (Dowell and
+    Jarratt, BIT 11, 1971), given fa = f(a) and a finite fb = f(b).  A
+    non-finite value lies on a's side (a summability threshold) and makes the
+    step a bisection.  Returns the secant point of the final bracket, or
+    without a sign change the end nearer a zero."""
+    if math.isfinite(fa) and fa * fb >= 0.0:
+        return float(a if abs(fa) <= abs(fb) else b)
+    wa = wb = 1.0  # Illinois: an end left in place twice running has its weight halved
+    moved = 0
+    while b - a > 1e-9 * (1.0 + abs(a) + abs(b)):
+        x = b - wb * fb * (b - a) / (wb * fb - wa * fa) if math.isfinite(fa) else 0.5 * (a + b)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        fx = f(x)
+        if fx == 0.0:
+            return float(x)
+        if math.isfinite(fx) and fx * fb > 0.0:
+            b, fb, wb = x, fx, 1.0
+            if moved > 0:
+                wa *= 0.5
+            moved = 1
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
+            a, fa, wa = x, fx, 1.0
+            if moved < 0:
+                wb *= 0.5
+            moved = -1
+    return float(b - fb * (b - a) / (fb - fa) if math.isfinite(fa) else b)
+
+
+def _slope(p: Callable[[float], float], s: float, h: float = 1e-6) -> float:
+    """Central difference of p at s."""
+    return (p(s + h) - p(s - h)) / (2.0 * h)
 
 
 def lower_convex_hull(xs: Sequence[float], ys: Sequence[float]) -> np.ndarray:
@@ -83,7 +93,6 @@ class PressureCurve:
     exponent_lo: float  # conservative -p'(+inf): least admissible exponent
     exponent_hi: float  # conservative -p'(s_infinity): largest admissible exponent
     evaluator: Optional[Callable[[float], float]] = None
-    exact: bool = False
     repair_correction: float = 0.0
 
     def pressure_at(self, s: float) -> float:
@@ -103,7 +112,6 @@ def pressure_curve(
     s_grid: Sequence[float],
     s_infinity: float = -math.inf,
     exponent_hull: Optional[tuple[float, float]] = None,
-    exact: bool = False,
 ) -> PressureCurve:
     """Assemble a curve from a pressure evaluator over a grid.
 
@@ -133,41 +141,28 @@ def pressure_curve(
         exponent_lo=lo,
         exponent_hi=hi,
         evaluator=evaluate,
-        exact=exact,
         repair_correction=correction,
     )
 
 
-def bowen_dimension(curve: PressureCurve, tol: float = 1e-8, max_span: float = 64.0) -> float:
+def bowen_dimension(curve: PressureCurve, max_span: float = 64.0) -> float:
     """Root of the pressure along the scale axis: inf{s >= 0 : p(s) <= 0}.
 
-    Bisection against the exact evaluator when present, else against the
+    Solved against the exact evaluator when present, else against the
     repaired grid interpolant; returns 0 when the pressure at 0 is already
     nonpositive."""
     p = curve.pressure_at
-    if p(0.0) <= 0.0:
+    p_zero = p(0.0)
+    if p_zero <= 0.0:
         return 0.0
-    lo = max(0.0, curve.s_infinity + 1e-12)
-    hi = 1.0
-    while p(hi) > 0.0:
+    hi, p_hi = 1.0, p(1.0)
+    while p_hi > 0.0:
         hi *= 2.0
         if hi > max_span:
             raise ValueError("no pressure sign change below the bracket cap")
-    # keep lo strictly above the summability threshold where p = +inf
-    for _ in range(200):
-        if math.isfinite(p(lo)):
-            break
-        lo = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        v = p(mid)
-        if v > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol * 0.01 and abs(v) <= tol:
-            break
-    return 0.5 * (lo + hi)
+        p_hi = p(hi)
+    lo = max(0.0, curve.s_infinity + 1e-12)  # above the threshold, where p = +inf
+    return _root(p, lo, hi, p_zero if lo == 0.0 else p(lo), p_hi)
 
 
 @dataclass(frozen=True)
@@ -222,8 +217,6 @@ class SpectrumResult:
     betas: np.ndarray
     values: np.ndarray
     flags: tuple[str, ...]  # "interior" | "endpoint" | "clipped"
-    validity: tuple[float, float]
-    bowen: float
 
     @property
     def max_value(self) -> float:
@@ -231,53 +224,45 @@ class SpectrumResult:
         return max(ok) if ok else float(np.nanmax(self.values))
 
 
-def _transform_at(curve: PressureCurve, beta: float, tol: float = 1e-11) -> float:
-    """inf over scales of beta*s + p(s), by golden refinement when an
-    evaluator exists and by hull-node minimum otherwise."""
-    g = lambda s: beta * s + curve.pressure_at(s)
+def _transform_at(curve: PressureCurve, beta: float) -> float:
+    """inf over scales of beta*s + p(s), at the root of p'(s) + beta.
+
+    The bracket is the pair of hull nodes around the best node, grown outward
+    until the slope changes sign and clamped just above the summability
+    threshold.  The hull-node minimum guards the result and serves curves
+    without an evaluator."""
     finite = np.isfinite(curve.values)
     nodes = curve.s_grid[finite]
     node_vals = beta * nodes + curve.values[finite]
     j = int(np.argmin(node_vals))
-    if curve.evaluator is None:
-        return float(node_vals[j])
-    step0 = float(nodes[1] - nodes[0]) if len(nodes) > 1 else 1.0
-    lo = float(nodes[max(0, j - 1)])
-    hi = float(nodes[min(len(nodes) - 1, j + 1)])
-    # Grow the bracket while the objective keeps improving outward; by
-    # convexity the first non-improving probe is a valid bracket end, so it
-    # must be kept inside the bracket, not discarded.
-    if j == 0:
-        step = step0
-        while step < 1e7:
-            probe = lo - step
-            val = g(probe)
-            if math.isfinite(val) and val < g(lo):
-                lo, step = probe, 2 * step
-                continue
-            if math.isfinite(val):
-                lo = probe
-            elif math.isfinite(curve.s_infinity):
-                lo = curve.s_infinity + 1e-12
-            break
-    if j == len(nodes) - 1:
-        step = step0
-        while step < 1e7:
-            probe = hi + step
-            if g(probe) < g(hi):
-                hi, step = probe, 2 * step
-                continue
-            hi = probe
-            break
-    _, val = _golden_minimize(g, lo, hi, tol=tol)
-    return min(val, float(node_vals[j]))
+    best = float(node_vals[j])
+    p = curve.evaluator
+    if p is None:
+        return best
+    f = lambda s: _slope(p, s) + beta
+    floor = curve.s_infinity + 1e-12
+
+    def walk(near, f_near, far, f_far, direction):
+        # doubling steps of `far` while the root lies beyond it, the passed
+        # end becoming `near`; a non-finite slope is kept only at the floor
+        step = float(nodes[1] - nodes[0]) if len(nodes) > 1 else 1.0
+        while f_far * direction < 0.0 and far > floor and step < 1e7:
+            probe = max(far + direction * step, floor)
+            f_probe = f(probe)
+            if not (math.isfinite(f_probe) or probe == floor):
+                break
+            near, f_near, far, f_far, step = far, f_far, probe, f_probe, 2.0 * step
+        return near, f_near, far, f_far
+
+    lo, hi = float(nodes[max(0, j - 1)]), float(nodes[min(len(nodes) - 1, j + 1)])
+    f_lo, f_hi = f(lo), f(hi)
+    hi, f_hi, lo, f_lo = walk(hi, f_hi, lo, f_lo, -1.0)
+    lo, f_lo, hi, f_hi = walk(lo, f_lo, hi, f_hi, 1.0)
+    s = _root(f, lo, hi, f_lo, f_hi)
+    return min(beta * s + p(s), best)
 
 
-def legendre_spectrum(
-    curve: PressureCurve,
-    beta_grid: Sequence[float],
-    bowen: Optional[float] = None,
-) -> SpectrumResult:
+def legendre_spectrum(curve: PressureCurve, beta_grid: Sequence[float]) -> SpectrumResult:
     """Lyapunov spectrum values l(beta) = (1/beta) inf_s {beta s + p(s)}.
 
     Betas outside the conservative validity interval are clipped (flag
@@ -291,7 +276,6 @@ def legendre_spectrum(
     cell = float(betas[1] - betas[0]) if len(betas) > 1 else 0.0
     vals = np.empty_like(betas)
     flags = []
-    s_star = bowen if bowen is not None else bowen_dimension(curve)
     for i, b in enumerate(betas):
         if b < lo or b > hi:
             # outside the admissible interval the level set is empty and the
@@ -304,9 +288,7 @@ def legendre_spectrum(
         else:
             flags.append("interior")
         vals[i] = _transform_at(curve, b) / b
-    return SpectrumResult(
-        betas=betas, values=vals, flags=tuple(flags), validity=(lo, hi), bowen=s_star
-    )
+    return SpectrumResult(betas=betas, values=vals, flags=tuple(flags))
 
 
 # ---------------------------------------------------------------------------
@@ -321,37 +303,29 @@ class TemperatureCurve:
     p_zero: float
     evaluator: Callable[[float], float]  # pressure evaluator used for roots
 
-    def t_at(self, q: float, tol: float = 1e-12) -> float:
-        return _solve_t(self.evaluator, self.p_zero, q, tol)
+    def t_at(self, q: float) -> float:
+        return _solve_t(self.evaluator, self.p_zero, q)
 
-    def transform(self, alpha: float, bracket: tuple[float, float] = (-64.0, 64.0)) -> float:
-        """Concave transform inf_q (alpha q + T(q))."""
-        fn = lambda q: alpha * q + self.t_at(q)
-        _, val = _golden_minimize(fn, bracket[0], bracket[1], tol=1e-9)
-        return val
+    def transform(self, alpha: float) -> float:
+        """Concave transform inf_q (alpha q + T(q)) over q in [-64, 64], at the
+        root of alpha + T'(q) = alpha + p(0) / p'(T(q))."""
+        f = lambda q: alpha + self.p_zero / _slope(self.evaluator, self.t_at(q))
+        q = _root(f, -64.0, 64.0, f(-64.0), f(64.0))
+        return alpha * q + self.t_at(q)
 
 
-def _solve_t(p: Callable[[float], float], p0: float, q: float, tol: float) -> float:
+def _solve_t(p: Callable[[float], float], p0: float, q: float) -> float:
     """Unique t with p(t) = q * p(0); pressure is strictly decreasing."""
-    target = q * p0
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if p(lo) > target:
-            break
+    f = lambda t: p(t) - q * p0
+    lo, f_lo = -1.0, f(-1.0)
+    while f_lo <= 0.0 and lo > -2.0 ** 200:
         lo *= 2.0
-    for _ in range(200):
-        if p(hi) < target:
-            break
+        f_lo = f(lo)
+    hi, f_hi = 1.0, f(1.0)
+    while f_hi >= 0.0 and hi < 2.0 ** 200:
         hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if p(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
+        f_hi = f(hi)
+    return _root(f, lo, hi, f_lo, f_hi)
 
 
 def tq_analysis(
@@ -370,7 +344,7 @@ def tq_analysis(
         raise ValueError("temperature analysis needs a pressure evaluator")
     p0 = curve.evaluator(0.0)
     qs = np.asarray(sorted(q_grid), dtype=float)
-    ts = np.array([_solve_t(curve.evaluator, p0, q, 1e-12) for q in qs])
+    ts = np.array([_solve_t(curve.evaluator, p0, q) for q in qs])
     if not all(ts[i + 1] < ts[i] + 1e-9 for i in range(len(ts) - 1)):
         raise ValueError("temperature curve is not decreasing; pressure evaluator suspect")
     return TemperatureCurve(q_grid=qs, t_values=ts, p_zero=p0, evaluator=curve.evaluator)

@@ -75,7 +75,7 @@ def _exact_curve(system, s_grid, hull, s_inf=-math.inf):
             return math.inf
         return pressure(system.symbolic, None, zeta.scaled(s)).value
 
-    return pressure_curve(evaluate, s_grid, s_infinity=s_inf, exponent_hull=hull, exact=True)
+    return pressure_curve(evaluate, s_grid, s_infinity=s_inf, exponent_hull=hull)
 
 
 @pytest.fixture(scope="module")
@@ -299,7 +299,7 @@ def test_criterion_7_temperature_consistency(twoscale_curve):
     t0 = tq.t_at(0.0)
     s_star = bowen_dimension(twoscale_curve)
     betas = np.linspace(LOG2 + 0.08, LOG4 - 0.08, 10)
-    direct = legendre_spectrum(twoscale_curve, betas, bowen=s_star)
+    direct = legendre_spectrum(twoscale_curve, betas)
     worst_route = max(
         abs(tq.transform(tq.p_zero / beta) - l_direct)
         for beta, l_direct in zip(betas, direct.values)

@@ -61,7 +61,7 @@ def test_bowen_root_against_direct_moment_equation(seed):
     def evaluate(s):
         return pressure(system.symbolic, None, zeta.scaled(s)).value
 
-    curve = pressure_curve(evaluate, np.linspace(-2, 6, 33), exact=True)
+    curve = pressure_curve(evaluate, np.linspace(-2, 6, 33))
     s_star = bowen_dimension(curve)
 
     ratios = [float(system.ratio_fraction(e, 0)) for e in range(3)]
@@ -100,7 +100,7 @@ def test_box_counting_bounded_by_root(seed):
     def evaluate(s):
         return pressure(system.symbolic, None, zeta.scaled(s)).value
 
-    s_star = bowen_dimension(pressure_curve(evaluate, np.linspace(-2, 8, 41), exact=True))
+    s_star = bowen_dimension(pressure_curve(evaluate, np.linspace(-2, 8, 41)))
     orbit = sample_orbit(system.driving, 0)
     # scale span adapts to the drawn contraction so it covers a decade, and
     # the sample truncation sits below the smallest scale
@@ -120,7 +120,7 @@ def test_twoscale_spectrum_matches_entropy_formula(twoscale):
         return pressure(twoscale.symbolic, None, zeta.scaled(s)).value
 
     curve = pressure_curve(
-        evaluate, np.linspace(-4, 8, 49), exponent_hull=(math.log(2), math.log(4)), exact=True
+        evaluate, np.linspace(-4, 8, 49), exponent_hull=(math.log(2), math.log(4))
     )
     worst = 0.0
     for q in np.linspace(0.02, 0.98, 25):
@@ -147,7 +147,6 @@ def test_period2_degenerate_spectrum(period2):
         evaluate,
         np.linspace(-1, 3, 17),
         exponent_hull=(1.5 * math.log(2), 1.5 * math.log(2)),
-        exact=True,
     )
     value = float(legendre_spectrum(curve, [1.5 * math.log(2)]).values[0])
     assert value == pytest.approx(2 / 3, abs=1e-9)

@@ -214,7 +214,7 @@ def test_gibbs_report_and_residual_match_word_loops(case, holder_constant):
     want = ref_check_gibbs(system, symbols, bracket, orbit, measures[0].masses, eigens.log_values, depth, witness)
     assert got == want
     for k in range(3):
-        res = conformality_residual(system, symbols, potential, orbit, measures, eigens, position=k)
+        res = conformality_residual(potential, orbit, measures, eigens, position=k)
         ref = ref_residual(
             system, symbols, potential, orbit, measures[k].masses, measures[k + 1].masses,
             eigens.log_values[k], k, depth,

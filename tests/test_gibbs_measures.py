@@ -80,9 +80,7 @@ def test_conformality_residual_tiny(golden):
     orbit = sample_orbit(golden.driving, 0)
     measures, eigens = conformal_measures(golden.symbolic, (0, 1), zeta, orbit, depth=4)
     for position in range(3):
-        res = conformality_residual(
-            golden.symbolic, (0, 1), zeta, orbit, measures, eigens, position=position
-        )
+        res = conformality_residual(zeta, orbit, measures, eigens, position=position)
         assert res <= 1e-10
 
 

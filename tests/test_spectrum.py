@@ -1,9 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rcgdms.driving import deterministic
+from rcgdms.gdms import similarity_system
 from rcgdms.potentials import geometric_potential
+from rcgdms.shift import full_shift
 from rcgdms.spectrum import (
     bowen_dimension,
     cofinite_regularity,
@@ -14,7 +20,7 @@ from rcgdms.spectrum import (
 )
 from rcgdms.thermo import pressure
 
-LOG2, LOG3, LOG4 = math.log(2.0), math.log(3.0), math.log(4.0)
+LOG2, LOG3, LOG4, LOG8 = math.log(2.0), math.log(3.0), math.log(4.0), math.log(8.0)
 GOLDEN_RATIO_ROOT = math.log2((1 + math.sqrt(5)) / 2)
 
 
@@ -24,7 +30,7 @@ def _exact_curve(system, s_grid, hull, s_inf=-math.inf):
     def evaluate(s):
         return pressure(system.symbolic, None, zeta.scaled(s)).value
 
-    return pressure_curve(evaluate, s_grid, s_infinity=s_inf, exponent_hull=hull, exact=True)
+    return pressure_curve(evaluate, s_grid, s_infinity=s_inf, exponent_hull=hull)
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +96,7 @@ def test_paper_pressure_below_minus_log2(paper):
         return pressure(paper.symbolic, None, zeta.scaled(s)).value if s > 0 else math.inf
 
     curve = pressure_curve(evaluate, np.linspace(0.05, 1.5, 30), s_infinity=0.0,
-                           exponent_hull=(2 * LOG2, math.inf), exact=True)
+                           exponent_hull=(2 * LOG2, math.inf))
     assert curve.pressure_at(1.0) <= -LOG2
     s_star = bowen_dimension(curve)
     assert 0.0 < s_star < 1.0
@@ -151,7 +157,7 @@ def test_spectrum_values_decrease_toward_endpoint(twoscale_curve):
 def test_max_spectrum_equals_bowen(twoscale_curve):
     s_star = bowen_dimension(twoscale_curve)
     betas = np.linspace(LOG2 + 1e-4, LOG4 - 1e-4, 401)
-    result = legendre_spectrum(twoscale_curve, betas, bowen=s_star)
+    result = legendre_spectrum(twoscale_curve, betas)
     assert result.max_value == pytest.approx(s_star, abs=2e-3)
 
 
@@ -199,6 +205,59 @@ def test_two_transform_routes_agree(twoscale_curve):
     for beta, l_direct in zip(betas, direct.values):
         via_t = tq.transform(tq.p_zero / beta)
         assert via_t == pytest.approx(l_direct, abs=1e-6)
+
+
+def _moran_root(ratios):
+    """Root of sum r^s = 1, by bisection to the float resolution."""
+    lo, hi = 0.0, 64.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if sum(r ** mid for r in ratios) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(0.05, 0.6, exclude_min=True, exclude_max=True), min_size=2, max_size=4)
+    .filter(lambda rs: max(rs) - min(rs) > 1e-3),
+    st.floats(-2.0, 4.0),
+)
+def test_slope_root_matches_similarity_closed_forms(ratios, s):
+    """On a full-shift similarity system p(s) = log sum r^s, so beta = -p'(s)
+    has the transform value s + p(s)/beta and the Bowen root is Moran's."""
+    symbols = tuple(range(len(ratios)))
+    system = similarity_system(
+        full_shift(symbols),
+        deterministic(0),
+        {0: {e: Fraction(r) for e, r in zip(symbols, ratios)}},
+        {0: {e: e / len(symbols) for e in symbols}},
+    )
+    logs = [math.log(Fraction(r)) for r in ratios]
+    curve = _exact_curve(system, np.linspace(-3, 5, 17), (-max(logs), -min(logs)))
+    weights = [math.exp(s * v) for v in logs]
+    p = math.log(sum(weights))
+    beta = -sum(w * v for w, v in zip(weights, logs)) / sum(weights)
+    result = legendre_spectrum(curve, [beta])
+    assert result.flags == ("interior",)
+    assert abs(result.values[0] - (s + p / beta)) <= 1e-10
+    assert abs(bowen_dimension(curve) - _moran_root([float(Fraction(r)) for r in ratios])) <= 1e-10
+
+
+@pytest.mark.parametrize("beta", [2.5, 5.0, 20.0, 200.0])
+def test_slope_root_clamped_at_threshold(pure_tail, beta):
+    """p(s) = -s log 8 - log(1 - 8^-s) on (0, inf), so p'(s) = -beta at
+    x = 8^-s = 1 - log 8/beta.  The minimiser sits at s = 0.86, 0.26, 0.053
+    and 0.005: inside the grid, one step left of it, and (beta = 20, 200)
+    where the bracket walk is clamped at the summability threshold."""
+    curve = _exact_curve(pure_tail, np.linspace(0.5, 3.0, 11), (LOG8, math.inf), s_inf=0.0)
+    x = 1.0 - LOG8 / beta
+    s = -math.log(x) / LOG8
+    want = s + (-s * LOG8 - math.log(1.0 - x)) / beta
+    result = legendre_spectrum(curve, [beta])
+    assert abs(result.values[0] - want) <= 1e-14
 
 
 def test_rung_monotonicity_P1(paper):
@@ -249,7 +308,7 @@ def test_per_rung_spectra_increase(paper):
         def ev(s, rung=rung):
             return pressure(paper.symbolic, rung, zeta.scaled(s)).value
 
-        curve = pressure_curve(ev, np.linspace(-1.0, 2.5, 29), exact=True)
+        curve = pressure_curve(ev, np.linspace(-1.0, 2.5, 29))
         values.append(legendre_spectrum(curve, [beta]).values[0])
     assert all(values[i + 1] >= values[i] - 1e-9 for i in range(len(values) - 1))
 
@@ -258,7 +317,7 @@ def test_per_rung_spectra_increase(paper):
 
     full_curve = pressure_curve(
         ev_full, np.linspace(0.05, 2.5, 30), s_infinity=0.0,
-        exponent_hull=(2 * LOG2, math.inf), exact=True,
+        exponent_hull=(2 * LOG2, math.inf),
     )
     full_value = legendre_spectrum(full_curve, [beta]).values[0]
     assert values[-1] <= full_value + 1e-9

@@ -55,9 +55,9 @@ def _root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float)
     return float(b - fb * (b - a) / (fb - fa) if math.isfinite(fa) else b)
 
 
-def _slope(p: Callable[[float], float], s: float, h: float = 1e-6) -> float:
-    """Central difference of p at s."""
-    return (p(s + h) - p(s - h)) / (2.0 * h)
+def _slope(p: Callable[[float], float], s: float) -> float:
+    """Central difference of p at s, with step 1e-6."""
+    return (p(s + 1e-6) - p(s - 1e-6)) / 2e-6
 
 
 def lower_convex_hull(xs: Sequence[float], ys: Sequence[float]) -> np.ndarray:

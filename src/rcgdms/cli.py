@@ -18,6 +18,7 @@ import datetime
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -134,14 +135,23 @@ def _curve(run: RunConfig, zeta, symbols=None):
         symbols = _finite_symbols(run)
     orbits = orbit_family(sysm.driving, 16, 0)  # one family for every s; drawn on first read
 
+    routes = set()  # methods that served the evaluations
+
     def evaluate(s: float) -> float:
-        return pressure(sysm.symbolic, symbols, zeta.scaled(s), orbits=orbits).value
+        est = pressure(sysm.symbolic, symbols, zeta.scaled(s), orbits=orbits)
+        routes.add(est.method)
+        return est.value
+
+    def slope(s: float) -> Optional[float]:
+        return pressure(sysm.symbolic, symbols, zeta.scaled(s), orbits=orbits, slope=True).slope
 
     s_inf = s_infinity(zeta) if sysm.symbolic.has_tail else -math.inf
     grid = [s for s in run.analysis.s_grid() if s > s_inf]
     if not grid:
         raise ConfigError("the whole s grid sits at or below the summability threshold")
-    return pressure_curve(evaluate, grid, s_infinity=s_inf, exponent_hull=_exponent_hull(sysm))
+    curve = pressure_curve(evaluate, grid, s_infinity=s_inf, exponent_hull=_exponent_hull(sysm))
+    # only the exact-spectral route returns p'(s); the others keep the central difference
+    return replace(curve, slope=slope) if routes == {"exact-spectral"} else curve
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ projected onto its lower convex hull (Monte Carlo noise may break convexity;
 the true curve is convex, so the repair is a projection onto the feasible
 class), and consumed through one root solver: the Bowen dimension is the root
 of p; the Legendre transform l(beta) = inf_s (beta*s + p(s)) / beta is taken
-where p'(s) = -beta (a central difference; the value is second order in the
-solve's error); T(q) solves p(T(q)) = q * p(0), and its concave transform is
-taken where alpha + T'(q) = alpha + p(0)/p'(T(q)) = 0.
+where p'(s) = -beta (the value is second order in the solve's error); T(q)
+solves p(T(q)) = q * p(0), and its concave transform is taken where
+alpha + T'(q) = alpha + p(0)/p'(T(q)) = 0.  Both read p' from
+`PressureCurve.slope_at`: the route's analytic slope where the curve carries
+one and it is certified (the exact-spectral route), else a central difference
+of the evaluator.
 
 Exponent-interval endpoints are estimated from secant slopes at the grid
 edges, widened by the analytic per-edge exponent hull when the instance
@@ -94,6 +97,7 @@ class PressureCurve:
     exponent_hi: float  # conservative -p'(s_infinity): largest admissible exponent
     evaluator: Optional[Callable[[float], float]] = None
     repair_correction: float = 0.0
+    slope: Optional[Callable[[float], Optional[float]]] = None  # analytic p'(s); None where uncertified
 
     def pressure_at(self, s: float) -> float:
         if self.evaluator is not None:
@@ -101,6 +105,12 @@ class PressureCurve:
         if s <= self.s_infinity:
             return math.inf
         return float(np.interp(s, self.s_grid, self.values))
+
+    def slope_at(self, s: float) -> float:
+        """p'(s): the analytic slope where it is given and certified, else a
+        central difference of the evaluator."""
+        d = None if self.slope is None else self.slope(s)
+        return _slope(self.evaluator, s) if d is None else d
 
     @property
     def validity_interval(self) -> tuple[float, float]:
@@ -225,7 +235,9 @@ class SpectrumResult:
 
 
 def _transform_at(curve: PressureCurve, beta: float) -> float:
-    """inf over scales of beta*s + p(s), at the root of p'(s) + beta.
+    """inf over scales of beta*s + p(s), at the root of p'(s) + beta, with
+    p' from `curve.slope_at` (analytic where certified, else a central
+    difference).
 
     The bracket is the pair of hull nodes around the best node, grown outward
     until the slope changes sign and clamped just above the summability
@@ -239,7 +251,7 @@ def _transform_at(curve: PressureCurve, beta: float) -> float:
     p = curve.evaluator
     if p is None:
         return best
-    f = lambda s: _slope(p, s) + beta
+    f = lambda s: curve.slope_at(s) + beta
     floor = curve.s_infinity + 1e-12
 
     def walk(near, f_near, far, f_far, direction):
@@ -302,6 +314,7 @@ class TemperatureCurve:
     t_values: np.ndarray
     p_zero: float
     evaluator: Callable[[float], float]  # pressure evaluator used for roots
+    slope: Callable[[float], float]  # p'(s): the pressure curve's slope_at
 
     def t_at(self, q: float) -> float:
         return _solve_t(self.evaluator, self.p_zero, q)
@@ -309,7 +322,7 @@ class TemperatureCurve:
     def transform(self, alpha: float) -> float:
         """Concave transform inf_q (alpha q + T(q)) over q in [-64, 64], at the
         root of alpha + T'(q) = alpha + p(0) / p'(T(q))."""
-        f = lambda q: alpha + self.p_zero / _slope(self.evaluator, self.t_at(q))
+        f = lambda q: alpha + self.p_zero / self.slope(self.t_at(q))
         q = _root(f, -64.0, 64.0, f(-64.0), f(64.0))
         return alpha * q + self.t_at(q)
 
@@ -347,4 +360,6 @@ def tq_analysis(
     ts = np.array([_solve_t(curve.evaluator, p0, q) for q in qs])
     if not all(ts[i + 1] < ts[i] + 1e-9 for i in range(len(ts) - 1)):
         raise ValueError("temperature curve is not decreasing; pressure evaluator suspect")
-    return TemperatureCurve(q_grid=qs, t_values=ts, p_zero=p0, evaluator=curve.evaluator)
+    return TemperatureCurve(
+        q_grid=qs, t_values=ts, p_zero=p0, evaluator=curve.evaluator, slope=curve.slope_at
+    )

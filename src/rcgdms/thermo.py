@@ -25,11 +25,12 @@ not factor over symbols.
 Pressure evaluation prefers exact routes: product structure (full shift with
 a cylinder-constant potential) gives the marginal expectation of the log
 transfer sum; deterministic or periodic driving over a finite alphabet gives
-the spectral radius of the weighted transition matrix (cycle product).  The
-Monte Carlo route averages depth-extrapolated slopes log A_n / n over
-independent orbits; for cylinder-constant potentials all orbits run through
-the same recursion in one batched pass, and every depth is read off the way
-to the deepest.
+the spectral radius of the weighted transition matrix (cycle product) and, on
+request, the slope of the pressure in s from the Perron vectors of that
+product.  The Monte Carlo route averages depth-extrapolated slopes
+log A_n / n over independent orbits; for cylinder-constant potentials all
+orbits run through the same recursion in one batched pass, and every depth
+is read off the way to the deepest.
 """
 
 from __future__ import annotations
@@ -397,6 +398,7 @@ class PressureEstimate:
     per_depth: tuple[float, ...] = ()
     spread: float = 0.0
     raw_value: Optional[float] = None
+    slope: Optional[float] = None  # p'(s), exact-spectral route only, when certified
 
     @property
     def exact(self) -> bool:
@@ -417,22 +419,71 @@ def _product_pressure(
 
 
 def _spectral_pressure(
-    symbols: Sequence[int], potential: FirstSymbolPotential, cycle: Sequence
-) -> float:
+    symbols: Sequence[int], potential: FirstSymbolPotential, cycle: Sequence, slope: bool = False
+) -> PressureEstimate:
+    """Pressure over a k-state cycle, (sum_j shift_j + log rho(P)) / k, where
+    P = A_k ... A_1, A_j = diag(exp(s b_j - shift_j)) M^T and shift_j is the
+    largest log weight of step j.  With `slope`, also p'(s) from the Perron
+    vectors of the same P (`_perron_slope`)."""
     symbols = tuple(sorted(symbols))
-    adm = potential.admissibility(symbols)
+    adm_t = potential.admissibility(symbols).T
     shift_total = 0.0
+    steps = []
     prod = np.eye(len(symbols))
     for st in cycle:
         logs = potential.log_weights(st, symbols)
         shift = logs.max()
         shift_total += shift
-        step = np.diag(np.exp(logs - shift)) @ adm.T
-        prod = step @ prod
-    rho = max(abs(np.linalg.eigvals(prod)))
+        steps.append(np.exp(logs - shift)[:, None] * adm_t)
+        prod = steps[-1] @ prod
+    rho = np.abs(np.linalg.eigvals(prod)).max()
     if rho == 0.0:
-        return -math.inf
-    return (shift_total + math.log(rho)) / len(cycle)
+        return PressureEstimate(value=-math.inf, method="exact-spectral")
+    derivative = None
+    if slope:
+        unit = potential.scaled(1.0)
+        derivative = _perron_slope(prod, rho, steps, [unit.log_weights(st, symbols) for st in cycle])
+    return PressureEstimate(
+        value=(shift_total + math.log(rho)) / len(cycle), method="exact-spectral", slope=derivative
+    )
+
+
+def _perron_slope(prod: np.ndarray, rho: float, steps: list, rates: list) -> Optional[float]:
+    """(1/k) sum_j <u_j, b_j * A_j v_j> / <u_j, A_j v_j>, the first-order
+    perturbation of the Perron root of P = A_k ... A_1 under dA_j/ds =
+    diag(b_j) A_j.  v_j = A_{j-1} ... A_1 v and u_j = u^T A_k ... A_{j+1}
+    carry the right and left Perron vectors v, u of P through the cycle.
+
+    v and u come from one inverse-iteration solve each against
+    P - rho (1 + 1e-10) I.  They are accepted only when |Pv - rho v| and
+    |u^T P - rho u^T| are within 1e-8 rho entrywise (max-normalised);
+    otherwise, and wherever the ratio is not finite, as where the weights
+    underflow, the slope is None."""
+    shifted = prod - rho * (1.0 + 1e-10) * np.eye(len(prod))
+    ones = np.ones(len(prod))
+    with np.errstate(all="ignore"):  # a failed vector ends as inf or nan, and is refused below
+        try:
+            v, u = np.linalg.solve(shifted, ones), np.linalg.solve(shifted.T, ones)
+        except np.linalg.LinAlgError:
+            return None
+        v, u = v / v[np.argmax(np.abs(v))], u / u[np.argmax(np.abs(u))]
+        residual = max(np.abs(prod @ v - rho * v).max(), np.abs(u @ prod - rho * u).max())
+        if not residual <= 1e-8 * rho:
+            return None
+        forward = [v]
+        for a in steps[:-1]:
+            x = a @ forward[-1]
+            forward.append(x / x.max())
+        backward = [u]
+        for a in steps[:0:-1]:
+            y = backward[-1] @ a
+            backward.append(y / y.max())
+        total = 0.0
+        for a, b, x, y in zip(steps, rates, forward, backward[::-1]):
+            ax = a @ x
+            total += (y @ (b * ax)) / (y @ ax)
+    slope = float(total) / len(steps)
+    return slope if math.isfinite(slope) else None
 
 
 def _mc_log_all(system, symbols, potential, orbits, depths, witness) -> np.ndarray:
@@ -462,6 +513,7 @@ def pressure(
     depths: Sequence[int] = (4, 5, 6, 7, 8),
     method: str = "auto",
     witness: Optional[PrimitivityWitness] = None,
+    slope: bool = False,
 ) -> PressureEstimate:
     """Relative pressure of the potential over a finite symbol set (or the
     whole alphabet for product-structure systems when symbols is None).
@@ -472,6 +524,11 @@ def pressure(
     spread: one batched pass to max(depths) yields log A_n at every orbit and
     depth, and value = p + c/n is fitted per orbit over the deepest three of
     the depths, which must be strictly increasing integers >= 1.
+
+    With `slope`, the exact-spectral route also fills `slope` with p'(s) from
+    the same eigen-solve, or leaves it None where the Perron vectors fail
+    their residual certificate (as where the weights underflow); the other
+    routes leave it None.
     """
     drv = potential.driving
     if drv is None:
@@ -488,8 +545,7 @@ def pressure(
         and drv.kind in ("deterministic", "periodic")
         and len(symbols) <= 128
     ):
-        val = _spectral_pressure(symbols, potential, drv.states)
-        return PressureEstimate(value=val, method="exact-spectral")
+        return _spectral_pressure(symbols, potential, drv.states, slope)
 
     depths = tuple(depths)
     integral = all(isinstance(n, (int, np.integer)) for n in depths)

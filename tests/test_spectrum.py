@@ -1,20 +1,25 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcgdms.driving import deterministic
+from rcgdms import cli
+from rcgdms.config import load_config
+from rcgdms.driving import deterministic, periodic
 from rcgdms.gdms import similarity_system
 from rcgdms.potentials import geometric_potential
-from rcgdms.shift import full_shift
+from rcgdms.shift import from_matrix, full_shift
 from rcgdms.spectrum import (
     bowen_dimension,
     cofinite_regularity,
     legendre_spectrum,
     lower_convex_hull,
+    _transform_at,
     pressure_curve,
     tq_analysis,
 )
@@ -258,6 +263,52 @@ def test_slope_root_clamped_at_threshold(pure_tail, beta):
     want = s + (-s * LOG8 - math.log(1.0 - x)) / beta
     result = legendre_spectrum(curve, [beta])
     assert abs(result.values[0] - want) <= 1e-14
+
+
+def test_analytic_slope_keeps_the_spectrum():
+    """A 3-symbol non-full system under period-3 driving is on the spectral
+    route; its analytic slope and the central difference give the same
+    interior transform values."""
+    symbols = (0, 1, 2)
+    ratios = {
+        0: (Fraction(1, 2), Fraction(1, 5), Fraction(1, 3)),
+        1: (Fraction(1, 4),) * 3,
+        2: (Fraction(2, 5), Fraction(1, 7), Fraction(1, 3)),
+    }
+    system = similarity_system(
+        from_matrix(symbols, [[1, 1, 0], [0, 1, 1], [1, 1, 1]]),
+        periodic((0, 1, 2)),
+        {st: dict(zip(symbols, rs)) for st, rs in ratios.items()},
+        {st: {e: e / 3 for e in symbols} for st in ratios},
+    )
+    zeta = geometric_potential(system)
+
+    def estimate(s, slope=False):
+        return pressure(system.symbolic, symbols, zeta.scaled(s), slope=slope)
+
+    assert estimate(1.0, slope=True).slope is not None
+    plain = pressure_curve(lambda s: estimate(s).value, np.linspace(-3, 5, 17))
+    analytic = replace(plain, slope=lambda s: estimate(s, slope=True).slope)
+    betas = np.linspace(*plain.validity_interval, 12)
+    want, got = legendre_spectrum(plain, betas), legendre_spectrum(analytic, betas)
+    assert got.flags == want.flags and got.flags.count("interior") == 10
+    interior = np.array(got.flags) == "interior"
+    assert np.allclose(got.values[interior], want.values[interior], rtol=0.0, atol=1e-10)
+
+
+def test_slope_falls_back_where_the_weights_underflow():
+    """On custom-example the spectral route's weights underflow below
+    s ~ -1000 (the pressure reads -inf at -1100).  There no slope is
+    certified, and a slope root that walks there past the exponent range
+    ends on the central difference, as without the analytic slope."""
+    run = load_config(Path(__file__).resolve().parents[1] / "configs" / "custom-example.json")
+    zeta = cli._zeta(run)
+    est = pressure(run.system.symbolic, (0, 1), zeta.scaled(-1100.0), slope=True)
+    assert est.method == "exact-spectral" and est.slope is None
+    curve = cli._curve(run, zeta)
+    assert curve.slope is not None
+    for beta in (1.3, 1.5):
+        assert _transform_at(curve, beta) == _transform_at(replace(curve, slope=None), beta)
 
 
 def test_rung_monotonicity_P1(paper):

@@ -19,7 +19,7 @@ from rcgdms.driving import periodic
 from rcgdms.gdms import BlockTailExample
 from rcgdms.potentials import geometric_potential, log_sum_exp, table_potential
 from rcgdms.shift import from_matrix, full_shift
-from rcgdms.thermo import _spectral_pressure, pressure
+from rcgdms.thermo import _perron_slope, _spectral_pressure, pressure
 
 TOL = 1e-12
 
@@ -109,8 +109,55 @@ def test_target_without_incoming_symbol_gives_minus_inf():
 @given(small_systems())
 def test_tabulated_spectral_pressure_matches_reference(system_and_states):
     pot, states = system_and_states
-    got = _spectral_pressure(pot.system.edges, pot, states)
+    got = _spectral_pressure(pot.system.edges, pot, states).value
     assert close(got, ref_spectral(pot, pot.system.edges, states))
+
+
+def eig_slope(pot, symbols, cycle):
+    """(1/k) u^T P' v / (rho u^T v) for P = A_k ... A_1, with the Perron
+    vectors from np.linalg.eig and P' = sum_j A_k ... diag(b_j) A_j ... A_1."""
+    symbols = sorted(symbols)
+    steps, rates = [], []
+    for state in cycle:
+        steps.append(np.array([
+            [math.exp(pot.value(state, a)) if pot.system.admissible_pair(b, a) else 0.0 for b in symbols]
+            for a in symbols
+        ]))
+        rates.append(np.array([pot.base(state, a) for a in symbols]))
+    n = len(symbols)
+    prod, deriv = np.eye(n), np.zeros((n, n))
+    for step, rate in zip(steps, rates):
+        deriv = step @ deriv + rate[:, None] * step @ prod
+        prod = step @ prod
+    vals, right = np.linalg.eig(prod)
+    i = int(np.argmax(np.abs(vals)))
+    lvals, left = np.linalg.eig(prod.T)
+    v, u = right[:, i].real, left[:, int(np.argmax(np.abs(lvals)))].real
+    return float(u @ deriv @ v / (vals[i].real * (u @ v))) / len(cycle)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_systems())
+def test_spectral_slope_matches_difference_and_eigenvectors(system_and_states):
+    pot, states = system_and_states
+    edges = pot.system.edges
+    got = _spectral_pressure(edges, pot, states, slope=True)
+    assert got.slope is not None
+    h = 1e-5
+    up, down = pot.scaled(pot.scale + h), pot.scaled(pot.scale - h)
+    difference = (ref_spectral(up, edges, states) - ref_spectral(down, edges, states)) / (2 * h)
+    assert abs(got.slope - difference) <= 1e-6 * max(1.0, abs(difference))
+    want = eig_slope(pot, edges, states)
+    assert abs(got.slope - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_perron_slope_refuses_vectors_of_an_inexact_root():
+    # golden-mean step with weights 1/2 and 1/4: rho = (1 + sqrt 3) / 4
+    step = np.array([[0.5, 0.5], [0.25, 0.0]])
+    rates = [np.array([-math.log(2.0), -math.log(4.0)])]
+    rho = (1.0 + math.sqrt(3.0)) / 4.0
+    assert _perron_slope(step, rho, [step], rates) is not None
+    assert _perron_slope(step, rho * (1.0 + 1e-6), [step], rates) is None
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 1.0, 1.7])

@@ -15,11 +15,11 @@ from rcgdms.gdms import similarity_system
 from rcgdms.potentials import geometric_potential
 from rcgdms.shift import from_matrix, full_shift
 from rcgdms.spectrum import (
+    _transform_at,
     bowen_dimension,
     cofinite_regularity,
     legendre_spectrum,
     lower_convex_hull,
-    _transform_at,
     pressure_curve,
     tq_analysis,
 )

@@ -31,17 +31,19 @@ from .shift import GeometricTail, SymbolicSystem, Word, full_shift, word_index
 class RCGDMS:
     """Similarity-or-declared-conformal random GDMS on intervals.
 
-    log_ratio(e, state) is log |phi'_{e,omega}| (constant for similarities);
-    offset(e, state) is the left endpoint of the image interval.  For
-    non-similarity instances the declared constants (derivative_holder_*)
-    bound the geometry; the per-edge min_log_ratio map realizes the
-    normality lower bounds.
+    log_ratio(e, state) is log |phi'_{e,omega}| (constant for similarities),
+    and log_ratios(state) the float64 array of it over symbolic.edges, in
+    that order; offset(e, state) is the left endpoint of the image interval.
+    For non-similarity instances the declared constants
+    (derivative_holder_*) bound the geometry; the per-edge min_log_ratio map
+    realizes the normality lower bounds.
     """
 
     symbolic: SymbolicSystem
     driving: DrivingSystem
     spaces: Mapping[object, tuple[float, float]]
     log_ratio: Callable[[int, object], float]
+    log_ratios: Callable[[object], np.ndarray]
     offset: Callable[[int, object], float]
     contraction: float  # common Lipschitz bound, sup of all ratios
     min_log_ratio: Callable[[int], float]  # per-edge lower bound over fibers
@@ -246,6 +248,7 @@ def similarity_system(
         driving=driving,
         spaces=spaces,
         log_ratio=log_ratio,
+        log_ratios=lambda s: np.array([math.log(ratio_f[s][e]) for e in symbolic.edges]),
         offset=offset,
         contraction=kappa,
         min_log_ratio=min_log,
@@ -299,6 +302,8 @@ class BlockTailExample:
     def __init__(self, cutoff: int, max_block: int = 64):
         self.cutoff = cutoff
         self.bounds = _block_boundaries(max_block)
+        # bounds through the first >= cutoff place every materialized edge
+        self._near_bounds = np.array(self.bounds[: self.block_of(cutoff) + 1])
         # blocks reaching past the cutoff, with their edge counts beyond it
         self._blocks = np.arange(self.block_of(cutoff + 1), max_block)
         self._rates = (self._blocks * self._blocks + self._blocks).astype(float)
@@ -315,6 +320,12 @@ class BlockTailExample:
         if l <= int(state):
             return -(l * l + l) * _LOG2
         return -e * _LOG8
+
+    def log_ratios(self, edges: np.ndarray, state: int) -> np.ndarray:
+        """log_ratio over an integer array of edges <= cutoff, with the same
+        float64 multiplies, so the values are bit-identical."""
+        l = np.searchsorted(self._near_bounds, edges, side="left")
+        return np.where(l <= int(state), -(l * l + l) * _LOG2, -edges * _LOG8)
 
     def log_moment(self, s: float, state: int) -> float:
         """log sum over tail edges e > cutoff of exp(s * log_ratio(e, state));
@@ -399,13 +410,14 @@ def build_paper_example(cutoff: int = 1024, weight_states: int = 40) -> RCGDMS:
     drv = bernoulli(states, weights)
     symbolic = full_shift(range(1, cutoff + 1), tail=GeometricTail(ratio=0.125, start=cutoff + 1))
     edges = symbolic.edges
+    edge_array = np.array(edges)
 
     offset_cache: dict[int, dict[int, float]] = {}
 
     def offsets_for(state: int) -> dict[int, float]:
         got = offset_cache.get(state)
         if got is None:
-            widths = [math.exp(tail.log_ratio(e, state)) for e in edges]
+            widths = [math.exp(x) for x in tail.log_ratios(edge_array, state).tolist()]
             total = math.fsum(widths) + math.exp(tail.log_moments(1.0, (state,))[0])
             gap = (1.0 - total) / (len(edges) + 1)
             got, acc = {}, gap
@@ -428,6 +440,7 @@ def build_paper_example(cutoff: int = 1024, weight_states: int = 40) -> RCGDMS:
         driving=drv,
         spaces={"v": (0.0, 1.0)},
         log_ratio=tail.log_ratio,
+        log_ratios=lambda state: tail.log_ratios(edge_array, state),
         offset=lambda e, state: offsets_for(int(state))[e],
         contraction=0.25,
         min_log_ratio=min_log,

@@ -71,6 +71,7 @@ def pure_tail(cutoff: int = 64) -> RCGDMS:
     sym = full_shift(range(1, cutoff + 1), tail=GeometricTail(ratio=0.125, start=cutoff + 1))
     drv = deterministic(0)
     log8 = math.log(8.0)
+    edges = np.array(sym.edges)
 
     def log_ratio(e, state):
         return -e * log8
@@ -91,6 +92,7 @@ def pure_tail(cutoff: int = 64) -> RCGDMS:
         driving=drv,
         spaces={"v": (0.0, 1.0)},
         log_ratio=log_ratio,
+        log_ratios=lambda state: -edges * log8,
         offset=offset,
         contraction=0.126,
         min_log_ratio=lambda e: -e * log8,

@@ -9,8 +9,11 @@ the bounds for general conformal instances.
 
 Transfer sums read a lazily built table: one float64 row of base(state, e)
 over the materialized edges per fiber state, plus per-symbol-set column
-indices and 0/1 admissibility matrices.  Every scaled(s) copy shares it.
-Filling an entry is idempotent, so concurrent readers need no lock.
+indices and 0/1 admissibility matrices.  A row comes whole from the
+base_row hook when there is one (geometric potentials read the map
+system's log_ratios), else one base call per edge.  Every scaled(s) copy
+shares the table.  Filling an entry is idempotent, so concurrent readers
+need no lock.
 
 Under full incidence the transfer sums of a tuple of fiber states come from
 an atom table, cached per (states, symbol set): the distinct values of each
@@ -30,7 +33,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-import mpmath
 import numpy as np
 
 from .driving import DrivingOrbit, DrivingSystem
@@ -58,9 +60,13 @@ def log_sum_exp(values) -> float:
 def float_log(x) -> float:
     """Natural log, as a float, of a nonnegative float, Fraction or mpf; -inf
     at 0.  A Fraction goes through mpmath, so a ratio of huge integers keeps
-    full precision."""
+    full precision; mpmath is imported only for those lanes."""
     if x == 0:
         return -math.inf
+    if isinstance(x, float):
+        return math.log(x)
+    import mpmath
+
     if isinstance(x, Fraction):
         x = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
     return float(mpmath.log(x)) if isinstance(x, mpmath.mpf) else math.log(x)
@@ -140,6 +146,8 @@ class FirstSymbolPotential:
     base_range: Optional[Callable[[int], tuple[float, float]]] = None
     exact_base: Optional[Callable[[object, int], Fraction]] = None
     driving: Optional[DrivingSystem] = None
+    # state -> base over every edge as one float64 array; rows read it when set
+    base_row: Optional[Callable[[object], np.ndarray]] = None
     # Lazily filled tables of the unscaled potential, shared by scaled copies.
     _table: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -197,10 +205,12 @@ class FirstSymbolPotential:
         return got if got is not None else self._table.setdefault(key, build())
 
     def _row(self, state) -> np.ndarray:
-        return self._cached(
-            ("row", state),
-            lambda: np.array([self.base(state, e) for e in self.system.edges], dtype=float),
-        )
+        def build():
+            if self.base_row is not None:
+                return self.base_row(state)
+            return np.array([self.base(state, e) for e in self.system.edges], dtype=float)
+
+        return self._cached(("row", state), build)
 
     def _columns(self, symbols: tuple) -> np.ndarray:
         index = self._cached("index", lambda: {e: i for i, e in enumerate(self.system.edges)})
@@ -311,6 +321,8 @@ class FirstSymbolPotential:
             s = int(s)
             return lambda state, e: self.exact_base(state, e) ** s
         if arithmetic == "mpf":
+            import mpmath
+
             s = mpmath.mpf(self.scale)
 
             def weight(state, e):
@@ -364,6 +376,7 @@ def geometric_potential(gdms) -> FirstSymbolPotential:
     return FirstSymbolPotential(
         system=gdms.symbolic,
         base=lambda state, e: gdms.log_ratio(e, state),
+        base_row=gdms.log_ratios,
         holder=holder,
         tail_moment=gdms.tail_log_moment,
         base_range=gdms.log_ratio_range,

@@ -306,18 +306,14 @@ def build_ladder(
     if list(rung_sizes) != sorted(set(rung_sizes)):
         raise ValueError("rung sizes must be strictly increasing")
     ordered = sorted(system.edges)
-    base = sorted(witness.connector_alphabet) if witness is not None else []
+    connectors = witness.connector_alphabet if witness is not None else frozenset()
+    base = sorted(connectors)
+    rest = [e for e in ordered if e not in connectors]
     rungs = []
     for size in rung_sizes:
         if size > len(ordered):
             raise ValueError(f"rung size {size} exceeds the materialized cutoff {len(ordered)}")
         if size < len(base):
             raise ValueError("first rung cannot be smaller than the connector alphabet")
-        rung = list(base)
-        for e in ordered:
-            if len(rung) >= size:
-                break
-            if e not in rung:
-                rung.append(e)
-        rungs.append(tuple(sorted(rung)))
+        rungs.append(tuple(sorted(base + rest[: size - len(base)])))
     return SubalphabetLadder(rungs=tuple(rungs))

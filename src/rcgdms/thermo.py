@@ -42,7 +42,6 @@ from fractions import Fraction
 from functools import reduce
 from typing import Callable, Optional, Sequence
 
-import mpmath
 import numpy as np
 
 from .driving import DrivingOrbit, DrivingSystem, orbit_family
@@ -162,6 +161,8 @@ def _lane(potential: FirstSymbolPotential, arithmetic: str) -> _Lane:
             cylinder_inf=lambda orbit, p, word: potential.sum_bounds(orbit, p, word)[1],
             bounds=lambda conn, states: (potential.log_distortion(), potential.sup_log_norm(conn)),
         )
+    import mpmath  # imported here because only the exact lanes use it
+
     weight = potential.exact_weight_fn(arithmetic)
     zero, one = (Fraction(0), Fraction(1)) if arithmetic == "fraction" else (mpmath.mpf(0), mpmath.mpf(1))
 

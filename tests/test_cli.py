@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rcgdms
 from rcgdms.cli import main
+from rcgdms.gdms import BlockTailExample
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -213,3 +218,37 @@ def test_pressure_failure_exits_3(tmp_path, monkeypatch, capsys, command):
     assert code == 3
     assert "numeric failure: no pressure at s = 0.25" in capsys.readouterr().err
     assert not (tmp_path / f"{command}.json").exists()
+
+
+def test_repeated_main_calls_keep_their_own_grid(tmp_path):
+    # the parser is built once per process; no parsed value leaks into the next call
+    for steps, want in ((5, 5), (7, 7), (None, 33)):
+        out = tmp_path / str(steps)
+        grid = () if steps is None else ("--s-steps", steps)
+        assert run_cli("dimension", "--config", CONFIGS / "cantor.json", "--out", out, *grid) == 0
+        assert len((out / "pressure_curve.csv").read_text().splitlines()) == want + 1
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    src = str(Path(rcgdms.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, rcgdms.config, rcgdms.cli; print('mpmath' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
+def test_paper_commands_make_no_per_edge_log_ratio_calls(tmp_path, monkeypatch):
+    # rows come from BlockTailExample.log_ratios, one numpy pass per state
+    calls = 0
+    scalar = BlockTailExample.log_ratio
+
+    def counting(self, e, state):
+        nonlocal calls
+        calls += 1
+        return scalar(self, e, state)
+
+    monkeypatch.setattr(BlockTailExample, "log_ratio", counting)
+    for command in ("pressure", "dimension", "spectrum", "example-paper"):
+        out = tmp_path / command
+        assert run_cli(command, "--config", CONFIGS / "paper-example.json", "--out", out, "--s-steps", 10) == 0
+    assert calls == 0

@@ -1,9 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rcgdms.driving import sample_orbit
+from rcgdms import instances
+from rcgdms.driving import periodic, sample_orbit
 from rcgdms.gdms import (
     BlockTailExample,
     check_rbsc,
@@ -11,7 +15,9 @@ from rcgdms.gdms import (
     example_weights,
     image_of_word,
     sample_limit_set,
+    similarity_system,
 )
+from rcgdms.shift import full_shift
 
 LOG2 = math.log(2.0)
 
@@ -182,3 +188,44 @@ def test_paper_weights_decay():
     assert states[0] == 1
     assert weights[0] > 0.9
     assert all(weights[i + 1] < weights[i] for i in range(10))
+
+
+def scalar_row(sysm, state):
+    return np.array([sysm.log_ratio(e, state) for e in sysm.symbolic.edges])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(st.sampled_from([1, 8, 9, 10, 264, 265, 266, 1024, 2000]), st.integers(1, 2100)),
+    st.integers(1, 40),
+)
+def test_block_rows_match_scalar_log_ratio(cutoff, state):
+    tail = BlockTailExample(cutoff)
+    want = np.array([tail.log_ratio(e, state) for e in range(1, cutoff + 1)])
+    assert tail.log_ratios(np.arange(1, cutoff + 1), state).tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_similarity_rows_match_scalar_log_ratio(data):
+    edges = sorted(data.draw(st.sets(st.integers(0, 40), min_size=1, max_size=6)))
+    states = tuple(range(data.draw(st.integers(1, 3))))
+    ratio = st.integers(1, 999).map(lambda k: Fraction(k, 1000))
+    ratios = {s: {e: data.draw(ratio) for e in edges} for s in states}
+    offsets = {s: {e: 0.0 for e in edges} for s in states}
+    sysm = similarity_system(full_shift(edges), periodic(states), ratios, offsets)
+    for state in states:
+        assert sysm.log_ratios(state).tobytes() == scalar_row(sysm, state).tobytes()
+
+
+@pytest.mark.parametrize("cutoff", [1, 8, 500])
+def test_pure_tail_rows_match_scalar_log_ratio(cutoff):
+    sysm = instances.pure_tail(cutoff)
+    assert sysm.log_ratios(0).tobytes() == scalar_row(sysm, 0).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(instances.PRESETS))
+def test_preset_rows_match_scalar_log_ratio(name):
+    sysm = instances.PRESETS[name]()
+    for state in sysm.driving.state_support():
+        assert sysm.log_ratios(state).tobytes() == scalar_row(sysm, state).tobytes()

@@ -105,6 +105,9 @@ def test_ladder_lowest_index_fill():
     witness = PrimitivityWitness(order=1, connectors=((1,),))
     ladder = build_ladder(sym, (2, 4), witness)
     assert ladder.rungs == ((1, 2), (1, 2, 3, 4))
+    # connectors past the lowest symbols are kept, and the fill skips them
+    witness = PrimitivityWitness(order=2, connectors=((7, 5),))
+    assert build_ladder(sym, (2, 4, 6), witness).rungs == ((5, 7), (1, 2, 5, 7), (1, 2, 3, 4, 5, 7))
 
 
 def test_ladder_single_rung_full_shift():

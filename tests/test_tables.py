@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcgdms.driving import periodic
+from rcgdms.driving import bernoulli, periodic
 from rcgdms.gdms import BlockTailExample
 from rcgdms.potentials import geometric_potential, log_sum_exp, table_potential
 from rcgdms.shift import from_matrix, full_shift
@@ -174,19 +174,36 @@ def test_paper_full_alphabet_bounds_match_reference(paper, s):
 
 
 def test_scaled_copies_share_one_table(paper):
-    calls = 0
+    # the geometric potential reads whole rows from the map system's hook
+    row_calls = 0
     zeta = geometric_potential(paper)
 
-    def counting(state, e):
-        nonlocal calls
-        calls += 1
-        return zeta.base(state, e)
+    def counting_row(state):
+        nonlocal row_calls
+        row_calls += 1
+        return zeta.base_row(state)
 
-    pot = replace(zeta, base=counting)
+    pot = replace(zeta, base_row=counting_row)
     for s in np.linspace(0.3, 3.0, 20):
         assert math.isfinite(pressure(paper.symbolic, None, pot.scaled(s)).value)
     support = paper.driving.state_support()
-    assert 0 < calls <= len(support) * len(paper.symbolic.edges)
+    assert 0 < row_calls <= len(support)
+
+    # a table potential fills its rows one base(state, e) call at a time
+    edge_calls = 0
+    edges, states = tuple(range(1, 9)), (0, 1, 2)
+    rows = {st: {e: -0.1 * (e + st) for e in edges} for st in states}
+    table = table_potential(full_shift(edges), rows, driving=bernoulli(states, [0.5, 0.3, 0.2]))
+
+    def counting(state, e):
+        nonlocal edge_calls
+        edge_calls += 1
+        return table.base(state, e)
+
+    pot = replace(table, base=counting)
+    for s in np.linspace(0.3, 3.0, 20):
+        assert math.isfinite(pressure(pot.system, None, pot.scaled(s)).value)
+    assert 0 < edge_calls <= len(states) * len(edges)
 
 
 def test_threads_filling_one_table_agree_with_serial(paper):

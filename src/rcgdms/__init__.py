@@ -39,7 +39,6 @@ from .oracle import (
 )
 from .potentials import (
     FirstSymbolPotential,
-    HolderClass,
     SummabilityReport,
     geometric_potential,
     s_infinity,
@@ -55,7 +54,6 @@ from .shift import (
     build_ladder,
     cylinder_contains,
     count_words,
-    enumerate_words,
     find_primitivity,
     from_matrix,
     full_shift,

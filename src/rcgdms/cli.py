@@ -112,8 +112,6 @@ def _finite_symbols(run: RunConfig) -> tuple[int, ...]:
 
 
 def _witness(run: RunConfig, symbols) -> PrimitivityWitness:
-    if run.system.symbolic.incidence_kind == "full":
-        return PrimitivityWitness(order=1, connectors=((min(symbols),),))
     w = find_primitivity(run.system.symbolic, symbols, max_order=8)
     if w is None:
         raise ConfigError("system is not finitely primitive over the working symbols")

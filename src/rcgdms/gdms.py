@@ -2,10 +2,10 @@
 
 A system couples a symbolic alphabet with a driving base system and, for each
 (edge, fiber state), a contraction of the target vertex space into the source
-vertex space.  Similarity systems are exact: the derivative is constant, the
+vertex space.  Every map is a similarity: the derivative is constant, the
 geometric potential is constant on 1-cylinders and all distortion constants
-are trivial (K_bd = 1, L = 0).  General conformal maps are admitted only via
-user-declared derivative bounds; nothing here differentiates arbitrary maps.
+are trivial (K_bd = 1, L = 0).  A genuinely conformal instance would need
+transfer-operator collocation, which is not implemented.
 
 Ratios are handled in log space throughout: deep tail edges of countable
 alphabets (e.g. weight 8^-e) underflow double precision long before they stop
@@ -29,14 +29,11 @@ from .shift import GeometricTail, SymbolicSystem, Word, full_shift, word_index
 
 @dataclass(frozen=True)
 class RCGDMS:
-    """Similarity-or-declared-conformal random GDMS on intervals.
+    """Random GDMS of similarities on intervals.
 
-    log_ratio(e, state) is log |phi'_{e,omega}| (constant for similarities),
-    and log_ratios(state) the float64 array of it over symbolic.edges, in
-    that order; offset(e, state) is the left endpoint of the image interval.
-    For non-similarity instances the declared constants
-    (derivative_holder_*) bound the geometry; the per-edge min_log_ratio map
-    realizes the normality lower bounds.
+    log_ratio(e, state) is log |phi'_{e,omega}|, and log_ratios(state) the
+    float64 array of it over symbolic.edges, in that order; offset(e, state)
+    is the left endpoint of the image interval.
     """
 
     symbolic: SymbolicSystem
@@ -46,7 +43,6 @@ class RCGDMS:
     log_ratios: Callable[[object], np.ndarray]
     offset: Callable[[int, object], float]
     contraction: float  # common Lipschitz bound, sup of all ratios
-    min_log_ratio: Callable[[int], float]  # per-edge lower bound over fibers
     log_ratio_range: Callable[[int], tuple[float, float]]  # (lo, hi) over fibers
     edge_vertex: Optional[Mapping[int, tuple[object, object]]] = None  # (initial, terminal)
     ratio_fraction: Optional[Callable[[int, object], Fraction]] = None
@@ -55,8 +51,6 @@ class RCGDMS:
     # exp(s * log_ratio(e, state)), +inf where that series diverges.  One call
     # serves every support state of a pressure evaluation.
     tail_log_moment: Optional[Callable[[float, tuple], np.ndarray]] = None
-    derivative_holder_const: float = 0.0  # L
-    derivative_holder_exp: float = 1.0  # alpha_Phi
     name: str = "system"
 
     def __post_init__(self):
@@ -236,9 +230,6 @@ def similarity_system(
     def offset(e, state):
         return float(offsets[state][e])
 
-    def min_log(e):
-        return math.log(min(ratio_f[s][e] for s in states))
-
     def log_range(e):
         vals = [math.log(ratio_f[s][e]) for s in states]
         return (min(vals), max(vals))
@@ -251,7 +242,6 @@ def similarity_system(
         log_ratios=lambda s: np.array([math.log(ratio_f[s][e]) for e in symbolic.edges]),
         offset=offset,
         contraction=kappa,
-        min_log_ratio=min_log,
         log_ratio_range=log_range,
         ratio_fraction=lambda e, s: ratio_f[s][e],
         name=name,
@@ -427,13 +417,10 @@ def build_paper_example(cutoff: int = 1024, weight_states: int = 40) -> RCGDMS:
             offset_cache[state] = got
         return got
 
-    def min_log(e):
-        # the 8^-e branch is active for small states, except at e = 1
-        return -2 * _LOG2 if e == 1 else -e * _LOG8
-
     def log_range(e):
+        # the 8^-e branch is active for small states, except at e = 1
         l = tail.block_of(e)
-        return (min_log(e), -(l * l + l) * _LOG2)
+        return (-2 * _LOG2 if e == 1 else -e * _LOG8, -(l * l + l) * _LOG2)
 
     return RCGDMS(
         symbolic=symbolic,
@@ -443,7 +430,6 @@ def build_paper_example(cutoff: int = 1024, weight_states: int = 40) -> RCGDMS:
         log_ratios=lambda state: tail.log_ratios(edge_array, state),
         offset=lambda e, state: offsets_for(int(state))[e],
         contraction=0.25,
-        min_log_ratio=min_log,
         log_ratio_range=log_range,
         tail_log_moment=tail.log_moments,
         name="paper-example",

@@ -138,11 +138,6 @@ def conformal_measures(
     scale.
     """
     symbols = tuple(sorted(symbols))
-    if not potential.exact_on_cylinders:
-        raise ValueError(
-            "conformal chains need a cylinder-constant potential; "
-            "declared-bounds potentials only bracket the dual relation"
-        )
     if not symbols:
         raise ValueError("symbol set must be nonempty")
     if horizon is None:

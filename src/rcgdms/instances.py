@@ -95,7 +95,6 @@ def pure_tail(cutoff: int = 64) -> RCGDMS:
         log_ratios=lambda state: -edges * log8,
         offset=offset,
         contraction=0.126,
-        min_log_ratio=lambda e: -e * log8,
         log_ratio_range=lambda e: (-e * log8, -e * log8),
         tail_log_moment=log_moment,
         name="pure-tail",

@@ -1,11 +1,10 @@
-"""Random locally Hölder potentials at cylinder resolution.
+"""Random potentials at cylinder resolution.
 
-Potentials are exposed only through per-cylinder (sup, inf) bounds of Birkhoff
-sums; pointwise evaluation at infinite words is never needed.  The workhorse
-class covers potentials that depend on the leading symbol and the fiber state
-only (geometric potentials of similarity systems, custom weight tables, the
-zero potential); these are exact on cylinders.  Declared Hölder data widens
-the bounds for general conformal instances.
+Potentials are exposed only through per-cylinder Birkhoff sums; pointwise
+evaluation at infinite words is never needed.  Every potential here depends
+on the leading symbol and the fiber state only (geometric potentials of
+similarity systems and of the block example, custom weight tables, the zero
+potential), so it is constant on 1-cylinders and its cylinder sums are exact.
 
 Transfer sums read a lazily built table: one float64 row of base(state, e)
 over the materialized edges per fiber state, plus per-symbol-set column
@@ -106,41 +105,17 @@ def _log_incoming(vals: np.ndarray, adm: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HolderClass:
-    """Oscillation class of a potential: |f(x)-f(y)| <= constant *
-    d(x,y)**exponent in the symbolic word metric."""
-
-    exponent: float
-    constant: float = 0.0
-
-    def __post_init__(self):
-        if self.exponent <= 0:
-            raise ValueError("Hölder exponent must be positive")
-        if self.constant < 0:
-            raise ValueError("Hölder constant must be nonnegative")
-
-    def log_distortion(self) -> float:
-        """log of the Birkhoff-sum distortion bound exp(v * sum_k e^{-k beta})."""
-        if self.constant == 0.0:
-            return 0.0
-        return self.constant / (1.0 - math.exp(-self.exponent))
-
-
-@dataclass(frozen=True)
 class FirstSymbolPotential:
-    """Potential scale * base(state, leading symbol), with optional declared
-    sup/inf tables and analytic tail moments for countable alphabets.
+    """Potential scale * base(state, leading symbol), with analytic tail
+    moments for countable alphabets.
 
-    base gives the cylinder sup of the unscaled potential per symbol; base_inf
-    (defaulting to base) the cylinder inf.  When they coincide and the Hölder
-    constant is zero, all cylinder bounds are exact and sup == inf.
+    base gives the unscaled potential on each 1-cylinder, so every cylinder
+    bound is exact and sup == inf.
     """
 
     system: SymbolicSystem
     base: Callable[[object, int], float]
     scale: float = 1.0
-    base_inf: Optional[Callable[[object, int], float]] = None
-    holder: HolderClass = HolderClass(exponent=1.0, constant=0.0)
     # (s, states) -> log tail moment per state, +inf where it diverges
     tail_moment: Optional[Callable[[float, tuple], np.ndarray]] = None
     base_range: Optional[Callable[[int], tuple[float, float]]] = None
@@ -153,45 +128,16 @@ class FirstSymbolPotential:
 
     # -- basic evaluation ---------------------------------------------------
 
-    @property
-    def exact_on_cylinders(self) -> bool:
-        return self.holder.constant == 0.0 and self.base_inf is None
-
     def value(self, state, e: int) -> float:
         return self.scale * self.base(state, e)
 
-    def value_bounds(self, state, e: int) -> tuple[float, float]:
-        hi = self.base(state, e)
-        lo = self.base_inf(state, e) if self.base_inf is not None else hi
-        a, b = self.scale * hi, self.scale * lo
-        return (a, b) if a >= b else (b, a)
-
-    def sum_bounds(
-        self, orbit: DrivingOrbit, k: int, word: Sequence[int], n: Optional[int] = None
-    ) -> tuple[float, float]:
-        """(sup, inf) of the n-term Birkhoff sum over the cylinder of `word`.
-
-        len(word) may exceed n; the extra symbols tighten the Hölder
-        oscillation bound on the leading n terms.
-        """
-        m = len(word)
-        n = m if n is None else n
-        if n > m:
-            raise ValueError("cylinder must pin down at least the summed symbols")
-        hi = lo = 0.0
-        for j in range(n):
-            a, b = self.value_bounds(orbit.state(k + j), word[j])
-            hi += a
-            lo += b
-        v = abs(self.scale) * self.holder.constant
-        if v > 0.0:
-            beta = self.holder.exponent
-            osc = v * math.exp(-beta * (m - n + 1)) * (1 - math.exp(-beta * n)) / (1 - math.exp(-beta))
-            hi = min(hi, lo + osc)
-        return (hi, lo)
-
-    def log_distortion(self) -> float:
-        return abs(self.scale) * self.holder.log_distortion()
+    def sum_bounds(self, orbit: DrivingOrbit, k: int, word: Sequence[int]) -> tuple[float, float]:
+        """(sup, inf) of the Birkhoff sum over the cylinder of `word` from
+        orbit position k; the two coincide."""
+        total = 0.0
+        for j, e in enumerate(word):
+            total += self.value(orbit.state(k + j), e)
+        return (total, total)
 
     def scaled(self, s: float) -> "FirstSymbolPotential":
         out = replace(self, scale=float(s))
@@ -312,8 +258,8 @@ class FirstSymbolPotential:
         """
         if arithmetic == "float":
             return lambda state, e: math.exp(self.value(state, e))
-        if not self.exact_on_cylinders or self.exact_base is None:
-            raise ValueError("exact weights need a cylinder-constant rational potential")
+        if self.exact_base is None:
+            raise ValueError("exact weights need a rational potential")
         if arithmetic == "fraction":
             s = self.scale
             if s != int(s):
@@ -355,20 +301,10 @@ def table_potential(
 def geometric_potential(gdms) -> FirstSymbolPotential:
     """Log-derivative potential of a map system, at cylinder resolution.
 
-    For similarity instances the value on a cylinder is exactly the sum of
-    log ratios along the word, sup == inf, and the distortion factor is 1.
-    Declared-bounds conformal instances get the oscillation class with
-    exponent -alpha * log(contraction) and the declared constant.
+    Every map of every system here is a similarity (the block example's
+    included), so the value on a cylinder is exactly the sum of log ratios
+    along the word, sup == inf, and the distortion factor is 1.
     """
-    kappa = gdms.contraction
-    alpha = gdms.derivative_holder_exp
-    lip = gdms.derivative_holder_const
-    if lip > 0.0:
-        constant = lip / (1.0 - kappa ** alpha) * gdms.max_diameter() ** alpha
-    else:
-        constant = 0.0
-    holder = HolderClass(exponent=-alpha * math.log(kappa), constant=constant)
-
     exact = None
     if gdms.ratio_fraction is not None:
         exact = lambda state, e: gdms.ratio_fraction(e, state)
@@ -377,7 +313,6 @@ def geometric_potential(gdms) -> FirstSymbolPotential:
         system=gdms.symbolic,
         base=lambda state, e: gdms.log_ratio(e, state),
         base_row=gdms.log_ratios,
-        holder=holder,
         tail_moment=gdms.tail_log_moment,
         base_range=gdms.log_ratio_range,
         exact_base=exact,

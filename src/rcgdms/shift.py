@@ -1,13 +1,13 @@
 """Countable-alphabet Markov shift combinatorics.
 
-Edges, incidence, admissible words, cylinders, finite-primitivity witnesses
-and ascending finite-subalphabet ladders.  Alphabets may be countably
-infinite: edges are materialized up to a declared cutoff, and an optional
-analytic tail descriptor marks the non-materialized remainder (closed-form
-tail sums are consumed at the potential layer).
+Edges, incidence, admissible words as prefix-tree levels, cylinders,
+finite-primitivity witnesses and ascending finite-subalphabet ladders.
+Alphabets may be countably infinite: edges are materialized up to a declared
+cutoff, and an optional analytic tail descriptor marks the non-materialized
+remainder (closed-form tail sums are consumed at the potential layer).
 
 Everything here is immutable after construction and safe to share across
-parallel workers; word enumeration is streamed in lexicographic order.
+parallel workers; words come level by level in lexicographic order.
 """
 
 from __future__ import annotations
@@ -106,43 +106,6 @@ def from_matrix(edges: Iterable[int], rows: Sequence[Sequence[int]]) -> Symbolic
     )
 
 
-def enumerate_words(
-    system: SymbolicSystem,
-    symbols: Sequence[int],
-    n: int,
-    first: Optional[int] = None,
-    terminal_to: Optional[int] = None,
-) -> Iterator[Word]:
-    """Stream the admissible words of length n over `symbols`, lexicographically.
-
-    `first` pins the initial symbol; `terminal_to=e` keeps only words whose
-    last symbol may be followed by e.  An empty stream is a valid outcome (the
-    corresponding partition sums are zero).
-    """
-    if n < 1:
-        raise ValueError("word length must be >= 1")
-    symbols = tuple(sorted(symbols))
-    if not symbols:
-        raise ValueError("symbol set must be nonempty")
-    succ = {e: system.successors(e, symbols) for e in symbols}
-    starts = (first,) if first is not None else symbols
-
-    def extend(prefix: list[int]) -> Iterator[Word]:
-        if len(prefix) == n:
-            if terminal_to is None or system.admissible_pair(prefix[-1], terminal_to):
-                yield tuple(prefix)
-            return
-        for b in succ[prefix[-1]]:
-            prefix.append(b)
-            yield from extend(prefix)
-            prefix.pop()
-
-    for e in starts:
-        if e not in succ:
-            continue
-        yield from extend([e])
-
-
 def prefix_tree(
     system: SymbolicSystem, symbols: Sequence[int], n: int, budget: float = float("inf")
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -164,8 +127,9 @@ def prefix_tree(
 
 
 def word_index(system: SymbolicSystem, symbols: Sequence[int], n: int) -> np.ndarray:
-    """The words enumerate_words yields, as rows of positions in sorted(symbols)
-    (in the smallest unsigned dtype that holds them)."""
+    """The admissible words of length n over `symbols`, lexicographic, as rows
+    of positions in sorted(symbols) (in the smallest unsigned dtype that
+    holds them)."""
     index = np.zeros((1, 0), dtype=np.min_scalar_type(len(symbols)))
     for parent, last in prefix_tree(system, symbols, n):
         index = np.column_stack((index[parent], last.astype(index.dtype)))
@@ -204,17 +168,27 @@ class PrimitivityWitness:
 
 
 def _signature_reps(system: SymbolicSystem, symbols: Sequence[int], n: int) -> list[Word]:
-    """Lexicographically first admissible word per (first, last) signature.
+    """Lexicographically first admissible word per (first, last) signature,
+    in signature order.
 
     Connector coverage of a pair only depends on the connector's first and
-    last symbol, so one representative per signature suffices.
+    last symbol, so one representative per signature suffices.  No word is
+    enumerated: each representative is built greedily, every step taking the
+    least successor from which the last symbol is still reachable in the
+    steps left, so the cost is polynomial in |symbols| and n.
     """
-    reps: dict[tuple[int, int], Word] = {}
-    for w in enumerate_words(system, symbols, n):
-        sig = (w[0], w[-1])
-        if sig not in reps:
-            reps[sig] = w
-    return [reps[k] for k in sorted(reps)]
+    symbols = tuple(sorted(symbols))
+    adm = np.array([[system.admissible_pair(a, b) for b in symbols] for a in symbols])
+    reach = [np.eye(len(symbols), dtype=bool)]  # reach[k][c, b]: an admissible c ... b of length k + 1
+    for _ in range(n - 1):
+        reach.append((adm.astype(np.int64) @ reach[-1]) > 0)
+    reps = []
+    for a, b in zip(*np.nonzero(reach[-1])):
+        word = [a]
+        for k in range(n - 2, -1, -1):
+            word.append(np.flatnonzero(adm[word[-1]] & reach[k][:, b])[0])
+        reps.append(tuple(symbols[i] for i in word))
+    return reps
 
 
 def find_primitivity(

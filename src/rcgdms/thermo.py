@@ -5,8 +5,8 @@ with anchor symbol e:
 
   Z  -- anchored words (first symbol e, last symbol may return to e), each
         weighted by the cylinder sup of the Birkhoff sum;
-  L  -- return-constrained words weighted at the anchored point (the word
-        continued by a standardized periodic tail);
+  L  -- return-constrained words weighted at the anchored point (any point
+        of the word's cylinder: the weights are constant on cylinders);
   Lop -- the n-th transfer-operator iterate of the anchor-cylinder indicator
         at the anchored point (same word set as Z, anchored weights);
   A  -- all words, cylinder sup weights.
@@ -15,22 +15,20 @@ They share one exponential growth rate; the sandwich chain bounding each by
 the next with explicit constants is checked inequality by inequality, in
 Fraction or high-precision arithmetic when requested.
 
-For cylinder-constant potentials the four sums are row and column sums of
-the transfer product prod_j D_{omega_j} M^T (D the diagonal of per-symbol
-weights at fiber omega_j, M the incidence matrix), built one symbol at a
-time.  One code path serves float (log space), Fraction and mpf arithmetic.
-Streamed word enumeration remains only for Hölder-widened bounds, which do
-not factor over symbols.
+Every potential is constant on 1-cylinders, so the four sums are row and
+column sums of the transfer product prod_j D_{omega_j} M^T (D the diagonal
+of per-symbol weights at fiber omega_j, M the incidence matrix), built one
+symbol at a time, and the distortion constant B of the chain is 1.  One code
+path serves float (log space), Fraction and mpf arithmetic.
 
-Pressure evaluation prefers exact routes: product structure (full shift with
-a cylinder-constant potential) gives the marginal expectation of the log
-transfer sum; deterministic or periodic driving over a finite alphabet gives
-the spectral radius of the weighted transition matrix (cycle product) and, on
-request, the slope of the pressure in s from the Perron vectors of that
-product.  The Monte Carlo route averages depth-extrapolated slopes
-log A_n / n over independent orbits; for cylinder-constant potentials all
-orbits run through the same recursion in one batched pass, and every depth
-is read off the way to the deepest.
+Pressure evaluation prefers exact routes: product structure (a full shift)
+gives the marginal expectation of the log transfer sum; deterministic or
+periodic driving over a finite alphabet gives the spectral radius of the
+weighted transition matrix (cycle product) and, on request, the slope of the
+pressure in s from the Perron vectors of that product.  The Monte Carlo
+route averages depth-extrapolated slopes log A_n / n over independent
+orbits; all orbits run through the same recursion in one batched pass, and
+every depth is read off the way to the deepest.
 """
 
 from __future__ import annotations
@@ -46,66 +44,19 @@ import numpy as np
 
 from .driving import DrivingOrbit, DrivingSystem, orbit_family
 from .potentials import FirstSymbolPotential, _expected, _log_incoming, float_log, log_sum_exp
-from .shift import (
-    PrimitivityWitness,
-    SubalphabetLadder,
-    SymbolicSystem,
-    Word,
-    enumerate_words,
-    find_primitivity,
-)
+from .shift import PrimitivityWitness, SubalphabetLadder, SymbolicSystem, find_primitivity
 
 
-class _LogAccumulator:
-    """Streaming log-sum-exp so exponentially many terms never materialize."""
-
-    __slots__ = ("_max", "_sum")
-
-    def __init__(self):
-        self._max = -math.inf
-        self._sum = 0.0
-
-    def add(self, x: float):
-        if x == -math.inf:
-            return
-        if x <= self._max:
-            self._sum += math.exp(x - self._max)
-        else:
-            self._sum = self._sum * math.exp(self._max - x) + 1.0 if self._sum else 1.0
-            self._max = x
-
-    def value(self) -> float:
-        if self._sum == 0.0:
-            return -math.inf
-        return self._max + math.log(self._sum)
-
-
-def anchored_tail(
-    system: SymbolicSystem,
-    symbols: Sequence[int],
-    anchor: int,
-    witness: Optional[PrimitivityWitness],
-    length: int,
-) -> Word:
-    """Prefix of the standardized anchored word: the anchor alternating with
-    its lexicographically first self-connector.  Reproducible stand-in for the
-    arbitrary cylinder point the anchored sums evaluate at."""
+def _primitivity_witness(
+    system: SymbolicSystem, symbols: tuple, witness: Optional[PrimitivityWitness]
+) -> PrimitivityWitness:
+    """The given primitivity witness, else the least-order one up to order 8;
+    ValueError when the symbol set has none."""
     if witness is None:
         witness = find_primitivity(system, symbols, max_order=8)
         if witness is None:
             raise ValueError("symbol set is not finitely primitive")
-    loop = None
-    for w in sorted(witness.connectors):
-        if system.admissible_pair(anchor, w[0]) and system.admissible_pair(w[-1], anchor):
-            loop = w
-            break
-    if loop is None:
-        raise ValueError(f"no connector closes a loop at symbol {anchor}")
-    out = []
-    while len(out) < length:
-        out.append(anchor)
-        out.extend(loop)
-    return tuple(out[:length])
+    return witness
 
 
 @dataclass(frozen=True)
@@ -143,7 +94,7 @@ class _Lane:
     total: Callable  # vector -> sum of its entries
     log: Callable  # lane number -> float log
     cylinder_inf: Callable  # (orbit, position, word) -> inf of the weight product over [word]
-    bounds: Callable  # (connector symbols, fiber states) -> (B, e^K)
+    bounds: Callable  # (connector symbols, fiber states) -> e^K
 
 
 def _lane(potential: FirstSymbolPotential, arithmetic: str) -> _Lane:
@@ -159,7 +110,7 @@ def _lane(potential: FirstSymbolPotential, arithmetic: str) -> _Lane:
             total=log_sum_exp,
             log=float,
             cylinder_inf=lambda orbit, p, word: potential.sum_bounds(orbit, p, word)[1],
-            bounds=lambda conn, states: (potential.log_distortion(), potential.sup_log_norm(conn)),
+            bounds=lambda conn, states: potential.sup_log_norm(conn),
         )
     import mpmath  # imported here because only the exact lanes use it
 
@@ -167,8 +118,7 @@ def _lane(potential: FirstSymbolPotential, arithmetic: str) -> _Lane:
     zero, one = (Fraction(0), Fraction(1)) if arithmetic == "fraction" else (mpmath.mpf(0), mpmath.mpf(1))
 
     def bounds(conn, states):
-        # exact weights exist only for Hölder-free potentials, so B = 1
-        return one, max(max(weight(st, e), one / weight(st, e)) for st in states for e in conn)
+        return max(max(weight(st, e), one / weight(st, e)) for st in states for e in conn)
 
     return _Lane(
         exact=True,
@@ -199,57 +149,26 @@ def _transfer_steps(lane: _Lane, adm: np.ndarray, weights, rows=True):
         yield v
 
 
-def _transfer_sums(lane: _Lane, potential, symbols, anchor, states) -> dict:
-    """Z, L, Lop and A of a cylinder-constant potential as lane numbers.
+def _sums(lane: _Lane, symbols, potential, orbit, anchor, n, position) -> dict:
+    """Z, L, Lop and A at depth n and orbit position `position`, as lane
+    numbers.
 
     The recursion runs from two start rows, every first symbol and the anchor
     alone (the anchored words).  The sums add v_n over every last symbol (A)
     or over those that may precede the anchor (L; Z = Lop for the anchored
     words).
     """
-    adm = potential.admissibility(symbols)
-    rows = np.array([[True] * len(symbols), [e == anchor for e in symbols]])
-    weights = [lane.weights(state, symbols) for state in states]
-    *_, (every, anchored) = _transfer_steps(lane, adm, weights, rows)
-    back = adm[:, symbols.index(anchor)] > 0
-    z = lane.total(anchored[back])
-    return {"anchored_sup": z, "return": lane.total(every[back]), "operator": z, "all": lane.total(every)}
-
-
-def _enumerated_sums(system, symbols, potential, orbit, anchor, n, position, tail) -> dict:
-    """Log Z, L, Lop and A of a Hölder-widened potential, word by word: its
-    cylinder bounds do not factor over symbols."""
-    acc_a, acc_z, acc_l, acc_op = (_LogAccumulator() for _ in range(4))
-    for w in enumerate_words(system, symbols, n):
-        sup, _ = potential.sum_bounds(orbit, position, w, n)
-        ext_hi, ext_lo = potential.sum_bounds(orbit, position, w + tail, n)
-        anchored = 0.5 * (ext_hi + ext_lo)
-        acc_a.add(sup)
-        if system.admissible_pair(w[-1], anchor):
-            acc_l.add(anchored)
-            if w[0] == anchor:
-                acc_z.add(sup)
-                acc_op.add(anchored)
-    return {
-        "anchored_sup": acc_z.value(),
-        "return": acc_l.value(),
-        "operator": acc_op.value(),
-        "all": acc_a.value(),
-    }
-
-
-def _sums(lane, system, symbols, potential, orbit, anchor, n, position, witness, anchor_extension=12):
-    """Z, L, Lop and A as lane numbers, by the recursion wherever the
-    potential factors over symbols."""
     if anchor not in symbols:
         raise ValueError("anchor symbol must belong to the symbol set")
     if n < 1:
         raise ValueError("depth must be >= 1")
-    if potential.exact_on_cylinders:
-        states = [orbit.state(position + j) for j in range(n)]
-        return _transfer_sums(lane, potential, symbols, anchor, states)
-    tail = anchored_tail(system, symbols, anchor, witness, anchor_extension)
-    return _enumerated_sums(system, symbols, potential, orbit, anchor, n, position, tail)
+    adm = potential.admissibility(symbols)
+    rows = np.array([[True] * len(symbols), [e == anchor for e in symbols]])
+    weights = [lane.weights(orbit.state(position + j), symbols) for j in range(n)]
+    *_, (every, anchored) = _transfer_steps(lane, adm, weights, rows)
+    back = adm[:, symbols.index(anchor)] > 0
+    z = lane.total(anchored[back])
+    return {"anchored_sup": z, "return": lane.total(every[back]), "operator": z, "all": lane.total(every)}
 
 
 def partition_sums(
@@ -260,23 +179,19 @@ def partition_sums(
     anchor: int,
     n: int,
     position: int = 0,
-    witness: Optional[PrimitivityWitness] = None,
     arithmetic: str = "float",
-    anchor_extension: int = 12,
 ) -> PartitionSums:
     """Depth-n partition sums Z, L, Lop and A at one orbit position.
 
-    A cylinder-constant potential factors over symbols, so the sums are row
-    and column sums of the transfer product prod_j D_{omega_j} M^T, built
-    one symbol at a time in O(n |F|^2).  Hölder-widened bounds do not
-    factor; only they are summed by streamed word enumeration (float only).
-    Empty admissible sets contribute 0 (log value -inf).  The "fraction" and
-    "mpf" arithmetic modes return the exact sums alongside the float logs
-    for provably signed comparisons.
+    The potential factors over symbols, so the sums are row and column sums
+    of the transfer product prod_j D_{omega_j} M^T, built one symbol at a
+    time in O(n |F|^2).  Empty admissible sets contribute 0 (log value
+    -inf).  The "fraction" and "mpf" arithmetic modes return the exact sums
+    alongside the float logs for provably signed comparisons.
     """
     symbols = tuple(sorted(symbols))
     lane = _lane(potential, arithmetic)
-    sums = _sums(lane, system, symbols, potential, orbit, anchor, n, position, witness, anchor_extension)
+    sums = _sums(lane, symbols, potential, orbit, anchor, n, position)
     return PartitionSums(
         depth=n,
         anchor=anchor,
@@ -332,18 +247,17 @@ def check_sandwich(
     plus the two direct connector bounds
       Lop_{N+1+n}(omega) >= R * L_n(theta^{N+1} omega) and
       L_{N+n}(omega) >= R_n * A_n(omega).
+    The potential is constant on 1-cylinders, so the distortion constant B is
+    1: the margins are computed without it, and the inequality names keep it.
     """
     symbols = tuple(sorted(symbols))
-    if witness is None:
-        witness = find_primitivity(system, symbols, max_order=8)
-        if witness is None:
-            raise ValueError("symbol set is not finitely primitive")
+    witness = _primitivity_witness(system, symbols, witness)
     N = witness.order
     lane = _lane(potential, arithmetic)
     mul = lane.mul
 
     def sums(depth, position):
-        return _sums(lane, system, symbols, potential, orbit, anchor, depth, position, witness)
+        return _sums(lane, symbols, potential, orbit, anchor, depth, position)
 
     base = sums(n, 0)
     deeper = sums(N + n, 0)
@@ -351,11 +265,11 @@ def check_sandwich(
     op_forward = sums(N + 1 + n, 0)
     l_shifted = sums(n, N + 1)
 
-    B, eK = lane.bounds(sorted(witness.connector_alphabet), orbit.system.state_support())
-    C = mul(lane.power(B, 3), lane.power(eK, N))  # B^3 e^{NK}
+    eK = lane.bounds(sorted(witness.connector_alphabet), orbit.system.state_support())
+    C = lane.power(eK, N)  # e^{NK}
 
     # R at fiber position p: min over connectors w with anchor*w admissible of
-    # the inf of the (N+1)-sum over [anchor w]; R_n: the same over [w], over B
+    # the inf of the (N+1)-sum over [anchor w]; R_n: the same over [w]
     def connector_inf(words, p):
         return min(lane.cylinder_inf(orbit, p, w) for w in words)
 
@@ -366,13 +280,13 @@ def check_sandwich(
     ]
     R_back = connector_inf(anchored, -(N + 1))
     R_fwd = connector_inf(anchored, 0)
-    Rn = lane.div(connector_inf(witness.connectors, n), B)
+    Rn = connector_inf(witness.connectors, n)
 
     chain = (
         ("operator<=anchored_sup", base["operator"], base["anchored_sup"]),
-        ("anchored_sup<=B*return", base["anchored_sup"], mul(B, base["return"])),
-        ("B*return<=B*all", mul(B, base["return"]), mul(B, base["all"])),
-        ("B*all<=B^3 e^{NK} deeper_return", mul(B, base["all"]), mul(C, deeper["return"])),
+        ("anchored_sup<=B*return", base["anchored_sup"], base["return"]),
+        ("B*return<=B*all", base["return"], base["all"]),
+        ("B*all<=B^3 e^{NK} deeper_return", base["all"], mul(C, deeper["return"])),
         (
             "deeper_return<=.../R operator_shifted",
             mul(C, deeper["return"]),
@@ -487,17 +401,13 @@ def _perron_slope(prod: np.ndarray, rho: float, steps: list, rates: list) -> Opt
     return slope if math.isfinite(slope) else None
 
 
-def _mc_log_all(system, symbols, potential, orbits, depths, witness) -> np.ndarray:
+def _mc_log_all(symbols, potential, orbits, depths) -> np.ndarray:
     """log A_n at orbit position 0, one row per depth and one column per orbit.
 
-    A cylinder-constant potential runs every orbit through one recursion over
-    a log-weight table of the drawn states, reading log A_n after each step;
-    Hölder-widened bounds are summed per orbit and depth by word enumeration.
+    Every orbit runs through one recursion over a log-weight table of the
+    drawn states, reading log A_n after each step.
     """
     lane = _lane(potential, "float")
-    if not potential.exact_on_cylinders:
-        sums = [[_sums(lane, system, symbols, potential, o, min(symbols), n, 0, witness) for o in orbits] for n in depths]
-        return np.array([[row["all"] for row in by_orbit] for by_orbit in sums])
     idx = np.array([o.state_indices(0, depths[-1]) for o in orbits]).T  # steps x orbits
     used, inverse = np.unique(idx, return_inverse=True)
     table = np.array([lane.weights(orbits[0].system.states[i], symbols) for i in used])
@@ -513,7 +423,6 @@ def pressure(
     orbits: Optional[Sequence[DrivingOrbit]] = None,
     depths: Sequence[int] = (4, 5, 6, 7, 8),
     method: str = "auto",
-    witness: Optional[PrimitivityWitness] = None,
     slope: bool = False,
 ) -> PressureEstimate:
     """Relative pressure of the potential over a finite symbol set (or the
@@ -535,17 +444,12 @@ def pressure(
     if drv is None:
         raise ValueError("pressure needs the potential's driving system")
     full = symbols is None or _is_full_over(system, symbols)
-    if method in ("auto", "exact-product") and full and potential.exact_on_cylinders:
+    if method in ("auto", "exact-product") and full:
         val = _product_pressure(potential, drv, None if symbols is None else tuple(sorted(symbols)))
         return PressureEstimate(value=val, method="exact-product")
     if symbols is None:
         raise ValueError("non-product systems need an explicit finite symbol set")
-    if (
-        method in ("auto", "exact-spectral")
-        and potential.exact_on_cylinders
-        and drv.kind in ("deterministic", "periodic")
-        and len(symbols) <= 128
-    ):
+    if method in ("auto", "exact-spectral") and drv.kind in ("deterministic", "periodic") and len(symbols) <= 128:
         return _spectral_pressure(symbols, potential, drv.states, slope)
 
     depths = tuple(depths)
@@ -557,7 +461,7 @@ def pressure(
     # Per orbit, the intercept p of p + c/n over the deepest three depths: the
     # sandwich constants bias every approximant by O(1/n).  An orbit with no
     # admissible word has pressure -inf.
-    per_depth = _mc_log_all(system, tuple(sorted(symbols)), potential, orbits, depths, witness) / ns[:, None]
+    per_depth = _mc_log_all(tuple(sorted(symbols)), potential, orbits, depths) / ns[:, None]
     fit = per_depth[-3:]
     empty = np.isneginf(fit).any(axis=0)
     per_orbit = fit[0] if len(fit) == 1 else np.polyfit(1.0 / ns[-3:], np.where(empty, 0.0, fit), 1)[1]
@@ -605,7 +509,7 @@ def pressure_compact_approx(
     ]
     monotone = all(values[i + 1] >= values[i] - 1e-9 for i in range(len(values) - 1))
     anchor = None
-    if potential.exact_on_cylinders and _is_full_over(system, system.edges):
+    if _is_full_over(system, system.edges):
         try:
             anchor = _product_pressure(potential, potential.driving, None)
         except ValueError:
@@ -658,56 +562,44 @@ def check_gibbs(
 
     measures[0] supplies cylinder masses at the base orbit position; the
     partial sums of log_eigenvalues play the role of the accumulated
-    normalization.  The lower constant is
-    1 / (B * e^{2NK} * N * prod_{i<2N} M(omega_{n+i})).  The Birkhoff-sum
-    bounds of `FirstSymbolPotential.sum_bounds` are carried down the
-    measure's word tree, one level at a time.
+    normalization.  The ratio of a cylinder's mass to exp(S_n f - log P_n)
+    lies in [lower, B], with B = 1 (the potential is constant on 1-cylinders)
+    and lower = 1 / (e^{2NK} * N * prod_{i<2N} M(omega_{n+i})).  The Birkhoff
+    sums are carried down the measure's word tree, one level at a time.
     """
     symbols = tuple(sorted(symbols))
     base = measures[0]
     if symbols != base.symbols:
         raise ValueError("the measures live on a different symbol set")
-    if witness is None:
-        witness = find_primitivity(system, symbols, max_order=8)
+    witness = _primitivity_witness(system, symbols, witness)
     N = witness.order
-    logB = potential.log_distortion()
     K = potential.sup_log_norm(sorted(witness.connector_alphabet))
-    v = abs(potential.scale) * potential.holder.constant
-    beta = potential.holder.exponent
     checked = violations = 0
     max_up = -math.inf
     min_lo = math.inf
     worst_dev = 0.0
-    sup_sum = inf_sum = np.zeros(1)  # Birkhoff-sum bounds of the current level's words
+    birkhoff = np.zeros(1)  # Birkhoff sums of the current level's words
     for n in range(1, min(depth, base.depth) + 1):
         log_pn = math.fsum(log_eigenvalues[:n])
         log_lower = -(
-            logB
-            + 2 * N * K
+            2 * N * K
             + math.log(N)
             + math.fsum(
                 potential.unit_transfer_bounds(orbit.state(n + i), symbols)[0]
                 for i in range(2 * N)
             )
         )
-        bounds = np.array([potential.value_bounds(orbit.state(n - 1), e) for e in symbols])
         parent, last = base.tree.parent[n - 1], base.tree.last[n - 1]
-        sup_sum, inf_sum = sup_sum[parent] + bounds[last, 0], inf_sum[parent] + bounds[last, 1]
-        hi = sup_sum
-        if v > 0.0:
-            osc = v * math.exp(-beta) * (1 - math.exp(-beta * n)) / (1 - math.exp(-beta))
-            hi = np.minimum(sup_sum, inf_sum + osc)
+        birkhoff = birkhoff[parent] + potential.log_weights(orbit.state(n - 1), symbols)[last]
         log_mass = np.array([math.log(m) if m > 0.0 else -math.inf for m in base.levels[n - 1].tolist()])
         keep = log_mass > -math.inf
-        log_ratio_hi = log_mass[keep] - (inf_sum[keep] - log_pn)  # worst case vs upper bound
-        log_ratio_lo = log_mass[keep] - (hi[keep] - log_pn)  # worst case vs lower bound
-        up_excess = log_ratio_hi - logB
-        lo_slack = log_ratio_lo - log_lower
+        log_ratio = log_mass[keep] - (birkhoff[keep] - log_pn)
+        lo_slack = log_ratio - log_lower
         checked += int(keep.sum())
-        max_up = max(max_up, float(up_excess.max(initial=-math.inf)))
+        max_up = max(max_up, float(log_ratio.max(initial=-math.inf)))
         min_lo = min(min_lo, float(lo_slack.min(initial=math.inf)))
-        worst_dev = max(worst_dev, float(np.abs(np.concatenate((log_ratio_hi, log_ratio_lo))).max(initial=0.0)))
-        violations += int(np.count_nonzero((up_excess > rel_tol) | (lo_slack < -rel_tol)))
+        worst_dev = max(worst_dev, float(np.abs(log_ratio).max(initial=0.0)))
+        violations += int(np.count_nonzero((log_ratio > rel_tol) | (lo_slack < -rel_tol)))
     return GibbsReport(
         checked=checked,
         violations=violations,

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from words import enumerate_words
 
 from rcgdms import instances
 from rcgdms.cli import main as cli_main
@@ -37,7 +38,6 @@ from rcgdms.potentials import geometric_potential, s_infinity
 from rcgdms.shift import (
     PrimitivityWitness,
     build_ladder,
-    enumerate_words,
     from_matrix,
     full_shift,
 )

@@ -2,8 +2,8 @@
 per-word references.
 
 The references code one word at a time with `code_point` and enumerate words
-with `enumerate_words` or itertools.product, so they share no code with the
-array path in `code_words`, `word_index` and `shift.prefix_tree`.
+with the tests' `enumerate_words` or itertools.product, so they share no code
+with the array path in `code_words`, `word_index` and `shift.prefix_tree`.
 """
 
 import itertools
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from words import enumerate_words
 
 import rcgdms.gdms
 import rcgdms.oracle
@@ -24,7 +25,7 @@ from rcgdms.gdms import code_point, image_of_word, sample_limit_set, similarity_
 from rcgdms.gibbs import conformal_measures
 from rcgdms.oracle import _exponent_sums, level_histogram, local_dimension_samples
 from rcgdms.potentials import geometric_potential
-from rcgdms.shift import enumerate_words, from_matrix, full_shift
+from rcgdms.shift import from_matrix, full_shift
 
 TOL = 1e-12
 
@@ -125,7 +126,6 @@ def test_coding_enumerates_no_words_and_calls_no_code_point(monkeypatch, paper, 
 
     monkeypatch.setattr(rcgdms.gdms, "code_point", forbidden)
     monkeypatch.setattr(rcgdms.oracle, "code_point", forbidden)
-    monkeypatch.setattr(rcgdms.shift, "enumerate_words", forbidden)
     orbit = sample_orbit(paper.driving, 0)
     sample = sample_limit_set(paper, orbit, depth=6, symbols=(1, 2, 3, 4))
     assert sample.points.shape == (4 ** 6,)
@@ -151,7 +151,7 @@ def test_random_words_on_a_full_shift_check_no_pair(monkeypatch, paper):
     assert calls == 0
 
 
-def test_ball_mass_matches_per_word_images(monkeypatch):
+def test_ball_mass_matches_per_word_images():
     """Metric ratios against a test-local ball mass over every word's image, on
     maps that almost tile the interval, so balls meet neighboring cylinders
     (three, of unequal masses, for these words, so the summation order shows)."""
@@ -166,11 +166,6 @@ def test_ball_mass_matches_per_word_images(monkeypatch):
     orbit = sample_orbit(system.driving, 0)
     measure = conformal_measures(system.symbolic, symbols, zeta, orbit, depth=7)[0][0]
     words = [(0, 1, 1, 0, 1, 0, 0), (1, 1, 1, 0, 0, 0, 1)]
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("ball mass by word enumeration")
-
-    monkeypatch.setattr(rcgdms.shift, "enumerate_words", forbidden)
     samples = local_dimension_samples(system, orbit, measure, words)
     most_hits = 0
     for word, got in zip(words, samples):

@@ -176,8 +176,8 @@ def test_paper_tail_moment_exactness():
 
 def test_paper_contraction_and_lower_bounds(paper):
     assert paper.contraction == 0.25
-    assert paper.min_log_ratio(1) == pytest.approx(-2 * LOG2)
-    assert paper.min_log_ratio(5) == pytest.approx(-5 * math.log(8.0))
+    assert paper.log_ratio_range(1)[0] == pytest.approx(-2 * LOG2)
+    assert paper.log_ratio_range(5)[0] == pytest.approx(-5 * math.log(8.0))
     lo, hi = paper.log_ratio_range(7)
     assert lo == pytest.approx(-7 * math.log(8.0))
     assert hi == pytest.approx(-(2 * 2 + 2) * LOG2)  # block-2 value once unlocked

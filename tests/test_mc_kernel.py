@@ -15,9 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_transfer_sums import _holder_potential
 
-import rcgdms.shift
 import rcgdms.thermo
 from rcgdms.driving import _BLOCK, DrivingOrbit, bernoulli, orbit_family
 from rcgdms.potentials import FirstSymbolPotential
@@ -108,24 +106,13 @@ def _mc_potential():
 
 def test_cylinder_constant_route_enumerates_nothing(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("per-depth partition sums or word enumeration on the batched route")
+        raise AssertionError("per-depth partition sums on the batched route")
 
     pot = _mc_potential()
     orbits = orbit_family(pot.driving, 16, 0)
     want = reference(pot.system, (0, 1, 2), pot, orbits, (4, 5, 6, 7, 8))
     monkeypatch.setattr(rcgdms.thermo, "partition_sums", forbidden)
-    monkeypatch.setattr(rcgdms.thermo, "enumerate_words", forbidden)
-    monkeypatch.setattr(rcgdms.shift, "enumerate_words", forbidden)
     assert_matches(pressure(pot.system, (0, 1, 2), pot), want)
-
-
-@pytest.mark.parametrize("depths", [(3,), (2, 5), (1, 2, 3, 4)])
-def test_holder_widened_route_matches_per_orbit_loop(depths):
-    pot = _holder_potential()
-    assert not pot.exact_on_cylinders
-    orbits = orbit_family(pot.driving, 3, 7)
-    est = pressure(pot.system, (0, 1), pot, orbits=orbits, depths=depths)
-    assert_matches(est, reference(pot.system, (0, 1), pot, orbits, depths))
 
 
 def test_empty_rows_give_minus_infinity():
@@ -148,7 +135,7 @@ def test_empty_rows_give_minus_infinity():
         driving=bernoulli((0, 1), (0.7, 0.3)),
     )
     orbits = orbit_family(dead.driving, 8, 3)
-    log_all = _mc_log_all(dead.system, (0, 1), dead, orbits, (1, 2), None)
+    log_all = _mc_log_all((0, 1), dead, orbits, (1, 2))
     for j, o in enumerate(orbits):
         for i, n in enumerate((1, 2)):
             want = partition_sums(dead.system, (0, 1), dead, o, 0, n).log_all

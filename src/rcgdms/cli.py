@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import itertools
 import json
 import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -51,9 +52,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """One line per row, cells as _fmt writes them: numpy scalars become
+    Python ones with .item(), and str of a Python float is its repr."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join([str(v.item() if isinstance(v, np.generic) else v) for v in row]) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -293,10 +296,9 @@ def cmd_limitset(run: RunConfig) -> int:
         seed=run.seed,
         symbols=symbols,
     )
-    rows = [
-        ("-".join(map(str, w)), float(x), sample.radius_bound)
-        for w, x in zip(sample.words, sample.points)
-    ]
+    names = {e: str(e) for e in symbols}
+    labels = ["-".join([names[e] for e in w]) for w in sample.codes.tolist()]
+    rows = zip(labels, sample.points.tolist(), itertools.repeat(_fmt(sample.radius_bound)))
     _write_csv(run.out_dir / "limitset.csv", ("word", "point", "radius_bound"), rows)
     return 0
 

@@ -15,16 +15,17 @@ mattering analytically.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .driving import DrivingOrbit, DrivingSystem, bernoulli
 from .potentials import _segment_log_sums, log_sum_exp
-from .shift import GeometricTail, SymbolicSystem, Word, full_shift, word_index
+from .shift import GeometricTail, SymbolicSystem, Word, full_shift, suffix_tree, word_index
 
 
 @dataclass(frozen=True)
@@ -80,12 +81,19 @@ class RCGDMS:
 class LimitSetSample:
     """Depth-n truncation of a fiber limit set: one point per sampled word,
     each within radius_bound of the true coded point.  `codes` holds the
-    words as rows of symbols; `words` builds the tuples when read."""
+    words as rows of symbols, built from `rows()` (positions in `symbols`)
+    when first read; `words` builds the tuples when read."""
 
     depth: int
-    codes: np.ndarray
     points: np.ndarray
     radius_bound: float
+    symbols: tuple[int, ...]
+    rows: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def codes(self) -> np.ndarray:
+        dtype = np.result_type(np.min_scalar_type(self.symbols[0]), np.min_scalar_type(self.symbols[-1]))
+        return np.array(self.symbols, dtype=dtype)[self.rows()]
 
     @property
     def words(self) -> tuple[Word, ...]:
@@ -121,20 +129,63 @@ def image_of_word(gdms: RCGDMS, orbit: DrivingOrbit, prefix: Sequence[int]) -> t
     return (center - half, center + half)
 
 
-def code_words(
-    gdms: RCGDMS, orbit: DrivingOrbit, symbols: Sequence[int], index: np.ndarray
+def code_levels(
+    gdms: RCGDMS,
+    orbit: DrivingOrbit,
+    symbols: Sequence[int],
+    depth: int,
+    levels: Optional[Iterable[tuple[np.ndarray, np.ndarray]]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """code_point of every row of `index` (positions in `symbols`) at once,
-    from maps tabulated per (level, symbol): the same operations in the same
-    order, so centers and half-widths are bit-identical to code_point's."""
+    """code_point's center and half-width of every word that `levels` builds
+    from its last symbol up, by default shift.suffix_tree's: every
+    admissible word of length `depth` over `symbols`, in word_index's order,
+    each distinct suffix coded once.
+
+    `levels` yields (first, parent) for positions depth - 1 down to 0, with
+    `first` sorted, positions in sorted(symbols), and `parent` indexing the
+    level before (at the deepest level, the symbol).  A level's interval is
+    the parent's under the symbol's map at that position's fiber state, with
+    the same operations in the same order as code_point, so the values are
+    bit-identical; a symbol's words are one contiguous block, updated in
+    place with scalar offset and ratio."""
+    symbols = tuple(sorted(symbols))
+    if levels is None:
+        levels = suffix_tree(gdms.symbolic, symbols, depth)
     spaces = np.array([gdms.space_of_edge_target(e) for e in symbols], dtype=float).reshape(-1, 2)
-    lo, hi = spaces[index[:, -1]].T
+    lo, hi = spaces[:, 0], spaces[:, 1]
+    k = depth
+    for first, parent in levels:
+        k -= 1
+        state = orbit.state(k)
+        lo, hi = lo[parent], hi[parent]
+        blocks = np.searchsorted(first, np.arange(len(symbols) + 1)).tolist()
+        for i, e in enumerate(symbols):
+            block = slice(blocks[i], blocks[i + 1])
+            a, r = gdms.offset(e, state), math.exp(gdms.log_ratio(e, state))
+            for x in (lo[block], hi[block]):
+                x -= spaces[i, 0]
+                x *= r
+                x += a
+    del first, parent  # the deepest level's arrays, before the centers are allocated
+    center = lo + hi
+    center *= 0.5
+    hi -= lo
+    hi *= 0.5
+    return center, hi
+
+
+def _code_rows(gdms: RCGDMS, orbit: DrivingOrbit, symbols: Sequence[int], index: np.ndarray) -> np.ndarray:
+    """code_levels' centers for the rows of `index` (positions in `symbols`),
+    one word per row, in row order: each level holds the words in stable
+    order of their symbol at that position."""
+    levels, rank = [], None
     for k in range(index.shape[1] - 1, -1, -1):
-        state, col = orbit.state(k), index[:, k]
-        a = np.array([gdms.offset(e, state) for e in symbols], dtype=float)[col]
-        r = np.array([math.exp(gdms.log_ratio(e, state)) for e in symbols])[col]
-        lo, hi = a + r * (lo - spaces[col, 0]), a + r * (hi - spaces[col, 0])
-    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+        order = np.argsort(index[:, k], kind="stable")
+        first = index[order, k]
+        levels.append((first, first if rank is None else rank[order]))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+    return code_levels(gdms, orbit, symbols, index.shape[1], levels)[0][rank]
 
 
 def sample_limit_set(
@@ -148,34 +199,32 @@ def sample_limit_set(
 ) -> LimitSetSample:
     """Point cloud approximating the fiber limit set at a given word depth.
 
-    Exhaustive mode enumerates every admissible word; random mode extends
-    words one admissible symbol at a time, uniformly, under a dedicated seed.
+    Exhaustive mode codes every admissible word, in word_index's order;
+    random mode extends words one admissible symbol at a time, uniformly,
+    under a dedicated seed.
     """
     symbols = tuple(sorted(symbols if symbols is not None else gdms.symbolic.edges))
-    if sampler == "exhaustive":
-        index = word_index(gdms.symbolic, symbols, depth)
-    elif sampler == "random-words":
-        if count is None:
-            raise ValueError("random-words sampling needs a count")
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        picked = []
-        for _ in range(count):
-            w = [symbols[rng.integers(len(symbols))]]
-            for _ in range(depth - 1):
-                nxt = gdms.symbolic.successors(w[-1], symbols)
-                if not nxt:
-                    break
-                w.append(nxt[rng.integers(len(nxt))])
-            if len(w) == depth:
-                picked.append(w)
-        index = np.searchsorted(symbols, np.array(picked, dtype=np.int64).reshape(-1, depth))
-    else:
-        raise ValueError(f"unknown sampler {sampler!r}")
-    dtype = np.result_type(np.min_scalar_type(symbols[0]), np.min_scalar_type(symbols[-1]))
-    codes = np.array(symbols, dtype=dtype)[index]
     bound = gdms.contraction ** depth * gdms.max_diameter()
-    points = code_words(gdms, orbit, symbols, index)[0]
-    return LimitSetSample(depth=depth, codes=codes, points=points, radius_bound=bound)
+    if sampler == "exhaustive":
+        points = code_levels(gdms, orbit, symbols, depth)[0]
+        return LimitSetSample(depth, points, bound, symbols, lambda: word_index(gdms.symbolic, symbols, depth))
+    if sampler != "random-words":
+        raise ValueError(f"unknown sampler {sampler!r}")
+    if count is None:
+        raise ValueError("random-words sampling needs a count")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    picked = []
+    for _ in range(count):
+        w = [symbols[rng.integers(len(symbols))]]
+        for _ in range(depth - 1):
+            nxt = gdms.symbolic.successors(w[-1], symbols)
+            if not nxt:
+                break
+            w.append(nxt[rng.integers(len(nxt))])
+        if len(w) == depth:
+            picked.append(w)
+    index = np.searchsorted(symbols, np.array(picked, dtype=np.int64).reshape(-1, depth))
+    return LimitSetSample(depth, _code_rows(gdms, orbit, symbols, index), bound, symbols, lambda: index)
 
 
 def check_rbsc(

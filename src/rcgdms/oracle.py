@@ -25,9 +25,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .driving import DrivingOrbit
-from .gdms import RCGDMS, LimitSetSample, check_rbsc, code_point, code_words, image_of_word
+from .gdms import RCGDMS, LimitSetSample, check_rbsc, code_levels, code_point, image_of_word
 from .gibbs import CylinderMeasure
-from .shift import Word, prefix_tree, word_index
+from .shift import Word, prefix_tree
 
 _ENUMERATION_BUDGET = 10_000_000
 
@@ -200,10 +200,7 @@ def local_dimension_samples(
     words = [tuple(w) for w in words]
     depth = min(max(map(len, words), default=0), measure.depth)
     # (centers, half-widths) of all words of each prefix length, coded once
-    coded = [
-        code_words(gdms, orbit, symbols, word_index(gdms.symbolic, symbols, j))
-        for j in range(1, depth + 1)
-    ]
+    coded = [code_levels(gdms, orbit, symbols, j) for j in range(1, depth + 1)]
     out = []
     for word in words:
         x = code_point(gdms, orbit, word)[0]

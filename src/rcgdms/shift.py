@@ -106,6 +106,12 @@ def from_matrix(edges: Iterable[int], rows: Sequence[Sequence[int]]) -> Symbolic
     )
 
 
+def _incidence(system: SymbolicSystem, symbols: Sequence[int]) -> np.ndarray:
+    """Boolean matrix of admissible pairs over sorted(symbols)."""
+    symbols = tuple(sorted(symbols))
+    return np.array([[system.admissible_pair(a, b) for b in symbols] for a in symbols], dtype=bool)
+
+
 def prefix_tree(
     system: SymbolicSystem, symbols: Sequence[int], n: int, budget: float = float("inf")
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -115,15 +121,31 @@ def prefix_tree(
     sorted(symbols).  A level of more than `budget` words raises unbuilt."""
     if n < 1:
         raise ValueError("word length must be >= 1")
-    symbols = tuple(sorted(symbols))
-    succ = np.array([[system.admissible_pair(a, b) for b in symbols] for a in symbols], dtype=bool)
-    last = np.arange(len(symbols))
+    succ = _incidence(system, symbols)
+    last = np.arange(len(succ))
     yield np.zeros_like(last), last
     for _ in range(n - 1):
         if succ.sum(axis=1)[last].sum() > budget:
             raise ValueError("enumeration budget exceeded")
         parent, last = np.nonzero(succ[last])
         yield parent, last
+
+
+def suffix_tree(system: SymbolicSystem, symbols: Sequence[int], n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Admissible words over `symbols` of lengths 1 to n, each level built by
+    prepending one symbol to the words of the level before: yields (first,
+    parent), first[i] the position of word i's first symbol in
+    sorted(symbols) and parent[i] the index of its suffix one level down (at
+    level 1, the symbol's own position).  Every level is lexicographic, so
+    `first` is sorted and the last level is word_index's order."""
+    if n < 1:
+        raise ValueError("word length must be >= 1")
+    succ = _incidence(system, symbols)
+    first = np.arange(len(succ))
+    yield first, first
+    for _ in range(n - 1):
+        first, parent = np.nonzero(succ[:, first])
+        yield first, parent
 
 
 def word_index(system: SymbolicSystem, symbols: Sequence[int], n: int) -> np.ndarray:
@@ -178,7 +200,7 @@ def _signature_reps(system: SymbolicSystem, symbols: Sequence[int], n: int) -> l
     steps left, so the cost is polynomial in |symbols| and n.
     """
     symbols = tuple(sorted(symbols))
-    adm = np.array([[system.admissible_pair(a, b) for b in symbols] for a in symbols])
+    adm = _incidence(system, symbols)
     reach = [np.eye(len(symbols), dtype=bool)]  # reach[k][c, b]: an admissible c ... b of length k + 1
     for _ in range(n - 1):
         reach.append((adm.astype(np.int64) @ reach[-1]) > 0)
@@ -208,37 +230,37 @@ def find_primitivity(
     symbols = tuple(sorted(symbols))
     if system.incidence_kind == "full":
         return PrimitivityWitness(order=1, connectors=((symbols[0],),))
-    pairs = [(e1, e2) for e1 in symbols for e2 in symbols]
+    adm = _incidence(system, symbols)
+    pos = {e: i for i, e in enumerate(symbols)}
+    steps = adm.astype(np.int64)
+    reach = np.eye(len(symbols), dtype=np.int64)  # reach[a, b]: an admissible a ... b of length order
     for order in range(1, max_order + 1):
-        reps = _signature_reps(system, symbols, order)
-        cover = {
-            w: frozenset(
-                p
-                for p in pairs
-                if system.admissible_pair(p[0], w[0])
-                and system.admissible_pair(w[-1], p[1])
-            )
-            for w in reps
-        }
-        if set().union(*cover.values(), frozenset()) != set(pairs):
+        if order > 1:
+            reach = ((steps @ reach) > 0).astype(np.int64)
+        # pair (e, e') is covered iff some connector a ... b has e a and b e' admissible
+        if not (steps @ reach @ steps).all():
             continue
-        needed = set(pairs)
+        reps = _signature_reps(system, symbols, order)
+        before = adm[:, [pos[w[0]] for w in reps]].T
+        after = adm[[pos[w[-1]] for w in reps]]
+        cover = (before[:, :, None] & after[:, None, :]).reshape(len(reps), -1)  # (reps x pairs)
         for size in range(1, min(len(reps), max_exhaustive) + 1):
-            for combo in itertools.combinations(reps, size):
-                if set().union(*(cover[w] for w in combo)) == needed:
-                    return PrimitivityWitness(order=order, connectors=tuple(combo))
+            # itertools order: every head of size - 1, then each later last member
+            for head in itertools.combinations(range(len(reps)), size - 1):
+                start = head[-1] + 1 if head else 0
+                hit = np.flatnonzero((cover[start:] | cover[list(head)].any(axis=0)).all(axis=1))
+                if hit.size:
+                    combo = (*head, start + int(hit[0]))
+                    return PrimitivityWitness(order=order, connectors=tuple(reps[i] for i in combo))
         # Greedy fallback: largest marginal coverage, lexicographic ties.
         chosen: list[Word] = []
-        remaining = set(needed)
-        while remaining:
-            best = max(reps, key=lambda w: (len(cover[w] & remaining), tuple(-s for s in w)))
-            gained = cover[best] & remaining
-            if not gained:
-                break
-            chosen.append(best)
-            remaining -= gained
-        if not remaining:
-            return PrimitivityWitness(order=order, connectors=tuple(sorted(chosen)))
+        remaining = np.ones(cover.shape[1], dtype=bool)
+        while remaining.any():
+            gains = (cover & remaining).sum(axis=1)
+            best = min(np.flatnonzero(gains == gains.max()).tolist(), key=reps.__getitem__)
+            chosen.append(reps[best])
+            remaining &= ~cover[best]
+        return PrimitivityWitness(order=order, connectors=tuple(sorted(chosen)))
     return None
 
 

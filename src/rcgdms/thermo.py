@@ -187,8 +187,12 @@ def partition_sums(
     of the transfer product prod_j D_{omega_j} M^T, built one symbol at a
     time in O(n |F|^2).  Empty admissible sets contribute 0 (log value
     -inf).  The "fraction" and "mpf" arithmetic modes return the exact sums
-    alongside the float logs for provably signed comparisons.
+    alongside the float logs for provably signed comparisons.  The sums
+    follow the potential's incidence, so `system` must be potential.system
+    (ValueError otherwise).
     """
+    if system is not potential.system and system != potential.system:
+        raise ValueError("partition_sums: system is not the potential's system")
     symbols = tuple(sorted(symbols))
     lane = _lane(potential, arithmetic)
     sums = _sums(lane, symbols, potential, orbit, anchor, n, position)

@@ -5,10 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rcgdms
-from rcgdms.cli import main
+from rcgdms.cli import _write_csv, main
 from rcgdms.gdms import BlockTailExample
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -73,6 +76,38 @@ def test_limitset_command_deterministic(tmp_path):
     assert run_cli("limitset", "--config", CONFIGS / "cantor.json", "--out", a, "--seed", 3) == 0
     assert run_cli("limitset", "--config", CONFIGS / "cantor.json", "--out", b, "--seed", 3) == 0
     assert (a / "limitset.csv").read_bytes() == (b / "limitset.csv").read_bytes()
+
+
+def _reference_fmt(value) -> str:
+    # the per-value cell formatter the CSV writer replaced
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_cells = st.one_of(
+    _floats,
+    _floats.map(np.float64),
+    st.floats(width=32, allow_subnormal=True).map(np.float32),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308]),
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.booleans(),
+    st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126, exclude_characters=","), max_size=6),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(_cells, min_size=1, max_size=5), max_size=8))
+def test_csv_writer_matches_per_value_formatting(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    _write_csv(path, ("a", "b"), rows)
+    lines = ["a,b"] + [",".join(_reference_fmt(v) for v in row) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_primitivity_command(tmp_path):

@@ -1,9 +1,10 @@
-"""Limit-set coding and Birkhoff sums over the prefix-tree kernel, against
-per-word references.
+"""Limit-set coding over the suffix walk and Birkhoff sums over the prefix
+tree, against per-word references.
 
 The references code one word at a time with `code_point` and enumerate words
 with the tests' `enumerate_words` or itertools.product, so they share no code
-with the array path in `code_words`, `word_index` and `shift.prefix_tree`.
+with the array path in `code_levels`, `shift.suffix_tree`, `word_index` and
+`shift.prefix_tree`.
 """
 
 import itertools
@@ -21,11 +22,11 @@ import rcgdms.gdms
 import rcgdms.oracle
 import rcgdms.shift
 from rcgdms.driving import bernoulli, deterministic, periodic, sample_orbit
-from rcgdms.gdms import code_point, image_of_word, sample_limit_set, similarity_system
+from rcgdms.gdms import code_levels, code_point, image_of_word, sample_limit_set, similarity_system
 from rcgdms.gibbs import conformal_measures
 from rcgdms.oracle import _exponent_sums, level_histogram, local_dimension_samples
 from rcgdms.potentials import geometric_potential
-from rcgdms.shift import from_matrix, full_shift
+from rcgdms.shift import from_matrix, full_shift, word_index
 
 TOL = 1e-12
 
@@ -132,6 +133,67 @@ def test_coding_enumerates_no_words_and_calls_no_code_point(monkeypatch, paper, 
     sample = sample_limit_set(paper, orbit, depth=4, count=50, sampler="random-words", seed=3, symbols=(1, 2, 3, 4))
     assert sample.points.shape == (50,)
     assert level_histogram(golden, sample_orbit(golden.driving, 0), (0, 1), n=12).total == 377
+
+
+def test_exhaustive_sample_builds_codes_only_when_read(monkeypatch, paper):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("word_index called before the codes are read")
+
+    orbit = sample_orbit(paper.driving, 0)
+    want = word_index(paper.symbolic, (1, 2, 3, 4), 5)
+    monkeypatch.setattr(rcgdms.gdms, "word_index", forbidden)
+    sample = sample_limit_set(paper, orbit, depth=5, symbols=(1, 2, 3, 4))
+    assert sample.points.shape == (4 ** 5,)
+    with pytest.raises(AssertionError, match="word_index"):
+        sample.codes
+    monkeypatch.setattr(rcgdms.gdms, "word_index", rcgdms.shift.word_index)
+    assert (sample.codes == want + 1).all()
+    assert sample.codes is sample.codes
+
+
+def reference_code_words(gdms, orbit, symbols, index):
+    """The coding kernel before the suffix walk: every row of `index` coded at
+    every level, from maps tabulated per (level, symbol)."""
+    spaces = np.array([gdms.space_of_edge_target(e) for e in symbols], dtype=float).reshape(-1, 2)
+    lo, hi = spaces[index[:, -1]].T
+    for k in range(index.shape[1] - 1, -1, -1):
+        state, col = orbit.state(k), index[:, k]
+        a = np.array([gdms.offset(e, state) for e in symbols], dtype=float)[col]
+        r = np.array([math.exp(gdms.log_ratio(e, state)) for e in symbols])[col]
+        lo, hi = a + r * (lo - spaces[col, 0]), a + r * (hi - spaces[col, 0])
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+@settings(max_examples=30, deadline=None)
+@given(systems(), st.integers(1, 5))
+def test_suffix_coding_matches_the_row_coding_reference(case, depth):
+    system, orbit, symbols = case
+    got = code_levels(system, orbit, symbols, depth)
+    want = reference_code_words(system, orbit, symbols, word_index(system.symbolic, symbols, depth))
+    for g, w in zip(got, want):
+        assert g.tolist() == w.tolist()
+
+
+def test_local_dimension_samples_match_the_row_coding_reference(monkeypatch):
+    system = similarity_system(
+        from_matrix((0, 1, 2), [[1, 1, 0], [0, 1, 1], [1, 1, 1]]),
+        periodic((0, 1)),
+        {0: {0: Fraction(1, 4), 1: Fraction(1, 5), 2: Fraction(1, 6)}, 1: {0: Fraction(2, 9), 1: Fraction(1, 4), 2: Fraction(1, 5)}},
+        {0: {0: 0.05, 1: 0.4, 2: 0.75}, 1: {0: 0.1, 1: 0.45, 2: 0.7}},
+    )
+    symbols = (0, 1, 2)
+    zeta = geometric_potential(system).scaled(0.7)
+    orbit = sample_orbit(system.driving, 0)
+    measure = conformal_measures(system.symbolic, symbols, zeta, orbit, depth=6)[0][0]
+    words = [(0, 1, 2, 2, 0, 0), (2, 1, 1, 2, 1, 2), (1, 2, 0)]
+    got = local_dimension_samples(system, orbit, measure, words)
+
+    def reference(gdms, orbit, symbols, depth):
+        return reference_code_words(gdms, orbit, symbols, word_index(gdms.symbolic, symbols, depth))
+
+    monkeypatch.setattr(rcgdms.oracle, "code_levels", reference)
+    assert got == local_dimension_samples(system, orbit, measure, words)
+    assert [len(g.depths) for g in got] == [6, 6, 3]
 
 
 def test_random_words_on_a_full_shift_check_no_pair(monkeypatch, paper):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,9 @@ from rcgdms.shift import (
     find_primitivity,
     from_matrix,
     full_shift,
+    suffix_tree,
     verify_primitivity,
+    word_index,
     PrimitivityWitness,
 )
 
@@ -123,6 +127,72 @@ def test_signature_reps_and_witness_match_enumeration(sym, order):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rcgdms.shift, "_signature_reps", ref_signature_reps)
         assert got == find_primitivity(sym, symbols, max_order=order)
+
+
+def ref_find_primitivity(system, symbols, max_order, max_exhaustive=3):
+    """The cover search on sets of covered (e, e') pairs, one frozenset per
+    signature representative: exhaustive combinations, then greedy."""
+    pairs = [(e1, e2) for e1 in symbols for e2 in symbols]
+    for order in range(1, max_order + 1):
+        reps = rcgdms.shift._signature_reps(system, symbols, order)
+        cover = {
+            w: frozenset(p for p in pairs if system.admissible_pair(p[0], w[0]) and system.admissible_pair(w[-1], p[1]))
+            for w in reps
+        }
+        if set().union(*cover.values(), frozenset()) != set(pairs):
+            continue
+        for size in range(1, min(len(reps), max_exhaustive) + 1):
+            for combo in itertools.combinations(reps, size):
+                if set().union(*(cover[w] for w in combo)) == set(pairs):
+                    return PrimitivityWitness(order=order, connectors=tuple(combo))
+        chosen, remaining = [], set(pairs)
+        while remaining:
+            best = max(reps, key=lambda w: (len(cover[w] & remaining), tuple(-s for s in w)))
+            chosen.append(best)
+            remaining -= cover[best]
+        return PrimitivityWitness(order=order, connectors=tuple(sorted(chosen)))
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 7), st.floats(0.15, 0.7), st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_witness_matches_the_pair_set_search(k, density, seed, max_exhaustive):
+    # up to 7 symbols, so the greedy fallback (more than max_exhaustive connectors) is reached too
+    rows = (np.random.default_rng(seed).random((k, k)) < density).astype(int).tolist()
+    sym = from_matrix(range(k), rows)
+    symbols = tuple(range(k))
+    want = ref_find_primitivity(sym, symbols, 4, max_exhaustive)
+    assert find_primitivity(sym, symbols, 4, max_exhaustive) == want
+
+
+def test_reducible_64_symbols_have_no_witness():
+    # no symbol of the second half leads back to the first, at any order
+    rows = [[int(i < 32 or j >= 32) for j in range(64)] for i in range(64)]
+    assert find_primitivity(from_matrix(range(64), rows), tuple(range(64)), max_order=8) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(incidences(), st.data(), st.integers(1, 5))
+def test_suffix_tree_top_level_is_word_index(sym, data, n):
+    """Words rebuilt from the suffix walk's levels, one prepended symbol per
+    level, against word_index, row for row; dead ends (a symbol with no
+    successor or no predecessor) included."""
+    edges = list(sym.edges)
+    if data.draw(st.booleans()):
+        dead = data.draw(st.sampled_from(edges))
+        succ = dict(sym.successors_map)
+        succ[dead] = frozenset()  # no successor
+        if data.draw(st.booleans()):  # and no predecessor
+            succ = {e: frozenset(b for b in bs if b != dead) for e, bs in succ.items()}
+        sym = rcgdms.shift.SymbolicSystem(sym.vertices, sym.edges, "matrix", succ)
+    symbols = tuple(sorted(data.draw(st.sets(st.sampled_from(edges), min_size=1))))
+    rows = None
+    for first, parent in suffix_tree(sym, symbols, n):
+        assert (np.diff(first) >= 0).all()
+        rows = first[:, None] if rows is None else np.column_stack((first, rows[parent]))
+    want = word_index(sym, symbols, n)
+    assert rows.shape == want.shape
+    assert rows.tolist() == want.tolist()
 
 
 def test_primitivity_reverification_catches_bad_witness():

@@ -48,6 +48,18 @@ def test_cantor_counting_sum(cantor):
     assert math.exp(ps.log_all) == pytest.approx(8.0)
 
 
+def test_partition_sums_rejects_another_system(cantor):
+    zeta = geometric_potential(cantor)
+    orbit = sample_orbit(cantor.driving, 0)
+    golden = from_matrix((0, 1), [[1, 1], [1, 0]])
+    with pytest.raises(ValueError, match="system"):
+        partition_sums(golden, (0, 1), zeta, orbit, 0, 3)
+    # an equal system that is not the same object is accepted
+    same = replace(zeta.system)
+    assert same is not zeta.system
+    assert partition_sums(same, (0, 1), zeta, orbit, 0, 3) == partition_sums(zeta.system, (0, 1), zeta, orbit, 0, 3)
+
+
 def test_partition_sums_empty_set_is_zero():
     from rcgdms.driving import deterministic
 

@@ -44,17 +44,9 @@ from .spectrum import (
 from .thermo import check_gibbs, check_sandwich, pressure, pressure_compact_approx
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """One line per row, cells as _fmt writes them: numpy scalars become
-    Python ones with .item(), and str of a Python float is its repr."""
+    """One line per row: numpy scalars become Python ones with .item(), and
+    str of a Python float is its repr."""
     lines = [",".join(header)]
     lines.extend(",".join([str(v.item() if isinstance(v, np.generic) else v) for v in row]) for row in rows)
     path.write_text("\n".join(lines) + "\n")
@@ -73,7 +65,7 @@ def _sanitize(obj):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_sanitize(payload), indent=2, sort_keys=True, default=_fmt) + "\n")
+    path.write_text(json.dumps(_sanitize(payload), indent=2, sort_keys=True, default=str) + "\n")
 
 
 def _write_meta(run: RunConfig, command: str) -> None:
@@ -298,7 +290,7 @@ def cmd_limitset(run: RunConfig) -> int:
     )
     names = {e: str(e) for e in symbols}
     labels = ["-".join([names[e] for e in w]) for w in sample.codes.tolist()]
-    rows = zip(labels, sample.points.tolist(), itertools.repeat(_fmt(sample.radius_bound)))
+    rows = zip(labels, sample.points.tolist(), itertools.repeat(str(sample.radius_bound)))
     _write_csv(run.out_dir / "limitset.csv", ("word", "point", "radius_bound"), rows)
     return 0
 

@@ -159,6 +159,9 @@ def code_levels(
         state = orbit.state(k)
         lo, hi = lo[parent], hi[parent]
         blocks = np.searchsorted(first, np.arange(len(symbols) + 1)).tolist()
+        # the last level yielded (position 0) is the largest: free its arrays
+        # before the centers are allocated
+        del first, parent
         for i, e in enumerate(symbols):
             block = slice(blocks[i], blocks[i + 1])
             a, r = gdms.offset(e, state), math.exp(gdms.log_ratio(e, state))
@@ -166,7 +169,6 @@ def code_levels(
                 x -= spaces[i, 0]
                 x *= r
                 x += a
-    del first, parent  # the deepest level's arrays, before the centers are allocated
     center = lo + hi
     center *= 0.5
     hi -= lo

@@ -189,6 +189,16 @@ class PrimitivityWitness:
         return frozenset(s for w in self.connectors for s in w)
 
 
+def _reach_chain(adm: np.ndarray) -> Iterator[np.ndarray]:
+    """reach[k][c, b] for k = 0, 1, ...: some admissible word c ... b of
+    length k + 1."""
+    steps = adm.astype(np.int64)
+    reach = np.eye(len(adm), dtype=bool)
+    while True:
+        yield reach
+        reach = (steps @ reach) > 0
+
+
 def _signature_reps(system: SymbolicSystem, symbols: Sequence[int], n: int) -> list[Word]:
     """Lexicographically first admissible word per (first, last) signature,
     in signature order.
@@ -201,9 +211,7 @@ def _signature_reps(system: SymbolicSystem, symbols: Sequence[int], n: int) -> l
     """
     symbols = tuple(sorted(symbols))
     adm = _incidence(system, symbols)
-    reach = [np.eye(len(symbols), dtype=bool)]  # reach[k][c, b]: an admissible c ... b of length k + 1
-    for _ in range(n - 1):
-        reach.append((adm.astype(np.int64) @ reach[-1]) > 0)
+    reach = list(itertools.islice(_reach_chain(adm), n))
     reps = []
     for a, b in zip(*np.nonzero(reach[-1])):
         word = [a]
@@ -233,13 +241,11 @@ def find_primitivity(
     adm = _incidence(system, symbols)
     pos = {e: i for i, e in enumerate(symbols)}
     steps = adm.astype(np.int64)
-    reach = np.eye(len(symbols), dtype=np.int64)  # reach[a, b]: an admissible a ... b of length order
-    for order in range(1, max_order + 1):
-        if order > 1:
-            reach = ((steps @ reach) > 0).astype(np.int64)
+    for order, reach in zip(range(1, max_order + 1), _reach_chain(adm)):
         # pair (e, e') is covered iff some connector a ... b has e a and b e' admissible
         if not (steps @ reach @ steps).all():
             continue
+        # the search below always returns, so representatives are built once
         reps = _signature_reps(system, symbols, order)
         before = adm[:, [pos[w[0]] for w in reps]].T
         after = adm[[pos[w[-1]] for w in reps]]

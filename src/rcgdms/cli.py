@@ -114,13 +114,11 @@ def _witness(run: RunConfig, symbols) -> PrimitivityWitness:
 
 
 def _exponent_hull(sysm) -> tuple[float, float]:
-    los, his = [], []
-    for e in sysm.symbolic.edges:
-        lo, hi = sysm.log_ratio_range(e)
-        los.append(-hi)
-        his.append(-lo)
-    hi = math.inf if sysm.symbolic.has_tail else max(his)
-    return (min(los), hi)
+    """min and max of -log|phi'| over the edges and support states; the max
+    is +inf on a countable alphabet."""
+    block = np.array([sysm.log_ratios(st) for st in sysm.driving.state_support()])
+    hi = math.inf if sysm.symbolic.has_tail else -block.min().item()
+    return (-block.max().item(), hi)
 
 
 def _curve(run: RunConfig, zeta, symbols=None):

@@ -35,7 +35,6 @@ class Analysis:
     beta_steps: int = 33
     depth: int = 8
     rungs: tuple[int, ...] = ()
-    orbits: int = 16
     histogram_depth: int = 14
     bins: int = 32
 

@@ -28,29 +28,34 @@ from .potentials import _segment_log_sums, log_sum_exp
 from .shift import GeometricTail, SymbolicSystem, Word, full_shift, suffix_tree, word_index
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float64 row."""
+    row = np.array(values, dtype=float)
+    row.flags.writeable = False
+    return row
+
+
 @dataclass(frozen=True)
 class RCGDMS:
     """Random GDMS of similarities on intervals.
 
-    log_ratio(e, state) is log |phi'_{e,omega}|, and log_ratios(state) the
-    float64 array of it over symbolic.edges, in that order; offset(e, state)
-    is the left endpoint of the image interval.
+    log_ratios(state) is log |phi'_{e,omega}| and offsets(state) the left
+    endpoint of the image interval, each a read-only float64 array over
+    symbolic.edges (columns in symbolic.position), built once per state.
     """
 
     symbolic: SymbolicSystem
     driving: DrivingSystem
     spaces: Mapping[object, tuple[float, float]]
-    log_ratio: Callable[[int, object], float]
     log_ratios: Callable[[object], np.ndarray]
-    offset: Callable[[int, object], float]
+    offsets: Callable[[object], np.ndarray]
     contraction: float  # common Lipschitz bound, sup of all ratios
-    log_ratio_range: Callable[[int], tuple[float, float]]  # (lo, hi) over fibers
     edge_vertex: Optional[Mapping[int, tuple[object, object]]] = None  # (initial, terminal)
     ratio_fraction: Optional[Callable[[int, object], Fraction]] = None
     # tail_log_moment(s, states): for each fiber state of the sequence, log of
     # the sum over the edges past the materialized cutoff of
-    # exp(s * log_ratio(e, state)), +inf where that series diverges.  One call
-    # serves every support state of a pressure evaluation.
+    # exp(s * log ratio), +inf where that series diverges.  One call serves
+    # every support state of a pressure evaluation.
     tail_log_moment: Optional[Callable[[float, tuple], np.ndarray]] = None
     name: str = "system"
 
@@ -67,10 +72,14 @@ class RCGDMS:
     def space_of_edge_target(self, e: int) -> tuple[float, float]:
         return self.spaces[self.vertex_of(e)[1]]
 
+    def map_of(self, e: int, state) -> tuple[float, float]:
+        """(offset, ratio) of edge e's map at a fiber state, as Python floats."""
+        i = self.symbolic.position[e]
+        return self.offsets(state)[i].item(), math.exp(self.log_ratios(state)[i].item())
+
     def image_interval(self, e: int, state) -> tuple[float, float]:
         lo, hi = self.space_of_edge_target(e)
-        a = self.offset(e, state)
-        r = math.exp(self.log_ratio(e, state))
+        a, r = self.map_of(e, state)
         return (a, a + r * (hi - lo))
 
     def max_diameter(self) -> float:
@@ -115,9 +124,7 @@ def code_point(gdms: RCGDMS, orbit: DrivingOrbit, prefix: Sequence[int]) -> tupl
     lo, hi = gdms.space_of_edge_target(prefix[-1])
     for k in range(len(prefix) - 1, -1, -1):
         e = prefix[k]
-        state = orbit.state(k)
-        a = gdms.offset(e, state)
-        r = math.exp(gdms.log_ratio(e, state))
+        a, r = gdms.map_of(e, orbit.state(k))
         src_lo, src_hi = gdms.space_of_edge_target(e)
         lo, hi = a + r * (lo - src_lo), a + r * (hi - src_lo)
     return (0.5 * (lo + hi), 0.5 * (hi - lo))
@@ -152,19 +159,21 @@ def code_levels(
     if levels is None:
         levels = suffix_tree(gdms.symbolic, symbols, depth)
     spaces = np.array([gdms.space_of_edge_target(e) for e in symbols], dtype=float).reshape(-1, 2)
+    columns = [gdms.symbolic.position[e] for e in symbols]
     lo, hi = spaces[:, 0], spaces[:, 1]
     k = depth
     for first, parent in levels:
         k -= 1
         state = orbit.state(k)
+        offsets = gdms.offsets(state)[columns].tolist()
+        ratios = [math.exp(x) for x in gdms.log_ratios(state)[columns].tolist()]
         lo, hi = lo[parent], hi[parent]
         blocks = np.searchsorted(first, np.arange(len(symbols) + 1)).tolist()
         # the last level yielded (position 0) is the largest: free its arrays
         # before the centers are allocated
         del first, parent
-        for i, e in enumerate(symbols):
+        for i, (a, r) in enumerate(zip(offsets, ratios)):
             block = slice(blocks[i], blocks[i + 1])
-            a, r = gdms.offset(e, state), math.exp(gdms.log_ratio(e, state))
             for x in (lo[block], hi[block]):
                 x -= spaces[i, 0]
                 x *= r
@@ -272,28 +281,15 @@ def similarity_system(
     spaces = dict(spaces) if spaces else {symbolic.vertices[0]: (0.0, 1.0)}
     ratio_f = {s: {e: Fraction(r) for e, r in tbl.items()} for s, tbl in ratios.items()}
     states = driving.state_support()
-    all_vals = [ratio_f[s][e] for s in states for e in symbolic.edges]
-    kappa = float(max(all_vals))
-
-    def log_ratio(e, state):
-        return math.log(ratio_f[state][e])
-
-    def offset(e, state):
-        return float(offsets[state][e])
-
-    def log_range(e):
-        vals = [math.log(ratio_f[s][e]) for s in states]
-        return (min(vals), max(vals))
-
+    log_rows = {s: _frozen([math.log(ratio_f[s][e]) for e in symbolic.edges]) for s in states}
+    offset_rows = {s: _frozen([float(offsets[s][e]) for e in symbolic.edges]) for s in states}
     return RCGDMS(
         symbolic=symbolic,
         driving=driving,
         spaces=spaces,
-        log_ratio=log_ratio,
-        log_ratios=lambda s: np.array([math.log(ratio_f[s][e]) for e in symbolic.edges]),
-        offset=offset,
-        contraction=kappa,
-        log_ratio_range=log_range,
+        log_ratios=log_rows.__getitem__,
+        offsets=offset_rows.__getitem__,
+        contraction=float(max(ratio_f[s][e] for s in states for e in symbolic.edges)),
         ratio_fraction=lambda e, s: ratio_f[s][e],
         name=name,
     )
@@ -453,35 +449,28 @@ def build_paper_example(cutoff: int = 1024, weight_states: int = 40) -> RCGDMS:
     edges = symbolic.edges
     edge_array = np.array(edges)
 
-    offset_cache: dict[int, dict[int, float]] = {}
+    @functools.cache
+    def log_ratios(state) -> np.ndarray:
+        return _frozen(tail.log_ratios(edge_array, state))
 
-    def offsets_for(state: int) -> dict[int, float]:
-        got = offset_cache.get(state)
-        if got is None:
-            widths = [math.exp(x) for x in tail.log_ratios(edge_array, state).tolist()]
-            total = math.fsum(widths) + math.exp(tail.log_moments(1.0, (state,))[0])
-            gap = (1.0 - total) / (len(edges) + 1)
-            got, acc = {}, gap
-            for e, w in zip(edges, widths):
-                got[e] = acc
-                acc += w + gap
-            offset_cache[state] = got
-        return got
-
-    def log_range(e):
-        # the 8^-e branch is active for small states, except at e = 1
-        l = tail.block_of(e)
-        return (-2 * _LOG2 if e == 1 else -e * _LOG8, -(l * l + l) * _LOG2)
+    @functools.cache
+    def offsets(state) -> np.ndarray:
+        widths = [math.exp(x) for x in log_ratios(state).tolist()]
+        total = math.fsum(widths) + math.exp(tail.log_moments(1.0, (state,))[0])
+        gap = (1.0 - total) / (len(edges) + 1)
+        starts, acc = [], gap
+        for w in widths:
+            starts.append(acc)
+            acc += w + gap
+        return _frozen(starts)
 
     return RCGDMS(
         symbolic=symbolic,
         driving=drv,
         spaces={"v": (0.0, 1.0)},
-        log_ratio=tail.log_ratio,
-        log_ratios=lambda state: tail.log_ratios(edge_array, state),
-        offset=lambda e, state: offsets_for(int(state))[e],
+        log_ratios=log_ratios,
+        offsets=offsets,
         contraction=0.25,
-        log_ratio_range=log_range,
         tail_log_moment=tail.log_moments,
         name="paper-example",
     )

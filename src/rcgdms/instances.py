@@ -9,7 +9,7 @@ import numpy as np
 
 from . import gdms
 from .driving import deterministic, periodic
-from .gdms import RCGDMS, similarity_system
+from .gdms import RCGDMS, _frozen, similarity_system
 from .shift import GeometricTail, full_shift, from_matrix
 
 
@@ -71,14 +71,10 @@ def pure_tail(cutoff: int = 64) -> RCGDMS:
     sym = full_shift(range(1, cutoff + 1), tail=GeometricTail(ratio=0.125, start=cutoff + 1))
     drv = deterministic(0)
     log8 = math.log(8.0)
-    edges = np.array(sym.edges)
-
-    def log_ratio(e, state):
-        return -e * log8
-
-    def offset(e, state):
-        # left-to-right packing, gaps irrelevant for symbolic quantities
-        return sum(8.0 ** -k for k in range(1, e)) + e * 1e-3
+    # one row for every fiber state; images packed left to right, gaps
+    # irrelevant for symbolic quantities
+    log_ratios = _frozen(-np.array(sym.edges) * log8)
+    offsets = _frozen([sum(8.0 ** -k for k in range(1, e)) + e * 1e-3 for e in sym.edges])
 
     def log_moment(s, states):
         # the tail does not depend on the fiber state
@@ -91,11 +87,9 @@ def pure_tail(cutoff: int = 64) -> RCGDMS:
         symbolic=sym,
         driving=drv,
         spaces={"v": (0.0, 1.0)},
-        log_ratio=log_ratio,
-        log_ratios=lambda state: -edges * log8,
-        offset=offset,
+        log_ratios=lambda state: log_ratios,
+        offsets=lambda state: offsets,
         contraction=0.126,
-        log_ratio_range=lambda e: (-e * log8, -e * log8),
         tail_log_moment=log_moment,
         name="pure-tail",
     )

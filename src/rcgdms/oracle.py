@@ -29,8 +29,6 @@ from .gdms import RCGDMS, LimitSetSample, check_rbsc, code_levels, code_point, i
 from .gibbs import CylinderMeasure
 from .shift import Word, prefix_tree
 
-_ENUMERATION_BUDGET = 10_000_000
-
 
 @dataclass(frozen=True)
 class LevelHistogram:
@@ -58,10 +56,10 @@ def _exponent_sums(gdms: RCGDMS, orbit: DrivingOrbit, symbols, n: int) -> np.nda
     """Birkhoff sums -log|phi'| of every admissible word, carried down the
     prefix tree one level at a time (lexicographic word order)."""
     symbols = tuple(sorted(symbols))
+    columns = [gdms.symbolic.position[e] for e in symbols]
     acc = np.zeros(1)
-    for j, (parent, last) in enumerate(prefix_tree(gdms.symbolic, symbols, n, _ENUMERATION_BUDGET)):
-        state = orbit.state(j)
-        acc = acc[parent] + np.array([-gdms.log_ratio(e, state) for e in symbols])[last]
+    for j, (parent, last) in enumerate(prefix_tree(gdms.symbolic, symbols, n)):
+        acc = acc[parent] - gdms.log_ratios(orbit.state(j))[columns][last]
     return acc
 
 

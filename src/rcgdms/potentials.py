@@ -6,13 +6,12 @@ on the leading symbol and the fiber state only (geometric potentials of
 similarity systems and of the block example, custom weight tables, the zero
 potential), so it is constant on 1-cylinders and its cylinder sums are exact.
 
-Transfer sums read a lazily built table: one float64 row of base(state, e)
-over the materialized edges per fiber state, plus per-symbol-set column
-indices and 0/1 admissibility matrices.  A row comes whole from the
-base_row hook when there is one (geometric potentials read the map
-system's log_ratios), else one base call per edge.  Every scaled(s) copy
-shares the table.  Filling an entry is idempotent, so concurrent readers
-need no lock.
+Everything reads a lazily built table: one float64 row of the unscaled
+potential over the materialized edges per fiber state, from the row(state)
+hook (geometric potentials read the map system's log_ratios), plus
+per-symbol-set column indices (symbolic.position) and 0/1 admissibility
+matrices.  Every scaled(s) copy shares the table.  Filling an entry is
+idempotent, so concurrent readers need no lock.
 
 Under full incidence the transfer sums of a tuple of fiber states come from
 an atom table, cached per (states, symbol set): the distinct values of each
@@ -106,30 +105,27 @@ def _log_incoming(vals: np.ndarray, adm: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FirstSymbolPotential:
-    """Potential scale * base(state, leading symbol), with analytic tail
-    moments for countable alphabets.
+    """Potential scale * row(state)[e], with analytic tail moments for
+    countable alphabets.
 
-    base gives the unscaled potential on each 1-cylinder, so every cylinder
-    bound is exact and sup == inf.
+    row(state) gives the unscaled potential on each 1-cylinder, as a float64
+    array over system.edges, so every cylinder bound is exact and sup == inf.
     """
 
     system: SymbolicSystem
-    base: Callable[[object, int], float]
+    row: Callable[[object], np.ndarray]
     scale: float = 1.0
     # (s, states) -> log tail moment per state, +inf where it diverges
     tail_moment: Optional[Callable[[float, tuple], np.ndarray]] = None
-    base_range: Optional[Callable[[int], tuple[float, float]]] = None
     exact_base: Optional[Callable[[object, int], Fraction]] = None
     driving: Optional[DrivingSystem] = None
-    # state -> base over every edge as one float64 array; rows read it when set
-    base_row: Optional[Callable[[object], np.ndarray]] = None
     # Lazily filled tables of the unscaled potential, shared by scaled copies.
     _table: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     # -- basic evaluation ---------------------------------------------------
 
     def value(self, state, e: int) -> float:
-        return self.scale * self.base(state, e)
+        return self.scale * self._row(state)[self.system.position[e]].item()
 
     def sum_bounds(self, orbit: DrivingOrbit, k: int, word: Sequence[int]) -> tuple[float, float]:
         """(sup, inf) of the Birkhoff sum over the cylinder of `word` from
@@ -151,20 +147,14 @@ class FirstSymbolPotential:
         return got if got is not None else self._table.setdefault(key, build())
 
     def _row(self, state) -> np.ndarray:
-        def build():
-            if self.base_row is not None:
-                return self.base_row(state)
-            return np.array([self.base(state, e) for e in self.system.edges], dtype=float)
-
-        return self._cached(("row", state), build)
+        return self._cached(("row", state), lambda: self.row(state))
 
     def _columns(self, symbols: tuple) -> np.ndarray:
-        index = self._cached("index", lambda: {e: i for i, e in enumerate(self.system.edges)})
-        build = lambda: np.array([index[e] for e in symbols], dtype=np.intp)
-        return self._cached(("columns", symbols), build)
+        position = self.system.position
+        return self._cached(("columns", symbols), lambda: np.array([position[e] for e in symbols], dtype=np.intp))
 
     def log_weights(self, state, symbols: Optional[tuple] = None) -> np.ndarray:
-        """scale * base(state, e) over the edges, or over a sorted symbol tuple."""
+        """scale * row(state) over the edges, or over a sorted symbol tuple."""
         row = self._row(state)
         return self.scale * (row if symbols is None else row[self._columns(symbols)])
 
@@ -233,14 +223,10 @@ class FirstSymbolPotential:
 
     def sup_log_norm(self, symbols: Sequence[int]) -> float:
         """Uniform bound over fibers of |f| restricted to a finite symbol set."""
-        if self.base_range is not None:
-            ranges = [self.base_range(e) for e in symbols]
-        else:
-            cols = self._columns(tuple(sorted(symbols)))
-            block = np.array([self._row(st)[cols] for st in self._support_states()])
-            ranges = zip(block.min(axis=0).tolist(), block.max(axis=0).tolist())
+        cols = self._columns(tuple(sorted(symbols)))
+        block = np.array([self._row(st)[cols] for st in self._support_states()])
         worst = 0.0
-        for lo, hi in ranges:
+        for lo, hi in zip(block.min(axis=0).tolist(), block.max(axis=0).tolist()):
             worst = max(worst, abs(self.scale * lo), abs(self.scale * hi))
         return worst
 
@@ -250,10 +236,10 @@ class FirstSymbolPotential:
     # -- exact arithmetic ------------------------------------------------------
 
     def exact_weight_fn(self, arithmetic: str) -> Callable[[object, int], object]:
-        """Per-symbol weights exp(scale * base) as floats, Fractions or mpmath
-        floats (arithmetic "float", "fraction" or "mpf").
+        """Per-symbol weights exp(value) as floats, or exact_base ** scale as
+        Fractions or mpmath floats (arithmetic "float", "fraction" or "mpf").
 
-        The Fraction path requires rational base weights and an integer scale;
+        The Fraction path requires rational exact_base weights and an integer scale;
         it keeps sandwich margins and Gibbs brackets provably nonnegative.
         """
         if arithmetic == "float":
@@ -280,10 +266,10 @@ class FirstSymbolPotential:
 
 
 def zero_potential(system: SymbolicSystem) -> FirstSymbolPotential:
+    zeros = np.zeros(len(system.edges))
     return FirstSymbolPotential(
         system=system,
-        base=lambda state, e: 0.0,
-        base_range=lambda e: (0.0, 0.0),
+        row=lambda state: zeros,
         exact_base=lambda state, e: Fraction(1),
     )
 
@@ -292,10 +278,10 @@ def table_potential(
     system: SymbolicSystem, table, driving: Optional[DrivingSystem] = None
 ) -> FirstSymbolPotential:
     """Custom first-symbol potential from a {state: {edge: value}} table."""
-    def base(state, e):
-        return float(table[state][e])
+    def row(state):
+        return np.array([float(table[state][e]) for e in system.edges])
 
-    return FirstSymbolPotential(system=system, base=base, driving=driving)
+    return FirstSymbolPotential(system=system, row=row, driving=driving)
 
 
 def geometric_potential(gdms) -> FirstSymbolPotential:
@@ -311,10 +297,8 @@ def geometric_potential(gdms) -> FirstSymbolPotential:
 
     return FirstSymbolPotential(
         system=gdms.symbolic,
-        base=lambda state, e: gdms.log_ratio(e, state),
-        base_row=gdms.log_ratios,
+        row=gdms.log_ratios,
         tail_moment=gdms.tail_log_moment,
-        base_range=gdms.log_ratio_range,
         exact_base=exact,
         driving=gdms.driving,
     )

@@ -12,6 +12,7 @@ parallel workers; words come level by level in lexicographic order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -19,6 +20,9 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 Word = tuple[int, ...]
+
+# Most words one prefix-tree level may hold; prefix_tree reads it at call time.
+WORD_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,11 @@ class SymbolicSystem:
     def is_admissible(self, word: Sequence[int]) -> bool:
         return all(self.admissible_pair(a, b) for a, b in zip(word, word[1:]))
 
+    @functools.cached_property
+    def position(self) -> dict[int, int]:
+        """Edge -> its column in `edges`, the order of every per-state row."""
+        return {e: i for i, e in enumerate(self.edges)}
+
     @property
     def has_tail(self) -> bool:
         return self.tail is not None
@@ -112,20 +121,18 @@ def _incidence(system: SymbolicSystem, symbols: Sequence[int]) -> np.ndarray:
     return np.array([[system.admissible_pair(a, b) for b in symbols] for a in symbols], dtype=bool)
 
 
-def prefix_tree(
-    system: SymbolicSystem, symbols: Sequence[int], n: int, budget: float = float("inf")
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def prefix_tree(system: SymbolicSystem, symbols: Sequence[int], n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Admissible words over `symbols`, lexicographic, one level per step for n
     levels: yields (parent, last), parent[i] the index of word i's prefix one
     level up (0 at level 1), last[i] the position of its last symbol in
-    sorted(symbols).  A level of more than `budget` words raises unbuilt."""
+    sorted(symbols).  A level of more than WORD_BUDGET words raises unbuilt."""
     if n < 1:
         raise ValueError("word length must be >= 1")
     succ = _incidence(system, symbols)
     last = np.arange(len(succ))
     yield np.zeros_like(last), last
     for _ in range(n - 1):
-        if succ.sum(axis=1)[last].sum() > budget:
+        if succ.sum(axis=1)[last].sum() > WORD_BUDGET:
             raise ValueError("enumeration budget exceeded")
         parent, last = np.nonzero(succ[last])
         yield parent, last

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rcgdms
-from rcgdms.cli import _write_csv, main
-from rcgdms.gdms import BlockTailExample
+import rcgdms.shift
+from rcgdms.cli import _exponent_hull, _write_csv, main
+from rcgdms.driving import periodic
+from rcgdms.gdms import BlockTailExample, similarity_system
+from rcgdms.potentials import geometric_potential
+from rcgdms.shift import full_shift
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -287,3 +292,40 @@ def test_paper_commands_make_no_per_edge_log_ratio_calls(tmp_path, monkeypatch):
         out = tmp_path / command
         assert run_cli(command, "--config", CONFIGS / "paper-example.json", "--out", out, "--s-steps", 10) == 0
     assert calls == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_exponent_hull_and_sup_log_norm_match_the_ratio_table(data):
+    edges = sorted(data.draw(st.sets(st.integers(0, 40), min_size=1, max_size=6)))
+    states = tuple(range(data.draw(st.integers(1, 3))))
+    ratio = st.integers(1, 999).map(lambda k: Fraction(k, 1000))
+    ratios = {s: {e: data.draw(ratio) for e in edges} for s in states}
+    sysm = similarity_system(full_shift(edges), periodic(states), ratios, {s: dict.fromkeys(edges, 0.0) for s in states})
+    exponents = [-math.log(sysm.ratio_fraction(e, s)) for s in states for e in edges]
+    assert _exponent_hull(sysm) == (min(exponents), max(exponents))
+    symbols = sorted(data.draw(st.sets(st.sampled_from(edges), min_size=1)))
+    scale = data.draw(st.floats(-4.0, 4.0, allow_nan=False))
+    want = max(abs(scale * -math.log(sysm.ratio_fraction(e, s))) for s in states for e in symbols)
+    assert geometric_potential(sysm).scaled(scale).sup_log_norm(symbols) == want
+
+
+def test_countable_exponent_hulls(paper, pure_tail):
+    assert _exponent_hull(paper) == (2 * math.log(2.0), math.inf)
+    assert _exponent_hull(pure_tail) == (3 * math.log(2.0), math.inf)
+
+
+@pytest.mark.parametrize("command", ["measures", "verify"])
+def test_enumeration_budget_exits_3(tmp_path, monkeypatch, capsys, command):
+    # a word level over the budget is a numeric failure, raised before it is built
+    monkeypatch.setattr(rcgdms.shift, "WORD_BUDGET", 10)
+    assert run_cli(command, "--config", CONFIGS / "twoscale.json", "--out", tmp_path) == 3
+    assert "numeric failure: enumeration budget exceeded" in capsys.readouterr().err
+    assert not (tmp_path / "measures.csv").exists()
+
+
+def test_orbits_is_not_an_analysis_field(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"system": {"preset": "cantor"}, "analysis": {"orbits": 8}}))
+    assert run_cli("pressure", "--config", bad, "--out", tmp_path) == 2
+    assert "analysis.orbits: unknown field" in capsys.readouterr().err

@@ -112,7 +112,7 @@ def test_random_words_match_per_word_coding(case, depth, count, seed):
 def test_exponent_sums_match_product_enumeration(case, n):
     system, orbit, symbols = case
     want = sorted(
-        math.fsum(-system.log_ratio(e, orbit.state(j)) for j, e in enumerate(w))
+        math.fsum(-math.log(system.ratio_fraction(e, orbit.state(j))) for j, e in enumerate(w))
         for w in itertools.product(symbols, repeat=n)
         if system.symbolic.is_admissible(w)
     )
@@ -155,11 +155,12 @@ def reference_code_words(gdms, orbit, symbols, index):
     """The coding kernel before the suffix walk: every row of `index` coded at
     every level, from maps tabulated per (level, symbol)."""
     spaces = np.array([gdms.space_of_edge_target(e) for e in symbols], dtype=float).reshape(-1, 2)
+    columns = [gdms.symbolic.position[e] for e in symbols]
     lo, hi = spaces[index[:, -1]].T
     for k in range(index.shape[1] - 1, -1, -1):
         state, col = orbit.state(k), index[:, k]
-        a = np.array([gdms.offset(e, state) for e in symbols], dtype=float)[col]
-        r = np.array([math.exp(gdms.log_ratio(e, state)) for e in symbols])[col]
+        a = gdms.offsets(state)[columns][col]
+        r = np.array([math.exp(x) for x in gdms.log_ratios(state)[columns].tolist()])[col]
         lo, hi = a + r * (lo - spaces[col, 0]), a + r * (hi - spaces[col, 0])
     return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
@@ -249,8 +250,9 @@ def test_ball_mass_matches_per_word_images():
     assert most_hits >= 3
 
 
-def test_budget_raises_before_the_level_is_built(paper):
-    levels = rcgdms.shift.prefix_tree(paper.symbolic, tuple(range(1, 101)), 6, budget=10 ** 5)
+def test_budget_raises_before_the_level_is_built(monkeypatch, paper):
+    monkeypatch.setattr(rcgdms.shift, "WORD_BUDGET", 10 ** 5)
+    levels = rcgdms.shift.prefix_tree(paper.symbolic, tuple(range(1, 101)), 6)
     assert [len(last) for _, last in itertools.islice(levels, 2)] == [100, 10 ** 4]
     with pytest.raises(ValueError, match="budget"):
         next(levels)

@@ -63,7 +63,7 @@ def test_diameter_matches_derivative_product(twoscale):
     word = (1, 0, 1)
     lo, hi = image_of_word(twoscale, orbit, word)
     expected = math.exp(
-        math.fsum(twoscale.log_ratio(e, orbit.state(k)) for k, e in enumerate(word))
+        math.fsum(math.log(twoscale.ratio_fraction(e, orbit.state(k))) for k, e in enumerate(word))
     )
     assert hi - lo == pytest.approx(expected, rel=1e-12)
 
@@ -127,17 +127,20 @@ def test_rbsc_paper_positive(paper):
 
 
 def test_paper_ratio_schedule(paper):
+    def ratio(e, state):
+        return math.exp(paper.log_ratios(state)[paper.symbolic.position[e]])
+
     # first edge contracts by 1/4 in every fiber
-    assert math.exp(paper.log_ratio(1, 1)) == pytest.approx(0.25)
-    assert math.exp(paper.log_ratio(1, 7)) == pytest.approx(0.25)
+    assert ratio(1, 1) == pytest.approx(0.25)
+    assert ratio(1, 7) == pytest.approx(0.25)
     # unlocked block: state 2 activates block 2 (edges 2..9) at 2^-6
-    assert math.exp(paper.log_ratio(2, 2)) == pytest.approx(2.0 ** -6)
-    assert math.exp(paper.log_ratio(9, 2)) == pytest.approx(2.0 ** -6)
+    assert ratio(2, 2) == pytest.approx(2.0 ** -6)
+    assert ratio(9, 2) == pytest.approx(2.0 ** -6)
     # locked block decays like 8^-e
-    assert math.exp(paper.log_ratio(3, 1)) == pytest.approx(8.0 ** -3)
-    assert math.exp(paper.log_ratio(10, 2)) == pytest.approx(8.0 ** -10)
+    assert ratio(3, 1) == pytest.approx(8.0 ** -3)
+    assert ratio(10, 2) == pytest.approx(8.0 ** -10)
     # state 3 unlocks block 3 (edges 10..265) at 2^-12
-    assert math.exp(paper.log_ratio(10, 3)) == pytest.approx(2.0 ** -12)
+    assert ratio(10, 3) == pytest.approx(2.0 ** -12)
 
 
 def test_paper_block_boundaries():
@@ -175,10 +178,16 @@ def test_paper_tail_moment_exactness():
 
 
 def test_paper_contraction_and_lower_bounds(paper):
+    block = np.array([paper.log_ratios(state) for state in paper.driving.state_support()])
+
+    def log_ratio_range(e):
+        column = block[:, paper.symbolic.position[e]]
+        return column.min(), column.max()
+
     assert paper.contraction == 0.25
-    assert paper.log_ratio_range(1)[0] == pytest.approx(-2 * LOG2)
-    assert paper.log_ratio_range(5)[0] == pytest.approx(-5 * math.log(8.0))
-    lo, hi = paper.log_ratio_range(7)
+    assert log_ratio_range(1)[0] == pytest.approx(-2 * LOG2)
+    assert log_ratio_range(5)[0] == pytest.approx(-5 * math.log(8.0))
+    lo, hi = log_ratio_range(7)
     assert lo == pytest.approx(-7 * math.log(8.0))
     assert hi == pytest.approx(-(2 * 2 + 2) * LOG2)  # block-2 value once unlocked
 
@@ -188,10 +197,6 @@ def test_paper_weights_decay():
     assert states[0] == 1
     assert weights[0] > 0.9
     assert all(weights[i + 1] < weights[i] for i in range(10))
-
-
-def scalar_row(sysm, state):
-    return np.array([sysm.log_ratio(e, state) for e in sysm.symbolic.edges])
 
 
 @settings(max_examples=100, deadline=None)
@@ -205,6 +210,18 @@ def test_block_rows_match_scalar_log_ratio(cutoff, state):
     assert tail.log_ratios(np.arange(1, cutoff + 1), state).tobytes() == want.tobytes()
 
 
+def closed_form_row(name, sysm, state):
+    """The scalar log|phi'| of each edge, from the instance's own closed form
+    (not from its rows)."""
+    edges = sysm.symbolic.edges
+    if name == "paper-example":
+        tail = BlockTailExample(len(edges))
+        return np.array([tail.log_ratio(e, state) for e in edges])
+    if name == "pure-tail":
+        return np.array([-e * math.log(8.0) for e in edges])
+    return np.array([math.log(sysm.ratio_fraction(e, state)) for e in edges])
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_similarity_rows_match_scalar_log_ratio(data):
@@ -215,17 +232,62 @@ def test_similarity_rows_match_scalar_log_ratio(data):
     offsets = {s: {e: 0.0 for e in edges} for s in states}
     sysm = similarity_system(full_shift(edges), periodic(states), ratios, offsets)
     for state in states:
-        assert sysm.log_ratios(state).tobytes() == scalar_row(sysm, state).tobytes()
+        want = np.array([math.log(ratios[state][e]) for e in edges])
+        assert sysm.log_ratios(state).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("cutoff", [1, 8, 500])
 def test_pure_tail_rows_match_scalar_log_ratio(cutoff):
     sysm = instances.pure_tail(cutoff)
-    assert sysm.log_ratios(0).tobytes() == scalar_row(sysm, 0).tobytes()
+    assert sysm.log_ratios(0).tobytes() == closed_form_row("pure-tail", sysm, 0).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(instances.PRESETS))
 def test_preset_rows_match_scalar_log_ratio(name):
     sysm = instances.PRESETS[name]()
     for state in sysm.driving.state_support():
-        assert sysm.log_ratios(state).tobytes() == scalar_row(sysm, state).tobytes()
+        assert sysm.log_ratios(state).tobytes() == closed_form_row(name, sysm, state).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_similarity_offsets_match_the_offset_table(data):
+    edges = sorted(data.draw(st.sets(st.integers(0, 40), min_size=1, max_size=6)))
+    states = tuple(range(data.draw(st.integers(1, 3))))
+    offset = st.one_of(st.floats(0.0, 1.0), st.integers(0, 5).map(lambda k: Fraction(k, 7)))
+    offsets = {s: {e: data.draw(offset) for e in edges} for s in states}
+    ratios = {s: dict.fromkeys(edges, Fraction(1, 9)) for s in states}
+    sysm = similarity_system(full_shift(edges), periodic(states), ratios, offsets)
+    for state in states:
+        want = np.array([float(offsets[state][e]) for e in edges])
+        assert sysm.offsets(state).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cutoff", [1, 8, 500])
+def test_pure_tail_offsets_match_the_packing_formula(cutoff):
+    sysm = instances.pure_tail(cutoff)
+    want = np.array([sum(8.0 ** -k for k in range(1, e)) + e * 1e-3 for e in range(1, cutoff + 1)])
+    assert sysm.offsets(0).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("state", [1, 2, 3, 5, 17, 31])
+def test_paper_offsets_match_the_gap_loop(paper, state):
+    # images packed left to right with one uniform gap from the slack
+    tail = BlockTailExample(1024)
+    widths = [math.exp(tail.log_ratio(e, state)) for e in range(1, 1025)]
+    gap = (1.0 - (math.fsum(widths) + math.exp(tail.log_moments(1.0, (state,))[0]))) / 1025
+    want, acc = [], gap
+    for w in widths:
+        want.append(acc)
+        acc += w + gap
+    assert paper.offsets(state).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(instances.PRESETS))
+def test_rows_are_read_only(name):
+    sysm = instances.PRESETS[name]()
+    state = sysm.driving.state_support()[0]
+    for row in (sysm.log_ratios(state), sysm.offsets(state)):
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.5
+    assert sysm.log_ratios(state) is sysm.log_ratios(state)

@@ -150,7 +150,7 @@ def small_cases(draw):
     table = {s: {e: draw(ratio) for e in edges} for s in states}
     potential = FirstSymbolPotential(
         system=system,
-        base=lambda state, e: math.log(table[state][e]),
+        row=lambda state: np.array([math.log(table[state][e]) for e in edges]),
         exact_base=lambda state, e: table[state][e],
         driving=driving,
     ).scaled(draw(st.sampled_from([1, 2])))

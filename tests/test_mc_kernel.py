@@ -78,7 +78,7 @@ def cases(draw):
     table = {s: {e: draw(st.floats(-3.0, 1.0)) for e in labels} for s in states}
     potential = FirstSymbolPotential(
         system=system,
-        base=lambda state, e: table[state][e],
+        row=lambda state: np.array([table[state][e] for e in labels]),
         driving=bernoulli(states, weights),
     ).scaled(draw(st.floats(-2.0, 2.0)))
     orbits = orbit_family(potential.driving, draw(st.integers(1, 5)), draw(st.integers(0, 2**32)))
@@ -99,7 +99,7 @@ def _mc_potential():
     table = {0: {0: -0.5, 1: -1.0, 2: -2.0}, 1: {0: -1.5, 1: -0.2, 2: -0.7}}
     return FirstSymbolPotential(
         system=from_matrix((0, 1, 2), [[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
-        base=lambda state, e: table[state][e],
+        row=lambda state: np.array([table[state][e] for e in (0, 1, 2)]),
         driving=bernoulli((0, 1), (0.4, 0.6)),
     )
 
@@ -119,7 +119,7 @@ def test_empty_rows_give_minus_infinity():
     # 0 -> 1 only and nothing after 1: A_1 has two words, A_2 one, A_3 none
     pot = FirstSymbolPotential(
         system=from_matrix((0, 1), [[0, 1], [0, 0]]),
-        base=lambda state, e: -1.0 - e,
+        row=lambda state: np.array([-1.0, -2.0]),
         driving=bernoulli((0, 1), (0.5, 0.5)),
     )
     for depths in ((3,), (1, 2, 3), (2, 3, 4)):
@@ -131,7 +131,7 @@ def test_empty_rows_give_minus_infinity():
     # one fiber state admits no symbol: only the orbits that draw it are empty
     dead = FirstSymbolPotential(
         system=pot.system,
-        base=lambda state, e: -math.inf if state == 1 else -1.0,
+        row=lambda state: np.full(2, -math.inf if state == 1 else -1.0),
         driving=bernoulli((0, 1), (0.7, 0.3)),
     )
     orbits = orbit_family(dead.driving, 8, 3)

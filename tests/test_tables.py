@@ -123,7 +123,7 @@ def eig_slope(pot, symbols, cycle):
             [math.exp(pot.value(state, a)) if pot.system.admissible_pair(b, a) else 0.0 for b in symbols]
             for a in symbols
         ]))
-        rates.append(np.array([pot.base(state, a) for a in symbols]))
+        rates.append(pot.row(state)[[pot.system.position[a] for a in symbols]])
     n = len(symbols)
     prod, deriv = np.eye(n), np.zeros((n, n))
     for step, rate in zip(steps, rates):
@@ -174,36 +174,23 @@ def test_paper_full_alphabet_bounds_match_reference(paper, s):
 
 
 def test_scaled_copies_share_one_table(paper):
-    # the geometric potential reads whole rows from the map system's hook
-    row_calls = 0
-    zeta = geometric_potential(paper)
-
-    def counting_row(state):
-        nonlocal row_calls
-        row_calls += 1
-        return zeta.base_row(state)
-
-    pot = replace(zeta, base_row=counting_row)
-    for s in np.linspace(0.3, 3.0, 20):
-        assert math.isfinite(pressure(paper.symbolic, None, pot.scaled(s)).value)
-    support = paper.driving.state_support()
-    assert 0 < row_calls <= len(support)
-
-    # a table potential fills its rows one base(state, e) call at a time
-    edge_calls = 0
+    # every potential reads whole rows from its row hook, once per state:
+    # the geometric potential's come from the map system
     edges, states = tuple(range(1, 9)), (0, 1, 2)
     rows = {st: {e: -0.1 * (e + st) for e in edges} for st in states}
     table = table_potential(full_shift(edges), rows, driving=bernoulli(states, [0.5, 0.3, 0.2]))
+    for pot in (geometric_potential(paper), table):
+        row_calls = 0
 
-    def counting(state, e):
-        nonlocal edge_calls
-        edge_calls += 1
-        return table.base(state, e)
+        def counting_row(state, row=pot.row):
+            nonlocal row_calls
+            row_calls += 1
+            return row(state)
 
-    pot = replace(table, base=counting)
-    for s in np.linspace(0.3, 3.0, 20):
-        assert math.isfinite(pressure(pot.system, None, pot.scaled(s)).value)
-    assert 0 < edge_calls <= len(states) * len(edges)
+        counted = replace(pot, row=counting_row)
+        for s in np.linspace(0.3, 3.0, 20):
+            assert math.isfinite(pressure(counted.system, None, counted.scaled(s)).value)
+        assert 0 < row_calls <= len(pot.driving.state_support())
 
 
 def test_threads_filling_one_table_agree_with_serial(paper):

@@ -8,6 +8,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,7 +82,7 @@ def cases(draw):
     table = {s: {e: draw(ratio) for e in symbols} for s in states}
     potential = FirstSymbolPotential(
         system=from_matrix(symbols, rows),
-        base=lambda state, e: math.log(table[state][e]),
+        row=lambda state: np.array([math.log(table[state][e]) for e in symbols]),
         exact_base=lambda state, e: table[state][e],
         driving=bernoulli(states, [1.0] * len(states)),
     ).scaled(draw(st.sampled_from((-1, 0, 1, 2))))
@@ -122,7 +123,7 @@ def test_recursion_matches_enumeration(case):
 def test_cylinder_constant_sums_enumerate_no_words(golden):
     pot = FirstSymbolPotential(
         system=golden.symbolic,
-        base=lambda state, e: -1.0 - e,
+        row=lambda state: np.array([-1.0, -2.0]),
         exact_base=lambda state, e: Fraction(1, 2 + e),
         driving=golden.driving,
     )

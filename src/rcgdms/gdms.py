@@ -28,9 +28,9 @@ from .potentials import _segment_log_sums, log_sum_exp
 from .shift import GeometricTail, SymbolicSystem, Word, full_shift, suffix_tree, word_index
 
 
-def _frozen(values) -> np.ndarray:
-    """A read-only float64 row."""
-    row = np.array(values, dtype=float)
+def _frozen(values, dtype=float) -> np.ndarray:
+    """A read-only row, float64 unless dtype says otherwise."""
+    row = np.array(values, dtype=dtype)
     row.flags.writeable = False
     return row
 
@@ -42,6 +42,8 @@ class RCGDMS:
     log_ratios(state) is log |phi'_{e,omega}| and offsets(state) the left
     endpoint of the image interval, each a read-only float64 array over
     symbolic.edges (columns in symbolic.position), built once per state.
+    ratio_fractions(state), when the ratios are rational, holds them as
+    Fractions in a read-only object array over the same columns.
     """
 
     symbolic: SymbolicSystem
@@ -51,7 +53,7 @@ class RCGDMS:
     offsets: Callable[[object], np.ndarray]
     contraction: float  # common Lipschitz bound, sup of all ratios
     edge_vertex: Optional[Mapping[int, tuple[object, object]]] = None  # (initial, terminal)
-    ratio_fraction: Optional[Callable[[int, object], Fraction]] = None
+    ratio_fractions: Optional[Callable[[object], np.ndarray]] = None
     # tail_log_moment(s, states): for each fiber state of the sequence, log of
     # the sum over the edges past the materialized cutoff of
     # exp(s * log ratio), +inf where that series diverges.  One call serves
@@ -279,9 +281,9 @@ def similarity_system(
     Gibbs brackets) stay available.
     """
     spaces = dict(spaces) if spaces else {symbolic.vertices[0]: (0.0, 1.0)}
-    ratio_f = {s: {e: Fraction(r) for e, r in tbl.items()} for s, tbl in ratios.items()}
     states = driving.state_support()
-    log_rows = {s: _frozen([math.log(ratio_f[s][e]) for e in symbolic.edges]) for s in states}
+    fraction_rows = {s: _frozen([Fraction(ratios[s][e]) for e in symbolic.edges], object) for s in states}
+    log_rows = {s: _frozen([math.log(r) for r in fraction_rows[s].tolist()]) for s in states}
     offset_rows = {s: _frozen([float(offsets[s][e]) for e in symbolic.edges]) for s in states}
     return RCGDMS(
         symbolic=symbolic,
@@ -289,8 +291,8 @@ def similarity_system(
         spaces=spaces,
         log_ratios=log_rows.__getitem__,
         offsets=offset_rows.__getitem__,
-        contraction=float(max(ratio_f[s][e] for s in states for e in symbolic.edges)),
-        ratio_fraction=lambda e, s: ratio_f[s][e],
+        contraction=float(max(max(row.tolist()) for row in fraction_rows.values())),
+        ratio_fractions=fraction_rows.__getitem__,
         name=name,
     )
 
@@ -317,10 +319,10 @@ def example_weights(count: int = 40) -> tuple[list[int], list[float]]:
     """Closed-form Bernoulli state weights, proportional to
     1 / (2^i * sum_{k<=i} 2^(k^2)); the tail beyond `count` is below double
     precision and is folded in by normalization."""
-    raw = []
-    for i in range(1, count + 1):
-        log_den = i * _LOG2 + log_sum_exp(k * k * _LOG2 for k in range(1, i + 1))
-        raw.append(math.exp(-log_den) if log_den < 700 else 0.0)
+    i = np.arange(1, count + 1)
+    # row i: k^2 log 2 for k <= i, padded with -inf
+    log_dens = i * _LOG2 + log_sum_exp(np.where(i <= i[:, None], i * i * _LOG2, -np.inf))
+    raw = [math.exp(-x) if x < 700 else 0.0 for x in log_dens.tolist()]
     total = math.fsum(raw)
     return list(range(1, count + 1)), [w / total for w in raw]
 
@@ -385,7 +387,7 @@ class BlockTailExample:
         log_q = -s * _LOG8
         if start < 1e15:
             terms.append(start * log_q - math.log(-math.expm1(log_q)))
-        return log_sum_exp(terms)
+        return float(log_sum_exp(np.array(terms)))
 
     def _table(self, states: tuple):
         """Per state, the log edge counts of the unlocked blocks past the

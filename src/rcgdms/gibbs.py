@@ -107,8 +107,11 @@ class EigenvalueSequence:
 
 
 def _weights(potential: FirstSymbolPotential, symbols, state, exact: bool) -> np.ndarray:
-    weight = potential.exact_weight_fn("fraction" if exact else "float")
-    return np.array([weight(state, e) for e in symbols], dtype=object if exact else float)
+    """Per-symbol weights exp(value), as Fractions or as float64 (math.exp
+    of each log weight)."""
+    if exact:
+        return potential.exact_weights(state, symbols, "fraction")
+    return np.array([math.exp(x) for x in potential.log_weights(state, symbols).tolist()])
 
 
 def _pulled(tree: _WordTree, weights: np.ndarray, levels: Sequence[np.ndarray]) -> list[np.ndarray]:

@@ -8,7 +8,9 @@ potential), so it is constant on 1-cylinders and its cylinder sums are exact.
 
 Everything reads a lazily built table: one float64 row of the unscaled
 potential over the materialized edges per fiber state, from the row(state)
-hook (geometric potentials read the map system's log_ratios), plus
+hook (geometric potentials read the map system's log_ratios); for rational
+potentials, one object row of the exact weights exp(row) as Fractions, from
+the exact_row(state) hook (the map system's ratio_fractions); plus
 per-symbol-set column indices (symbolic.position) and 0/1 admissibility
 matrices.  Every scaled(s) copy shares the table.  Filling an entry is
 idempotent, so concurrent readers need no lock.
@@ -33,26 +35,19 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .driving import DrivingOrbit, DrivingSystem
+from .driving import DrivingSystem
 from .shift import SymbolicSystem
 
 
-def log_sum_exp(values) -> float:
-    """log of the sum of exp(x) over an iterable or a 1-d numpy array.
-
-    Empty input or a maximum of -inf gives -inf; a maximum of +inf gives
-    +inf.  Arrays are summed by numpy, other iterables exactly by math.fsum.
-    """
-    if isinstance(values, np.ndarray):
-        m = float(values.max()) if values.size else -math.inf
-        if math.isinf(m):
-            return m
-        return m + math.log(float(np.exp(values - m).sum()))
-    xs = list(values)
-    m = float(max(xs)) if xs else -math.inf
-    if math.isinf(m):
-        return m
-    return m + math.log(math.fsum(math.exp(x - m) for x in xs))
+def log_sum_exp(terms: np.ndarray):
+    """log of the sum of exp(terms) over the last axis of an array, one value
+    per leading index.  Each row is shifted by its own finite maximum, so no
+    term underflows against a larger one; an empty or all -inf row gives
+    -inf, and a row holding +inf gives +inf."""
+    m = terms.max(axis=-1, initial=-np.inf)
+    shift = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.exp(terms - shift[..., None]).sum(axis=-1))
 
 
 def float_log(x) -> float:
@@ -91,18 +86,6 @@ def _expected(driving: DrivingSystem, states: tuple, values: np.ndarray) -> floa
     return driving.expectation(by_state.__getitem__)
 
 
-def _log_incoming(vals: np.ndarray, adm: np.ndarray) -> np.ndarray:
-    """Per target b, log of the sum of exp(vals[..., e]) over e with
-    adm[e, b] = 1, for every leading index of vals; -inf for a target no
-    symbol enters.  Each target is shifted by its own (finite) maximum, so no
-    admissible term underflows against a larger one."""
-    terms = np.where(adm.T > 0, vals[..., None, :], -np.inf)
-    m = terms.max(axis=-1)
-    shift = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        return shift + np.log(np.exp(terms - shift[..., None]).sum(axis=-1))
-
-
 @dataclass(frozen=True)
 class FirstSymbolPotential:
     """Potential scale * row(state)[e], with analytic tail moments for
@@ -110,6 +93,8 @@ class FirstSymbolPotential:
 
     row(state) gives the unscaled potential on each 1-cylinder, as a float64
     array over system.edges, so every cylinder bound is exact and sup == inf.
+    exact_row(state), when given, holds exp(row(state)) as Fractions, in an
+    object array over system.edges.
     """
 
     system: SymbolicSystem
@@ -117,23 +102,10 @@ class FirstSymbolPotential:
     scale: float = 1.0
     # (s, states) -> log tail moment per state, +inf where it diverges
     tail_moment: Optional[Callable[[float, tuple], np.ndarray]] = None
-    exact_base: Optional[Callable[[object, int], Fraction]] = None
+    exact_row: Optional[Callable[[object], np.ndarray]] = None
     driving: Optional[DrivingSystem] = None
     # Lazily filled tables of the unscaled potential, shared by scaled copies.
     _table: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    # -- basic evaluation ---------------------------------------------------
-
-    def value(self, state, e: int) -> float:
-        return self.scale * self._row(state)[self.system.position[e]].item()
-
-    def sum_bounds(self, orbit: DrivingOrbit, k: int, word: Sequence[int]) -> tuple[float, float]:
-        """(sup, inf) of the Birkhoff sum over the cylinder of `word` from
-        orbit position k; the two coincide."""
-        total = 0.0
-        for j, e in enumerate(word):
-            total += self.value(orbit.state(k + j), e)
-        return (total, total)
 
     def scaled(self, s: float) -> "FirstSymbolPotential":
         out = replace(self, scale=float(s))
@@ -157,6 +129,28 @@ class FirstSymbolPotential:
         """scale * row(state) over the edges, or over a sorted symbol tuple."""
         row = self._row(state)
         return self.scale * (row if symbols is None else row[self._columns(symbols)])
+
+    def exact_weights(self, state, symbols: tuple, arithmetic: str) -> np.ndarray:
+        """exp(log_weights(state, symbols)) from exact_row, as Fractions
+        (arithmetic "fraction") or mpmath floats ("mpf"), in an object array.
+
+        The Fraction weights require an integer scale; they keep sandwich
+        margins and Gibbs brackets provably nonnegative.
+        """
+        if self.exact_row is None:
+            raise ValueError("exact weights need a rational potential")
+        row = self._cached(("exact_row", state), lambda: self.exact_row(state))[self._columns(symbols)]
+        if arithmetic == "fraction":
+            if self.scale != int(self.scale):
+                raise ValueError("Fraction weights need an integer scale")
+            return row ** int(self.scale)
+        if arithmetic == "mpf":
+            import mpmath
+
+            s = mpmath.mpf(self.scale)
+            bases = [mpmath.mpf(r.numerator) / mpmath.mpf(r.denominator) for r in row.tolist()]
+            return np.array([mpmath.power(b, s) for b in bases], dtype=object)
+        raise ValueError(f"unknown arithmetic {arithmetic!r}")
 
     def admissibility(self, symbols: tuple) -> np.ndarray:
         """0/1 matrix of admissible pairs (row: first symbol) over a sorted
@@ -204,7 +198,8 @@ class FirstSymbolPotential:
                 raise ValueError("symbol set must be nonempty")
             if self.system.incidence_kind != "full":
                 weights = np.array([self.log_weights(st, symbols) for st in states])
-                per_target = _log_incoming(weights, self.admissibility(symbols))
+                adm = self.admissibility(symbols)
+                per_target = log_sum_exp(np.where(adm.T > 0, weights[:, None, :], -np.inf))
                 return per_target.max(axis=1), per_target.min(axis=1)
         elif self.system.incidence_kind != "full":
             raise ValueError("full-alphabet transfer bounds need a full shift")
@@ -221,57 +216,11 @@ class FirstSymbolPotential:
         hi, lo = self.transfer_bounds((state,), symbols)
         return (float(hi[0]), float(lo[0]))
 
-    def sup_log_norm(self, symbols: Sequence[int]) -> float:
-        """Uniform bound over fibers of |f| restricted to a finite symbol set."""
-        cols = self._columns(tuple(sorted(symbols)))
-        block = np.array([self._row(st)[cols] for st in self._support_states()])
-        worst = 0.0
-        for lo, hi in zip(block.min(axis=0).tolist(), block.max(axis=0).tolist()):
-            worst = max(worst, abs(self.scale * lo), abs(self.scale * hi))
-        return worst
-
-    def _support_states(self):
-        return self.driving.state_support() if self.driving is not None else (None,)
-
-    # -- exact arithmetic ------------------------------------------------------
-
-    def exact_weight_fn(self, arithmetic: str) -> Callable[[object, int], object]:
-        """Per-symbol weights exp(value) as floats, or exact_base ** scale as
-        Fractions or mpmath floats (arithmetic "float", "fraction" or "mpf").
-
-        The Fraction path requires rational exact_base weights and an integer scale;
-        it keeps sandwich margins and Gibbs brackets provably nonnegative.
-        """
-        if arithmetic == "float":
-            return lambda state, e: math.exp(self.value(state, e))
-        if self.exact_base is None:
-            raise ValueError("exact weights need a rational potential")
-        if arithmetic == "fraction":
-            s = self.scale
-            if s != int(s):
-                raise ValueError("Fraction weights need an integer scale")
-            s = int(s)
-            return lambda state, e: self.exact_base(state, e) ** s
-        if arithmetic == "mpf":
-            import mpmath
-
-            s = mpmath.mpf(self.scale)
-
-            def weight(state, e):
-                r = self.exact_base(state, e)
-                return mpmath.power(mpmath.mpf(r.numerator) / mpmath.mpf(r.denominator), s)
-
-            return weight
-        raise ValueError(f"unknown arithmetic {arithmetic!r}")
-
 
 def zero_potential(system: SymbolicSystem) -> FirstSymbolPotential:
     zeros = np.zeros(len(system.edges))
-    return FirstSymbolPotential(
-        system=system,
-        row=lambda state: zeros,
-        exact_base=lambda state, e: Fraction(1),
-    )
+    ones = np.full(len(system.edges), Fraction(1), dtype=object)
+    return FirstSymbolPotential(system=system, row=lambda state: zeros, exact_row=lambda state: ones)
 
 
 def table_potential(
@@ -291,15 +240,11 @@ def geometric_potential(gdms) -> FirstSymbolPotential:
     included), so the value on a cylinder is exactly the sum of log ratios
     along the word, sup == inf, and the distortion factor is 1.
     """
-    exact = None
-    if gdms.ratio_fraction is not None:
-        exact = lambda state, e: gdms.ratio_fraction(e, state)
-
     return FirstSymbolPotential(
         system=gdms.symbolic,
         row=gdms.log_ratios,
         tail_moment=gdms.tail_log_moment,
-        exact_base=exact,
+        exact_row=gdms.ratio_fractions,
         driving=gdms.driving,
     )
 

@@ -21,7 +21,8 @@ import numpy as np
 
 Word = tuple[int, ...]
 
-# Most words one prefix-tree level may hold; prefix_tree reads it at call time.
+# Most words one word-tree level may hold; prefix_tree and suffix_tree read
+# it at call time.
 WORD_BUDGET = 10_000_000
 
 
@@ -121,6 +122,16 @@ def _incidence(system: SymbolicSystem, symbols: Sequence[int]) -> np.ndarray:
     return np.array([[system.admissible_pair(a, b) for b in symbols] for a in symbols], dtype=bool)
 
 
+def _grown(step: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Words per end symbol one level on from this level's `counts`, `step`
+    being the incidence toward the growing end; raises before a level of
+    more than WORD_BUDGET words is built."""
+    counts = step @ counts
+    if counts.sum() > WORD_BUDGET:
+        raise ValueError("enumeration budget exceeded")
+    return counts
+
+
 def prefix_tree(system: SymbolicSystem, symbols: Sequence[int], n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Admissible words over `symbols`, lexicographic, one level per step for n
     levels: yields (parent, last), parent[i] the index of word i's prefix one
@@ -131,9 +142,9 @@ def prefix_tree(system: SymbolicSystem, symbols: Sequence[int], n: int) -> Itera
     succ = _incidence(system, symbols)
     last = np.arange(len(succ))
     yield np.zeros_like(last), last
+    counts = np.ones(len(succ), dtype=np.int64)  # words per last symbol
     for _ in range(n - 1):
-        if succ.sum(axis=1)[last].sum() > WORD_BUDGET:
-            raise ValueError("enumeration budget exceeded")
+        counts = _grown(succ.T, counts)
         parent, last = np.nonzero(succ[last])
         yield parent, last
 
@@ -144,13 +155,16 @@ def suffix_tree(system: SymbolicSystem, symbols: Sequence[int], n: int) -> Itera
     parent), first[i] the position of word i's first symbol in
     sorted(symbols) and parent[i] the index of its suffix one level down (at
     level 1, the symbol's own position).  Every level is lexicographic, so
-    `first` is sorted and the last level is word_index's order."""
+    `first` is sorted and the last level is word_index's order.  A level of
+    more than WORD_BUDGET words raises unbuilt."""
     if n < 1:
         raise ValueError("word length must be >= 1")
     succ = _incidence(system, symbols)
     first = np.arange(len(succ))
     yield first, first
+    counts = np.ones(len(succ), dtype=np.int64)  # words per first symbol
     for _ in range(n - 1):
+        counts = _grown(succ, counts)
         first, parent = np.nonzero(succ[:, first])
         yield first, parent
 

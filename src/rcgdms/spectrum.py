@@ -95,16 +95,12 @@ class PressureCurve:
     s_infinity: float
     exponent_lo: float  # conservative -p'(+inf): least admissible exponent
     exponent_hi: float  # conservative -p'(s_infinity): largest admissible exponent
-    evaluator: Optional[Callable[[float], float]] = None
+    evaluator: Callable[[float], float]
     repair_correction: float = 0.0
     slope: Optional[Callable[[float], Optional[float]]] = None  # analytic p'(s); None where uncertified
 
     def pressure_at(self, s: float) -> float:
-        if self.evaluator is not None:
-            return self.evaluator(s)
-        if s <= self.s_infinity:
-            return math.inf
-        return float(np.interp(s, self.s_grid, self.values))
+        return self.evaluator(s)
 
     def slope_at(self, s: float) -> float:
         """p'(s): the analytic slope where it is given and certified, else a
@@ -158,9 +154,8 @@ def pressure_curve(
 def bowen_dimension(curve: PressureCurve, max_span: float = 64.0) -> float:
     """Root of the pressure along the scale axis: inf{s >= 0 : p(s) <= 0}.
 
-    Solved against the exact evaluator when present, else against the
-    repaired grid interpolant; returns 0 when the pressure at 0 is already
-    nonpositive."""
+    Solved against the curve's evaluator; returns 0 when the pressure at 0
+    is already nonpositive."""
     p = curve.pressure_at
     p_zero = p(0.0)
     if p_zero <= 0.0:
@@ -241,16 +236,12 @@ def _transform_at(curve: PressureCurve, beta: float) -> float:
 
     The bracket is the pair of hull nodes around the best node, grown outward
     until the slope changes sign and clamped just above the summability
-    threshold.  The hull-node minimum guards the result and serves curves
-    without an evaluator."""
+    threshold.  The hull-node minimum guards the result."""
     finite = np.isfinite(curve.values)
     nodes = curve.s_grid[finite]
     node_vals = beta * nodes + curve.values[finite]
     j = int(np.argmin(node_vals))
     best = float(node_vals[j])
-    p = curve.evaluator
-    if p is None:
-        return best
     f = lambda s: curve.slope_at(s) + beta
     floor = curve.s_infinity + 1e-12
 
@@ -271,7 +262,7 @@ def _transform_at(curve: PressureCurve, beta: float) -> float:
     hi, f_hi, lo, f_lo = walk(hi, f_hi, lo, f_lo, -1.0)
     lo, f_lo, hi, f_hi = walk(lo, f_lo, hi, f_hi, 1.0)
     s = _root(f, lo, hi, f_lo, f_hi)
-    return min(beta * s + p(s), best)
+    return min(beta * s + curve.evaluator(s), best)
 
 
 def legendre_spectrum(curve: PressureCurve, beta_grid: Sequence[float]) -> SpectrumResult:
@@ -353,8 +344,6 @@ def tq_analysis(
     p(0)/p'(T), negative for nondegenerate finite alphabets)."""
     if symbol_count < 2:
         raise ValueError("temperature analysis needs at least two symbols")
-    if curve.evaluator is None:
-        raise ValueError("temperature analysis needs a pressure evaluator")
     p0 = curve.evaluator(0.0)
     qs = np.asarray(sorted(q_grid), dtype=float)
     ts = np.array([_solve_t(curve.evaluator, p0, q) for q in qs])

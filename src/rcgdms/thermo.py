@@ -43,7 +43,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .driving import DrivingOrbit, DrivingSystem, orbit_family
-from .potentials import FirstSymbolPotential, _expected, _log_incoming, float_log, log_sum_exp
+from .potentials import FirstSymbolPotential, _expected, float_log, log_sum_exp
 from .shift import PrimitivityWitness, SubalphabetLadder, SymbolicSystem, find_primitivity
 
 
@@ -76,25 +76,26 @@ class PartitionSums:
 
 @dataclass(frozen=True)
 class _Lane:
-    """One arithmetic for the transfer recursion and the sandwich chain.
+    """One arithmetic for the transfer recursion and the sandwich chain:
+    numbers and operators only, with the per-symbol weights read from the
+    potential's rows.
 
-    The float lane carries logs: `mul` adds, `div` subtracts, `power`
-    multiplies and `push` is the per-target log-sum-exp.  The Fraction and
-    mpf lanes carry the values themselves, in numpy object vectors.  Either
-    way the margin of lhs <= rhs is rhs - lhs.
+    The float lane carries logs: `one` is 0, `mul` adds, `div` subtracts,
+    `power` multiplies and `total` is the log-sum-exp.  The Fraction and mpf
+    lanes carry the values themselves, in numpy object arrays.  Either way
+    `total` sums over the last axis, and the margin of lhs <= rhs is
+    rhs - lhs.
     """
 
     exact: bool
     zero: object
+    one: object
     weights: Callable  # (state, symbols) -> per-symbol weights
     mul: Callable
     div: Callable
     power: Callable
-    push: Callable  # (rows, adm) -> per row and target, sum over admissible predecessors
-    total: Callable  # vector -> sum of its entries
+    total: Callable  # array -> sum over its last axis
     log: Callable  # lane number -> float log
-    cylinder_inf: Callable  # (orbit, position, word) -> inf of the weight product over [word]
-    bounds: Callable  # (connector symbols, fiber states) -> e^K
 
 
 def _lane(potential: FirstSymbolPotential, arithmetic: str) -> _Lane:
@@ -102,39 +103,36 @@ def _lane(potential: FirstSymbolPotential, arithmetic: str) -> _Lane:
         return _Lane(
             exact=False,
             zero=-math.inf,
+            one=0.0,
             weights=potential.log_weights,
             mul=operator.add,
             div=operator.sub,
             power=operator.mul,
-            push=_log_incoming,
             total=log_sum_exp,
             log=float,
-            cylinder_inf=lambda orbit, p, word: potential.sum_bounds(orbit, p, word)[1],
-            bounds=lambda conn, states: potential.sup_log_norm(conn),
         )
     import mpmath  # imported here because only the exact lanes use it
 
-    weight = potential.exact_weight_fn(arithmetic)
     zero, one = (Fraction(0), Fraction(1)) if arithmetic == "fraction" else (mpmath.mpf(0), mpmath.mpf(1))
-
-    def bounds(conn, states):
-        return max(max(weight(st, e), one / weight(st, e)) for st in states for e in conn)
-
     return _Lane(
         exact=True,
         zero=zero,
-        weights=lambda state, symbols: np.array([weight(state, e) for e in symbols], dtype=object),
+        one=one,
+        weights=lambda state, symbols: potential.exact_weights(state, symbols, arithmetic),
         mul=operator.mul,
         div=operator.truediv,
         power=operator.pow,
-        push=lambda v, adm: np.where(adm.T > 0, v[..., None, :], zero).sum(axis=-1),
-        total=lambda v: sum(v, zero),
+        total=lambda v: v.sum(axis=-1, initial=zero),
         log=float_log,
-        cylinder_inf=lambda orbit, p, word: reduce(
-            operator.mul, (weight(orbit.state(p + j), e) for j, e in enumerate(word))
-        ),
-        bounds=bounds,
     )
+
+
+def _connector_bound(lane: _Lane, conn: tuple, states) -> object:
+    """e^K: the largest of w and 1/w over the weights of the connector
+    symbols `conn` at the fiber states; on the float lane, the largest
+    |log weight|."""
+    w = np.array([lane.weights(st, conn) for st in states])
+    return np.maximum(w, lane.div(lane.one, w)).max()
 
 
 def _transfer_steps(lane: _Lane, adm: np.ndarray, weights, rows=True):
@@ -145,7 +143,7 @@ def _transfer_steps(lane: _Lane, adm: np.ndarray, weights, rows=True):
     v = np.where(rows, weights[0], lane.zero)
     yield v
     for w in weights[1:]:
-        v = lane.mul(w, lane.push(v, adm))
+        v = lane.mul(w, lane.total(np.where(adm.T > 0, v[..., None, :], lane.zero)))
         yield v
 
 
@@ -269,22 +267,26 @@ def check_sandwich(
     op_forward = sums(N + 1 + n, 0)
     l_shifted = sums(n, N + 1)
 
-    eK = lane.bounds(sorted(witness.connector_alphabet), orbit.system.state_support())
-    C = lane.power(eK, N)  # e^{NK}
+    conn = tuple(sorted(witness.connector_alphabet))
+    C = lane.power(_connector_bound(lane, conn, orbit.system.state_support()), N)  # e^{NK}
 
     # R at fiber position p: min over connectors w with anchor*w admissible of
-    # the inf of the (N+1)-sum over [anchor w]; R_n: the same over [w]
-    def connector_inf(words, p):
-        return min(lane.cylinder_inf(orbit, p, w) for w in words)
+    # the weight product over [anchor w]; R_n: the same over [w]
+    letters = tuple(sorted(witness.connector_alphabet | {anchor}))
+    column = {e: i for i, e in enumerate(letters)}
+
+    def connector_min(words, p):
+        rows = [lane.weights(orbit.state(p + j), letters).tolist() for j in range(max(map(len, words)))]
+        return min(reduce(mul, [rows[j][column[e]] for j, e in enumerate(w)]) for w in words)
 
     anchored = [
         (anchor,) + w
         for w in witness.connectors
         if system.admissible_pair(anchor, w[0]) and system.is_admissible((anchor,) + w)
     ]
-    R_back = connector_inf(anchored, -(N + 1))
-    R_fwd = connector_inf(anchored, 0)
-    Rn = connector_inf(witness.connectors, n)
+    R_back = connector_min(anchored, -(N + 1))
+    R_fwd = connector_min(anchored, 0)
+    Rn = connector_min(witness.connectors, n)
 
     chain = (
         ("operator<=anchored_sup", base["operator"], base["anchored_sup"]),
@@ -299,9 +301,10 @@ def check_sandwich(
         ("comparability: operator>=R*return_shifted", mul(R_fwd, l_shifted["return"]), op_forward["operator"]),
         ("comparability: deeper_return>=R_n*all", mul(Rn, base["all"]), deeper["return"]),
     )
-    return SandwichReport(
-        depth=n, anchor=anchor, inequalities=tuple((name, float(rhs - lhs)) for name, lhs, rhs in chain)
-    )
+    # two empty sums (0 <= 0) hold with margin 0, where the float lane's
+    # -inf - -inf would read nan
+    margins = tuple((name, 0.0 if lhs == rhs else float(rhs - lhs)) for name, lhs, rhs in chain)
+    return SandwichReport(depth=n, anchor=anchor, inequalities=margins)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +419,7 @@ def _mc_log_all(symbols, potential, orbits, depths) -> np.ndarray:
     used, inverse = np.unique(idx, return_inverse=True)
     table = np.array([lane.weights(orbits[0].system.states[i], symbols) for i in used])
     steps = _transfer_steps(lane, potential.admissibility(symbols), table[inverse.reshape(idx.shape)])
-    sink = np.ones((len(symbols), 1))  # every last symbol enters one sink: its value is log A_n
-    return np.array([_log_incoming(v, sink)[:, 0] for v in steps])[np.array(depths) - 1]
+    return np.array([lane.total(v) for v in steps])[np.array(depths) - 1]
 
 
 def pressure(
@@ -577,7 +579,8 @@ def check_gibbs(
         raise ValueError("the measures live on a different symbol set")
     witness = _primitivity_witness(system, symbols, witness)
     N = witness.order
-    K = potential.sup_log_norm(sorted(witness.connector_alphabet))
+    conn = tuple(sorted(witness.connector_alphabet))
+    K = _connector_bound(_lane(potential, "float"), conn, orbit.system.state_support())
     checked = violations = 0
     max_up = -math.inf
     min_lo = math.inf

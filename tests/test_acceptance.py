@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from words import enumerate_words
+from words import enumerate_words, weight_fn
 
 from rcgdms import instances
 from rcgdms.cli import main as cli_main
@@ -169,7 +169,7 @@ def test_criterion_4_gibbs_brackets(cantor, twoscale, period2):
         zeta = geometric_potential(system).scaled(1.0)
         orbit = sample_orbit(system.driving, 0)
         measures, _ = conformal_measures(system.symbolic, (0, 1), zeta, orbit, depth=8, exact=True)
-        weight = zeta.exact_weight_fn("fraction")
+        weight = weight_fn(zeta, "fraction")
         states = [orbit.state(k) for k in range(8)]
         norms = [sum(weight(st, e) for e in (0, 1)) for st in states]
         for n in range(1, 9):

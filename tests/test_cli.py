@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from words import ratio_of
 
 import rcgdms
 import rcgdms.shift
@@ -18,6 +19,7 @@ from rcgdms.driving import periodic
 from rcgdms.gdms import BlockTailExample, similarity_system
 from rcgdms.potentials import geometric_potential
 from rcgdms.shift import full_shift
+from rcgdms.thermo import _connector_bound, _lane
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -296,18 +298,19 @@ def test_paper_commands_make_no_per_edge_log_ratio_calls(tmp_path, monkeypatch):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_exponent_hull_and_sup_log_norm_match_the_ratio_table(data):
+def test_exponent_hull_and_connector_bound_match_the_ratio_table(data):
     edges = sorted(data.draw(st.sets(st.integers(0, 40), min_size=1, max_size=6)))
     states = tuple(range(data.draw(st.integers(1, 3))))
     ratio = st.integers(1, 999).map(lambda k: Fraction(k, 1000))
     ratios = {s: {e: data.draw(ratio) for e in edges} for s in states}
     sysm = similarity_system(full_shift(edges), periodic(states), ratios, {s: dict.fromkeys(edges, 0.0) for s in states})
-    exponents = [-math.log(sysm.ratio_fraction(e, s)) for s in states for e in edges]
+    exponents = [-math.log(ratio_of(sysm, e, s)) for s in states for e in edges]
     assert _exponent_hull(sysm) == (min(exponents), max(exponents))
     symbols = sorted(data.draw(st.sets(st.sampled_from(edges), min_size=1)))
     scale = data.draw(st.floats(-4.0, 4.0, allow_nan=False))
-    want = max(abs(scale * -math.log(sysm.ratio_fraction(e, s))) for s in states for e in symbols)
-    assert geometric_potential(sysm).scaled(scale).sup_log_norm(symbols) == want
+    want = max(abs(scale * -math.log(ratio_of(sysm, e, s))) for s in states for e in symbols)
+    lane = _lane(geometric_potential(sysm).scaled(scale), "float")
+    assert _connector_bound(lane, tuple(symbols), states) == want
 
 
 def test_countable_exponent_hulls(paper, pure_tail):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from words import enumerate_words
+from words import enumerate_words, ratio_of
 
 import rcgdms.gdms
 import rcgdms.oracle
@@ -112,7 +112,7 @@ def test_random_words_match_per_word_coding(case, depth, count, seed):
 def test_exponent_sums_match_product_enumeration(case, n):
     system, orbit, symbols = case
     want = sorted(
-        math.fsum(-math.log(system.ratio_fraction(e, orbit.state(j))) for j, e in enumerate(w))
+        math.fsum(-math.log(ratio_of(system, e, orbit.state(j))) for j, e in enumerate(w))
         for w in itertools.product(symbols, repeat=n)
         if system.symbolic.is_admissible(w)
     )
@@ -256,3 +256,16 @@ def test_budget_raises_before_the_level_is_built(monkeypatch, paper):
     assert [len(last) for _, last in itertools.islice(levels, 2)] == [100, 10 ** 4]
     with pytest.raises(ValueError, match="budget"):
         next(levels)
+
+
+def test_suffix_walk_shares_the_budget(monkeypatch):
+    # 8 symbols at depth 6 would grow levels of 8 up to 262,144 words
+    monkeypatch.setattr(rcgdms.shift, "WORD_BUDGET", 1000)
+    ratios, offsets = {0: dict.fromkeys(range(8), Fraction(1, 9))}, {0: {e: e / 8 for e in range(8)}}
+    system = similarity_system(full_shift(range(8)), deterministic(0), ratios, offsets)
+    levels = rcgdms.shift.suffix_tree(system.symbolic, tuple(range(8)), 6)
+    assert [len(first) for first, _ in itertools.islice(levels, 3)] == [8, 64, 512]
+    with pytest.raises(ValueError, match="budget"):
+        next(levels)
+    with pytest.raises(ValueError, match="budget"):
+        sample_limit_set(system, sample_orbit(system.driving, 0), 6)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from words import ratio_of
 
 from rcgdms.driving import deterministic, periodic, sample_orbit
 from rcgdms.gdms import sample_limit_set, similarity_system
@@ -64,7 +65,7 @@ def test_bowen_root_against_direct_moment_equation(seed):
     curve = pressure_curve(evaluate, np.linspace(-2, 6, 33))
     s_star = bowen_dimension(curve)
 
-    ratios = [float(system.ratio_fraction(e, 0)) for e in range(3)]
+    ratios = [float(ratio_of(system, e, 0)) for e in range(3)]
 
     def moment(s):
         return sum(r ** s for r in ratios) - 1.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from words import ratio_of
 
 from rcgdms import instances
 from rcgdms.driving import periodic, sample_orbit
@@ -63,7 +64,7 @@ def test_diameter_matches_derivative_product(twoscale):
     word = (1, 0, 1)
     lo, hi = image_of_word(twoscale, orbit, word)
     expected = math.exp(
-        math.fsum(math.log(twoscale.ratio_fraction(e, orbit.state(k))) for k, e in enumerate(word))
+        math.fsum(math.log(ratio_of(twoscale, e, orbit.state(k))) for k, e in enumerate(word))
     )
     assert hi - lo == pytest.approx(expected, rel=1e-12)
 
@@ -219,7 +220,7 @@ def closed_form_row(name, sysm, state):
         return np.array([tail.log_ratio(e, state) for e in edges])
     if name == "pure-tail":
         return np.array([-e * math.log(8.0) for e in edges])
-    return np.array([math.log(sysm.ratio_fraction(e, state)) for e in edges])
+    return np.array([math.log(ratio_of(sysm, e, state)) for e in edges])
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from words import weight_fn
 
 from rcgdms.driving import sample_orbit
 from rcgdms.gibbs import (
@@ -89,7 +90,7 @@ def test_induction_agrees_with_product_route(period2):
     zeta = geometric_potential(period2).scaled(1.0)
     orbit = sample_orbit(period2.driving, 0)
     measures, eigens = conformal_measures(period2.symbolic, (0, 1), zeta, orbit, depth=3)
-    weight = zeta.exact_weight_fn("float")
+    weight = weight_fn(zeta, "float")
     norms = [sum(weight(orbit.state(j), e) for e in (0, 1)) for j in range(5)]
     for w, mass in measures[0].masses.items():
         closed = math.prod(weight(orbit.state(j), e) / norms[j] for j, e in enumerate(w))

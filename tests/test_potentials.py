@@ -1,15 +1,19 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
+from words import birkhoff, value, weight_fn
 
 from rcgdms.driving import sample_orbit
 from rcgdms.potentials import (
+    float_log,
     geometric_potential,
     s_infinity,
     summability,
     zero_potential,
 )
+from rcgdms.thermo import _connector_bound, _lane
 
 LOG2 = math.log(2.0)
 LOG3 = math.log(3.0)
@@ -18,19 +22,20 @@ LOG3 = math.log(3.0)
 def test_cantor_birkhoff_sum_on_cylinder(cantor):
     zeta = geometric_potential(cantor)
     orbit = sample_orbit(cantor.driving, 0)
-    hi, lo = zeta.sum_bounds(orbit, 0, (0, 1))
-    assert hi == lo == pytest.approx(2 * math.log(1 / 3), abs=1e-14)
+    hi, lo = birkhoff(zeta, orbit, 0, (0, 1)), float_log(exact_product(zeta, orbit, (0, 1)))
+    assert hi == pytest.approx(lo, abs=1e-15)
+    assert hi == pytest.approx(2 * math.log(1 / 3), abs=1e-14)
 
 
 def test_period2_symbol_value(period2):
     zeta = geometric_potential(period2)
-    assert zeta.value("a", 0) == pytest.approx(math.log(0.5))
-    assert zeta.value("b", 1) == pytest.approx(math.log(0.25))
+    assert value(zeta, "a", 0) == pytest.approx(math.log(0.5))
+    assert value(zeta, "b", 1) == pytest.approx(math.log(0.25))
 
 
 def test_paper_symbol_value(paper):
     zeta = geometric_potential(paper)
-    assert zeta.value(2, 1) == pytest.approx(-2 * LOG2)
+    assert value(zeta, 2, 1) == pytest.approx(-2 * LOG2)
 
 
 def test_cantor_transfer_sum(cantor):
@@ -98,23 +103,36 @@ def test_restricted_transfer_bounds_golden(golden):
 
 def test_sup_norm_over_connector_alphabet(period2):
     zeta = geometric_potential(period2)
-    assert zeta.sup_log_norm((0,)) == pytest.approx(math.log(4))
-    assert zeta.scaled(0.5).sup_log_norm((0, 1)) == pytest.approx(0.5 * math.log(4))
+    states = period2.driving.state_support()
+    assert _connector_bound(_lane(zeta, "float"), (0,), states) == pytest.approx(math.log(4))
+    assert _connector_bound(_lane(zeta.scaled(0.5), "float"), (0, 1), states) == pytest.approx(0.5 * math.log(4))
+    assert _connector_bound(_lane(zeta, "fraction"), (0,), states) == 4
+
+
+def exact_product(potential, orbit, word):
+    """The Fraction weight of a cylinder: the product of its symbols' exact
+    weights along the orbit."""
+    weight = weight_fn(potential, "fraction")
+    out = Fraction(1)
+    for j, e in enumerate(word):
+        out *= weight(orbit.state(j), e)
+    return out
 
 
 def test_first_symbol_potential_has_no_distortion(cantor):
-    # constant on 1-cylinders: the Birkhoff-sum bounds of every cylinder coincide
+    # constant on 1-cylinders: the Birkhoff sum of every cylinder, read from
+    # the float rows, is the log of its exact weight
     zeta = geometric_potential(cantor)
     orbit = sample_orbit(cantor.driving, 0)
     for word in ((0,), (0, 1, 1), (1, 0, 1, 0, 0)):
-        hi, lo = zeta.sum_bounds(orbit, 0, word)
-        assert hi == lo
+        hi, lo = birkhoff(zeta, orbit, 0, word), float_log(exact_product(zeta, orbit, word))
+        assert hi == pytest.approx(lo, abs=1e-14)
 
 
 def test_scaling_shares_tables(twoscale):
     zeta = geometric_potential(twoscale)
     half = zeta.scaled(0.5)
-    assert half.value(0, 1) == pytest.approx(0.5 * zeta.value(0, 1))
+    assert value(half, 0, 1) == pytest.approx(0.5 * value(zeta, 0, 1))
     assert half.driving is zeta.driving
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from words import value
 
 from rcgdms import instances
 from rcgdms.driving import bernoulli, deterministic, periodic
@@ -49,7 +50,7 @@ def ref_pressure(pot, symbols, tail=None):
     moment when given), then the driving expectation."""
     per_state = {}
     for state in pot.driving.state_support():
-        terms = [pot.value(state, e) for e in symbols]
+        terms = [value(pot, state, e) for e in symbols]
         if tail is not None:
             terms.append(tail(pot.scale, state))
         per_state[state] = ref_lse(terms)

@@ -1,8 +1,8 @@
 """The tabulated transfer sums against per-symbol evaluation of the potential.
 
-The reference sums potential.value symbol by symbol with an exact
-math.fsum log-sum-exp, the way the transfer sums were computed before the
-log-weight table existed.
+The reference reads the potential's value symbol by symbol from its row and
+sums with an exact math.fsum log-sum-exp, the way the transfer sums were
+computed before the log-weight table existed.
 """
 
 import math
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from words import value
 
 from rcgdms.driving import bernoulli, periodic
 from rcgdms.gdms import BlockTailExample
@@ -35,10 +36,10 @@ def ref_lse(xs):
 def ref_bounds(pot, state, symbols):
     symbols = sorted(symbols)
     if pot.system.incidence_kind == "full":
-        total = ref_lse(pot.value(state, e) for e in symbols)
+        total = ref_lse(value(pot, state, e) for e in symbols)
         return (total, total)
     per_target = [
-        ref_lse(pot.value(state, e) for e in symbols if pot.system.admissible_pair(e, b))
+        ref_lse(value(pot, state, e) for e in symbols if pot.system.admissible_pair(e, b))
         for b in symbols
     ]
     return (max(per_target), min(per_target))
@@ -49,7 +50,7 @@ def ref_spectral(pot, symbols, cycle):
     prod = np.eye(len(symbols))
     for state in cycle:
         step = np.array([
-            [math.exp(pot.value(state, a)) if pot.system.admissible_pair(b, a) else 0.0 for b in symbols]
+            [math.exp(value(pot, state, a)) if pot.system.admissible_pair(b, a) else 0.0 for b in symbols]
             for a in symbols
         ])
         prod = step @ prod
@@ -120,7 +121,7 @@ def eig_slope(pot, symbols, cycle):
     steps, rates = [], []
     for state in cycle:
         steps.append(np.array([
-            [math.exp(pot.value(state, a)) if pot.system.admissible_pair(b, a) else 0.0 for b in symbols]
+            [math.exp(value(pot, state, a)) if pot.system.admissible_pair(b, a) else 0.0 for b in symbols]
             for a in symbols
         ]))
         rates.append(pot.row(state)[[pot.system.position[a] for a in symbols]])
@@ -166,7 +167,7 @@ def test_paper_full_alphabet_bounds_match_reference(paper, s):
     tail = BlockTailExample(len(paper.symbolic.edges))
     for state in (1, 2, 5, 17, 31):
         want = ref_lse(
-            [zeta.value(state, e) for e in paper.symbolic.edges] + [tail.log_moment(s, state)]
+            [value(zeta, state, e) for e in paper.symbolic.edges] + [tail.log_moment(s, state)]
         )
         hi, lo = zeta.unit_transfer_bounds(state, None)
         assert hi == lo
@@ -209,13 +210,22 @@ def test_threads_filling_one_table_agree_with_serial(paper):
 
 
 def test_log_sum_exp_conventions():
-    for empty in ([], (), iter(()), np.array([])):
-        assert log_sum_exp(empty) == -math.inf
+    # one value per row: an empty row and an all -inf row give -inf, a row
+    # holding +inf gives +inf
+    assert log_sum_exp(np.array([])) == -math.inf
+    assert log_sum_exp(np.empty((3, 0))).tolist() == [-math.inf] * 3
     cases = [([-math.inf, -math.inf], -math.inf), ([1.0, math.inf, -math.inf], math.inf), ([-math.inf, 0.0], 0.0)]
     for xs, want in cases:
-        assert log_sum_exp(xs) == want
         assert log_sum_exp(np.array(xs)) == want
-        assert log_sum_exp(x for x in xs) == want
+    padded = np.array([xs + [-math.inf] * (3 - len(xs)) for xs, _ in cases])
+    assert log_sum_exp(padded).tolist() == [want for _, want in cases]
+    # 2-D input reduces the last axis, row by row
     xs = [-3.0, 0.5, -40.0, 2.0]
-    assert log_sum_exp(np.array(xs)) == pytest.approx(log_sum_exp(xs), abs=1e-15)
-    assert log_sum_exp(xs) == pytest.approx(math.log(sum(math.exp(x) for x in xs)), abs=1e-14)
+    block = np.array([xs, xs[::-1], [x - 800.0 for x in xs]])
+    got = log_sum_exp(block)
+    assert got.shape == (3,)
+    assert got[0] == log_sum_exp(np.array(xs))
+    assert got[0] == pytest.approx(math.log(sum(math.exp(x) for x in xs)), abs=1e-14)
+    assert got[1] == pytest.approx(got[0], abs=1e-15)
+    assert got[2] == pytest.approx(got[0] - 800.0, abs=1e-12)
+    assert log_sum_exp(block[None]).shape == (1, 3)

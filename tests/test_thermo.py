@@ -6,7 +6,7 @@ import pytest
 
 from rcgdms.driving import orbit_family, sample_orbit
 from rcgdms.gibbs import conformal_measures
-from rcgdms.potentials import geometric_potential, zero_potential
+from rcgdms.potentials import geometric_potential, table_potential, zero_potential
 from rcgdms.shift import build_ladder, count_words, find_primitivity, from_matrix
 from rcgdms.thermo import (
     check_gibbs,
@@ -304,6 +304,18 @@ def test_gibbs_bracket_zero_potential(twoscale):
         twoscale.symbolic, (0, 1), pot, orbit, measures, eigens.log_values, depth=5
     )
     assert report.ok
+
+
+def test_checks_run_on_a_table_potential_without_driving(twoscale):
+    # the connector bound reads the orbit's fiber states, not the potential's
+    table = {st: {0: -LOG2, 1: -2 * LOG2} for st in twoscale.driving.state_support()}
+    pot = table_potential(twoscale.symbolic, table)
+    assert pot.driving is None
+    orbit = sample_orbit(twoscale.driving, 0)
+    sandwich = check_sandwich(twoscale.symbolic, (0, 1), pot, orbit, 0, 3)
+    assert sandwich.worst >= -1e-12
+    measures, eigens = conformal_measures(twoscale.symbolic, (0, 1), pot, orbit, depth=4)
+    assert check_gibbs(twoscale.symbolic, (0, 1), pot, orbit, measures, eigens.log_values, depth=4).ok
 
 
 def test_checks_reject_a_symbol_set_without_a_witness():

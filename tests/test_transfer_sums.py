@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from words import value
 
 from rcgdms.driving import bernoulli, sample_orbit
 from rcgdms.potentials import FirstSymbolPotential
@@ -83,7 +84,7 @@ def cases(draw):
     potential = FirstSymbolPotential(
         system=from_matrix(symbols, rows),
         row=lambda state: np.array([math.log(table[state][e]) for e in symbols]),
-        exact_base=lambda state, e: table[state][e],
+        exact_row=lambda state: np.array([table[state][e] for e in symbols], dtype=object),
         driving=bernoulli(states, [1.0] * len(states)),
     ).scaled(draw(st.sampled_from((-1, 0, 1, 2))))
     orbit = sample_orbit(potential.driving, draw(st.integers(0, 5)))
@@ -100,7 +101,7 @@ def test_recursion_matches_enumeration(case):
 
     want = ref_sums(
         system, symbols, anchor, n,
-        lambda w: math.fsum(pot.value(states[j], e) for j, e in enumerate(w)),
+        lambda w: math.fsum(value(pot, states[j], e) for j, e in enumerate(w)),
         ref_lse,
     )
     got = logs(partition_sums(system, symbols, pot, orbit, anchor, n, position=position))
@@ -110,21 +111,21 @@ def test_recursion_matches_enumeration(case):
     def exact_weight(w):
         out = Fraction(1)
         for j, e in enumerate(w):
-            out *= pot.exact_base(states[j], e) ** s
+            out *= pot.exact_row(states[j])[system.position[e]] ** s
         return out
 
     exact = ref_sums(system, symbols, anchor, n, exact_weight, lambda v: sum(v, Fraction(0)))
     ps = partition_sums(system, symbols, pot, orbit, anchor, n, position=position, arithmetic="fraction")
     assert ps.exact == exact
-    for key, value in logs(ps).items():
-        assert close(value, want[key]), (key, value, want[key])
+    for key, got_log in logs(ps).items():
+        assert close(got_log, want[key]), (key, got_log, want[key])
 
 
 def test_cylinder_constant_sums_enumerate_no_words(golden):
     pot = FirstSymbolPotential(
         system=golden.symbolic,
         row=lambda state: np.array([-1.0, -2.0]),
-        exact_base=lambda state, e: Fraction(1, 2 + e),
+        exact_row=lambda state: np.array([Fraction(1, 2), Fraction(1, 3)], dtype=object),
         driving=golden.driving,
     )
     orbit = sample_orbit(pot.driving, 0)

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .driving import DrivingSystem
-from .shift import SymbolicSystem
+from .shift import SymbolicSystem, _incidence
 
 
 def log_sum_exp(terms: np.ndarray):
@@ -153,13 +153,9 @@ class FirstSymbolPotential:
         raise ValueError(f"unknown arithmetic {arithmetic!r}")
 
     def admissibility(self, symbols: tuple) -> np.ndarray:
-        """0/1 matrix of admissible pairs (row: first symbol) over a sorted
-        symbol tuple, cached per tuple."""
-        adm = self.system.admissible_pair
-        return self._cached(
-            ("admissibility", symbols),
-            lambda: np.array([[1.0 if adm(a, b) else 0.0 for b in symbols] for a in symbols]),
-        )
+        """0/1 float matrix of admissible pairs (row: first symbol) over a
+        sorted symbol tuple, cached per tuple."""
+        return self._cached(("admissibility", symbols), lambda: _incidence(self.system, symbols).astype(np.float64))
 
     # -- transfer-operator unit bounds ---------------------------------------
 

@@ -117,9 +117,16 @@ def from_matrix(edges: Iterable[int], rows: Sequence[Sequence[int]]) -> Symbolic
 
 
 def _incidence(system: SymbolicSystem, symbols: Sequence[int]) -> np.ndarray:
-    """Boolean matrix of admissible pairs over sorted(symbols)."""
+    """Boolean matrix of admissible pairs over sorted(symbols), row: first
+    symbol; a matrix system's rows are filled from its successor sets."""
     symbols = tuple(sorted(symbols))
-    return np.array([[system.admissible_pair(a, b) for b in symbols] for a in symbols], dtype=bool)
+    if system.incidence_kind == "full":
+        return np.ones((len(symbols), len(symbols)), dtype=bool)
+    column = {e: j for j, e in enumerate(symbols)}
+    adm = np.zeros((len(symbols), len(symbols)), dtype=bool)
+    for i, a in enumerate(symbols):
+        adm[i, [column[b] for b in system.successors_map.get(a, ()) if b in column]] = True
+    return adm
 
 
 def _grown(step: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from rcgdms.driving import periodic, sample_orbit
 from rcgdms.gdms import similarity_system
 from rcgdms.potentials import float_log, geometric_potential
 from rcgdms.shift import find_primitivity, from_matrix
-from rcgdms.thermo import _connector_bound, _lane, check_sandwich, partition_sums
+from rcgdms.thermo import SANDWICH_TOL, _connector_bound, _lane, check_sandwich, partition_sums
 
 TOL = 1e-12
 
@@ -126,3 +126,20 @@ def test_float_lane_matches_the_fraction_lane(case):
 @given(systems(st.floats(-3.0, 3.0, allow_nan=False).filter(lambda s: s != int(s))))
 def test_float_lane_matches_the_mpf_lane_at_non_integer_scales(case):
     assert_lane_matches_float(*case, "mpf")
+
+
+def test_sandwich_holding_with_equality_is_ok_on_the_float_lane():
+    """All weights 1 (scale 0) on a 3-symbol incidence: the comparability
+    chain holds with equality, and the float lane's log margins round to
+    -2.2e-16, inside SANDWICH_TOL.  The Fraction lane reads 0 exactly."""
+    symbols = (0, 1, 2)
+    ratios = {0: dict.fromkeys(symbols, Fraction(1, 10))}
+    system = similarity_system(
+        from_matrix(symbols, [[1, 1, 0], [0, 0, 1], [1, 0, 0]]), periodic((0,)), ratios, {0: dict.fromkeys(symbols, 0.0)}
+    )
+    pot = geometric_potential(system).scaled(0)
+    orbit = sample_orbit(system.driving, 0)
+    flt = check_sandwich(pot.system, symbols, pot, orbit, 2, 1)
+    assert flt.ok and -SANDWICH_TOL <= flt.worst <= 0.0, flt.inequalities
+    exact = check_sandwich(pot.system, symbols, pot, orbit, 2, 1, arithmetic="fraction")
+    assert exact.ok and exact.worst == 0.0 and exact.tolerance == 0.0

@@ -12,15 +12,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from words import value
 
 from rcgdms.driving import bernoulli, periodic
 from rcgdms.gdms import BlockTailExample
 from rcgdms.potentials import geometric_potential, log_sum_exp, table_potential
-from rcgdms.shift import from_matrix, full_shift
-from rcgdms.thermo import _perron_slope, _spectral_pressure, pressure
+from rcgdms import thermo
+from rcgdms.shift import _incidence, from_matrix, full_shift
+from rcgdms.thermo import _perron_root, _perron_slope, _spectral_pressure, pressure
 
 TOL = 1e-12
 
@@ -159,6 +160,111 @@ def test_perron_slope_refuses_vectors_of_an_inexact_root():
     rho = (1.0 + math.sqrt(3.0)) / 4.0
     assert _perron_slope(step, rho, [step], rates) is not None
     assert _perron_slope(step, rho * (1.0 + 1e-6), [step], rates) is None
+
+
+@st.composite
+def large_systems(draw):
+    """16-48 scattered symbols under a random incidence of density about 9/10
+    (a Hamiltonian cycle with one self-loop keeps it primitive), 1-3 fiber
+    states and log weights in [-2, 0] at a scale in [-1, 1]: cycle products
+    with a spectral gap wide enough for the Collatz-Wielandt bracket."""
+    n = draw(st.integers(16, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = tuple(sorted(rng.choice(200, n, replace=False).tolist()))
+    rows = (rng.random((n, n)) < 0.9).astype(int)
+    rows[np.arange(n), (np.arange(n) + 1) % n] = 1
+    rows[0, 0] = 1
+    states = tuple(range(draw(st.integers(1, 3))))
+    table = {s: dict(zip(edges, rng.uniform(-2.0, 0.0, n).tolist())) for s in states}
+    pot = table_potential(from_matrix(edges, rows.tolist()), table, driving=periodic(states))
+    return pot.scaled(draw(st.floats(-1.0, 1.0, allow_nan=False))), states
+
+
+def shifted_product(pot, symbols, cycle):
+    """The cycle product that _spectral_pressure builds: each step's weights
+    divided by their largest, times M^T."""
+    symbols = tuple(sorted(symbols))
+    adm_t = pot.admissibility(symbols).T
+    prod = np.eye(len(symbols))
+    for state in cycle:
+        logs = pot.log_weights(state, symbols)
+        prod = (np.exp(logs - logs.max())[:, None] * adm_t) @ prod
+    return prod
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the certified power iteration should have served this call")
+
+
+@settings(max_examples=40, deadline=None)
+@given(large_systems())
+def test_certified_perron_root_serves_large_spectral_systems(system_and_states):
+    """With eigvals and solve refused, rho and the slope come from the power
+    iteration alone.  A draw whose bracket does not close (under 1 in 150 at
+    16 symbols and one state) is rejected here; the fallback has its own
+    tests below."""
+    pot, states = system_and_states
+    edges = pot.system.edges
+    prod = shifted_product(pot, edges, states)
+    right, left = _perron_root(prod), _perron_root(prod.T)
+    if right is None or left is None:
+        reject()
+    rho = max(abs(np.linalg.eigvals(prod)))
+    assert abs(right[0] - rho) <= 1e-13 * rho
+    h = 1e-5
+    up, down = pot.scaled(pot.scale + h), pot.scaled(pot.scale - h)
+    difference = (ref_spectral(up, edges, states) - ref_spectral(down, edges, states)) / (2 * h)
+    want_value, want_slope = ref_spectral(pot, edges, states), eig_slope(pot, edges, states)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thermo.np.linalg, "eigvals", refuse)
+        mp.setattr(thermo.np.linalg, "solve", refuse)
+        got = _spectral_pressure(edges, pot, states, slope=True)
+    assert close(got.value, want_value)
+    assert got.slope is not None
+    assert abs(got.slope - want_slope) <= 1e-9 * max(1.0, abs(want_slope))
+    assert abs(got.slope - difference) <= 1e-6 * max(1.0, abs(difference))
+
+
+@pytest.mark.parametrize(
+    "rows, logs",
+    [
+        # zero rows: weights below e^-745 underflow to 0
+        pytest.param(np.ones((20, 20), int).tolist(), [-800.0 if e % 3 == 1 else -0.1 * e for e in range(20)],
+                     id="zero-rows"),
+        # order below 16: a positive 8 x 8 product with a wide gap
+        pytest.param(np.ones((8, 8), int).tolist(), [-0.1 * e for e in range(8)], id="order-8"),
+        # a slow gap: the 24-cycle with one self-loop, |lambda_2 / lambda_1| = 0.97
+        pytest.param([[int(j == (i + 1) % 24 or i == j == 0) for j in range(24)] for i in range(24)], [0.0] * 24,
+                     id="slow-gap"),
+    ],
+)
+def test_spectral_pressure_falls_back_to_eigvals(rows, logs, monkeypatch):
+    """Where the iteration gives up, rho is exactly the largest eigenvalue
+    modulus from np.linalg.eigvals, as before the iteration existed.  One
+    fiber state whose largest log weight is 0 leaves the product unshifted."""
+    pot = table_potential(from_matrix(range(len(rows)), rows), {0: dict(enumerate(logs))}, driving=periodic((0,)))
+    edges = pot.system.edges
+    prod = shifted_product(pot, edges, (0,))
+    assert _perron_root(prod) is None
+    want = math.log(np.abs(np.linalg.eigvals(prod)).max())
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(thermo.np.linalg, "eigvals", lambda m: calls.append(1) or eigvals(m))
+    assert _spectral_pressure(edges, pot, (0,)).value == want
+    assert calls == [1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_systems(), st.data())
+def test_incidence_and_admissibility_match_per_pair_reference(system_and_states, data):
+    pot, _ = system_and_states
+    system = pot.system
+    symbols = tuple(sorted(data.draw(st.sets(st.sampled_from(system.edges), min_size=1, max_size=len(system.edges)))))
+    want = np.array([[system.admissible_pair(a, b) for b in symbols] for a in symbols], dtype=bool)
+    got = _incidence(system, symbols)
+    assert got.dtype == bool and np.array_equal(got, want)
+    adm = pot.admissibility(symbols)
+    assert adm.dtype == np.float64 and np.array_equal(adm, want.astype(np.float64))
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 1.0, 1.7])

@@ -214,8 +214,8 @@ def partition_sums(
 # ---------------------------------------------------------------------------
 
 
-# Rounding slack of a rounded sandwich margin: the float log margins of a
-# chain that holds with equality can read -2.2e-16.
+# Rounding slack of a float-lane sandwich margin: the log margins of a chain
+# that holds with equality can read -2.2e-16.
 SANDWICH_TOL = 1e-12
 
 
@@ -224,13 +224,14 @@ class SandwichReport:
     """Margins (rhs - lhs, or log rhs - log lhs for the float path) of every
     inequality in the comparability chain; margins >= -tolerance everywhere
     certify the chain at this depth.  The tolerance is SANDWICH_TOL on the
-    rounded lanes (float, mpf) and 0 on the Fraction lane, whose margins
-    carry exact signs."""
+    float lane, whose margins are log differences, and 0 on the Fraction and
+    mpf lanes, whose margins are differences of the sums themselves and so
+    take their scale."""
 
     depth: int
     anchor: int
     inequalities: tuple[tuple[str, float], ...]
-    tolerance: float = SANDWICH_TOL
+    tolerance: float
 
     @property
     def ok(self) -> bool:
@@ -314,7 +315,7 @@ def check_sandwich(
     # two empty sums (0 <= 0) hold with margin 0, where the float lane's
     # -inf - -inf would read nan
     margins = tuple((name, 0.0 if lhs == rhs else float(rhs - lhs)) for name, lhs, rhs in chain)
-    tolerance = 0.0 if arithmetic == "fraction" else SANDWICH_TOL
+    tolerance = SANDWICH_TOL if arithmetic == "float" else 0.0
     return SandwichReport(depth=n, anchor=anchor, inequalities=margins, tolerance=tolerance)
 
 
@@ -397,17 +398,14 @@ def _perron_root(prod: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
     Collatz-Wielandt bracket min_i (Pv)_i / v_i <= rho <= max_i (Pv)_i / v_i
     holds, so rho is accepted once the bracket has closed to 1e-15 relative.
     The iteration gives up on a ratio that is not > 0 (zero rows, as where
-    the weights underflow), on a step that shrinks a bracket wider than
-    1e-12 by less than 4x (a small spectral gap; the first bracket, from
-    the ones vector, is the spread of the row sums and sets no rate), and
-    after 24 steps.  It is not tried below order 16, where one eigenvalue
-    solve costs fewer steps (about 4 at order 8) than a certificate takes
-    (a median of 7 on 64 x 64 cycle products)."""
+    the weights underflow) and after 24 steps (a small spectral gap).  It
+    is not tried below order 16, where one eigenvalue solve costs fewer
+    steps (about 4 at order 8) than a certificate takes (a median of 7 on
+    64 x 64 cycle products)."""
     if len(prod) < 16:
         return None
     v = np.ones(len(prod))
-    width = math.inf
-    for step in range(24):
+    for _ in range(24):
         w = prod @ v
         ratio = w / v
         lo, hi = ratio.min(), ratio.max()
@@ -415,9 +413,6 @@ def _perron_root(prod: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
             return None
         if hi - lo <= 1e-15 * hi:
             return 0.5 * (lo + hi), v
-        if step > 1 and width > 1e-12 and (hi - lo) / hi > width / 4.0:
-            return None
-        width = (hi - lo) / hi
         v = w / hi
     return None
 

@@ -131,7 +131,8 @@ def test_float_lane_matches_the_mpf_lane_at_non_integer_scales(case):
 def test_sandwich_holding_with_equality_is_ok_on_the_float_lane():
     """All weights 1 (scale 0) on a 3-symbol incidence: the comparability
     chain holds with equality, and the float lane's log margins round to
-    -2.2e-16, inside SANDWICH_TOL.  The Fraction lane reads 0 exactly."""
+    -2.2e-16, inside SANDWICH_TOL.  The Fraction and mpf lanes read 0 and
+    keep the exact-sign check."""
     symbols = (0, 1, 2)
     ratios = {0: dict.fromkeys(symbols, Fraction(1, 10))}
     system = similarity_system(
@@ -141,5 +142,6 @@ def test_sandwich_holding_with_equality_is_ok_on_the_float_lane():
     orbit = sample_orbit(system.driving, 0)
     flt = check_sandwich(pot.system, symbols, pot, orbit, 2, 1)
     assert flt.ok and -SANDWICH_TOL <= flt.worst <= 0.0, flt.inequalities
-    exact = check_sandwich(pot.system, symbols, pot, orbit, 2, 1, arithmetic="fraction")
-    assert exact.ok and exact.worst == 0.0 and exact.tolerance == 0.0
+    for arithmetic in ("fraction", "mpf"):
+        exact = check_sandwich(pot.system, symbols, pot, orbit, 2, 1, arithmetic=arithmetic)
+        assert exact.ok and exact.worst == 0.0 and exact.tolerance == 0.0

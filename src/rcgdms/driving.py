@@ -30,6 +30,7 @@ class DrivingSystem:
             raise ValueError(f"unknown driving kind {self.kind!r}")
         if not self.states:
             raise ValueError("state space must be nonempty")
+        support = self.states
         if self.kind == "bernoulli":
             if self.weights is None or len(self.weights) != len(self.states):
                 raise ValueError("bernoulli driving needs one weight per state")
@@ -37,6 +38,8 @@ class DrivingSystem:
                 raise ValueError("weights must be nonnegative")
             if abs(sum(self.weights) - 1.0) > 1e-12:
                 raise ValueError("weights must sum to 1 within 1e-12 after tail inclusion")
+            support = tuple(s for s, w in zip(self.states, self.weights) if w > 0)
+        object.__setattr__(self, "_support", support)  # not a field: read by state_support()
 
     def expectation(self, fn: Callable[[object], float]) -> float:
         """Exact expectation of fn(state) under the marginal of the base measure."""
@@ -55,10 +58,9 @@ class DrivingSystem:
         return total
 
     def state_support(self) -> tuple:
-        """States carrying mass (materialized support for bernoulli)."""
-        if self.kind == "bernoulli":
-            return tuple(s for s, w in zip(self.states, self.weights) if w > 0)
-        return self.states
+        """States carrying mass (materialized support for bernoulli), built
+        once per instance."""
+        return self._support
 
 
 def deterministic(state) -> DrivingSystem:

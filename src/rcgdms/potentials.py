@@ -17,13 +17,13 @@ idempotent, so concurrent readers need no lock.
 
 Under full incidence the transfer sums of a tuple of fiber states come from
 an atom table, cached per (states, symbol set): the distinct values of each
-state's row with the logs of their multiplicities, flattened state after
-state with segment starts and sizes.  A sum at scale s is then one segmented
-log-sum-exp of s * value + log count over every state at once (the paper
-example's 31 rows of 1,024 edges hold 2,915 atoms).  The whole-alphabet
-sum (symbol set None) adds the analytic tail, whose hook
-tail_moment(s, states) returns one log moment per state, +inf where the
-series diverges, so one evaluation makes one tail call.
+state's row, read off one sort of the (states x symbols) block, with the
+logs of their multiplicities, flattened with segment starts and sizes.  A
+sum at scale s is then one segmented log-sum-exp of s * value + log count
+over every state at once (the paper example's 31 rows of 1,024 edges hold
+2,915 atoms).  The whole-alphabet sum (symbol set None) adds the analytic
+tail, whose hook tail_moment(s, states) returns one log moment per state,
++inf where the series diverges, so one evaluation makes one tail call.
 """
 
 from __future__ import annotations
@@ -162,19 +162,20 @@ class FirstSymbolPotential:
     def _atoms(self, states: tuple, symbols: Optional[tuple]):
         """The distinct values of each state's row over the symbols (None:
         every edge) with the logs of their multiplicities, flattened state
-        after state: (values, log_counts, starts, sizes)."""
+        after state: (values, log_counts, starts, sizes), bit for bit those
+        of np.unique(row, return_counts=True), from one in-place block sort."""
 
         def build():
-            cols = None if symbols is None else self._columns(symbols)
-            rows = [self._row(st) if cols is None else self._row(st)[cols] for st in states]
-            atoms = [np.unique(row, return_counts=True) for row in rows]
-            sizes = np.array([len(values) for values, _ in atoms])
-            return (
-                np.concatenate([values for values, _ in atoms]),
-                np.log(np.concatenate([counts for _, counts in atoms])),
-                np.cumsum(sizes) - sizes,
-                sizes,
-            )
+            cols = slice(None) if symbols is None else self._columns(symbols)
+            block = np.empty((len(states), len(self.system.edges if symbols is None else symbols)))
+            for out, st in zip(block, states):
+                out[:] = self._row(st)[cols]
+            block.sort(axis=1)
+            first = np.ones(block.shape, dtype=bool)  # each row's first value and every change
+            np.not_equal(block[:, 1:], block[:, :-1], out=first[:, 1:])
+            at = np.flatnonzero(first)
+            sizes = np.count_nonzero(first, axis=1)
+            return block.ravel()[at], np.log(np.diff(at, append=block.size)), np.cumsum(sizes) - sizes, sizes
 
         return self._cached(("atoms", states, symbols), build)
 
@@ -299,33 +300,43 @@ def s_infinity(
 ) -> float:
     """Infimum of scales at which the scaled potential is summable.
 
-    Finite (materialized, tail-free) alphabets give -inf; otherwise bisection
-    on the summability flag down to the requested tolerance.
+    Finite (materialized, tail-free) alphabets give -inf.  Otherwise, as the
+    materialized rows are finite, bisection on the tail hook alone (finite at
+    every support state) down to the requested tolerance; the result is
+    cached in the table that scaled copies share.
     """
     if not potential.system.has_tail:
         return -math.inf
+    drv = driving if driving is not None else potential.driving
+    if drv is None:
+        raise ValueError("summability needs the driving system")
+    if potential.tail_moment is None:
+        raise ValueError("countable alphabet needs a tail moment hook")
 
     def ok(s):
-        return summability(potential, s=s, driving=driving).summable
+        return (potential.tail_moment(float(s), drv.state_support()) < math.inf).all()
 
-    hi = start
-    for _ in range(64):
-        if ok(hi):
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("no summable scale found")
-    lo = hi - 1.0
-    for _ in range(64):
-        if not ok(lo):
-            break
-        lo = 2.0 * lo - hi
-    else:
-        return -math.inf
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
+    def bisect():
+        hi = start
+        for _ in range(64):
+            if ok(hi):
+                break
+            hi *= 2.0
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            raise ValueError("no summable scale found")
+        lo = hi - 1.0
+        for _ in range(64):
+            if not ok(lo):
+                break
+            lo = 2.0 * lo - hi
+        else:
+            return -math.inf
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if ok(mid):
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    return potential._cached(("s_infinity", drv, tol, start), bisect)

@@ -202,3 +202,114 @@ def test_one_tail_call_and_no_per_state_calls(paper, monkeypatch):
     assert math.isfinite(pressure(paper.symbolic, None, pot.scaled(0.7)).value)
     assert calls == [paper.driving.state_support()]
     assert 0.0 < s_infinity(pot) < 0.01
+
+
+def ref_atoms(pot, states, symbols):
+    """The atom table as a per-row np.unique(return_counts=True) builds it."""
+    cols = slice(None) if symbols is None else [pot.system.position[e] for e in symbols]
+    atoms = [np.unique(pot.row(state)[cols], return_counts=True) for state in states]
+    sizes = np.array([len(values) for values, _ in atoms])
+    values = np.concatenate([values for values, _ in atoms])
+    return values, np.log(np.concatenate([counts for _, counts in atoms])), np.cumsum(sizes) - sizes, sizes
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes(), (g, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 5), st.data())
+def test_atom_table_matches_per_row_unique(width, n_states, data):
+    """Rows drawn from a pool of five values (so with many ties), the pool
+    holding both -0.0 and 0.0, over every edge or a random sorted subset."""
+    pool = st.sampled_from((-0.0, 0.0, -1.25, 0.75, 2.0))
+    rows = {state: np.array(data.draw(st.lists(pool, min_size=width, max_size=width))) for state in range(n_states)}
+    edges = tuple(range(3, 3 + width))
+    pot = FirstSymbolPotential(system=full_shift(edges), row=rows.__getitem__)
+    symbols = None
+    if data.draw(st.booleans()):
+        symbols = tuple(sorted(data.draw(st.sets(st.sampled_from(edges), min_size=1))))
+    states = tuple(data.draw(st.permutations(range(n_states))))
+    assert_same_bits(pot._atoms(states, symbols), ref_atoms(pot, states, symbols))
+
+
+def test_atom_table_keeps_the_sign_of_zero():
+    rows = {0: np.array([0.0, -0.0, 1.0, -0.0, 0.0]), 1: np.array([-0.0, 0.0, -0.0, 0.0, -0.0])}
+    pot = FirstSymbolPotential(system=full_shift(range(5)), row=rows.__getitem__)
+    for symbols in (None, (0, 1), (1, 2, 4)):
+        assert_same_bits(pot._atoms((0, 1), symbols), ref_atoms(pot, (0, 1), symbols))
+
+
+@pytest.mark.parametrize("rung", [None, 4, 16, 64, 256, 1024])
+def test_paper_atom_tables_match_per_row_unique(paper, rung):
+    pot = geometric_potential(paper)
+    states = paper.driving.state_support()
+    symbols = None if rung is None else tuple(sorted(paper.symbolic.edges)[:rung])
+    assert_same_bits(pot._atoms(states, symbols), ref_atoms(pot, states, symbols))
+
+
+def ref_s_infinity(potential, tol=1e-6, start=1.0):
+    """s_infinity as it was: bisection on the summability flag of the whole
+    transfer sums, atom table and tail."""
+
+    def ok(s):
+        return summability(potential, s=s).summable
+
+    hi = start
+    for _ in range(64):
+        if ok(hi):
+            break
+        hi *= 2.0
+    lo = hi - 1.0
+    for _ in range(64):
+        if not ok(lo):
+            break
+        lo = 2.0 * lo - hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: instances.paper_example(cutoff=64), instances.paper_example, instances.pure_tail],
+    ids=["paper-64", "paper-1024", "pure-tail"],
+)
+def test_s_infinity_bisects_the_tail_hook_alone(build, monkeypatch):
+    """The same value as the bisection on the summability flag, with no
+    transfer sum evaluated, and once per table: a scaled copy makes no tail
+    call."""
+    zeta = geometric_potential(build())
+    calls = []
+
+    def counting(s, states):
+        calls.append(s)
+        return zeta.tail_moment(s, states)
+
+    pot = replace(zeta, tail_moment=counting)
+    want = ref_s_infinity(replace(pot))  # replace: a table of its own
+
+    def no_sums(*args, **kwargs):
+        raise AssertionError("s_infinity evaluated the transfer sums")
+
+    del calls[:]
+    with monkeypatch.context() as patch:
+        patch.setattr(FirstSymbolPotential, "transfer_bounds", no_sums)
+        assert s_infinity(pot) == want
+        probes = len(calls)
+        assert s_infinity(pot.scaled(0.3)) == want
+    assert probes > 20 and len(calls) == probes
+
+
+def test_s_infinity_keeps_its_errors(pure_tail):
+    zeta = geometric_potential(pure_tail)
+    with pytest.raises(ValueError, match="^summability needs the driving system$"):
+        s_infinity(replace(zeta, driving=None))
+    with pytest.raises(ValueError, match="^countable alphabet needs a tail moment hook$"):
+        s_infinity(replace(zeta, tail_moment=None))

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import gdms as gdms_mod
 from . import instances
-from .config import ConfigError, RunConfig, load_config
+from .config import FLAGS, ConfigError, RunConfig, load_config
 from .driving import orbit_family, sample_orbit
 from .gdms import sample_limit_set
 from .gibbs import conformal_measures
@@ -79,24 +79,6 @@ def _write_meta(run: RunConfig, command: str) -> None:
     _write_json(run.out_dir / "run_meta.json", meta)
 
 
-def _zeta(run: RunConfig):
-    """Configured potential: geometric by default, or a custom first-symbol
-    value table (scaled copies of either drive the s grids)."""
-    spec_block = run.potential_spec
-    if spec_block is None or spec_block.get("type") == "geometric":
-        pot = geometric_potential(run.system)
-        if spec_block and "scale" in spec_block:
-            pot = pot.scaled(float(spec_block["scale"]))
-        return pot
-    from .potentials import table_potential
-
-    table = {
-        state: {e: float(spec_block["table"][str(state)][str(e)]) for e in run.system.symbolic.edges}
-        for state in run.system.driving.state_support()
-    }
-    return table_potential(run.system.symbolic, table, driving=run.system.driving)
-
-
 def _finite_symbols(run: RunConfig) -> tuple[int, ...]:
     """Working finite symbol set: whole alphabet when small, else first rung."""
     edges = run.system.symbolic.edges
@@ -121,8 +103,8 @@ def _exponent_hull(sysm) -> tuple[float, float]:
     return (-block.max().item(), hi)
 
 
-def _curve(run: RunConfig, zeta, symbols=None):
-    sysm = run.system
+def _curve(run: RunConfig, symbols=None):
+    sysm, zeta = run.system, run.potential
     if symbols is None and sysm.symbolic.incidence_kind != "full":
         symbols = _finite_symbols(run)
     orbits = orbit_family(sysm.driving, 16, 0)  # one family for every s; drawn on first read
@@ -169,7 +151,7 @@ def cmd_primitivity(run: RunConfig) -> int:
 
 
 def cmd_pressure(run: RunConfig) -> int:
-    zeta = _zeta(run)
+    zeta = run.potential
     sysm = run.system
     symbols = _finite_symbols(run)
     witness = _witness(run, symbols)
@@ -204,11 +186,10 @@ def _write_curve_csv(run: RunConfig, curve) -> None:
 
 
 def cmd_dimension(run: RunConfig) -> int:
-    zeta = _zeta(run)
-    curve = _curve(run, zeta)
-    s_star = bowen_dimension(curve)
+    curve = _curve(run)
+    s_star = bowen_dimension(curve.pressure_at, curve.s_infinity)
     _write_curve_csv(run, curve)
-    regularity = cofinite_regularity(zeta)
+    regularity = cofinite_regularity(run.potential)
     payload = {
         "s_star": s_star,
         "s_infinity": curve.s_infinity,
@@ -225,8 +206,8 @@ def cmd_dimension(run: RunConfig) -> int:
 
 
 def cmd_spectrum(run: RunConfig) -> int:
-    curve = _curve(run, _zeta(run))
-    s_star = bowen_dimension(curve)
+    curve = _curve(run)
+    s_star = bowen_dimension(curve.pressure_at, curve.s_infinity)
     _write_curve_csv(run, curve)
     lo, hi = curve.validity_interval
     if not math.isfinite(hi):
@@ -253,7 +234,7 @@ def cmd_spectrum(run: RunConfig) -> int:
 
 def cmd_measures(run: RunConfig) -> int:
     symbols = _finite_symbols(run)
-    zeta = _zeta(run)
+    zeta = run.potential
     orbit = sample_orbit(run.system.driving, run.seed)
     depth = min(run.analysis.depth, 6)
     measures, eigens = conformal_measures(
@@ -295,7 +276,7 @@ def cmd_limitset(run: RunConfig) -> int:
 
 def _verify_checks(run: RunConfig) -> list[dict]:
     sysm = run.system
-    zeta = _zeta(run)
+    zeta = run.potential
     symbols = _finite_symbols(run)
     witness = _witness(run, symbols)
     orbit = sample_orbit(sysm.driving, run.seed)
@@ -317,8 +298,8 @@ def _verify_checks(run: RunConfig) -> list[dict]:
         {"name": "gibbs", "ok": gibbs.ok, "detail": f"{gibbs.checked} cylinders, worst dev {gibbs.worst_ratio_deviation:.3e}"}
     )
 
-    curve = _curve(run, zeta, symbols=None if sysm.symbolic.incidence_kind == "full" else symbols)
-    s_star = bowen_dimension(curve)
+    curve = _curve(run, symbols=None if sysm.symbolic.incidence_kind == "full" else symbols)
+    s_star = bowen_dimension(curve.pressure_at, curve.s_infinity)
 
     depth = max(9, run.analysis.depth)
     sample = sample_limit_set(sysm, orbit, depth=depth, symbols=symbols) if count_words(sysm.symbolic, symbols, depth) <= 500_000 else None
@@ -397,13 +378,7 @@ def cmd_example_paper(run: RunConfig) -> int:
     def evaluate(s):
         return pressure(sysm.symbolic, None, zeta.scaled(s)).value if s > 0 else math.inf
 
-    curve = pressure_curve(
-        evaluate,
-        [s for s in np.linspace(0.05, 1.5, 30)],
-        s_infinity=0.0,
-        exponent_hull=_exponent_hull(sysm),
-    )
-    s_star = bowen_dimension(curve)
+    s_star = bowen_dimension(evaluate, 0.0)
     s_inf = s_infinity(zeta)
     regular = cofinite_regularity(zeta)
 
@@ -455,49 +430,20 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=None, help="recorded in run_meta.json; no effect")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--s-min", type=float, default=None)
-        p.add_argument("--s-max", type=float, default=None)
-        p.add_argument("--s-steps", type=int, default=None)
-        p.add_argument("--beta-min", type=float, default=None)
-        p.add_argument("--beta-max", type=float, default=None)
-        p.add_argument("--beta-steps", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--rungs", default=None, help="comma-separated rung sizes")
+        for field in FLAGS:  # checked with the config's analysis fields
+            p.add_argument("--" + field.replace("_", "-"), default=None, help=f"sets analysis.{field}")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    overrides = {
-        "s_min": args.s_min,
-        "s_max": args.s_max,
-        "s_steps": args.s_steps,
-        "beta_min": args.beta_min,
-        "beta_max": args.beta_max,
-        "beta_steps": args.beta_steps,
-        "depth": args.depth,
-    }
-    if args.rungs:
-        overrides["rungs"] = tuple(int(x) for x in args.rungs.split(","))
-    try:
-        if args.config is None:
-            if args.command != "example-paper":
-                print("error: --config is required", file=sys.stderr)
-                return 2
-            run = _default_example_run(args)
-        else:
-            run = load_config(
-                args.config,
-                seed=args.seed,
-                workers=args.workers,
-                out_dir=args.out,
-                overrides=overrides,
-            )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    if args.config is None and args.command != "example-paper":
+        print("error: --config is required", file=sys.stderr)
         return 2
-    run.out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+    flags = {field: getattr(args, field) for field in FLAGS}
+    try:  # load_config raises nothing but ConfigError
+        run = load_config(args.config, seed=args.seed, workers=args.workers, out_dir=args.out, flags=flags)
+        run.out_dir.mkdir(parents=True, exist_ok=True)
         code = COMMANDS[args.command](run)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -507,20 +453,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     _write_meta(run, args.command)
     return code
-
-
-def _default_example_run(args) -> RunConfig:
-    from .config import Analysis
-
-    analysis = Analysis(s_min=0.05, s_max=1.5, s_steps=30, rungs=(4, 16, 64, 256, 1024))
-    return RunConfig(
-        system=instances.paper_example(),
-        analysis=analysis,
-        out_dir=Path(args.out or "out"),
-        seed=args.seed or 0,
-        workers=args.workers or 1,
-        name="paper-example",
-    )
 
 
 if __name__ == "__main__":

@@ -1,14 +1,19 @@
-"""Run-configuration parsing and validation for the command-line front end.
+"""Run configuration: the one reader of a run's settings.
 
 One JSON file describes one instance: the system/maps/driving blocks (or a
-named preset), the analysis grids, and output options.  Validation failures
-raise ConfigError with a field path; the CLI maps those to exit code 2.
+named preset), an optional potential block, the analysis grids and output
+options.  The command-line flags named in FLAGS are merged into the analysis
+block and checked as its fields are.  A violation raises ConfigError naming
+the field (or the flag), and any other error raised while the run is built
+from the document becomes a ConfigError naming the file; the CLI maps
+ConfigError to exit code 2.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -16,8 +21,9 @@ from typing import Optional
 import numpy as np
 
 from . import instances
-from .driving import bernoulli, deterministic, periodic
+from .driving import DrivingSystem, bernoulli, deterministic, periodic
 from .gdms import RCGDMS, similarity_system
+from .potentials import FirstSymbolPotential, geometric_potential, table_potential
 from .shift import GeometricTail, from_matrix, full_shift
 
 
@@ -47,15 +53,27 @@ class Analysis:
         return np.linspace(bmin, bmax, self.beta_steps)
 
 
+# Each analysis field's type and minimum, as in configs/schema.json: a finite
+# JSON number, a JSON integer (never a bool), or a strictly increasing list
+# of integers (rungs).
+_ANALYSIS = {
+    "s_min": (float, None), "s_max": (float, None), "s_steps": (int, 2),
+    "beta_min": (float, None), "beta_max": (float, None), "beta_steps": (int, 2),
+    "depth": (int, 1), "rungs": (tuple, 1), "histogram_depth": (int, 1), "bins": (int, 1),
+}
+# The analysis fields set by command-line flags (--s-min ...; --rungs 4,16).
+FLAGS = ("s_min", "s_max", "s_steps", "beta_min", "beta_max", "beta_steps", "depth", "rungs")
+
+
 @dataclass
 class RunConfig:
     system: RCGDMS
     analysis: Analysis
+    potential: FirstSymbolPotential  # geometric unless the potential block gives a table
     out_dir: Path
     seed: int = 0
     workers: int = 1  # recorded in run_meta.json; every command runs in one thread
     name: str = "run"
-    potential_spec: Optional[dict] = None  # None means the geometric potential
 
 
 def _require(cond: bool, path: str, message: str):
@@ -63,16 +81,53 @@ def _require(cond: bool, path: str, message: str):
         raise ConfigError(f"{path}: {message}")
 
 
-def _parse_number(value, path: str) -> Fraction:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _typed(value, path: str, kind: type, minimum: int = 0):
+    """A finite JSON number as a float (kind float), or a JSON integer of at
+    least `minimum` (kind int)."""
+    if kind is float:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        _require(number and math.isfinite(value), path, "finite number required")
+        return float(value)
+    _require(_is_int(value) and value >= minimum, path, f"integer >= {minimum} required")
+    return value
+
+
+def _fraction(value, path: str) -> Fraction:
+    """A JSON number, or a string such as "1/3", as a Fraction."""
+    if not isinstance(value, str):
+        return Fraction(_typed(value, path, float)).limit_denominator(10**12)
     try:
-        if isinstance(value, str):
-            return Fraction(value)
-        return Fraction(value).limit_denominator(10**12)
+        return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{path}: not a number ({exc})")
 
 
-def _build_driving(block: dict):
+def _ratio(value, path: str) -> Fraction:
+    ratio = _fraction(value, path)
+    _require(0 < ratio < 1, path, "ratio must lie in (0, 1)")
+    return ratio
+
+
+def _state_edge_table(table, path: str, states: tuple, edges: tuple, parse) -> dict:
+    """{state: {edge: parse(value, path)}} from a {"state": {"edge": value}}
+    block, over every given state and edge."""
+    _require(isinstance(table, dict), path, "per-state table required")
+    out = {}
+    for state in states:
+        row = table.get(str(state))
+        _require(isinstance(row, dict), path, f"per-edge table for state {str(state)!r} required")
+        for e in edges:
+            _require(str(e) in row, f"{path}.{state}", f"missing edge {str(e)!r}")
+        out[state] = {e: parse(row[str(e)], f"{path}.{state}.{e}") for e in edges}
+    return out
+
+
+def _build_driving(block) -> DrivingSystem:
+    _require(isinstance(block, dict), "driving", "custom systems need a driving block")
     kind = block.get("kind")
     _require(kind in ("deterministic", "periodic", "bernoulli"), "driving.kind", f"unknown kind {kind!r}")
     states = block.get("states")
@@ -85,131 +140,134 @@ def _build_driving(block: dict):
         return periodic(states)
     weights = block.get("weights")
     _require(isinstance(weights, list) and len(weights) == len(states), "driving.weights", "one weight per state required")
-    weights = [float(w) for w in weights]
-    _require(all(w >= 0.0 for w in weights), "driving.weights", "weights must be nonnegative")
-    _require(sum(weights) > 0.0, "driving.weights", "weights must have positive mass")
-    return bernoulli(states, weights)
+    # bernoulli() refuses negative weights and zero mass
+    return bernoulli(states, [_typed(w, "driving.weights", float) for w in weights])
 
 
-def _build_custom_system(cfg: dict) -> RCGDMS:
-    sys_block = cfg.get("system", {})
+def _build_custom_system(cfg: dict, sys_block: dict) -> RCGDMS:
     maps_block = cfg.get("maps")
-    drv_block = cfg.get("driving")
-    _require(maps_block is not None, "maps", "custom systems need a maps block")
-    _require(drv_block is not None, "driving", "custom systems need a driving block")
-
+    _require(isinstance(maps_block, dict), "maps", "custom systems need a maps block")
     edges = sys_block.get("edges")
-    if isinstance(edges, int):
-        edges = list(range(edges))
-    _require(isinstance(edges, list) and edges, "system.edges", "edge list or count required")
-    incidence = sys_block.get("incidence", "full")
+    edges = list(range(edges)) if _is_int(edges) else edges
+    _require(isinstance(edges, list) and edges and all(map(_is_int, edges)), "system.edges", "edge list or count required")
+    incidence, tail = sys_block.get("incidence", "full"), sys_block.get("tail")
     if incidence == "full":
-        tail_block = sys_block.get("tail")
-        tail = None
-        if tail_block is not None:
-            tail = GeometricTail(ratio=float(tail_block["ratio"]), start=int(tail_block["start"]))
+        if tail is not None:
+            _require(isinstance(tail, dict), "system.tail", "object required")
+            ratio = _typed(tail.get("ratio"), "system.tail.ratio", float)
+            tail = GeometricTail(ratio=ratio, start=_typed(tail.get("start"), "system.tail.start", int, max(edges) + 1))
         symbolic = full_shift(edges, tail=tail)
     else:
-        _require(isinstance(incidence, list), "system.incidence", '"full" or a 0/1 matrix required')
+        rows = isinstance(incidence, list) and all(isinstance(row, list) for row in incidence)
+        _require(rows and all(_is_int(v) and v in (0, 1) for row in incidence for v in row), "system.incidence", '"full" or a 0/1 matrix required')
+        _require(tail is None, "system.tail", "analytic tails need full incidence")
         symbolic = from_matrix(edges, incidence)
-
-    driving = _build_driving(drv_block)
-
+    driving = _build_driving(cfg.get("driving"))
     _require(maps_block.get("type", "similarity") == "similarity", "maps.type", "only similarity tables are supported in configs")
-    raw_ratios = maps_block.get("ratios")
-    raw_offsets = maps_block.get("offsets")
-    _require(isinstance(raw_ratios, dict), "maps.ratios", "per-state ratio table required")
-    _require(isinstance(raw_offsets, dict), "maps.offsets", "per-state offset table required")
-
-    def _normalize(table, path, parse):
-        out = {}
-        for state in driving.state_support():
-            key = str(state)
-            _require(key in table, path, f"missing state {key!r}")
-            row = table[key]
-            out[state] = {}
-            for e in symbolic.edges:
-                ekey = str(e)
-                _require(ekey in row, f"{path}.{key}", f"missing edge {ekey!r}")
-                out[state][e] = parse(row[ekey], f"{path}.{key}.{ekey}")
-        return out
-
-    ratios = _normalize(raw_ratios, "maps.ratios", _parse_number)
-    offsets = _normalize(raw_offsets, "maps.offsets", lambda v, p: float(_parse_number(v, p)))
-    for state, row in ratios.items():
-        for e, v in row.items():
-            _require(0 < v < 1, f"maps.ratios.{state}.{e}", "ratio must lie in (0, 1)")
-    return similarity_system(symbolic, driving, ratios, offsets, name=cfg.get("name", "custom"))
+    states = driving.state_support()
+    ratios = _state_edge_table(maps_block.get("ratios"), "maps.ratios", states, symbolic.edges, _ratio)
+    offsets = _state_edge_table(maps_block.get("offsets"), "maps.offsets", states, symbolic.edges, lambda v, p: float(_fraction(v, p)))
+    return similarity_system(symbolic, driving, ratios, offsets, name="custom")
 
 
 def _build_system(cfg: dict) -> RCGDMS:
     sys_block = cfg.get("system", {})
+    _require(isinstance(sys_block, dict), "system", "object required")
     preset = sys_block.get("preset")
-    if preset is not None:
-        _require(preset in instances.PRESETS, "system.preset", f"unknown preset {preset!r}; options: {sorted(instances.PRESETS)}")
-        kwargs = {}
-        if "cutoff" in sys_block and preset in ("paper-example", "pure-tail"):
-            kwargs["cutoff"] = int(sys_block["cutoff"])
-        return instances.PRESETS[preset](**kwargs)
-    return _build_custom_system(cfg)
+    if preset is None:
+        return _build_custom_system(cfg, sys_block)
+    options = sorted(instances.PRESETS)
+    _require(preset in options, "system.preset", f"unknown preset {preset!r}; options: {options}")
+    kwargs = {}
+    if "cutoff" in sys_block and preset in ("paper-example", "pure-tail"):
+        kwargs["cutoff"] = _typed(sys_block["cutoff"], "system.cutoff", int, 1)
+    return instances.PRESETS[preset](**kwargs)
 
 
-def _build_analysis(block: dict) -> Analysis:
-    a = Analysis()
-    known = set(Analysis.__dataclass_fields__)
-    for key, value in (block or {}).items():
-        _require(key in known, f"analysis.{key}", "unknown field")
-        if key == "rungs":
-            _require(isinstance(value, list) and value == sorted(set(value)), "analysis.rungs", "strictly increasing list required")
-            value = tuple(int(v) for v in value)
-        setattr(a, key, value)
-    _require(a.s_steps >= 2, "analysis.s_steps", "need at least two grid points")
-    _require(a.s_min < a.s_max, "analysis.s_min", "grid must be increasing")
+def _build_potential(block, system: RCGDMS) -> FirstSymbolPotential:
+    if block is None:
+        return geometric_potential(system)
+    _require(isinstance(block, dict), "potential", "object required")
+    for key in block:
+        _require(key in ("type", "table"), f"potential.{key}", "unknown field")
+    kind = block.get("type")
+    _require(kind in ("geometric", "custom-first-symbol"), "potential.type", f"unknown type {kind!r}")
+    _require((kind == "geometric") != ("table" in block), "potential.table", "needed by custom-first-symbol and refused otherwise")
+    if kind == "geometric":
+        return geometric_potential(system)
+    symbolic, driving = system.symbolic, system.driving
+    _require(not symbolic.has_tail, "potential.type", "a value table covers finite alphabets only")
+    states, edges = driving.state_support(), symbolic.edges
+    table = _state_edge_table(block["table"], "potential.table", states, edges, lambda v, p: _typed(v, p, float))
+    return table_potential(symbolic, table, driving=driving)
+
+
+def _build_analysis(block, flags: dict) -> Analysis:
+    """The analysis block with the flags given ({field: text or None})
+    merged in, each field checked for its type and minimum."""
+    _require(isinstance(block, dict), "analysis", "object required")
+    block, where = dict(block), {key: f"analysis.{key}" for key in block}
+    for key, text in flags.items():
+        if text is not None:
+            kind, where[key] = _ANALYSIS[key][0], "--" + key.replace("_", "-")
+            try:
+                block[key] = [int(v) for v in text.split(",")] if kind is tuple else kind(text)
+            except ValueError:
+                what = {float: "number", int: "integer", tuple: "comma-separated integers"}[kind]
+                raise ConfigError(f"{where[key]}: {what} required, got {text!r}")
+    fields = {}
+    for key, value in block.items():
+        _require(key in _ANALYSIS, where[key], "unknown field")
+        kind, minimum = _ANALYSIS[key]
+        if kind is tuple:
+            ok = isinstance(value, list) and all(_is_int(v) and v >= minimum for v in value) and value == sorted(set(value))
+            _require(ok, where[key], "strictly increasing list of positive integers required")
+            fields[key] = tuple(value)
+        else:
+            fields[key] = _typed(value, where[key], kind, minimum)
+    a = Analysis(**fields)
+    _require(a.s_min < a.s_max, where.get("s_min", "analysis.s_min"), "grid must be increasing")
     if a.beta_min is not None and a.beta_max is not None:
-        _require(a.beta_min < a.beta_max, "analysis.beta_min", "grid must be increasing")
+        _require(a.beta_min < a.beta_max, where.get("beta_min", "analysis.beta_min"), "grid must be increasing")
     return a
 
 
 def load_config(
-    path: str | Path,
+    path: Optional[str | Path],
     seed: Optional[int] = None,
     workers: Optional[int] = None,
     out_dir: Optional[str] = None,
-    overrides: Optional[dict] = None,
+    flags: Optional[dict] = None,
 ) -> RunConfig:
-    path = Path(path)
+    """The run a config file describes, with the analysis fields in `flags`
+    ({field: flag text or None}) set from the command line.  A path of None
+    is the paper's example with every default, as `example-paper` runs
+    without a config."""
+    if path is None:
+        cfg = {"system": {"preset": "paper-example"}}
+    else:
+        path = Path(path)
+        try:
+            cfg = json.loads(path.read_text())
+        except (OSError, ValueError) as exc:  # a missing or unreadable file, or not JSON
+            raise ConfigError(f"{path}: no JSON document ({exc})")
     try:
-        cfg = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})")
-    system = _build_system(cfg)
-    analysis = _build_analysis(cfg.get("analysis", {}))
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            setattr(analysis, key, value)
-    potential_spec = cfg.get("potential")
-    if potential_spec is not None:
-        kind = potential_spec.get("type")
-        _require(kind in ("geometric", "custom-first-symbol"), "potential.type",
-                 f"unknown type {kind!r}")
-        if kind == "custom-first-symbol":
-            table = potential_spec.get("table")
-            _require(isinstance(table, dict), "potential.table", "per-state value table required")
-            for state in system.driving.state_support():
-                key = str(state)
-                _require(key in table, "potential.table", f"missing state {key!r}")
-                for e in system.symbolic.edges:
-                    _require(str(e) in table[key], f"potential.table.{key}", f"missing edge {e!r}")
-    output = cfg.get("output", {})
-    run = RunConfig(
-        system=system,
-        analysis=analysis,
-        out_dir=Path(out_dir or output.get("dir", "out")),
-        seed=seed if seed is not None else int(cfg.get("seed", 0)),
-        workers=workers or 1,
-        name=cfg.get("name", system.name),
-        potential_spec=potential_spec,
-    )
-    return run
+        _require(isinstance(cfg, dict), "config", "object required")
+        system = _build_system(cfg)
+        output = cfg.get("output", {})
+        _require(isinstance(output, dict) and isinstance(output.get("dir", ""), str), "output", '{"dir": string} required')
+        name = cfg.get("name", system.name)
+        _require(isinstance(name, str), "name", "string required")
+        return RunConfig(
+            system=system,
+            analysis=_build_analysis(cfg.get("analysis", {}), flags or {}),
+            potential=_build_potential(cfg.get("potential"), system),
+            out_dir=Path(out_dir or output.get("dir", "out")),
+            seed=_typed(cfg.get("seed", 0) if seed is None else seed, "seed", int),
+            workers=workers or 1,
+            name=name,
+        )
+    except ConfigError:
+        raise
+    except (TypeError, KeyError, AttributeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None

@@ -275,7 +275,9 @@ def similarity_system(
     spaces: Optional[Mapping[object, tuple[float, float]]] = None,
     name: str = "system",
 ) -> RCGDMS:
-    """Finite-alphabet similarity instance from per-state ratio/offset tables.
+    """Similarity instance from per-state ratio/offset tables over the
+    materialized edges; a geometric tail (symbolic.tail) carries ratio**e on
+    each edge e past them, through its closed-form moment hook.
 
     Ratios are kept as Fractions so exact-arithmetic paths (sandwich margins,
     Gibbs brackets) stay available.
@@ -285,14 +287,17 @@ def similarity_system(
     fraction_rows = {s: _frozen([Fraction(ratios[s][e]) for e in symbolic.edges], object) for s in states}
     log_rows = {s: _frozen([math.log(r) for r in fraction_rows[s].tolist()]) for s in states}
     offset_rows = {s: _frozen([float(offsets[s][e]) for e in symbolic.edges]) for s in states}
+    contraction = float(max(max(row.tolist()) for row in fraction_rows.values()))
+    tail = symbolic.tail
     return RCGDMS(
         symbolic=symbolic,
         driving=driving,
         spaces=spaces,
         log_ratios=log_rows.__getitem__,
         offsets=offset_rows.__getitem__,
-        contraction=float(max(max(row.tolist()) for row in fraction_rows.values())),
+        contraction=contraction if tail is None else max(contraction, tail.ratio**tail.start),
         ratio_fractions=fraction_rows.__getitem__,
+        tail_log_moment=None if tail is None else tail.log_moment,
         name=name,
     )
 

@@ -70,19 +70,10 @@ def pure_tail(cutoff: int = 64) -> RCGDMS:
     """
     sym = full_shift(range(1, cutoff + 1), tail=GeometricTail(ratio=0.125, start=cutoff + 1))
     drv = deterministic(0)
-    log8 = math.log(8.0)
     # one row for every fiber state; images packed left to right, gaps
     # irrelevant for symbolic quantities
-    log_ratios = _frozen(-np.array(sym.edges) * log8)
+    log_ratios = _frozen(-np.array(sym.edges) * math.log(8.0))
     offsets = _frozen([sum(8.0 ** -k for k in range(1, e)) + e * 1e-3 for e in sym.edges])
-
-    def log_moment(s, states):
-        # the tail does not depend on the fiber state
-        if s <= 0.0:
-            return np.full(len(states), math.inf)
-        log_q = -s * log8
-        return np.full(len(states), (cutoff + 1) * log_q - math.log(-math.expm1(log_q)))
-
     return RCGDMS(
         symbolic=sym,
         driving=drv,
@@ -90,7 +81,7 @@ def pure_tail(cutoff: int = 64) -> RCGDMS:
         log_ratios=lambda state: log_ratios,
         offsets=lambda state: offsets,
         contraction=0.126,
-        tail_log_moment=log_moment,
+        tail_log_moment=sym.tail.log_moment,
         name="pure-tail",
     )
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -30,10 +31,10 @@ WORD_BUDGET = 10_000_000
 class GeometricTail:
     """Closed-form descriptor for the non-materialized part of the alphabet.
 
-    Tail edge e >= start carries base weight ratio**e.  Instances with a more
-    structured tail override the moment hooks on the map system; this
-    descriptor then only marks the alphabet as infinite and fixes the first
-    tail index.
+    Tail edge e >= start carries base weight ratio**e, at every fiber state;
+    log_moment is the map systems' tail hook for that schedule.  Instances
+    with a more structured tail pass their own hook; this descriptor then
+    only marks the alphabet as infinite and fixes the first tail index.
     """
 
     ratio: float
@@ -44,6 +45,16 @@ class GeometricTail:
             raise ValueError("tail ratio must lie in (0, 1)")
         if self.start < 1:
             raise ValueError("tail start must be >= 1")
+
+    def log_moment(self, s: float, states: tuple) -> np.ndarray:
+        """Per fiber state, log sum_{e >= start} ratio**(e*s)
+        = start*s*log(ratio) - log(1 - ratio**s); +inf for s <= 0."""
+        if s <= 0.0:
+            return np.full(len(states), math.inf)
+        log_q = s * math.log(self.ratio)
+        if log_q == 0.0:  # underflowed: 1 - ratio**s is s*log(1/ratio) to first order
+            return np.full(len(states), -math.log(s) - math.log(-math.log(self.ratio)))
+        return np.full(len(states), self.start * log_q - math.log(-math.expm1(log_q)))
 
 
 @dataclass(frozen=True)

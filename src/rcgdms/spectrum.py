@@ -151,12 +151,12 @@ def pressure_curve(
     )
 
 
-def bowen_dimension(curve: PressureCurve, max_span: float = 64.0) -> float:
+def bowen_dimension(p: Callable[[float], float], s_infinity: float, max_span: float = 64.0) -> float:
     """Root of the pressure along the scale axis: inf{s >= 0 : p(s) <= 0}.
 
-    Solved against the curve's evaluator; returns 0 when the pressure at 0
-    is already nonpositive."""
-    p = curve.pressure_at
+    Solved against the pressure evaluator p, which is +inf at and below the
+    summability threshold s_infinity; returns 0 when the pressure at 0 is
+    already nonpositive."""
     p_zero = p(0.0)
     if p_zero <= 0.0:
         return 0.0
@@ -166,7 +166,7 @@ def bowen_dimension(curve: PressureCurve, max_span: float = 64.0) -> float:
         if hi > max_span:
             raise ValueError("no pressure sign change below the bracket cap")
         p_hi = p(hi)
-    lo = max(0.0, curve.s_infinity + 1e-12)  # above the threshold, where p = +inf
+    lo = max(0.0, s_infinity + 1e-12)  # above the threshold, where p = +inf
     return _root(p, lo, hi, p_zero if lo == 0.0 else p(lo), p_hi)
 
 

@@ -95,7 +95,8 @@ def test_criterion_1_bowen_dimensions(cantor, twoscale, period2):
     worst = 0.0
     for system, grid, hull, expected in cases:
         start = time.monotonic()
-        got = bowen_dimension(_exact_curve(system, grid, hull))
+        curve = _exact_curve(system, grid, hull)
+        got = bowen_dimension(curve.pressure_at, curve.s_infinity)
         elapsed = time.monotonic() - start
         worst = max(worst, abs(got - expected))
         assert elapsed < 1.0, f"{system.name}: {elapsed:.2f}s"
@@ -297,7 +298,7 @@ def test_criterion_7_temperature_consistency(twoscale_curve):
     tq = tq_analysis(twoscale_curve, np.linspace(-2, 2, 9), symbol_count=2)
     t1 = tq.t_at(1.0)
     t0 = tq.t_at(0.0)
-    s_star = bowen_dimension(twoscale_curve)
+    s_star = bowen_dimension(twoscale_curve.pressure_at, twoscale_curve.s_infinity)
     betas = np.linspace(LOG2 + 0.08, LOG4 - 0.08, 10)
     direct = legendre_spectrum(twoscale_curve, betas)
     worst_route = max(

@@ -14,7 +14,9 @@ from words import ratio_of
 
 import rcgdms
 import rcgdms.shift
+from rcgdms import config
 from rcgdms.cli import _exponent_hull, _write_csv, main
+from rcgdms.config import ConfigError, load_config
 from rcgdms.driving import periodic
 from rcgdms.gdms import BlockTailExample, similarity_system
 from rcgdms.potentials import geometric_potential
@@ -157,8 +159,8 @@ def test_missing_maps_exits_2(tmp_path):
     assert run_cli("dimension", "--config", bad, "--out", tmp_path) == 2
 
 
-@pytest.mark.parametrize("weights", [[-0.5, 1.5], [math.nan, 1.0], [0.0, 0.0]])
-def test_bad_bernoulli_weights_exit_2(tmp_path, weights):
+@pytest.mark.parametrize("weights", [[-0.5, 1.5], [math.nan, 1.0], [0.0, 0.0], ["x", 1.0]])
+def test_bad_bernoulli_weights_exit_2(tmp_path, capsys, weights):
     bad = tmp_path / "bad.json"
     config = json.loads((CONFIGS / "custom-example.json").read_text())
     config["driving"] = {"kind": "bernoulli", "states": [0, 1], "weights": weights}
@@ -166,6 +168,91 @@ def test_bad_bernoulli_weights_exit_2(tmp_path, weights):
     config["maps"]["offsets"]["1"] = config["maps"]["offsets"]["0"]
     bad.write_text(json.dumps(config))
     assert run_cli("pressure", "--config", bad, "--out", tmp_path) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def _set(*keys_and_value):
+    """An edit of a config document that sets the value at a key path."""
+    *keys, value = keys_and_value
+
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+
+    return edit
+
+
+def _tailed(**tail):
+    def edit(doc):
+        doc["system"] = {"edges": 2, "incidence": "full", "tail": tail}
+
+    return edit
+
+
+# id -> (edit of configs/custom-example.json, command, text the config error names)
+MALFORMED = {
+    "analysis-list": (_set("analysis", [1]), "dimension", "analysis: object required"),
+    "s_steps-string": (_set("analysis", "s_steps", "33"), "dimension", "analysis.s_steps: integer >= 2"),
+    "s_steps-float": (_set("analysis", "s_steps", 33.0), "dimension", "analysis.s_steps: integer >= 2"),
+    "s_min-string": (_set("analysis", "s_min", "a"), "dimension", "analysis.s_min: finite number required"),
+    "s_max-bool": (_set("analysis", "s_max", True), "dimension", "analysis.s_max: finite number required"),
+    "depth-string": (_set("analysis", "depth", "x"), "limitset", "analysis.depth: integer >= 1"),
+    "bins-zero": (_set("analysis", "bins", 0), "verify", "analysis.bins: integer >= 1"),
+    "beta_steps-zero": (_set("analysis", "beta_steps", 0), "spectrum", "analysis.beta_steps: integer >= 2"),
+    "rungs-strings": (_set("analysis", "rungs", ["a"]), "dimension", "analysis.rungs: strictly increasing"),
+    "seed-string": (_set("seed", "x"), "dimension", "seed: integer >= 0 required"),
+    "system-list": (_set("system", [1]), "dimension", "system: object required"),
+    "incidence-ragged": (_set("system", "incidence", [[1, 1], [1]]), "dimension", "incidence matrix shape"),
+    "tail-empty": (_tailed(), "dimension", "system.tail.ratio: finite number required"),
+    "tail-start-at-an-edge": (_tailed(ratio=0.125, start=1), "dimension", "system.tail.start: integer >= 2"),
+    "tail-with-a-matrix": (_set("system", "tail", {"ratio": 0.125, "start": 3}), "dimension", "system.tail: analytic tails"),
+    "top-level-list": (lambda doc: [doc], "dimension", "config: object required"),
+    "potential-list": (_set("potential", [1, 2]), "dimension", "potential: object required"),
+    "potential-table-string": (
+        _set("potential", {"type": "custom-first-symbol", "table": {"0": {"0": "abc", "1": 0.0}}}),
+        "dimension",
+        "potential.table.0.0: finite number required",
+    ),
+    "potential-scale-string": (_set("potential", {"type": "geometric", "scale": "abc"}), "dimension", "potential.scale: unknown field"),
+    "potential-scale": (_set("potential", {"type": "geometric", "scale": 2.0}), "dimension", "potential.scale: unknown field"),
+    "pure-tail-cutoff": (lambda doc: {"system": {"preset": "pure-tail", "cutoff": "x"}}, "dimension", "system.cutoff: integer >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_config_exits_2(tmp_path, capsys, case):
+    edit, command, named = MALFORMED[case]
+    doc = json.loads((CONFIGS / "custom-example.json").read_text())
+    doc = edit(doc) or doc
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli(command, "--config", bad, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, named",
+    [
+        ("dimension", ("--rungs", "a"), "--rungs: comma-separated integers required"),
+        ("pressure", ("--rungs", "2,1"), "--rungs: strictly increasing"),
+        ("limitset", ("--depth", "0"), "--depth: integer >= 1"),
+        ("dimension", ("--s-steps", "1"), "--s-steps: integer >= 2"),
+        ("dimension", ("--s-steps", "2.5"), "--s-steps: integer required"),
+        ("dimension", ("--s-min", "5", "--s-max", "1"), "--s-min: grid must be increasing"),
+        ("dimension", ("--s-max", "nan"), "--s-max: finite number required"),
+        ("spectrum", ("--beta-min", "2", "--beta-max", "1"), "--beta-min: grid must be increasing"),
+    ],
+)
+def test_malformed_flag_exits_2(tmp_path, capsys, command, flags, named):
+    # flags are merged into the analysis block and checked as its fields are
+    assert run_cli(command, "--config", CONFIGS / "custom-example.json", "--out", tmp_path / "out", *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert named in err
 
 
 def test_invalid_rungs_exits_2(tmp_path):
@@ -332,3 +419,124 @@ def test_orbits_is_not_an_analysis_field(tmp_path, capsys):
     bad.write_text(json.dumps({"system": {"preset": "cantor"}, "analysis": {"orbits": 8}}))
     assert run_cli("pressure", "--config", bad, "--out", tmp_path) == 2
     assert "analysis.orbits: unknown field" in capsys.readouterr().err
+
+
+SHIPPED = ("cantor", "twoscale", "custom-example", "paper-example")
+
+
+def _key_paths(doc, prefix=()):
+    """The key path of every block and leaf below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    out = []
+    for key, value in items:
+        out.append(prefix + (key,))
+        out.extend(_key_paths(value, prefix + (key,)))
+    return out
+
+
+def _json_kind(value) -> str:
+    return "bool" if isinstance(value, bool) else type(value).__name__
+
+
+# JSON values of every type.  Numbers come from a coarse grid, so that a
+# ratio drawn for a map keeps the system's Bowen root below the bracket cap.
+_json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.integers(-16, 16).map(lambda k: k / 4),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.sampled_from(["0", "a"]), st.integers(0, 2), max_size=1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_retyped_config_loads_typed_or_exits_2(tmp_path_factory, data):
+    # one block or leaf of a shipped config replaced by a value of another type
+    name = data.draw(st.sampled_from(SHIPPED))
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    keys = data.draw(st.sampled_from(_key_paths(doc)))
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    old = parent[keys[-1]]
+    parent[keys[-1]] = data.draw(_json_values.filter(lambda v: _json_kind(v) != _json_kind(old)))
+    path = tmp_path_factory.mktemp("retyped") / "config.json"
+    path.write_text(json.dumps(doc))
+    try:
+        run = load_config(path)
+    except ConfigError:
+        pass
+    else:
+        for field, (kind, _) in config._ANALYSIS.items():
+            value = getattr(run.analysis, field)
+            if kind is tuple:
+                assert type(value) is tuple and all(type(v) is int for v in value)
+            elif not (value is None and field.startswith("beta")):
+                assert type(value) is kind, (field, value)
+    out = path.parent / "out"
+    assert run_cli("dimension", "--config", path, "--out", out) in (0, 2)
+
+
+def _tail_sum_root(ratios, tail_ratio, start):
+    """Root s of sum(ratios**s) + sum_{e >= start} tail_ratio**(e*s) = 1, by bisection."""
+
+    def excess(s):
+        q = tail_ratio**s
+        return math.fsum(r**s for r in ratios) + q**start / (1.0 - q) - 1.0
+
+    lo, hi = 1e-3, 4.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_custom_tail_config_matches_the_closed_form(tmp_path):
+    doc = {
+        "name": "tailed",
+        "system": {"edges": 2, "incidence": "full", "tail": {"ratio": 0.125, "start": 3}},
+        "maps": {"ratios": {"0": {"0": "1/4", "1": "1/8"}}, "offsets": {"0": {"0": 0.0, "1": 0.5}}},
+        "driving": {"kind": "deterministic", "states": [0]},
+        "analysis": {"s_min": 0.05, "s_max": 2.0, "s_steps": 12, "beta_max": 5.0, "beta_steps": 6},
+    }
+    cfg = tmp_path / "tailed.json"
+    cfg.write_text(json.dumps(doc))
+    for command in ("pressure", "dimension", "spectrum"):
+        assert run_cli(command, "--config", cfg, "--out", tmp_path / "out") == 0
+    payload = json.loads((tmp_path / "out" / "dimension.json").read_text())
+    assert payload["s_star"] == pytest.approx(_tail_sum_root((0.25, 0.125), 0.125, 3), abs=1e-12)
+    assert payload["s_infinity"] == pytest.approx(0.0, abs=1e-6)
+    # the full-alphabet row of pressure.csv is the closed-form log sum at each s
+    for line in (tmp_path / "out" / "pressure.csv").read_text().splitlines()[1:]:
+        s, rung, _, estimate, _ = line.split(",")
+        if rung == "full":
+            s, q = float(s), 0.125 ** float(s)
+            want = math.log(0.25**s + 0.125**s + q**3 / (1.0 - q))
+            assert float(estimate) == pytest.approx(want, rel=1e-12)
+
+
+def test_schema_admits_the_shipped_configs_and_refuses_retyped_fields():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((CONFIGS / "schema.json").read_text())
+    for name in SHIPPED:
+        jsonschema.validate(json.loads((CONFIGS / f"{name}.json").read_text()), schema)
+    for case in ("analysis-list", "s_steps-string", "s_max-bool", "bins-zero", "rungs-strings",
+                 "seed-string", "system-list", "tail-empty", "top-level-list", "potential-list", "potential-scale"):
+        edit = MALFORMED[case][0]
+        doc = json.loads((CONFIGS / "custom-example.json").read_text())
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(edit(doc) or doc, schema)
+
+
+def test_example_paper_ignores_a_custom_system_named_after_it(tmp_path):
+    # the config's name names the run, not the system
+    doc = json.loads((CONFIGS / "custom-example.json").read_text())
+    doc["name"] = "paper-example"
+    cfg = tmp_path / "named.json"
+    cfg.write_text(json.dumps(doc))
+    assert load_config(cfg).system.name == "custom"
+    assert run_cli("example-paper", "--config", cfg, "--out", tmp_path / "out") == 0
+    assert json.loads((tmp_path / "out" / "run_meta.json").read_text())["name"] == "paper-example"

@@ -63,7 +63,7 @@ def test_bowen_root_against_direct_moment_equation(seed):
         return pressure(system.symbolic, None, zeta.scaled(s)).value
 
     curve = pressure_curve(evaluate, np.linspace(-2, 6, 33))
-    s_star = bowen_dimension(curve)
+    s_star = bowen_dimension(curve.pressure_at, curve.s_infinity)
 
     ratios = [float(ratio_of(system, e, 0)) for e in range(3)]
 
@@ -101,7 +101,7 @@ def test_box_counting_bounded_by_root(seed):
     def evaluate(s):
         return pressure(system.symbolic, None, zeta.scaled(s)).value
 
-    s_star = bowen_dimension(pressure_curve(evaluate, np.linspace(-2, 8, 41)))
+    s_star = bowen_dimension(evaluate, -math.inf)
     orbit = sample_orbit(system.driving, 0)
     # scale span adapts to the drawn contraction so it covers a decade, and
     # the sample truncation sits below the smallest scale

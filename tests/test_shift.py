@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,10 @@ from hypothesis import strategies as st
 from words import enumerate_words
 
 import rcgdms.shift
+from rcgdms import instances
+from rcgdms.potentials import log_sum_exp
 from rcgdms.shift import (
+    GeometricTail,
     build_ladder,
     count_words,
     cylinder_contains,
@@ -236,3 +240,24 @@ def test_enumeration_rejects_bad_arguments():
         list(enumerate_words(sym, (), 2))
     with pytest.raises(ValueError, match="length"):
         list(enumerate_words(sym, (0, 1), 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-2.0, 30.0, allow_nan=False), st.sampled_from([0.125, 0.5, 0.9]), st.integers(1, 300))
+def test_geometric_tail_moment_is_the_series(s, ratio, start):
+    got = GeometricTail(ratio=ratio, start=start).log_moment(s, ("a", "b", "c"))
+    if s <= 0.0:
+        assert got.tolist() == [math.inf] * 3
+        return
+    assert got[0] == got[1] == got[2]
+    if s >= 0.05:  # the series' terms fall below 1e-17 of the first within 10^4 edges
+        edges = np.arange(start, start + 10_000)
+        assert got[0] == pytest.approx(log_sum_exp(edges * (s * math.log(ratio))), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("s", [-1.0, 0.0, 1e-9, 0.3, 1.0, 2.5, 40.0])
+def test_pure_tail_hook_keeps_its_bits(s):
+    # the closed form pure_tail evaluated in its own closure, 8^-e past cutoff 64
+    log_q = -s * math.log(8.0)
+    want = math.inf if s <= 0.0 else 65 * log_q - math.log(-math.expm1(log_q))
+    assert instances.pure_tail().tail_log_moment(s, (0,)).tolist() == [want]

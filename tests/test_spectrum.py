@@ -73,14 +73,14 @@ def test_convex_hull_repair_flattens_noise():
 
 
 def test_bowen_roots(cantor_curve, twoscale_curve, period2):
-    assert bowen_dimension(cantor_curve) == pytest.approx(LOG2 / LOG3, abs=1e-6)
-    assert bowen_dimension(twoscale_curve) == pytest.approx(GOLDEN_RATIO_ROOT, abs=1e-6)
+    assert bowen_dimension(cantor_curve.pressure_at, cantor_curve.s_infinity) == pytest.approx(LOG2 / LOG3, abs=1e-6)
+    assert bowen_dimension(twoscale_curve.pressure_at, twoscale_curve.s_infinity) == pytest.approx(GOLDEN_RATIO_ROOT, abs=1e-6)
     curve = _exact_curve(period2, np.linspace(-1, 3, 17), (1.5 * LOG2, 1.5 * LOG2))
-    assert bowen_dimension(curve) == pytest.approx(2 / 3, abs=1e-6)
+    assert bowen_dimension(curve.pressure_at, curve.s_infinity) == pytest.approx(2 / 3, abs=1e-6)
 
 
 def test_bowen_root_pressure_residual(twoscale_curve):
-    s_star = bowen_dimension(twoscale_curve)
+    s_star = bowen_dimension(twoscale_curve.pressure_at, twoscale_curve.s_infinity)
     assert abs(twoscale_curve.pressure_at(s_star)) <= 1e-8
 
 
@@ -91,7 +91,7 @@ def test_bowen_zero_when_pressure_nonpositive(twoscale):
         return pressure(twoscale.symbolic, None, zeta.scaled(s)).value - 2.0
 
     curve = pressure_curve(shifted, np.linspace(0, 4, 9), exponent_hull=(LOG2, LOG4))
-    assert bowen_dimension(curve) == 0.0
+    assert bowen_dimension(curve.pressure_at, curve.s_infinity) == 0.0
 
 
 def test_paper_pressure_below_minus_log2(paper):
@@ -103,7 +103,7 @@ def test_paper_pressure_below_minus_log2(paper):
     curve = pressure_curve(evaluate, np.linspace(0.05, 1.5, 30), s_infinity=0.0,
                            exponent_hull=(2 * LOG2, math.inf))
     assert curve.pressure_at(1.0) <= -LOG2
-    s_star = bowen_dimension(curve)
+    s_star = bowen_dimension(curve.pressure_at, curve.s_infinity)
     assert 0.0 < s_star < 1.0
 
 
@@ -160,7 +160,7 @@ def test_spectrum_values_decrease_toward_endpoint(twoscale_curve):
 
 
 def test_max_spectrum_equals_bowen(twoscale_curve):
-    s_star = bowen_dimension(twoscale_curve)
+    s_star = bowen_dimension(twoscale_curve.pressure_at, twoscale_curve.s_infinity)
     betas = np.linspace(LOG2 + 1e-4, LOG4 - 1e-4, 401)
     result = legendre_spectrum(twoscale_curve, betas)
     assert result.max_value == pytest.approx(s_star, abs=2e-3)
@@ -248,7 +248,7 @@ def test_slope_root_matches_similarity_closed_forms(ratios, s):
     result = legendre_spectrum(curve, [beta])
     assert result.flags == ("interior",)
     assert abs(result.values[0] - (s + p / beta)) <= 1e-10
-    assert abs(bowen_dimension(curve) - _moran_root([float(Fraction(r)) for r in ratios])) <= 1e-10
+    assert abs(bowen_dimension(curve.pressure_at, curve.s_infinity) - _moran_root([float(Fraction(r)) for r in ratios])) <= 1e-10
 
 
 @pytest.mark.parametrize("beta", [2.5, 5.0, 20.0, 200.0])
@@ -302,10 +302,10 @@ def test_slope_falls_back_where_the_weights_underflow():
     certified, and a slope root that walks there past the exponent range
     ends on the central difference, as without the analytic slope."""
     run = load_config(Path(__file__).resolve().parents[1] / "configs" / "custom-example.json")
-    zeta = cli._zeta(run)
+    zeta = run.potential
     est = pressure(run.system.symbolic, (0, 1), zeta.scaled(-1100.0), slope=True)
     assert est.method == "exact-spectral" and est.slope is None
-    curve = cli._curve(run, zeta)
+    curve = cli._curve(run)
     assert curve.slope is not None
     for beta in (1.3, 1.5):
         assert _transform_at(curve, beta) == _transform_at(replace(curve, slope=None), beta)

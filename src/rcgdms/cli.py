@@ -27,7 +27,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import gdms as gdms_mod
-from . import instances
 from .config import FLAGS, ConfigError, RunConfig, load_config
 from .driving import orbit_family, sample_orbit
 from .gdms import sample_limit_set
@@ -112,14 +111,14 @@ def _curve(run: RunConfig, symbols=None):
     routes = set()  # methods that served the evaluations
 
     def evaluate(s: float) -> float:
-        est = pressure(sysm.symbolic, symbols, zeta.scaled(s), orbits=orbits)
+        est = pressure(symbols, zeta.scaled(s), orbits=orbits)
         routes.add(est.method)
         return est.value
 
     def slope(s: float) -> Optional[float]:
-        return pressure(sysm.symbolic, symbols, zeta.scaled(s), orbits=orbits, slope=True).slope
+        return pressure(symbols, zeta.scaled(s), orbits=orbits, slope=True).slope
 
-    s_inf = s_infinity(zeta) if sysm.symbolic.has_tail else -math.inf
+    s_inf = s_infinity(zeta) if symbols is None else -math.inf  # a finite symbol set is summable at every s
     grid = [s for s in run.analysis.s_grid() if s > s_inf]
     if not grid:
         raise ConfigError("the whole s grid sits at or below the summability threshold")
@@ -163,11 +162,11 @@ def cmd_pressure(run: RunConfig) -> int:
     def one(s: float):
         out = []
         for rung in ladder:
-            est = pressure(sysm.symbolic, rung, zeta.scaled(s), orbits=orbits)
+            est = pressure(rung, zeta.scaled(s), orbits=orbits)
             depth = "exact" if est.exact else est.depths[-1]
             out.append((s, len(rung), depth, est.value, est.spread))
         if sysm.symbolic.has_tail or sysm.symbolic.incidence_kind == "full":
-            est = pressure(sysm.symbolic, None, zeta.scaled(s))
+            est = pressure(None, zeta.scaled(s))
             out.append((s, "full", "exact", est.value, est.spread))
         return out
 
@@ -237,9 +236,7 @@ def cmd_measures(run: RunConfig) -> int:
     zeta = run.potential
     orbit = sample_orbit(run.system.driving, run.seed)
     depth = min(run.analysis.depth, 6)
-    measures, eigens = conformal_measures(
-        run.system.symbolic, symbols, zeta, orbit, depth=depth
-    )
+    measures, eigens = conformal_measures(symbols, zeta, orbit, depth=depth)
     rows = []
     for position in range(min(3, len(measures))):
         masses = measures[position].masses
@@ -285,14 +282,14 @@ def _verify_checks(run: RunConfig) -> list[dict]:
     ok = verify_primitivity(sysm.symbolic, symbols, witness)
     checks.append({"name": "primitivity", "ok": ok, "detail": f"order {witness.order}"})
 
-    sandwich = check_sandwich(sysm.symbolic, symbols, zeta.scaled(1.0), orbit, min(symbols), 4, witness=witness)
+    sandwich = check_sandwich(symbols, zeta.scaled(1.0), orbit, min(symbols), 4, witness=witness)
     checks.append(
         {"name": "sandwich", "ok": sandwich.ok, "detail": f"worst margin {sandwich.worst:.3e}"}
     )
 
-    measures, eigens = conformal_measures(sysm.symbolic, symbols, zeta.scaled(1.0), orbit, depth=5)
+    measures, eigens = conformal_measures(symbols, zeta.scaled(1.0), orbit, depth=5)
     gibbs = check_gibbs(
-        sysm.symbolic, symbols, zeta.scaled(1.0), orbit, measures, eigens.log_values, depth=5, witness=witness
+        symbols, zeta.scaled(1.0), orbit, measures, eigens.log_values, depth=5, witness=witness
     )
     checks.append(
         {"name": "gibbs", "ok": gibbs.ok, "detail": f"{gibbs.checked} cylinders, worst dev {gibbs.worst_ratio_deviation:.3e}"}
@@ -333,6 +330,10 @@ def _verify_checks(run: RunConfig) -> list[dict]:
 
     corrected = corrected_coarse_dimensions(hist)
     if corrected is not None:
+        # the histogram covers the working symbols, so on a countable alphabet
+        # its spectrum is theirs, not the whole alphabet's
+        if sysm.symbolic.has_tail:
+            curve = _curve(run, symbols)
         worst = 0.0
         for j in range(len(hist.counts)):
             if hist.counts[j] < 100 or math.isnan(corrected[j]):
@@ -361,11 +362,11 @@ def cmd_verify(run: RunConfig) -> int:
 def cmd_example_paper(run: RunConfig) -> int:
     sysm = run.system
     if sysm.name != "paper-example":
-        sysm = instances.paper_example()
+        sysm = gdms_mod.build_paper_example()
     zeta = geometric_potential(sysm)
     tail = gdms_mod.BlockTailExample(len(sysm.symbolic.edges))
 
-    p1 = pressure(sysm.symbolic, None, zeta.scaled(1.0)).value
+    p1 = pressure(None, zeta.scaled(1.0)).value
     ru = {}
     for s in (0.25, 0.5, 0.75, 1.0):
         value, divergent = tail.ru_moment(s)
@@ -373,10 +374,10 @@ def cmd_example_paper(run: RunConfig) -> int:
     witness = PrimitivityWitness(order=1, connectors=((1,),))
     rungs = run.analysis.rungs or (4, 16, 64, 256, 1024)
     ladder = build_ladder(sysm.symbolic, rungs, witness)
-    compact = pressure_compact_approx(sysm.symbolic, ladder, zeta.scaled(1.0))
+    compact = pressure_compact_approx(ladder, zeta.scaled(1.0))
 
     def evaluate(s):
-        return pressure(sysm.symbolic, None, zeta.scaled(s)).value if s > 0 else math.inf
+        return pressure(None, zeta.scaled(s)).value if s > 0 else math.inf
 
     s_star = bowen_dimension(evaluate, 0.0)
     s_inf = s_infinity(zeta)

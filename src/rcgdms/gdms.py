@@ -310,12 +310,14 @@ def similarity_system(
 
 _LOG2 = math.log(2.0)
 _LOG8 = math.log(8.0)
+# Ratio blocks tabulated; block 63 already ends past edge 2^3968.
+_MAX_BLOCK = 64
 
 
-def _block_boundaries(max_block: int) -> list[int]:
+def _block_boundaries() -> list[int]:
     # boundaries[l] = sum_{k<=l} 2^(k^2 - 1); block l covers (boundaries[l-1], boundaries[l]]
     out = [0]
-    for k in range(1, max_block + 1):
+    for k in range(1, _MAX_BLOCK + 1):
         out.append(out[-1] + 2 ** (k * k - 1))
     return out
 
@@ -343,13 +345,13 @@ class BlockTailExample:
     counts; the scalar `log_moment` is the term-by-term reference.
     """
 
-    def __init__(self, cutoff: int, max_block: int = 64):
+    def __init__(self, cutoff: int):
         self.cutoff = cutoff
-        self.bounds = _block_boundaries(max_block)
+        self.bounds = _block_boundaries()
         # bounds through the first >= cutoff place every materialized edge
         self._near_bounds = np.array(self.bounds[: self.block_of(cutoff) + 1])
         # blocks reaching past the cutoff, with their edge counts beyond it
-        self._blocks = np.arange(self.block_of(cutoff + 1), max_block)
+        self._blocks = np.arange(self.block_of(cutoff + 1), _MAX_BLOCK)
         self._rates = (self._blocks * self._blocks + self._blocks).astype(float)
         self._log_counts = np.array(
             [math.log(self.bounds[l] - max(self.bounds[l - 1], cutoff)) for l in self._blocks.tolist()]
@@ -421,21 +423,22 @@ class BlockTailExample:
         width = terms.shape[1]
         return _segment_log_sums(terms.ravel(), np.arange(0, terms.size, width), np.full(len(states), width))
 
-    def ru_moment(self, s: float, tol: float = 1e-18, max_block: int = 400) -> tuple[float, bool]:
-        """Essential-sup moment sum over edges: sum_l 2^(l^2-1) * 2^(-s(l^2+l)).
+    def ru_moment(self, s: float) -> tuple[float, bool]:
+        """Essential-sup moment sum over edges: sum_l 2^(l^2-1) * 2^(-s(l^2+l)),
+        over blocks l <= 400 and stopped at the first term below 1e-18.
 
         Returns (value, divergent).  Divergence is flagged when the block
         terms stop decreasing (s < 1 makes them blow up superexponentially).
         """
         total = 0.0
         prev = math.inf
-        for l in range(1, max_block + 1):
+        for l in range(1, 401):
             log_term = ((l * l - 1) - s * (l * l + l)) * _LOG2
             term = math.exp(log_term) if log_term < 700 else math.inf
             if term > prev or term == math.inf:
                 return (math.inf, True)
             total += term
-            if term < tol:
+            if term < 1e-18:
                 return (total, False)
             prev = term
         return (total, False)

@@ -127,7 +127,6 @@ def _pulled(tree: _WordTree, weights: np.ndarray, levels: Sequence[np.ndarray]) 
 
 
 def conformal_measures(
-    system: SymbolicSystem,
     symbols: Sequence[int],
     potential: FirstSymbolPotential,
     orbit: DrivingOrbit,
@@ -145,7 +144,7 @@ def conformal_measures(
         raise ValueError("symbol set must be nonempty")
     if horizon is None:
         horizon = 2 * depth + 10
-    tree = _WordTree(system, symbols, depth)
+    tree = _WordTree(potential.system, symbols, depth)
     count = len(tree.last[-1])
     if count == 0:
         raise ValueError("no admissible words at the requested depth")
@@ -195,7 +194,6 @@ class LadderConvergence:
 
 
 def ladder_convergence(
-    system: SymbolicSystem,
     ladder: SubalphabetLadder,
     potential: FirstSymbolPotential,
     orbit: DrivingOrbit,
@@ -215,7 +213,7 @@ def ladder_convergence(
     tails = []
     state0 = orbit.state(0)
     for r in rungs:
-        measures, _ = conformal_measures(system, r, potential, orbit, depth=depth)
+        measures, _ = conformal_measures(r, potential, orbit, depth=depth)
         per_rung.append({c: measures[0].mass(c) for c in cylinders})
         log_rung, _ = potential.unit_transfer_bounds(state0, r)
         try:

@@ -7,9 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import gdms
 from .driving import deterministic, periodic
-from .gdms import RCGDMS, _frozen, similarity_system
+from .gdms import RCGDMS, _frozen, build_paper_example, similarity_system
 from .shift import GeometricTail, full_shift, from_matrix
 
 
@@ -86,10 +85,6 @@ def pure_tail(cutoff: int = 64) -> RCGDMS:
     )
 
 
-def paper_example(cutoff: int = 1024, weight_states: int = 40) -> RCGDMS:
-    return gdms.build_paper_example(cutoff=cutoff, weight_states=weight_states)
-
-
 PRESETS = {
     "cantor": cantor,
     "cantor-shrunk": cantor_shrunk,
@@ -97,5 +92,5 @@ PRESETS = {
     "period2": period2,
     "golden-mean": golden_mean,
     "pure-tail": pure_tail,
-    "paper-example": paper_example,
+    "paper-example": build_paper_example,
 }

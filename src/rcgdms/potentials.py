@@ -263,10 +263,7 @@ class SummabilityReport:
 
 
 def summability(
-    potential: FirstSymbolPotential,
-    s: Optional[float] = None,
-    driving: Optional[DrivingSystem] = None,
-    symbols: Optional[Sequence[int]] = None,
+    potential: FirstSymbolPotential, s: Optional[float] = None, symbols: Optional[Sequence[int]] = None
 ) -> SummabilityReport:
     """Summability flags via the marginal expectation of the log transfer sup.
 
@@ -274,7 +271,7 @@ def summability(
     per-state values are reported for inspection.
     """
     pot = potential if s is None else potential.scaled(s)
-    drv = driving if driving is not None else potential.driving
+    drv = potential.driving
     if drv is None:
         raise ValueError("summability needs the driving system")
 
@@ -292,22 +289,17 @@ def summability(
     )
 
 
-def s_infinity(
-    potential: FirstSymbolPotential,
-    driving: Optional[DrivingSystem] = None,
-    tol: float = 1e-6,
-    start: float = 1.0,
-) -> float:
+def s_infinity(potential: FirstSymbolPotential) -> float:
     """Infimum of scales at which the scaled potential is summable.
 
     Finite (materialized, tail-free) alphabets give -inf.  Otherwise, as the
     materialized rows are finite, bisection on the tail hook alone (finite at
-    every support state) down to the requested tolerance; the result is
-    cached in the table that scaled copies share.
+    every support state), bracketed from s = 1 and closed to 1e-6; the result
+    is cached in the table that scaled copies share.
     """
     if not potential.system.has_tail:
         return -math.inf
-    drv = driving if driving is not None else potential.driving
+    drv = potential.driving
     if drv is None:
         raise ValueError("summability needs the driving system")
     if potential.tail_moment is None:
@@ -317,7 +309,7 @@ def s_infinity(
         return (potential.tail_moment(float(s), drv.state_support()) < math.inf).all()
 
     def bisect():
-        hi = start
+        hi = 1.0
         for _ in range(64):
             if ok(hi):
                 break
@@ -331,7 +323,7 @@ def s_infinity(
             lo = 2.0 * lo - hi
         else:
             return -math.inf
-        while hi - lo > tol:
+        while hi - lo > 1e-6:
             mid = 0.5 * (lo + hi)
             if ok(mid):
                 hi = mid
@@ -339,4 +331,4 @@ def s_infinity(
                 lo = mid
         return 0.5 * (lo + hi)
 
-    return potential._cached(("s_infinity", drv, tol, start), bisect)
+    return potential._cached(("s_infinity",), bisect)

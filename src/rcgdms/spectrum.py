@@ -151,19 +151,20 @@ def pressure_curve(
     )
 
 
-def bowen_dimension(p: Callable[[float], float], s_infinity: float, max_span: float = 64.0) -> float:
+def bowen_dimension(p: Callable[[float], float], s_infinity: float) -> float:
     """Root of the pressure along the scale axis: inf{s >= 0 : p(s) <= 0}.
 
     Solved against the pressure evaluator p, which is +inf at and below the
     summability threshold s_infinity; returns 0 when the pressure at 0 is
-    already nonpositive."""
+    already nonpositive, and raises ValueError when p stays positive up to
+    s = 64."""
     p_zero = p(0.0)
     if p_zero <= 0.0:
         return 0.0
     hi, p_hi = 1.0, p(1.0)
     while p_hi > 0.0:
         hi *= 2.0
-        if hi > max_span:
+        if hi > 64.0:
             raise ValueError("no pressure sign change below the bracket cap")
         p_hi = p(hi)
     lo = max(0.0, s_infinity + 1e-12)  # above the threshold, where p = +inf
@@ -178,18 +179,15 @@ class RegularityReport:
     rung_values: tuple[float, ...] = ()
 
 
-def cofinite_regularity(
-    potential,
-    rung_sizes: Sequence[int] = (4, 16, 64, 256, 1024),
-) -> RegularityReport:
+def cofinite_regularity(potential) -> RegularityReport:
     """Whether the pressure blows up at the summability threshold.
 
     Finite alphabets are vacuous (threshold -inf).  Otherwise: either the
     estimated threshold scale itself fails summability, or the
-    finite-subalphabet pressures evaluated there keep growing across an
-    exponentially widening ladder without leveling off (the bisection
-    estimate can land a hair inside the summable side, where the transfer
-    sums are finite but enormous)."""
+    finite-subalphabet pressures evaluated there keep growing across the
+    ladder of the first 4, 16, 64, 256 and 1024 edges without leveling off
+    (the bisection estimate can land a hair inside the summable side, where
+    the transfer sums are finite but enormous)."""
     from .potentials import _expected, s_infinity as _s_inf, summability
 
     if not potential.system.has_tail:
@@ -198,7 +196,7 @@ def cofinite_regularity(
     if not summability(potential, s=s_inf).summable:
         return RegularityReport(applicable=True, s_infinity=s_inf, cofinitely_regular=True)
     edges = sorted(potential.system.edges)
-    sizes = [k for k in rung_sizes if k <= len(edges)] or [len(edges)]
+    sizes = [k for k in (4, 16, 64, 256, 1024) if k <= len(edges)] or [len(edges)]
     scaled = potential.scaled(s_inf)
     drv = potential.driving
     states = drv.state_support()

@@ -172,7 +172,6 @@ def _sums(lane: _Lane, symbols, potential, orbit, anchor, n, position) -> dict:
 
 
 def partition_sums(
-    system: SymbolicSystem,
     symbols: Sequence[int],
     potential: FirstSymbolPotential,
     orbit: DrivingOrbit,
@@ -187,12 +186,8 @@ def partition_sums(
     of the transfer product prod_j D_{omega_j} M^T, built one symbol at a
     time in O(n |F|^2).  Empty admissible sets contribute 0 (log value
     -inf).  The "fraction" and "mpf" arithmetic modes return the exact sums
-    alongside the float logs for provably signed comparisons.  The sums
-    follow the potential's incidence, so `system` must be potential.system
-    (ValueError otherwise).
+    alongside the float logs for provably signed comparisons.
     """
-    if system is not potential.system and system != potential.system:
-        raise ValueError("partition_sums: system is not the potential's system")
     symbols = tuple(sorted(symbols))
     lane = _lane(potential, arithmetic)
     sums = _sums(lane, symbols, potential, orbit, anchor, n, position)
@@ -243,7 +238,6 @@ class SandwichReport:
 
 
 def check_sandwich(
-    system: SymbolicSystem,
     symbols: Sequence[int],
     potential: FirstSymbolPotential,
     orbit: DrivingOrbit,
@@ -264,6 +258,7 @@ def check_sandwich(
     1: the margins are computed without it, and the inequality names keep it.
     """
     symbols = tuple(sorted(symbols))
+    system = potential.system
     witness = _primitivity_witness(system, symbols, witness)
     N = witness.order
     lane = _lane(potential, arithmetic)
@@ -386,7 +381,7 @@ def _spectral_pressure(
         unit = potential.scaled(1.0)
         derivative = _perron_slope(prod, rho, steps, [unit.log_weights(st, symbols) for st in cycle], vectors)
     return PressureEstimate(
-        value=(shift_total + math.log(rho)) / len(cycle), method="exact-spectral", slope=derivative
+        value=float((shift_total + math.log(rho)) / len(cycle)), method="exact-spectral", slope=derivative
     )
 
 
@@ -476,7 +471,6 @@ def _mc_log_all(symbols, potential, orbits, depths) -> np.ndarray:
 
 
 def pressure(
-    system: SymbolicSystem,
     symbols: Optional[Sequence[int]],
     potential: FirstSymbolPotential,
     orbits: Optional[Sequence[DrivingOrbit]] = None,
@@ -484,8 +478,9 @@ def pressure(
     method: str = "auto",
     slope: bool = False,
 ) -> PressureEstimate:
-    """Relative pressure of the potential over a finite symbol set (or the
-    whole alphabet for product-structure systems when symbols is None).
+    """Relative pressure of the potential over a finite symbol set of its
+    shift, potential.system (or the whole alphabet for product-structure
+    systems when symbols is None).
 
     Route selection: product structure and deterministic/periodic transfer
     matrices are exact; otherwise depth-extrapolated Monte Carlo across
@@ -503,7 +498,7 @@ def pressure(
     drv = potential.driving
     if drv is None:
         raise ValueError("pressure needs the potential's driving system")
-    full = symbols is None or _is_full_over(system, symbols)
+    full = symbols is None or _is_full_over(potential.system, symbols)
     if method in ("auto", "exact-product") and full:
         val = _product_pressure(potential, drv, None if symbols is None else tuple(sorted(symbols)))
         return PressureEstimate(value=val, method="exact-product")
@@ -549,13 +544,7 @@ class CompactApproximation:
     monotone: bool
 
 
-def pressure_compact_approx(
-    system: SymbolicSystem,
-    ladder: SubalphabetLadder,
-    potential: FirstSymbolPotential,
-    orbits: Optional[Sequence[DrivingOrbit]] = None,
-    depths: Sequence[int] = (4, 5, 6, 7, 8),
-) -> CompactApproximation:
+def pressure_compact_approx(ladder: SubalphabetLadder, potential: FirstSymbolPotential) -> CompactApproximation:
     """Increasing finite-subalphabet pressures and their limit estimate.
 
     When the full-alphabet transfer sums have closed form (product systems,
@@ -564,12 +553,10 @@ def pressure_compact_approx(
     potentials.
     """
     rungs = tuple(tuple(r) for r in ladder)
-    values = [
-        pressure(system, r, potential, orbits=orbits, depths=depths).value for r in rungs
-    ]
+    values = [pressure(r, potential).value for r in rungs]
     monotone = all(values[i + 1] >= values[i] - 1e-9 for i in range(len(values) - 1))
     anchor = None
-    if _is_full_over(system, system.edges):
+    if _is_full_over(potential.system, potential.system.edges):
         try:
             anchor = _product_pressure(potential, potential.driving, None)
         except ValueError:
@@ -594,6 +581,10 @@ def pressure_compact_approx(
 # ---------------------------------------------------------------------------
 
 
+# Rounding slack of the log ratio of a cylinder's mass to its Gibbs weight.
+GIBBS_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class GibbsReport:
     checked: int
@@ -608,7 +599,6 @@ class GibbsReport:
 
 
 def check_gibbs(
-    system: SymbolicSystem,
     symbols: Sequence[int],
     potential: FirstSymbolPotential,
     orbit: DrivingOrbit,
@@ -616,7 +606,6 @@ def check_gibbs(
     log_eigenvalues: Sequence[float],
     depth: int,
     witness: Optional[PrimitivityWitness] = None,
-    rel_tol: float = 1e-12,
 ) -> GibbsReport:
     """Two-sided Gibbs bracket for every cylinder up to the given depth.
 
@@ -631,7 +620,7 @@ def check_gibbs(
     base = measures[0]
     if symbols != base.symbols:
         raise ValueError("the measures live on a different symbol set")
-    witness = _primitivity_witness(system, symbols, witness)
+    witness = _primitivity_witness(potential.system, symbols, witness)
     N = witness.order
     conn = tuple(sorted(witness.connector_alphabet))
     K = _connector_bound(_lane(potential, "float"), conn, orbit.system.state_support())
@@ -660,7 +649,7 @@ def check_gibbs(
         max_up = max(max_up, float(log_ratio.max(initial=-math.inf)))
         min_lo = min(min_lo, float(lo_slack.min(initial=math.inf)))
         worst_dev = max(worst_dev, float(np.abs(log_ratio).max(initial=0.0)))
-        violations += int(np.count_nonzero((log_ratio > rel_tol) | (lo_slack < -rel_tol)))
+        violations += int(np.count_nonzero((log_ratio > GIBBS_TOL) | (lo_slack < -GIBBS_TOL)))
     return GibbsReport(
         checked=checked,
         violations=violations,

@@ -1,6 +1,7 @@
 import pytest
 
 from rcgdms import instances
+from rcgdms.gdms import build_paper_example
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +31,7 @@ def golden():
 
 @pytest.fixture(scope="session")
 def paper():
-    return instances.paper_example()
+    return build_paper_example()
 
 
 @pytest.fixture(scope="session")

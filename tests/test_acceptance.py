@@ -73,7 +73,7 @@ def _exact_curve(system, s_grid, hull, s_inf=-math.inf):
     def evaluate(s):
         if s <= s_inf:
             return math.inf
-        return pressure(system.symbolic, None, zeta.scaled(s)).value
+        return pressure(None, zeta.scaled(s)).value
 
     return pressure_curve(evaluate, s_grid, s_infinity=s_inf, exponent_hull=hull)
 
@@ -149,9 +149,7 @@ def test_criterion_3_sandwich_chain(cantor, twoscale, period2, golden):
         for s in (0.0, 0.5, 1.0):
             arithmetic = "mpf" if s == 0.5 else "fraction"
             for n in range(1, 7):
-                report = check_sandwich(
-                    system.symbolic, (0, 1), zeta.scaled(s), orbit, 0, n, arithmetic=arithmetic
-                )
+                report = check_sandwich((0, 1), zeta.scaled(s), orbit, 0, n, arithmetic=arithmetic)
                 worst = min(worst, report.worst)
                 assert report.ok, (system.name, s, n, report.inequalities)
     elapsed = time.monotonic() - start
@@ -169,7 +167,7 @@ def test_criterion_4_gibbs_brackets(cantor, twoscale, period2):
     for system in (twoscale, period2):
         zeta = geometric_potential(system).scaled(1.0)
         orbit = sample_orbit(system.driving, 0)
-        measures, _ = conformal_measures(system.symbolic, (0, 1), zeta, orbit, depth=8, exact=True)
+        measures, _ = conformal_measures((0, 1), zeta, orbit, depth=8, exact=True)
         weight = weight_fn(zeta, "fraction")
         states = [orbit.state(k) for k in range(8)]
         norms = [sum(weight(st, e) for e in (0, 1)) for st in states]
@@ -187,10 +185,8 @@ def test_criterion_4_gibbs_brackets(cantor, twoscale, period2):
     for system, scale in ((twoscale, 1.0), (period2, 1.0), (cantor, CANTOR_DIM)):
         zeta = geometric_potential(system).scaled(scale)
         orbit = sample_orbit(system.driving, 0)
-        measures, eigens = conformal_measures(system.symbolic, (0, 1), zeta, orbit, depth=8)
-        report = check_gibbs(
-            system.symbolic, (0, 1), zeta, orbit, measures, eigens.log_values, depth=8
-        )
+        measures, eigens = conformal_measures((0, 1), zeta, orbit, depth=8)
+        report = check_gibbs((0, 1), zeta, orbit, measures, eigens.log_values, depth=8)
         assert report.violations == 0, system.name
 
     ok = report.violations == 0 and report.worst_ratio_deviation <= 1e-10
@@ -207,7 +203,7 @@ def test_criterion_5_pressure_properties(paper, cantor, twoscale, period2, twosc
     witness = PrimitivityWitness(order=1, connectors=((1,),))
     ladder = build_ladder(paper.symbolic, (4, 16, 64, 256, 1024), witness)
     for s in (0.25, 0.5, 1.0):
-        values = pressure_compact_approx(paper.symbolic, ladder, zeta_paper.scaled(s)).rung_values
+        values = pressure_compact_approx(ladder, zeta_paper.scaled(s)).rung_values
         assert all(values[i + 1] >= values[i] - 1e-9 for i in range(len(values) - 1))
 
     # strict decrease and convexity (no repair needed on exact curves)
@@ -222,9 +218,7 @@ def test_criterion_5_pressure_properties(paper, cantor, twoscale, period2, twosc
     for system in (twoscale, period2):
         zeta = geometric_potential(system).scaled(1.0)
         orbit = sample_orbit(system.driving, 0)
-        _, eigens = conformal_measures(
-            system.symbolic, (0, 1), zeta, orbit, depth=2, horizon=30
-        )
+        _, eigens = conformal_measures((0, 1), zeta, orbit, depth=2, horizon=30)
         for n in range(1, 31):
             lam_route = eigens.partial_sum(n) / n
             direct = math.fsum(

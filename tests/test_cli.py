@@ -337,10 +337,10 @@ def test_pressure_failure_exits_3(tmp_path, monkeypatch, capsys, command):
 
     real = cli.pressure
 
-    def failing(system, symbols, potential, **kwargs):
+    def failing(symbols, potential, **kwargs):
         if 0.2 < potential.scale < 0.4:
             raise ValueError(f"no pressure at s = {potential.scale}")
-        return real(system, symbols, potential, **kwargs)
+        return real(symbols, potential, **kwargs)
 
     monkeypatch.setattr(cli, "pressure", failing)
     code = run_cli(command, "--config", CONFIGS / "cantor.json", "--out", tmp_path)
@@ -504,8 +504,11 @@ def test_custom_tail_config_matches_the_closed_form(tmp_path):
     }
     cfg = tmp_path / "tailed.json"
     cfg.write_text(json.dumps(doc))
-    for command in ("pressure", "dimension", "spectrum"):
+    for command in ("pressure", "dimension", "spectrum", "verify"):
         assert run_cli(command, "--config", cfg, "--out", tmp_path / "out") == 0
+    # the histogram of the two materialized edges is held to their own spectrum
+    checks = json.loads((tmp_path / "out" / "verify.json").read_text())["checks"]
+    assert "histogram_vs_spectrum" in [c["name"] for c in checks]
     payload = json.loads((tmp_path / "out" / "dimension.json").read_text())
     assert payload["s_star"] == pytest.approx(_tail_sum_root((0.25, 0.125), 0.125, 3), abs=1e-12)
     assert payload["s_infinity"] == pytest.approx(0.0, abs=1e-6)

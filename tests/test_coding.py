@@ -185,7 +185,7 @@ def test_local_dimension_samples_match_the_row_coding_reference(monkeypatch):
     symbols = (0, 1, 2)
     zeta = geometric_potential(system).scaled(0.7)
     orbit = sample_orbit(system.driving, 0)
-    measure = conformal_measures(system.symbolic, symbols, zeta, orbit, depth=6)[0][0]
+    measure = conformal_measures(symbols, zeta, orbit, depth=6)[0][0]
     words = [(0, 1, 2, 2, 0, 0), (2, 1, 1, 2, 1, 2), (1, 2, 0)]
     got = local_dimension_samples(system, orbit, measure, words)
 
@@ -227,7 +227,7 @@ def test_ball_mass_matches_per_word_images():
     )
     zeta = geometric_potential(system).scaled(0.85)
     orbit = sample_orbit(system.driving, 0)
-    measure = conformal_measures(system.symbolic, symbols, zeta, orbit, depth=7)[0][0]
+    measure = conformal_measures(symbols, zeta, orbit, depth=7)[0][0]
     words = [(0, 1, 1, 0, 1, 0, 0), (1, 1, 1, 0, 0, 0, 1)]
     samples = local_dimension_samples(system, orbit, measure, words)
     most_hits = 0

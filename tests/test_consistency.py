@@ -46,8 +46,8 @@ def test_exact_pressure_routes_agree(seed, n_symbols, cycle_len):
     zeta = geometric_potential(system)
     symbols = tuple(range(n_symbols))
     for s in (-0.5, 0.0, 0.7, 1.3):
-        product = pressure(system.symbolic, symbols, zeta.scaled(s), method="exact-product")
-        spectral = pressure(system.symbolic, symbols, zeta.scaled(s), method="exact-spectral")
+        product = pressure(symbols, zeta.scaled(s), method="exact-product")
+        spectral = pressure(symbols, zeta.scaled(s), method="exact-spectral")
         assert product.value == pytest.approx(spectral.value, abs=1e-10)
 
 
@@ -60,7 +60,7 @@ def test_bowen_root_against_direct_moment_equation(seed):
     zeta = geometric_potential(system)
 
     def evaluate(s):
-        return pressure(system.symbolic, None, zeta.scaled(s)).value
+        return pressure(None, zeta.scaled(s)).value
 
     curve = pressure_curve(evaluate, np.linspace(-2, 6, 33))
     s_star = bowen_dimension(curve.pressure_at, curve.s_infinity)
@@ -88,7 +88,7 @@ def test_sandwich_holds_on_random_systems(seed):
     zeta = geometric_potential(system)
     orbit = sample_orbit(system.driving, 0)
     for s in (0.4, 1.0):
-        report = check_sandwich(system.symbolic, (0, 1, 2), zeta.scaled(s), orbit, 0, 3)
+        report = check_sandwich((0, 1, 2), zeta.scaled(s), orbit, 0, 3)
         assert report.worst >= -1e-12, report.inequalities
 
 
@@ -99,7 +99,7 @@ def test_box_counting_bounded_by_root(seed):
     zeta = geometric_potential(system)
 
     def evaluate(s):
-        return pressure(system.symbolic, None, zeta.scaled(s)).value
+        return pressure(None, zeta.scaled(s)).value
 
     s_star = bowen_dimension(evaluate, -math.inf)
     orbit = sample_orbit(system.driving, 0)
@@ -118,7 +118,7 @@ def test_twoscale_spectrum_matches_entropy_formula(twoscale):
     zeta = geometric_potential(twoscale)
 
     def evaluate(s):
-        return pressure(twoscale.symbolic, None, zeta.scaled(s)).value
+        return pressure(None, zeta.scaled(s)).value
 
     curve = pressure_curve(
         evaluate, np.linspace(-4, 8, 49), exponent_hull=(math.log(2), math.log(4))
@@ -142,7 +142,7 @@ def test_period2_degenerate_spectrum(period2):
     zeta = geometric_potential(period2)
 
     def evaluate(s):
-        return pressure(period2.symbolic, None, zeta.scaled(s)).value
+        return pressure(None, zeta.scaled(s)).value
 
     curve = pressure_curve(
         evaluate,

@@ -72,7 +72,7 @@ def ref_closed_form(symbols, potential, orbit, k, word, exact):
     return mass
 
 
-def ref_check_gibbs(system, symbols, potential, orbit, masses, log_eigenvalues, depth, witness, rel_tol=1e-12):
+def ref_check_gibbs(system, symbols, potential, orbit, masses, log_eigenvalues, depth, witness):
     N = witness.order
     K = max(
         abs(value(potential, st, e)) for st in orbit.system.state_support() for e in witness.connector_alphabet
@@ -96,7 +96,7 @@ def ref_check_gibbs(system, symbols, potential, orbit, masses, log_eigenvalues, 
             max_up = max(max_up, log_ratio)
             min_lo = min(min_lo, lo_slack)
             worst_dev = max(worst_dev, abs(log_ratio))
-            if log_ratio > rel_tol or lo_slack < -rel_tol:
+            if log_ratio > 1e-12 or lo_slack < -1e-12:
                 violations += 1
     return GibbsReport(checked, violations, max_up, min_lo, worst_dev)
 
@@ -161,7 +161,7 @@ def small_cases(draw):
 
 
 def assert_chains_agree(system, symbols, potential, orbit, depth, horizon, exact):
-    measures, eigens = conformal_measures(system, symbols, potential, orbit, depth, horizon=horizon, exact=exact)
+    measures, eigens = conformal_measures(symbols, potential, orbit, depth, horizon=horizon, exact=exact)
     chain, logs = ref_chain(system, symbols, potential, orbit, depth, horizon, exact)
     assert len(measures) == horizon + 1
     assert all(close(a, b, floor=1.0) for a, b in zip(eigens.log_values, logs, strict=True))
@@ -203,9 +203,9 @@ def test_fraction_levels_match_dict_induction_exactly(case, extra):
 @given(small_cases())
 def test_gibbs_report_and_residual_match_word_loops(case):
     system, symbols, potential, orbit, depth = case
-    measures, eigens = conformal_measures(system, symbols, potential, orbit, depth)
+    measures, eigens = conformal_measures(symbols, potential, orbit, depth)
     witness = find_primitivity(system, symbols, max_order=8)
-    got = check_gibbs(system, symbols, potential, orbit, measures, eigens.log_values, depth, witness=witness)
+    got = check_gibbs(symbols, potential, orbit, measures, eigens.log_values, depth, witness=witness)
     want = ref_check_gibbs(system, symbols, potential, orbit, measures[0].masses, eigens.log_values, depth, witness)
     assert got == want
     for k in range(3):
@@ -222,7 +222,7 @@ def test_gibbs_report_and_residual_match_word_loops(case):
 
 def test_mass_outside_the_tree_is_zero(golden):
     zeta = geometric_potential(golden).scaled(1.0)
-    measures, _ = conformal_measures(golden.symbolic, (0, 1), zeta, sample_orbit(golden.driving, 0), depth=3)
+    measures, _ = conformal_measures((0, 1), zeta, sample_orbit(golden.driving, 0), depth=3)
     m = measures[0]
     assert m.mass(()) == 0.0
     assert m.mass((1, 1)) == 0.0  # inadmissible
@@ -235,7 +235,7 @@ def test_mass_outside_the_tree_is_zero(golden):
 def test_gibbs_rejects_measures_on_other_symbols(golden):
     zeta = geometric_potential(golden).scaled(1.0)
     orbit = sample_orbit(golden.driving, 0)
-    measures, eigens = conformal_measures(golden.symbolic, (0,), zeta, orbit, depth=2)
+    measures, eigens = conformal_measures((0,), zeta, orbit, depth=2)
     witness = PrimitivityWitness(order=1, connectors=((0,),))
     with pytest.raises(ValueError, match="different symbol set"):
-        check_gibbs(golden.symbolic, (0, 1), zeta, orbit, measures, eigens.log_values, 2, witness=witness)
+        check_gibbs((0, 1), zeta, orbit, measures, eigens.log_values, 2, witness=witness)

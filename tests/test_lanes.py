@@ -60,7 +60,7 @@ def reference_chain(pot, orbit, anchor, n, witness, arithmetic):
     system, symbols, N = pot.system, pot.system.edges, witness.order
 
     def sums(depth, position):
-        return partition_sums(system, symbols, pot, orbit, anchor, depth, position, arithmetic).exact
+        return partition_sums(symbols, pot, orbit, anchor, depth, position, arithmetic).exact
 
     base, deeper = sums(n, 0), sums(N + n, 0)
     op_shifted, op_forward, l_shifted = sums(2 * N + 1 + n, -(N + 1)), sums(N + 1 + n, 0), sums(n, N + 1)
@@ -90,14 +90,14 @@ def assert_lane_matches_float(pot, orbit, anchor, n, arithmetic):
     system, symbols = pot.system, pot.system.edges
     witness = find_primitivity(system, symbols, max_order=8)
     for depth, position in ((n, 0), (n + 2, -3)):
-        flt = partition_sums(system, symbols, pot, orbit, anchor, depth, position)
-        ext = partition_sums(system, symbols, pot, orbit, anchor, depth, position, arithmetic)
+        flt = partition_sums(symbols, pot, orbit, anchor, depth, position)
+        ext = partition_sums(symbols, pot, orbit, anchor, depth, position, arithmetic)
         for key in ("anchored_sup", "return", "operator", "all"):
             want = float_log(ext.exact[key])
             assert close(getattr(flt, f"log_{key}"), want, want), (key, depth, position)
 
-    flt = check_sandwich(system, symbols, pot, orbit, anchor, n, witness=witness)
-    ext = check_sandwich(system, symbols, pot, orbit, anchor, n, witness=witness, arithmetic=arithmetic)
+    flt = check_sandwich(symbols, pot, orbit, anchor, n, witness=witness)
+    ext = check_sandwich(symbols, pot, orbit, anchor, n, witness=witness, arithmetic=arithmetic)
     chain = reference_chain(pot, orbit, anchor, n, witness, arithmetic)
     assert [name for name, _ in flt.inequalities] == [name for name, _ in ext.inequalities]
     for (name, got), (_, exact_margin), (lhs, rhs) in zip(flt.inequalities, ext.inequalities, chain):
@@ -140,8 +140,8 @@ def test_sandwich_holding_with_equality_is_ok_on_the_float_lane():
     )
     pot = geometric_potential(system).scaled(0)
     orbit = sample_orbit(system.driving, 0)
-    flt = check_sandwich(pot.system, symbols, pot, orbit, 2, 1)
+    flt = check_sandwich(symbols, pot, orbit, 2, 1)
     assert flt.ok and -SANDWICH_TOL <= flt.worst <= 0.0, flt.inequalities
     for arithmetic in ("fraction", "mpf"):
-        exact = check_sandwich(pot.system, symbols, pot, orbit, 2, 1, arithmetic=arithmetic)
+        exact = check_sandwich(symbols, pot, orbit, 2, 1, arithmetic=arithmetic)
         assert exact.ok and exact.worst == 0.0 and exact.tolerance == 0.0

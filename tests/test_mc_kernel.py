@@ -35,7 +35,7 @@ def reference(system, symbols, potential, orbits, depths):
     """(value, per_depth, spread, raw_value) from one partition_sums call per
     orbit and depth and one polyfit per orbit over the deepest three depths."""
     anchor = min(symbols)
-    vals = [[partition_sums(system, symbols, potential, o, anchor, n).log_all / n for n in depths] for o in orbits]
+    vals = [[partition_sums(symbols, potential, o, anchor, n).log_all / n for n in depths] for o in orbits]
     if len(depths) == 1:
         fits = [v[0] for v in vals]
     else:
@@ -90,7 +90,7 @@ def cases(draw):
 @given(cases())
 def test_batched_route_matches_per_orbit_loop(case):
     system, symbols, potential, orbits, depths = case
-    est = pressure(system, symbols, potential, orbits=orbits, depths=depths, method="monte-carlo")
+    est = pressure(symbols, potential, orbits=orbits, depths=depths, method="monte-carlo")
     assert est.depths == depths
     assert_matches(est, reference(system, tuple(sorted(symbols)), potential, orbits, depths))
 
@@ -112,7 +112,7 @@ def test_cylinder_constant_route_enumerates_nothing(monkeypatch):
     orbits = orbit_family(pot.driving, 16, 0)
     want = reference(pot.system, (0, 1, 2), pot, orbits, (4, 5, 6, 7, 8))
     monkeypatch.setattr(rcgdms.thermo, "partition_sums", forbidden)
-    assert_matches(pressure(pot.system, (0, 1, 2), pot), want)
+    assert_matches(pressure((0, 1, 2), pot), want)
 
 
 def test_empty_rows_give_minus_infinity():
@@ -123,7 +123,7 @@ def test_empty_rows_give_minus_infinity():
         driving=bernoulli((0, 1), (0.5, 0.5)),
     )
     for depths in ((3,), (1, 2, 3), (2, 3, 4)):
-        est = pressure(pot.system, (0, 1), pot, depths=depths)
+        est = pressure((0, 1), pot, depths=depths)
         assert est.value == -math.inf
         assert est.raw_value == -math.inf
         assert est.spread == 0.0  # every orbit is empty: they agree exactly
@@ -138,10 +138,10 @@ def test_empty_rows_give_minus_infinity():
     log_all = _mc_log_all((0, 1), dead, orbits, (1, 2))
     for j, o in enumerate(orbits):
         for i, n in enumerate((1, 2)):
-            want = partition_sums(dead.system, (0, 1), dead, o, 0, n).log_all
+            want = partition_sums((0, 1), dead, o, 0, n).log_all
             assert log_all[i, j] == want
     assert np.isneginf(log_all).any() and np.isfinite(log_all).any()
-    mixed = pressure(dead.system, (0, 1), dead, orbits=orbits, depths=(1, 2))
+    mixed = pressure((0, 1), dead, orbits=orbits, depths=(1, 2))
     assert mixed.value == -math.inf
     assert mixed.spread == math.inf  # only some orbits are empty
 
@@ -150,12 +150,12 @@ def test_empty_rows_give_minus_infinity():
 def test_depths_must_increase_strictly_from_one(depths):
     pot = _mc_potential()
     with pytest.raises(ValueError, match="depths"):
-        pressure(pot.system, (0, 1, 2), pot, depths=depths)
+        pressure((0, 1, 2), pot, depths=depths)
 
 
 def test_numpy_integer_depths_are_accepted():
     pot = _mc_potential()
-    est = pressure(pot.system, (0, 1, 2), pot, depths=np.arange(3, 6))
+    est = pressure((0, 1, 2), pot, depths=np.arange(3, 6))
     assert est.depths == (3, 4, 5)
 
 

@@ -156,7 +156,7 @@ def test_local_dimension_shrunk_cantor(cantor_shrunk):
     s_star = LOG2 / math.log(10 / 3)
     zeta = geometric_potential(cantor_shrunk).scaled(s_star)
     orbit = sample_orbit(cantor_shrunk.driving, 0)
-    measures, _ = conformal_measures(cantor_shrunk.symbolic, (0, 1), zeta, orbit, depth=10)
+    measures, _ = conformal_measures((0, 1), zeta, orbit, depth=10)
     samples = local_dimension_samples(
         cantor_shrunk, orbit, measures[0], [(0, 1, 0, 1, 0, 1, 0, 1, 0, 1)]
     )
@@ -171,7 +171,7 @@ def test_local_dimension_shrunk_cantor(cantor_shrunk):
 def test_local_dimension_requires_positive_margin(cantor):
     zeta = geometric_potential(cantor).scaled(LOG2 / LOG3)
     orbit = sample_orbit(cantor.driving, 0)
-    measures, _ = conformal_measures(cantor.symbolic, (0, 1), zeta, orbit, depth=3)
+    measures, _ = conformal_measures((0, 1), zeta, orbit, depth=3)
     with pytest.raises(ValueError, match="margin"):
         local_dimension_samples(cantor, orbit, measures[0], [(0, 1, 0)])
 
@@ -194,7 +194,7 @@ def test_local_dimension_near_tiling():
     s_star = LOG2 / math.log(100 / 45)
     zeta = geometric_potential(system).scaled(s_star)
     orbit = sample_orbit(system.driving, 0)
-    measures, _ = conformal_measures(system.symbolic, (0, 1), zeta, orbit, depth=10)
+    measures, _ = conformal_measures((0, 1), zeta, orbit, depth=10)
     samples = local_dimension_samples(system, orbit, measures[0], [(0, 1) * 5])
     s = samples[0]
     assert abs(s.markov_ratios[-1] - s_star) <= 0.02
@@ -207,7 +207,7 @@ def test_local_dimension_depth_one_bracket(cantor_shrunk):
     s = 0.5
     zeta = geometric_potential(cantor_shrunk).scaled(s)
     orbit = sample_orbit(cantor_shrunk.driving, 0)
-    measures, _ = conformal_measures(cantor_shrunk.symbolic, (0, 1), zeta, orbit, depth=2)
+    measures, _ = conformal_measures((0, 1), zeta, orbit, depth=2)
     samples = local_dimension_samples(cantor_shrunk, orbit, measures[0], [(0, 1)])
     ratio = samples[0].markov_ratios[0]
     assert 0.0 < ratio < 2.0

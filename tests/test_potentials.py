@@ -6,6 +6,7 @@ import pytest
 from words import birkhoff, value, weight_fn
 
 from rcgdms.driving import sample_orbit
+from rcgdms.gdms import build_paper_example
 from rcgdms.potentials import (
     float_log,
     geometric_potential,
@@ -58,9 +59,7 @@ def test_paper_summable_at_half(paper):
     assert rep.summable and rep.normal_summable
     assert math.isfinite(rep.log_upper_expectation)
     # stable under deeper truncation of the driving weights
-    import rcgdms.instances as inst
-
-    deeper = inst.paper_example(weight_states=30)
+    deeper = build_paper_example(weight_states=30)
     rep2 = summability(geometric_potential(deeper), s=0.5)
     assert rep.log_upper_expectation == pytest.approx(rep2.log_upper_expectation, abs=1e-10)
 

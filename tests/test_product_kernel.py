@@ -17,9 +17,10 @@ from words import value
 
 from rcgdms import instances
 from rcgdms.driving import bernoulli, deterministic, periodic
-from rcgdms.gdms import BlockTailExample
+from rcgdms.gdms import BlockTailExample, build_paper_example
 from rcgdms.potentials import FirstSymbolPotential, geometric_potential, s_infinity, summability, table_potential
-from rcgdms.shift import full_shift
+from rcgdms.shift import GeometricTail, full_shift
+from rcgdms.spectrum import cofinite_regularity
 from rcgdms.thermo import pressure
 
 TOL = 1e-12
@@ -95,7 +96,7 @@ def product_systems(draw):
 def test_product_pressure_matches_per_state_reference(case):
     pot, symbols = case
     want, per_state = ref_pressure(pot, sorted(symbols or pot.system.edges))
-    est = pressure(pot.system, symbols, pot)
+    est = pressure(symbols, pot)
     assert est.method == "exact-product"
     assert close(est.value, want), (est.value, want)
     states = pot.driving.state_support()
@@ -121,10 +122,10 @@ def test_pure_tail_pressure_matches_scalar_tail(cutoff, s, data):
     pot = geometric_potential(system).scaled(s)
     edges = system.symbolic.edges
     want, _ = ref_pressure(pot, edges, tail=pure_tail_moment(cutoff))
-    assert close(pressure(system.symbolic, None, pot).value, want)
+    assert close(pressure(None, pot).value, want)
     subset = sorted(data.draw(st.sets(st.sampled_from(edges), min_size=1)))
     want, _ = ref_pressure(pot, subset)
-    assert close(pressure(system.symbolic, subset, pot).value, want)
+    assert close(pressure(subset, pot).value, want)
 
 
 @pytest.mark.parametrize("s", [0.3, 0.7, 1.0, 1.5])
@@ -132,7 +133,7 @@ def test_paper_pressure_matches_per_state_reference(paper, s):
     pot = geometric_potential(paper).scaled(s)
     tail = BlockTailExample(len(paper.symbolic.edges))
     want, _ = ref_pressure(pot, paper.symbolic.edges, tail=tail.log_moment)
-    assert close(pressure(paper.symbolic, None, pot).value, want)
+    assert close(pressure(None, pot).value, want)
 
 
 @pytest.mark.parametrize("cutoff", [100, 265, 1024])
@@ -159,7 +160,7 @@ def test_rows_without_repeats_match_reference():
     pot = table_potential(full_shift(edges), table, driving=bernoulli(states, [0.5, 0.3, 0.2]))
     for s in (-1.0, 0.4, 2.5):
         want, _ = ref_pressure(pot.scaled(s), edges)
-        assert close(pressure(pot.system, None, pot.scaled(s)).value, want)
+        assert close(pressure(None, pot.scaled(s)).value, want)
 
 
 @pytest.mark.parametrize("repeats", [True, False])
@@ -183,7 +184,7 @@ def test_summability_bounds_on_a_constrained_shift(golden):
 
 def test_empty_symbol_set_is_rejected(cantor):
     with pytest.raises(ValueError, match="nonempty"):
-        pressure(cantor.symbolic, (), geometric_potential(cantor))
+        pressure((), geometric_potential(cantor))
 
 
 def test_one_tail_call_and_no_per_state_calls(paper, monkeypatch):
@@ -199,7 +200,7 @@ def test_one_tail_call_and_no_per_state_calls(paper, monkeypatch):
 
     monkeypatch.setattr(FirstSymbolPotential, "unit_transfer_bounds", per_state)
     pot = replace(zeta, tail_moment=counting)
-    assert math.isfinite(pressure(paper.symbolic, None, pot.scaled(0.7)).value)
+    assert math.isfinite(pressure(None, pot.scaled(0.7)).value)
     assert calls == [paper.driving.state_support()]
     assert 0.0 < s_infinity(pot) < 0.01
 
@@ -278,7 +279,7 @@ def ref_s_infinity(potential, tol=1e-6, start=1.0):
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: instances.paper_example(cutoff=64), instances.paper_example, instances.pure_tail],
+    [lambda: build_paper_example(cutoff=64), build_paper_example, instances.pure_tail],
     ids=["paper-64", "paper-1024", "pure-tail"],
 )
 def test_s_infinity_bisects_the_tail_hook_alone(build, monkeypatch):
@@ -305,6 +306,36 @@ def test_s_infinity_bisects_the_tail_hook_alone(build, monkeypatch):
         probes = len(calls)
         assert s_infinity(pot.scaled(0.3)) == want
     assert probes > 20 and len(calls) == probes
+
+
+def _two_edge_potential(hook):
+    """Rows -1 and -2 at one fiber state, and the given tail hook."""
+    system = full_shift((1, 2), tail=GeometricTail(ratio=0.125, start=3))
+    return FirstSymbolPotential(
+        system=system, row=lambda state: np.array([-1.0, -2.0]), tail_moment=hook, driving=deterministic(0)
+    )
+
+
+@pytest.mark.parametrize("abscissa", [0.3, 1.5])
+def test_s_infinity_off_the_zero_abscissa(abscissa):
+    """A tail that diverges at and below the abscissa: at 1.5 the bracket
+    doubles up from s = 1, and at 0.3 the bisection moves its lower end and
+    lands on the divergent side, where the tail is cofinitely regular with no
+    rung evaluated."""
+    tail = GeometricTail(ratio=0.125, start=3)
+    pot = _two_edge_potential(lambda s, states: tail.log_moment(s - abscissa, states))
+    want = ref_s_infinity(replace(pot))
+    assert s_infinity(pot) == want and abs(want - abscissa) < 1e-6
+    regularity = cofinite_regularity(pot)
+    assert regularity.applicable and regularity.s_infinity == want
+    if abscissa == 0.3:
+        assert not summability(pot, s=want).summable
+        assert regularity.cofinitely_regular and regularity.rung_values == ()
+
+
+def test_s_infinity_of_a_tail_summable_everywhere_is_minus_infinity():
+    pot = _two_edge_potential(lambda s, states: np.zeros(len(states)))
+    assert s_infinity(pot) == -math.inf
 
 
 def test_s_infinity_keeps_its_errors(pure_tail):

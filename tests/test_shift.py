@@ -255,6 +255,19 @@ def test_geometric_tail_moment_is_the_series(s, ratio, start):
         assert got[0] == pytest.approx(log_sum_exp(edges * (s * math.log(ratio))), rel=1e-12, abs=1e-12)
 
 
+def test_geometric_tail_moment_where_the_log_ratio_underflows():
+    # s * log(0.9) rounds to -0.0 at the least subnormal s; the series is
+    # 0.9**(7s) / (1 - 0.9**s), taken here in 200-bit arithmetic
+    import mpmath
+
+    s = 5e-324
+    got = GeometricTail(ratio=0.9, start=7).log_moment(s, (0, 1))
+    with mpmath.workprec(200):
+        log_q = mpmath.mpf(s) * mpmath.log(mpmath.mpf(0.9))
+        want = float(7 * log_q - mpmath.log(-mpmath.expm1(log_q)))
+    assert got.tolist() == [pytest.approx(want, rel=1e-15)] * 2
+
+
 @pytest.mark.parametrize("s", [-1.0, 0.0, 1e-9, 0.3, 1.0, 2.5, 40.0])
 def test_pure_tail_hook_keeps_its_bits(s):
     # the closed form pure_tail evaluated in its own closure, 8^-e past cutoff 64

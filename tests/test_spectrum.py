@@ -33,7 +33,7 @@ def _exact_curve(system, s_grid, hull, s_inf=-math.inf):
     zeta = geometric_potential(system)
 
     def evaluate(s):
-        return pressure(system.symbolic, None, zeta.scaled(s)).value
+        return pressure(None, zeta.scaled(s)).value
 
     return pressure_curve(evaluate, s_grid, s_infinity=s_inf, exponent_hull=hull)
 
@@ -88,7 +88,7 @@ def test_bowen_zero_when_pressure_nonpositive(twoscale):
     zeta = geometric_potential(twoscale)
 
     def shifted(s):
-        return pressure(twoscale.symbolic, None, zeta.scaled(s)).value - 2.0
+        return pressure(None, zeta.scaled(s)).value - 2.0
 
     curve = pressure_curve(shifted, np.linspace(0, 4, 9), exponent_hull=(LOG2, LOG4))
     assert bowen_dimension(curve.pressure_at, curve.s_infinity) == 0.0
@@ -98,7 +98,7 @@ def test_paper_pressure_below_minus_log2(paper):
     zeta = geometric_potential(paper)
 
     def evaluate(s):
-        return pressure(paper.symbolic, None, zeta.scaled(s)).value if s > 0 else math.inf
+        return pressure(None, zeta.scaled(s)).value if s > 0 else math.inf
 
     curve = pressure_curve(evaluate, np.linspace(0.05, 1.5, 30), s_infinity=0.0,
                            exponent_hull=(2 * LOG2, math.inf))
@@ -284,7 +284,7 @@ def test_analytic_slope_keeps_the_spectrum():
     zeta = geometric_potential(system)
 
     def estimate(s, slope=False):
-        return pressure(system.symbolic, symbols, zeta.scaled(s), slope=slope)
+        return pressure(symbols, zeta.scaled(s), slope=slope)
 
     assert estimate(1.0, slope=True).slope is not None
     plain = pressure_curve(lambda s: estimate(s).value, np.linspace(-3, 5, 17))
@@ -303,7 +303,7 @@ def test_slope_falls_back_where_the_weights_underflow():
     ends on the central difference, as without the analytic slope."""
     run = load_config(Path(__file__).resolve().parents[1] / "configs" / "custom-example.json")
     zeta = run.potential
-    est = pressure(run.system.symbolic, (0, 1), zeta.scaled(-1100.0), slope=True)
+    est = pressure((0, 1), zeta.scaled(-1100.0), slope=True)
     assert est.method == "exact-spectral" and est.slope is None
     curve = cli._curve(run)
     assert curve.slope is not None
@@ -319,7 +319,7 @@ def test_rung_monotonicity_P1(paper):
     witness = PrimitivityWitness(order=1, connectors=((1,),))
     ladder = build_ladder(paper.symbolic, (4, 16, 64, 256, 1024), witness)
     for s in (0.25, 0.5, 1.0):
-        approx = pressure_compact_approx(paper.symbolic, ladder, zeta.scaled(s))
+        approx = pressure_compact_approx(ladder, zeta.scaled(s))
         values = approx.rung_values
         assert all(values[i + 1] >= values[i] - 1e-9 for i in range(len(values) - 1))
 
@@ -357,14 +357,14 @@ def test_per_rung_spectra_increase(paper):
     values = []
     for rung in ladder:
         def ev(s, rung=rung):
-            return pressure(paper.symbolic, rung, zeta.scaled(s)).value
+            return pressure(rung, zeta.scaled(s)).value
 
         curve = pressure_curve(ev, np.linspace(-1.0, 2.5, 29))
         values.append(legendre_spectrum(curve, [beta]).values[0])
     assert all(values[i + 1] >= values[i] - 1e-9 for i in range(len(values) - 1))
 
     def ev_full(s):
-        return pressure(paper.symbolic, None, zeta.scaled(s)).value if s > 0 else math.inf
+        return pressure(None, zeta.scaled(s)).value if s > 0 else math.inf
 
     full_curve = pressure_curve(
         ev_full, np.linspace(0.05, 2.5, 30), s_infinity=0.0,

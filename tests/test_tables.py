@@ -296,19 +296,19 @@ def test_scaled_copies_share_one_table(paper):
 
         counted = replace(pot, row=counting_row)
         for s in np.linspace(0.3, 3.0, 20):
-            assert math.isfinite(pressure(counted.system, None, counted.scaled(s)).value)
+            assert math.isfinite(pressure(None, counted.scaled(s)).value)
         assert 0 < row_calls <= len(pot.driving.state_support())
 
 
 def test_threads_filling_one_table_agree_with_serial(paper):
     grid = np.linspace(0.3, 3.0, 16)
-    serial = [pressure(paper.symbolic, None, geometric_potential(paper).scaled(s)).value for s in grid]
+    serial = [pressure(None, geometric_potential(paper).scaled(s)).value for s in grid]
     shared = geometric_potential(paper)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(lambda s: pressure(paper.symbolic, None, shared.scaled(s)).value, s) for s in grid]
+            futures = [pool.submit(lambda s: pressure(None, shared.scaled(s)).value, s) for s in grid]
             threaded = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)

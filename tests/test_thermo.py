@@ -31,33 +31,21 @@ def _zero(system):
 def test_cantor_anchored_sum(cantor):
     zeta = geometric_potential(cantor)
     orbit = sample_orbit(cantor.driving, 0)
-    ps = partition_sums(cantor.symbolic, (0, 1), zeta, orbit, 0, 2)
+    ps = partition_sums((0, 1), zeta, orbit, 0, 2)
     assert math.exp(ps.log_anchored_sup) == pytest.approx(2 / 9, abs=1e-15)
 
 
 def test_cantor_operator_iterate(cantor):
     zeta = geometric_potential(cantor)
     orbit = sample_orbit(cantor.driving, 0)
-    ps = partition_sums(cantor.symbolic, (0, 1), zeta, orbit, 0, 1)
+    ps = partition_sums((0, 1), zeta, orbit, 0, 1)
     assert math.exp(ps.log_operator) == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_cantor_counting_sum(cantor):
     orbit = sample_orbit(cantor.driving, 0)
-    ps = partition_sums(cantor.symbolic, (0, 1), _zero(cantor), orbit, 0, 3)
+    ps = partition_sums((0, 1), _zero(cantor), orbit, 0, 3)
     assert math.exp(ps.log_all) == pytest.approx(8.0)
-
-
-def test_partition_sums_rejects_another_system(cantor):
-    zeta = geometric_potential(cantor)
-    orbit = sample_orbit(cantor.driving, 0)
-    golden = from_matrix((0, 1), [[1, 1], [1, 0]])
-    with pytest.raises(ValueError, match="system"):
-        partition_sums(golden, (0, 1), zeta, orbit, 0, 3)
-    # an equal system that is not the same object is accepted
-    same = replace(zeta.system)
-    assert same is not zeta.system
-    assert partition_sums(same, (0, 1), zeta, orbit, 0, 3) == partition_sums(zeta.system, (0, 1), zeta, orbit, 0, 3)
 
 
 def test_partition_sums_empty_set_is_zero():
@@ -66,11 +54,11 @@ def test_partition_sums_empty_set_is_zero():
     sym = from_matrix((0, 1), [[0, 1], [1, 0]])  # strictly alternating symbols
     pot = replace(zero_potential(sym), driving=deterministic(0))
     orbit = sample_orbit(pot.driving, 0)
-    ps = partition_sums(sym, (0, 1), pot, orbit, 0, 2)
+    ps = partition_sums((0, 1), pot, orbit, 0, 2)
     # the only length-2 word starting at 0, (0,1), admissibly precedes 0 again
     assert math.exp(ps.log_anchored_sup) == pytest.approx(1.0)
     # odd lengths cannot return: the anchored sums vanish
-    ps3 = partition_sums(sym, (0, 1), pot, orbit, 0, 3)
+    ps3 = partition_sums((0, 1), pot, orbit, 0, 3)
     assert ps3.log_anchored_sup == -math.inf
 
 
@@ -83,13 +71,13 @@ def test_partition_sums_empty_set_is_zero():
 def test_sandwich_float_path(period2, depth):
     zeta = geometric_potential(period2)
     orbit = sample_orbit(period2.driving, 0)
-    report = check_sandwich(period2.symbolic, (0, 1), zeta, orbit, 0, depth)
+    report = check_sandwich((0, 1), zeta, orbit, 0, depth)
     assert report.ok, report.inequalities
 
 
 def test_sandwich_counting_chain(golden):
     orbit = sample_orbit(golden.driving, 0)
-    report = check_sandwich(golden.symbolic, (0, 1), _zero(golden), orbit, 0, 4, arithmetic="fraction")
+    report = check_sandwich((0, 1), _zero(golden), orbit, 0, 4, arithmetic="fraction")
     assert report.ok
     assert report.worst >= 0.0
 
@@ -102,7 +90,7 @@ def test_sandwich_counting_chain(golden):
 def test_cantor_pressure_affine(cantor):
     zeta = geometric_potential(cantor)
     for s in (-1.0, 0.0, 0.5, 1.0, 2.0):
-        est = pressure(cantor.symbolic, None, zeta.scaled(s))
+        est = pressure(None, zeta.scaled(s))
         assert est.method == "exact-product"
         assert est.value == pytest.approx(LOG2 - s * LOG3, abs=1e-13)
 
@@ -110,19 +98,19 @@ def test_cantor_pressure_affine(cantor):
 def test_period2_pressure(period2):
     zeta = geometric_potential(period2)
     for s in (0.0, 0.5, 1.0):
-        est = pressure(period2.symbolic, None, zeta.scaled(s))
+        est = pressure(None, zeta.scaled(s))
         assert est.value == pytest.approx(LOG2 - 1.5 * s * LOG2, abs=1e-13)
 
 
 def test_twoscale_pressure(twoscale):
     zeta = geometric_potential(twoscale)
-    assert pressure(twoscale.symbolic, None, zeta.scaled(0.0)).value == pytest.approx(LOG2)
-    assert pressure(twoscale.symbolic, None, zeta.scaled(1.0)).value == pytest.approx(math.log(0.75))
+    assert pressure(None, zeta.scaled(0.0)).value == pytest.approx(LOG2)
+    assert pressure(None, zeta.scaled(1.0)).value == pytest.approx(math.log(0.75))
 
 
 def test_golden_mean_entropy_spectral_vs_counting(golden):
     pot = _zero(golden)
-    est = pressure(golden.symbolic, (0, 1), pot)
+    est = pressure((0, 1), pot)
     assert est.method == "exact-spectral"
     # independent combinatorial oracle: two-point extrapolation of word counts
     n1, n2 = 16, 20
@@ -131,6 +119,16 @@ def test_golden_mean_entropy_spectral_vs_counting(golden):
     extrapolated = (n2 * v2 - n1 * v1) / (n2 - n1)
     assert est.value == pytest.approx(extrapolated, abs=1e-6)
     assert est.value == pytest.approx(math.log((1 + math.sqrt(5)) / 2), abs=1e-12)
+
+
+def test_every_route_returns_a_python_float(cantor, golden):
+    zeta = geometric_potential(golden)
+    for est, route in (
+        (pressure(None, geometric_potential(cantor)), "exact-product"),
+        (pressure((0, 1), zeta), "exact-spectral"),
+        (pressure((0, 1), zeta, method="monte-carlo"), "monte-carlo"),
+    ):
+        assert est.method == route and type(est.value) is float, (route, type(est.value))
 
 
 @pytest.mark.parametrize(
@@ -147,7 +145,7 @@ def test_zero_potential_pressure_is_log_spectral_radius(rows):
     m = len(rows)
     sym = from_matrix(range(m), rows)
     pot = replace(zero_potential(sym), driving=deterministic(0))
-    est = pressure(sym, tuple(range(m)), pot)
+    est = pressure(tuple(range(m)), pot)
     rho = max(abs(np.linalg.eigvals(np.array(rows, dtype=float))))
     assert est.value == pytest.approx(math.log(rho), abs=1e-10)
 
@@ -155,11 +153,9 @@ def test_zero_potential_pressure_is_log_spectral_radius(rows):
 def test_monte_carlo_route_agrees_with_product(paper):
     zeta = geometric_potential(paper).scaled(1.0)
     symbols = (1, 2)
-    exact = pressure(paper.symbolic, symbols, zeta, method="exact-product").value
+    exact = pressure(symbols, zeta, method="exact-product").value
     orbits = orbit_family(paper.driving, count=24, root_seed=2)
-    mc = pressure(
-        paper.symbolic, symbols, zeta, orbits=orbits, depths=(6, 8, 10, 12), method="monte-carlo"
-    )
+    mc = pressure(symbols, zeta, orbits=orbits, depths=(6, 8, 10, 12), method="monte-carlo")
     assert mc.method == "monte-carlo"
     tol = max(4 * mc.spread / math.sqrt(len(orbits)), 3e-3)
     assert mc.value == pytest.approx(exact, abs=tol)
@@ -174,7 +170,7 @@ def _approximant_slopes(system, potential, orbit, depths):
     out = {"anchored_sup": [], "return": [], "operator": [], "all": []}
     anchor = min(system.symbolic.edges)
     for n in depths:
-        ps = partition_sums(system.symbolic, system.symbolic.edges, potential, orbit, anchor, n)
+        ps = partition_sums(system.symbolic.edges, potential, orbit, anchor, n)
         out["anchored_sup"].append(ps.log_anchored_sup / n)
         out["return"].append(ps.log_return / n)
         out["operator"].append(ps.log_operator / n)
@@ -197,11 +193,7 @@ def test_approximants_share_one_limit(request, sname, s):
     # parity-dependent, and extrapolation needs it constant
     depths = [4, 6, 8, 10]
     slopes = _approximant_slopes(system, pot, orbit, depths)
-    exact = pressure(
-        system.symbolic,
-        tuple(system.symbolic.edges),
-        pot,
-    ).value
+    exact = pressure(tuple(system.symbolic.edges), pot).value
     for kind, values in slopes.items():
         assert _extrapolate(depths, values) == pytest.approx(exact, abs=1e-3), kind
     # pairwise agreement at finite depth is O(1/n)
@@ -214,7 +206,7 @@ def test_compact_approximation_single_rung_is_exact(cantor):
     zeta = geometric_potential(cantor).scaled(1.0)
     witness = find_primitivity(cantor.symbolic, (0, 1), 2)
     ladder = build_ladder(cantor.symbolic, (2,), witness)
-    approx = pressure_compact_approx(cantor.symbolic, ladder, zeta)
+    approx = pressure_compact_approx(ladder, zeta)
     assert approx.rung_values[0] == pytest.approx(LOG2 - LOG3, abs=1e-13)
     assert approx.limit == pytest.approx(LOG2 - LOG3, abs=1e-13)
     assert approx.monotone
@@ -226,7 +218,7 @@ def test_compact_approximation_paper_at_one(paper):
     zeta = geometric_potential(paper).scaled(1.0)
     witness = PrimitivityWitness(order=1, connectors=((1,),))
     ladder = build_ladder(paper.symbolic, (4, 16, 64, 256, 1024), witness)
-    approx = pressure_compact_approx(paper.symbolic, ladder, zeta)
+    approx = pressure_compact_approx(ladder, zeta)
     assert approx.monotone
     assert all(v <= -LOG2 + 1e-12 for v in approx.rung_values)
     assert approx.anchor is not None and approx.anchor <= -LOG2
@@ -239,7 +231,7 @@ def test_compact_approximation_divergent_below_threshold(paper):
     zeta = geometric_potential(paper).scaled(-0.5)
     witness = PrimitivityWitness(order=1, connectors=((1,),))
     ladder = build_ladder(paper.symbolic, (4, 16, 64), witness)
-    approx = pressure_compact_approx(paper.symbolic, ladder, zeta)
+    approx = pressure_compact_approx(ladder, zeta)
     assert approx.limit == math.inf
 
 
@@ -250,7 +242,7 @@ def test_compact_finite_while_ru_moment_diverges(paper):
     zeta = geometric_potential(paper).scaled(0.5)
     witness = PrimitivityWitness(order=1, connectors=((1,),))
     ladder = build_ladder(paper.symbolic, (4, 16, 64, 256), witness)
-    approx = pressure_compact_approx(paper.symbolic, ladder, zeta)
+    approx = pressure_compact_approx(ladder, zeta)
     assert math.isfinite(approx.limit)
     _, divergent = BlockTailExample(1024).ru_moment(0.5)
     assert divergent
@@ -264,9 +256,7 @@ def test_compact_finite_while_ru_moment_diverges(paper):
 def test_pointwise_pressure_identity(period2):
     zeta = geometric_potential(period2).scaled(1.0)
     orbit = sample_orbit(period2.driving, 0)
-    _, eigens = conformal_measures(
-        period2.symbolic, (0, 1), zeta, orbit, depth=2, horizon=30
-    )
+    _, eigens = conformal_measures((0, 1), zeta, orbit, depth=2, horizon=30)
     for n in range(1, 31):
         lam_route = eigens.partial_sum(n) / n
         direct = (
@@ -278,7 +268,7 @@ def test_pointwise_pressure_identity(period2):
         assert lam_route == pytest.approx(direct, abs=1e-9)
     # at enumerable depth the product identity matches brute-force sums
     for n in range(1, 11):
-        ps = partition_sums(period2.symbolic, (0, 1), zeta, orbit, 0, n)
+        ps = partition_sums((0, 1), zeta, orbit, 0, n)
         direct = math.fsum(zeta.unit_transfer_bounds(orbit.state(i), None)[0] for i in range(n))
         assert ps.log_all == pytest.approx(direct, abs=1e-12)
 
@@ -286,10 +276,8 @@ def test_pointwise_pressure_identity(period2):
 def test_gibbs_bracket_period2(period2):
     zeta = geometric_potential(period2).scaled(1.0)
     orbit = sample_orbit(period2.driving, 0)
-    measures, eigens = conformal_measures(period2.symbolic, (0, 1), zeta, orbit, depth=6)
-    report = check_gibbs(
-        period2.symbolic, (0, 1), zeta, orbit, measures, eigens.log_values, depth=6
-    )
+    measures, eigens = conformal_measures((0, 1), zeta, orbit, depth=6)
+    report = check_gibbs((0, 1), zeta, orbit, measures, eigens.log_values, depth=6)
     assert report.ok
     assert report.worst_ratio_deviation <= 1e-12  # product measures are exactly Gibbs
 
@@ -297,12 +285,10 @@ def test_gibbs_bracket_period2(period2):
 def test_gibbs_bracket_zero_potential(twoscale):
     pot = _zero(twoscale)
     orbit = sample_orbit(twoscale.driving, 0)
-    measures, eigens = conformal_measures(twoscale.symbolic, (0, 1), pot, orbit, depth=5)
+    measures, eigens = conformal_measures((0, 1), pot, orbit, depth=5)
     for d, level in enumerate(measures[0].levels, 1):
         assert level.tolist() == pytest.approx([2.0 ** -d] * 2 ** d)
-    report = check_gibbs(
-        twoscale.symbolic, (0, 1), pot, orbit, measures, eigens.log_values, depth=5
-    )
+    report = check_gibbs((0, 1), pot, orbit, measures, eigens.log_values, depth=5)
     assert report.ok
 
 
@@ -312,10 +298,10 @@ def test_checks_run_on_a_table_potential_without_driving(twoscale):
     pot = table_potential(twoscale.symbolic, table)
     assert pot.driving is None
     orbit = sample_orbit(twoscale.driving, 0)
-    sandwich = check_sandwich(twoscale.symbolic, (0, 1), pot, orbit, 0, 3)
+    sandwich = check_sandwich((0, 1), pot, orbit, 0, 3)
     assert sandwich.worst >= -1e-12
-    measures, eigens = conformal_measures(twoscale.symbolic, (0, 1), pot, orbit, depth=4)
-    assert check_gibbs(twoscale.symbolic, (0, 1), pot, orbit, measures, eigens.log_values, depth=4).ok
+    measures, eigens = conformal_measures((0, 1), pot, orbit, depth=4)
+    assert check_gibbs((0, 1), pot, orbit, measures, eigens.log_values, depth=4).ok
 
 
 def test_checks_reject_a_symbol_set_without_a_witness():
@@ -324,8 +310,8 @@ def test_checks_reject_a_symbol_set_without_a_witness():
     sym = from_matrix((0, 1), [[0, 1], [0, 1]])  # no symbol leads to 0
     pot = replace(zero_potential(sym), driving=deterministic(0))
     orbit = sample_orbit(pot.driving, 0)
-    measures, eigens = conformal_measures(sym, (0, 1), pot, orbit, depth=3)
+    measures, eigens = conformal_measures((0, 1), pot, orbit, depth=3)
     with pytest.raises(ValueError, match="not finitely primitive"):
-        check_sandwich(sym, (0, 1), pot, orbit, 1, 3)
+        check_sandwich((0, 1), pot, orbit, 1, 3)
     with pytest.raises(ValueError, match="not finitely primitive"):
-        check_gibbs(sym, (0, 1), pot, orbit, measures, eigens.log_values, depth=3)
+        check_gibbs((0, 1), pot, orbit, measures, eigens.log_values, depth=3)

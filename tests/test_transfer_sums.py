@@ -104,7 +104,7 @@ def test_recursion_matches_enumeration(case):
         lambda w: math.fsum(value(pot, states[j], e) for j, e in enumerate(w)),
         ref_lse,
     )
-    got = logs(partition_sums(system, symbols, pot, orbit, anchor, n, position=position))
+    got = logs(partition_sums(symbols, pot, orbit, anchor, n, position=position))
     for key in KEYS:
         assert close(got[key], want[key]), (key, got[key], want[key])
 
@@ -115,7 +115,7 @@ def test_recursion_matches_enumeration(case):
         return out
 
     exact = ref_sums(system, symbols, anchor, n, exact_weight, lambda v: sum(v, Fraction(0)))
-    ps = partition_sums(system, symbols, pot, orbit, anchor, n, position=position, arithmetic="fraction")
+    ps = partition_sums(symbols, pot, orbit, anchor, n, position=position, arithmetic="fraction")
     assert ps.exact == exact
     for key, got_log in logs(ps).items():
         assert close(got_log, want[key]), (key, got_log, want[key])
@@ -131,7 +131,7 @@ def test_cylinder_constant_sums_enumerate_no_words(golden):
     orbit = sample_orbit(pot.driving, 0)
     witness = PrimitivityWitness(order=1, connectors=((0,),))
     for arithmetic in ("float", "fraction", "mpf"):
-        ps = partition_sums(pot.system, (0, 1), pot, orbit, 0, 9, arithmetic=arithmetic)
+        ps = partition_sums((0, 1), pot, orbit, 0, 9, arithmetic=arithmetic)
         assert math.isfinite(ps.log_all)
-        report = check_sandwich(pot.system, (0, 1), pot, orbit, 0, 4, witness=witness, arithmetic=arithmetic)
+        report = check_sandwich((0, 1), pot, orbit, 0, 4, witness=witness, arithmetic=arithmetic)
         assert report.ok, report.inequalities

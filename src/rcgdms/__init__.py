@@ -6,6 +6,7 @@ small-instance oracles and geometric cross-checks."""
 from .driving import (
     DrivingOrbit,
     DrivingSystem,
+    OrbitFamily,
     bernoulli,
     deterministic,
     fiber_state,

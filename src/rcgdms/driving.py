@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-_BLOCK = 1024
+_BLOCK = 64  # uniforms per draw: doubles leave the stream in order, so any block size gives the same states
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,11 @@ class DrivingOrbit:
 
     The same seed always yields the same sequence, and the state at index k
     does not depend on the access order.  A bernoulli orbit keeps its draws
-    as indices into system.states; block materialization is synchronized so
+    as indices into system.states: states k >= 0 come from the generator
+    seeded by SeedSequence(seed, spawn_key=(0,)) and states k < 0 from
+    spawn_key=(1,), the two children of SeedSequence(seed).spawn(2).  Each
+    side's generator is built on first use, so a forward-only reader never
+    builds the backward one.  Block materialization is synchronized so
     concurrent readers observe a consistent orbit.
     """
 
@@ -96,7 +100,7 @@ class DrivingOrbit:
         self.system = system
         self.seed = int(seed)
         self._lock = threading.Lock()
-        self._rngs = None  # forward and backward generators, spawned on the first draw
+        self._rngs = [None, None]  # forward and backward generators, each built on its first draw
         self._drawn = [np.empty(0, dtype=np.intp)] * 2  # k >= 0 at k, k < 0 at -1 - k
         if system.kind == "bernoulli":
             self._cum = np.cumsum(np.asarray(system.weights, dtype=float))
@@ -110,9 +114,9 @@ class DrivingOrbit:
             with self._lock:
                 drawn = self._drawn[side]
                 if len(drawn) < length:
-                    if self._rngs is None:
-                        children = np.random.SeedSequence(self.seed).spawn(2)
-                        self._rngs = [np.random.Generator(np.random.PCG64(c)) for c in children]
+                    if self._rngs[side] is None:
+                        child = np.random.SeedSequence(self.seed, spawn_key=(side,))
+                        self._rngs[side] = np.random.Generator(np.random.PCG64(child))
                     u = self._rngs[side].random(-((len(drawn) - length) // _BLOCK) * _BLOCK)
                     idx = np.minimum(np.searchsorted(self._cum, u, side="right"), len(self.system.states) - 1)
                     self._drawn[side] = np.concatenate([drawn, idx])
@@ -146,7 +150,40 @@ def fiber_state(orbit: DrivingOrbit, k: int):
     return orbit.state(k)
 
 
-def orbit_family(system: DrivingSystem, count: int = 16, root_seed: int = 0) -> list[DrivingOrbit]:
+class OrbitFamily:
+    """Independent orbits of one driving system for Monte Carlo averages,
+    with the drawn states of positions 0, ..., depth - 1 memoised per depth.
+
+    A family lives as long as its creator keeps it (a command builds one and
+    reads it at every s, rung and depth), and holds no global state.  The
+    memo is idempotent: two readers that race on a depth build equal
+    arrays, so it needs no lock.
+    """
+
+    def __init__(self, system: DrivingSystem, seeds: Sequence[int]):
+        self.system = system
+        self.orbits = tuple(DrivingOrbit(system, int(s)) for s in seeds)
+        self._by_depth: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def __len__(self) -> int:
+        return len(self.orbits)
+
+    def __iter__(self):
+        return iter(self.orbits)
+
+    def state_matrix(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """(used, inverse) of np.unique over the (depth x orbits) matrix of
+        state indices at positions 0, ..., depth - 1: the distinct indices
+        into system.states, sorted, and per step and orbit the position of
+        its state in `used`, so that used[inverse] is the matrix."""
+        got = self._by_depth.get(depth)
+        if got is None:
+            idx = np.array([o.state_indices(0, depth) for o in self.orbits]).T
+            used, inverse = np.unique(idx, return_inverse=True)
+            got = self._by_depth.setdefault(depth, (used, inverse.reshape(idx.shape)))
+        return got
+
+
+def orbit_family(system: DrivingSystem, count: int = 16, root_seed: int = 0) -> OrbitFamily:
     """Independent orbits for Monte Carlo averages, seeded from one root."""
-    seeds = np.random.SeedSequence(root_seed).generate_state(count)
-    return [DrivingOrbit(system, int(s)) for s in seeds]
+    return OrbitFamily(system, np.random.SeedSequence(root_seed).generate_state(count))

@@ -30,7 +30,9 @@ come from a power iteration certified by its Collatz-Wielandt bracket, and
 from an eigenvalue solve only where the bracket does not close.  The Monte
 Carlo route averages depth-extrapolated slopes log A_n / n over independent
 orbits; all orbits run through the same recursion in one batched pass, and
-every depth is read off the way to the deepest.
+every depth is read off the way to the deepest.  The orbits come as one
+family, whose matrix of drawn states is built once per depth and then read
+at every scale and symbol set.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .driving import DrivingOrbit, DrivingSystem, orbit_family
+from .driving import DrivingOrbit, DrivingSystem, OrbitFamily, orbit_family
 from .potentials import FirstSymbolPotential, _expected, float_log, log_sum_exp
 from .shift import PrimitivityWitness, SubalphabetLadder, SymbolicSystem, find_primitivity
 
@@ -142,10 +144,11 @@ def _transfer_steps(lane: _Lane, adm: np.ndarray, weights, rows=True):
     row and last symbol b, the total weight of the admissible words ending in
     b.  Each w_j (weights[j]) broadcasts against the rows, so one loop runs
     one orbit from several start rows or many orbits from one."""
+    into = adm.T > 0  # per target symbol, the symbols that may precede it
     v = np.where(rows, weights[0], lane.zero)
     yield v
     for w in weights[1:]:
-        v = lane.mul(w, lane.total(np.where(adm.T > 0, v[..., None, :], lane.zero)))
+        v = lane.mul(w, lane.total(np.where(into, v[..., None, :], lane.zero)))
         yield v
 
 
@@ -456,24 +459,24 @@ def _perron_slope(
     return slope if math.isfinite(slope) else None
 
 
-def _mc_log_all(symbols, potential, orbits, depths) -> np.ndarray:
+def _mc_log_all(symbols, potential, orbits: OrbitFamily, depths) -> np.ndarray:
     """log A_n at orbit position 0, one row per depth and one column per orbit.
 
     Every orbit runs through one recursion over a log-weight table of the
-    drawn states, reading log A_n after each step.
+    states the family drew, and log A_n is read after the steps n in depths.
     """
     lane = _lane(potential, "float")
-    idx = np.array([o.state_indices(0, depths[-1]) for o in orbits]).T  # steps x orbits
-    used, inverse = np.unique(idx, return_inverse=True)
-    table = np.array([lane.weights(orbits[0].system.states[i], symbols) for i in used])
-    steps = _transfer_steps(lane, potential.admissibility(symbols), table[inverse.reshape(idx.shape)])
-    return np.array([lane.total(v) for v in steps])[np.array(depths) - 1]
+    used, inverse = orbits.state_matrix(depths[-1])
+    table = np.array([lane.weights(orbits.system.states[i], symbols) for i in used])
+    steps = _transfer_steps(lane, potential.admissibility(symbols), table[inverse])
+    wanted = set(depths)
+    return lane.total(np.stack([v for n, v in enumerate(steps, 1) if n in wanted]))
 
 
 def pressure(
     symbols: Optional[Sequence[int]],
     potential: FirstSymbolPotential,
-    orbits: Optional[Sequence[DrivingOrbit]] = None,
+    orbits: Optional[OrbitFamily] = None,
     depths: Sequence[int] = (4, 5, 6, 7, 8),
     method: str = "auto",
     slope: bool = False,
@@ -484,7 +487,9 @@ def pressure(
 
     Route selection: product structure and deterministic/periodic transfer
     matrices are exact; otherwise depth-extrapolated Monte Carlo across
-    orbits (default: 16 seeded from root 0), reported with the cross-orbit
+    the orbits of an OrbitFamily (default: a new family of 16 seeded from
+    root 0; a caller that evaluates many s, rungs or depths passes one family,
+    so its orbits are drawn and indexed once), reported with the cross-orbit
     spread: one batched pass to max(depths) yields log A_n at every orbit and
     depth, and value = p + c/n is fitted per orbit over the deepest three of
     the depths, which must be strictly increasing integers >= 1.

@@ -171,6 +171,27 @@ def test_bad_bernoulli_weights_exit_2(tmp_path, capsys, weights):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+def test_monte_carlo_route_skips_a_zero_weight_state(tmp_path):
+    """A non-full Bernoulli system with a zero-weight fiber state runs on the
+    Monte Carlo route: the state is never drawn, so its weights are never
+    tabulated, and pressure.csv is the same at 1 and 2 workers."""
+    table = {"0": "1/3", "1": "1/4", "2": "1/5"}
+    offsets = {"0": 0.0, "1": 0.4, "2": 0.7}
+    config = tmp_path / "zero-weight.json"
+    config.write_text(json.dumps({
+        "system": {"edges": 3, "incidence": [[1, 1, 0], [0, 0, 1], [1, 0, 1]]},
+        "maps": {"ratios": {st: table for st in "012"}, "offsets": {st: offsets for st in "012"}},
+        "driving": {"kind": "bernoulli", "states": [0, 1, 2], "weights": [0.5, 0.0, 0.5]},
+        "analysis": {"s_min": 0.0, "s_max": 1.0, "s_steps": 5},
+    }))
+    for workers in (1, 2):
+        assert run_cli("pressure", "--config", config, "--out", tmp_path / f"w{workers}", "--workers", workers) == 0
+    body = (tmp_path / "w1" / "pressure.csv").read_text()
+    assert body == (tmp_path / "w2" / "pressure.csv").read_text()
+    assert {line.split(",")[2] for line in body.splitlines()[1:]} == {"8"}  # the Monte Carlo depth
+    assert run_cli("dimension", "--config", config, "--out", tmp_path / "dim") == 0
+
+
 def _set(*keys_and_value):
     """An edit of a config document that sets the value at a key path."""
     *keys, value = keys_and_value

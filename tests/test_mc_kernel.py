@@ -56,11 +56,11 @@ def assert_matches(est, want):
 
 
 @st.composite
-def cases(draw):
+def systems(draw):
     """A primitive non-full incidence on 2-6 symbols (a Hamiltonian cycle, a
     self-loop at the first symbol, random extra edges and one forced gap),
     embedded in a larger alphabet; 1-3 Bernoulli states, one possibly at zero
-    weight; random log weights and scale; 1-5 orbits; 1-5 increasing depths."""
+    weight; random log weights and scale."""
     k = draw(st.integers(2, 6))
     extra = draw(st.integers(0, 2))
     labels = draw(st.lists(st.integers(0, 40), min_size=k + extra, max_size=k + extra, unique=True))
@@ -81,6 +81,13 @@ def cases(draw):
         row=lambda state: np.array([table[state][e] for e in labels]),
         driving=bernoulli(states, weights),
     ).scaled(draw(st.floats(-2.0, 2.0)))
+    return system, symbols, potential
+
+
+@st.composite
+def cases(draw):
+    """A system as in `systems`; 1-5 orbits; 1-5 increasing depths."""
+    system, symbols, potential = draw(systems())
     orbits = orbit_family(potential.driving, draw(st.integers(1, 5)), draw(st.integers(0, 2**32)))
     depths = tuple(sorted(draw(st.lists(st.integers(1, 12), min_size=1, max_size=5, unique=True))))
     return system, symbols, potential, orbits, depths
@@ -93,6 +100,28 @@ def test_batched_route_matches_per_orbit_loop(case):
     est = pressure(symbols, potential, orbits=orbits, depths=depths, method="monte-carlo")
     assert est.depths == depths
     assert_matches(est, reference(system, tuple(sorted(symbols)), potential, orbits, depths))
+
+
+@settings(max_examples=30, deadline=None)
+@given(systems(), st.integers(1, 5), st.integers(0, 2**32), st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3))
+def test_one_family_serves_every_s_rung_and_depth_bit_for_bit(case, count, root, scales):
+    """One family read at several scales, two rungs and three depth tuples
+    (the last crossing draw blocks) gives exactly the estimates of a freshly
+    drawn family of the same seeds, and its memoised state matrix is the
+    stacked state indices."""
+    system, symbols, potential = case
+    family = orbit_family(potential.driving, count, root)
+    for depths in ((4, 5, 6, 7, 8), (6, 8, 10, 12), (50, 100, 130)):
+        for s in scales:
+            for rung in (symbols[:2], symbols):
+                pot = potential.scaled(s)
+                fresh = orbit_family(potential.driving, count, root)
+                got = pressure(rung, pot, orbits=family, depths=depths, method="monte-carlo")
+                assert got == pressure(rung, pot, orbits=fresh, depths=depths, method="monte-carlo")
+        used, inverse = family.state_matrix(depths[-1])
+        stacked = np.array([o.state_indices(0, depths[-1]) for o in family]).T
+        assert np.array_equal(used[inverse], stacked)
+        assert set(used.tolist()) <= {i for i, w in enumerate(potential.driving.weights) if w > 0}
 
 
 def _mc_potential():
@@ -159,18 +188,21 @@ def test_numpy_integer_depths_are_accepted():
     assert est.depths == (3, 4, 5)
 
 
+REPLAY_DRAWS = 2101  # per side: states 0..2100 forward and -1..-2100 backward
+
+
 def test_orbit_draws_replay_the_seeded_protocol():
     """Forward states k >= 0 and backward states k < 0 (at -1 - k) come from
-    the two children of SeedSequence(seed), in blocks of uniforms mapped
-    through the cumulative weights."""
+    the two children of SeedSequence(seed), one uniform per state in stream
+    order, mapped through the cumulative weights; whatever the block size,
+    the states are the first draws of each child's stream."""
     drv = bernoulli(("a", "b", "c", "d"), (0.2, 0.0, 0.5, 0.3))
     seed = 12345
     cum = np.cumsum(drv.weights)
     cum[-1] = 1.0
     replay = []
     for child in np.random.SeedSequence(seed).spawn(2):
-        rng = np.random.Generator(np.random.PCG64(child))
-        u = np.concatenate([rng.random(_BLOCK) for _ in range(3)])
+        u = np.random.Generator(np.random.PCG64(child)).random(REPLAY_DRAWS)
         idx = np.minimum(np.searchsorted(cum, u, side="right"), len(drv.states) - 1)
         replay.append([drv.states[i] for i in idx])
     fwd, bwd = replay
@@ -188,6 +220,9 @@ def test_orbit_draws_replay_the_seeded_protocol():
         idx = fresh.state_indices(start, stop)
         assert idx.dtype == np.intp
         assert [drv.states[i] for i in idx] == [want(k) for k in range(start, stop)]
+    forward = DrivingOrbit(drv, seed)
+    assert [drv.states[i] for i in forward.state_indices(0, REPLAY_DRAWS)] == fwd
+    assert forward._rngs[1] is None  # a forward-only read builds no backward generator
 
 
 def test_concurrent_readers_see_one_orbit():

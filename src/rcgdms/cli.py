@@ -295,7 +295,7 @@ def _verify_checks(run: RunConfig) -> list[dict]:
         {"name": "gibbs", "ok": gibbs.ok, "detail": f"{gibbs.checked} cylinders, worst dev {gibbs.worst_ratio_deviation:.3e}"}
     )
 
-    curve = _curve(run, symbols=None if sysm.symbolic.incidence_kind == "full" else symbols)
+    curve = _curve(run)
     s_star = bowen_dimension(curve.pressure_at, curve.s_infinity)
 
     depth = max(9, run.analysis.depth)
@@ -364,22 +364,17 @@ def cmd_example_paper(run: RunConfig) -> int:
     if sysm.name != "paper-example":
         sysm = gdms_mod.build_paper_example()
     zeta = geometric_potential(sysm)
-    tail = gdms_mod.BlockTailExample(len(sysm.symbolic.edges))
 
     p1 = pressure(None, zeta.scaled(1.0)).value
     ru = {}
     for s in (0.25, 0.5, 0.75, 1.0):
-        value, divergent = tail.ru_moment(s)
+        value, divergent = sysm.symbolic.tail.ru_moment(s)
         ru[str(s)] = "divergent" if divergent else value
     witness = PrimitivityWitness(order=1, connectors=((1,),))
     rungs = run.analysis.rungs or (4, 16, 64, 256, 1024)
     ladder = build_ladder(sysm.symbolic, rungs, witness)
     compact = pressure_compact_approx(ladder, zeta.scaled(1.0))
-
-    def evaluate(s):
-        return pressure(None, zeta.scaled(s)).value if s > 0 else math.inf
-
-    s_star = bowen_dimension(evaluate, 0.0)
+    s_star = bowen_dimension(lambda s: pressure(None, zeta.scaled(s)).value, 0.0)
     s_inf = s_infinity(zeta)
     regular = cofinite_regularity(zeta)
 

@@ -9,7 +9,10 @@ transfer-operator collocation, which is not implemented.
 
 Ratios are handled in log space throughout: deep tail edges of countable
 alphabets (e.g. weight 8^-e) underflow double precision long before they stop
-mattering analytically.
+mattering analytically.  The edges past the materialized cutoff are the
+system's symbolic.tail, whose log_moments(s, states) sums their ratios to
+the power s in closed form: a GeometricTail, or for the worked example its
+BlockTailExample.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .driving import DrivingOrbit, DrivingSystem, bernoulli
 from .potentials import _segment_log_sums, log_sum_exp
-from .shift import GeometricTail, SymbolicSystem, Word, full_shift, suffix_tree, word_index
+from .shift import SymbolicSystem, Word, full_shift, suffix_tree, word_index
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -54,11 +57,6 @@ class RCGDMS:
     contraction: float  # common Lipschitz bound, sup of all ratios
     edge_vertex: Optional[Mapping[int, tuple[object, object]]] = None  # (initial, terminal)
     ratio_fractions: Optional[Callable[[object], np.ndarray]] = None
-    # tail_log_moment(s, states): for each fiber state of the sequence, log of
-    # the sum over the edges past the materialized cutoff of
-    # exp(s * log ratio), +inf where that series diverges.  One call serves
-    # every support state of a pressure evaluation.
-    tail_log_moment: Optional[Callable[[float, tuple], np.ndarray]] = None
     name: str = "system"
 
     def __post_init__(self):
@@ -277,7 +275,7 @@ def similarity_system(
 ) -> RCGDMS:
     """Similarity instance from per-state ratio/offset tables over the
     materialized edges; a geometric tail (symbolic.tail) carries ratio**e on
-    each edge e past them, through its closed-form moment hook.
+    each edge e past them.
 
     Ratios are kept as Fractions so exact-arithmetic paths (sandwich margins,
     Gibbs brackets) stay available.
@@ -297,7 +295,6 @@ def similarity_system(
         offsets=offset_rows.__getitem__,
         contraction=contraction if tail is None else max(contraction, tail.ratio**tail.start),
         ratio_fractions=fraction_rows.__getitem__,
-        tail_log_moment=None if tail is None else tail.log_moment,
         name=name,
     )
 
@@ -335,7 +332,9 @@ def example_weights(count: int = 40) -> tuple[list[int], list[float]]:
 
 
 class BlockTailExample:
-    """Exact per-state tail moments for the block-structured example.
+    """Tail of the block-structured example, with exact per-state moments.
+
+    Cofinitely regular: the moment is infinite at s = 0 and finite above it.
 
     For fiber state i, edges within blocks 2..i carry the block ratio
     2^-(l^2+l) and everything past block i decays like 8^-e.  Edges beyond
@@ -344,6 +343,8 @@ class BlockTailExample:
     evaluates every state at once from a (state x block) table of log edge
     counts; the scalar `log_moment` is the term-by-term reference.
     """
+
+    cofinitely_regular = True
 
     def __init__(self, cutoff: int):
         self.cutoff = cutoff
@@ -455,7 +456,7 @@ def build_paper_example(cutoff: int = 1024, weight_states: int = 40) -> RCGDMS:
     tail = BlockTailExample(cutoff)
     states, weights = example_weights(weight_states)
     drv = bernoulli(states, weights)
-    symbolic = full_shift(range(1, cutoff + 1), tail=GeometricTail(ratio=0.125, start=cutoff + 1))
+    symbolic = full_shift(range(1, cutoff + 1), tail=tail)
     edges = symbolic.edges
     edge_array = np.array(edges)
 
@@ -481,6 +482,5 @@ def build_paper_example(cutoff: int = 1024, weight_states: int = 40) -> RCGDMS:
         log_ratios=log_ratios,
         offsets=offsets,
         contraction=0.25,
-        tail_log_moment=tail.log_moments,
         name="paper-example",
     )

@@ -80,7 +80,6 @@ def pure_tail(cutoff: int = 64) -> RCGDMS:
         log_ratios=lambda state: log_ratios,
         offsets=lambda state: offsets,
         contraction=0.126,
-        tail_log_moment=sym.tail.log_moment,
         name="pure-tail",
     )
 

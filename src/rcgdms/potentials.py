@@ -21,8 +21,9 @@ state's row, read off one sort of the (states x symbols) block, with the
 logs of their multiplicities, flattened with segment starts and sizes.  A
 sum at scale s is then one segmented log-sum-exp of s * value + log count
 over every state at once (the paper example's 31 rows of 1,024 edges hold
-2,915 atoms).  The whole-alphabet sum (symbol set None) adds the analytic
-tail, whose hook tail_moment(s, states) returns one log moment per state,
+2,915 atoms).  The whole-alphabet sum (symbol set None) adds the moments of
+the potential's tail object (the map system's symbolic.tail for geometric
+potentials): tail.log_moments(s, states) returns one log moment per state,
 +inf where the series diverges, so one evaluation makes one tail call.
 """
 
@@ -100,8 +101,8 @@ class FirstSymbolPotential:
     system: SymbolicSystem
     row: Callable[[object], np.ndarray]
     scale: float = 1.0
-    # (s, states) -> log tail moment per state, +inf where it diverges
-    tail_moment: Optional[Callable[[float, tuple], np.ndarray]] = None
+    # the edges past system.edges: tail.log_moments(s, states) per state
+    tail: object = None
     exact_row: Optional[Callable[[object], np.ndarray]] = None
     driving: Optional[DrivingSystem] = None
     # Lazily filled tables of the unscaled potential, shared by scaled copies.
@@ -200,12 +201,12 @@ class FirstSymbolPotential:
                 return per_target.max(axis=1), per_target.min(axis=1)
         elif self.system.incidence_kind != "full":
             raise ValueError("full-alphabet transfer bounds need a full shift")
-        elif self.system.has_tail and self.tail_moment is None:
+        elif self.system.has_tail and self.tail is None:
             raise ValueError("countable alphabet needs a tail moment hook")
         values, log_counts, starts, sizes = self._atoms(states, symbols)
         total = _segment_log_sums(self.scale * values + log_counts, starts, sizes)
         if symbols is None and self.system.has_tail:
-            total = np.logaddexp(total, self.tail_moment(self.scale, states))
+            total = np.logaddexp(total, self.tail.log_moments(self.scale, states))
         return total, total
 
     def unit_transfer_bounds(self, state, symbols: Optional[Sequence[int]] = None) -> tuple[float, float]:
@@ -240,7 +241,7 @@ def geometric_potential(gdms) -> FirstSymbolPotential:
     return FirstSymbolPotential(
         system=gdms.symbolic,
         row=gdms.log_ratios,
-        tail_moment=gdms.tail_log_moment,
+        tail=gdms.symbolic.tail,
         exact_row=gdms.ratio_fractions,
         driving=gdms.driving,
     )
@@ -293,20 +294,20 @@ def s_infinity(potential: FirstSymbolPotential) -> float:
     """Infimum of scales at which the scaled potential is summable.
 
     Finite (materialized, tail-free) alphabets give -inf.  Otherwise, as the
-    materialized rows are finite, bisection on the tail hook alone (finite at
-    every support state), bracketed from s = 1 and closed to 1e-6; the result
-    is cached in the table that scaled copies share.
+    materialized rows are finite, bisection on tail.log_moments alone (finite
+    at every support state), bracketed from s = 1 and closed to 1e-6; the
+    result is cached in the table that scaled copies share.
     """
     if not potential.system.has_tail:
         return -math.inf
     drv = potential.driving
     if drv is None:
         raise ValueError("summability needs the driving system")
-    if potential.tail_moment is None:
+    if potential.tail is None:
         raise ValueError("countable alphabet needs a tail moment hook")
 
     def ok(s):
-        return (potential.tail_moment(float(s), drv.state_support()) < math.inf).all()
+        return (potential.tail.log_moments(float(s), drv.state_support()) < math.inf).all()
 
     def bisect():
         hi = 1.0

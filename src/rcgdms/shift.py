@@ -3,8 +3,10 @@
 Edges, incidence, admissible words as prefix-tree levels, cylinders,
 finite-primitivity witnesses and ascending finite-subalphabet ladders.
 Alphabets may be countably infinite: edges are materialized up to a declared
-cutoff, and an optional analytic tail descriptor marks the non-materialized
-remainder (closed-form tail sums are consumed at the potential layer).
+cutoff, and an optional tail object stands for the non-materialized
+remainder.  A tail gives its closed-form moments, log_moments(s, states),
+which the potential layer adds to the transfer sums, and states its own
+regularity as the class constant cofinitely_regular.
 
 Everything here is immutable after construction and safe to share across
 parallel workers; words come level by level in lexicographic order.
@@ -29,16 +31,15 @@ WORD_BUDGET = 10_000_000
 
 @dataclass(frozen=True)
 class GeometricTail:
-    """Closed-form descriptor for the non-materialized part of the alphabet.
+    """Geometric tail of the alphabet: edge e >= start carries base weight
+    ratio**e, at every fiber state.
 
-    Tail edge e >= start carries base weight ratio**e, at every fiber state;
-    log_moment is the map systems' tail hook for that schedule.  Instances
-    with a more structured tail pass their own hook; this descriptor then
-    only marks the alphabet as infinite and fixes the first tail index.
+    Cofinitely regular: the moment is infinite at s = 0 and finite above it.
     """
 
     ratio: float
     start: int
+    cofinitely_regular = True  # unannotated: a class constant, not a field
 
     def __post_init__(self):
         if not (0.0 < self.ratio < 1.0):
@@ -46,7 +47,7 @@ class GeometricTail:
         if self.start < 1:
             raise ValueError("tail start must be >= 1")
 
-    def log_moment(self, s: float, states: tuple) -> np.ndarray:
+    def log_moments(self, s: float, states: tuple) -> np.ndarray:
         """Per fiber state, log sum_{e >= start} ratio**(e*s)
         = start*s*log(ratio) - log(1 - ratio**s); +inf for s <= 0."""
         if s <= 0.0:
@@ -70,7 +71,7 @@ class SymbolicSystem:
     edges: tuple[int, ...]
     incidence_kind: str = "full"
     successors_map: Optional[Mapping[int, frozenset[int]]] = None
-    tail: Optional[GeometricTail] = None
+    tail: object = None  # GeometricTail or gdms.BlockTailExample, past the edges
 
     def __post_init__(self):
         if len(set(self.edges)) != len(self.edges):
@@ -108,7 +109,7 @@ class SymbolicSystem:
         return self.tail is not None
 
 
-def full_shift(edges: Iterable[int], tail: Optional[GeometricTail] = None) -> SymbolicSystem:
+def full_shift(edges: Iterable[int], tail: object = None) -> SymbolicSystem:
     """Single-vertex system in which every transition is allowed."""
     return SymbolicSystem(vertices=("v",), edges=tuple(edges), incidence_kind="full", tail=tail)
 

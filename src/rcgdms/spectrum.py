@@ -176,43 +176,18 @@ class RegularityReport:
     applicable: bool
     s_infinity: float
     cofinitely_regular: bool
-    rung_values: tuple[float, ...] = ()
 
 
 def cofinite_regularity(potential) -> RegularityReport:
-    """Whether the pressure blows up at the summability threshold.
-
-    Finite alphabets are vacuous (threshold -inf).  Otherwise: either the
-    estimated threshold scale itself fails summability, or the
-    finite-subalphabet pressures evaluated there keep growing across the
-    ladder of the first 4, 16, 64, 256 and 1024 edges without leveling off
-    (the bisection estimate can land a hair inside the summable side, where
-    the transfer sums are finite but enormous)."""
-    from .potentials import _expected, s_infinity as _s_inf, summability
+    """Whether the pressure is +inf at the summability threshold, as the
+    potential's tail declares it (tail.cofinitely_regular).  Finite
+    alphabets are vacuous (threshold -inf)."""
+    from .potentials import s_infinity as _s_inf
 
     if not potential.system.has_tail:
         return RegularityReport(applicable=False, s_infinity=-math.inf, cofinitely_regular=True)
     s_inf = _s_inf(potential)
-    if not summability(potential, s=s_inf).summable:
-        return RegularityReport(applicable=True, s_infinity=s_inf, cofinitely_regular=True)
-    edges = sorted(potential.system.edges)
-    sizes = [k for k in (4, 16, 64, 256, 1024) if k <= len(edges)] or [len(edges)]
-    scaled = potential.scaled(s_inf)
-    drv = potential.driving
-    states = drv.state_support()
-    rungs = [_expected(drv, states, scaled.transfer_bounds(states, edges[:k])[0]) for k in sizes]
-    increments = [rungs[i + 1] - rungs[i] for i in range(len(rungs) - 1)]
-    diverging = (
-        len(increments) >= 2
-        and increments[-1] > 0.05
-        and increments[-1] >= 0.25 * increments[0]
-    )
-    return RegularityReport(
-        applicable=True,
-        s_infinity=s_inf,
-        cofinitely_regular=diverging,
-        rung_values=tuple(rungs),
-    )
+    return RegularityReport(applicable=True, s_infinity=s_inf, cofinitely_regular=potential.tail.cofinitely_regular)
 
 
 @dataclass(frozen=True)

@@ -550,32 +550,22 @@ class CompactApproximation:
 
 
 def pressure_compact_approx(ladder: SubalphabetLadder, potential: FirstSymbolPotential) -> CompactApproximation:
-    """Increasing finite-subalphabet pressures and their limit estimate.
+    """Increasing finite-subalphabet pressures and their limit.
 
     When the full-alphabet transfer sums have closed form (product systems,
-    analytic tails) the exact value anchors the limit from above; divergence
-    of that anchor reports +inf, matching the convention for non-summable
-    potentials.
+    analytic tails) the exact value is the limit, +inf where the potential is
+    not summable; otherwise the limit is the last rung's pressure.
     """
     rungs = tuple(tuple(r) for r in ladder)
     values = [pressure(r, potential).value for r in rungs]
     monotone = all(values[i + 1] >= values[i] - 1e-9 for i in range(len(values) - 1))
     anchor = None
     if _is_full_over(potential.system, potential.system.edges):
-        try:
-            anchor = _product_pressure(potential, potential.driving, None)
-        except ValueError:
-            anchor = None
-    if anchor is not None:
-        limit = anchor
-    elif len(values) >= 2 and values[-1] - values[-2] > max(0.01, 0.5 * (values[1] - values[0])):
-        limit = math.inf
-    else:
-        limit = values[-1]
+        anchor = _product_pressure(potential, potential.driving, None)
     return CompactApproximation(
         rung_symbols=rungs,
         rung_values=tuple(values),
-        limit=limit,
+        limit=values[-1] if anchor is None else anchor,
         anchor=anchor,
         monotone=monotone,
     )

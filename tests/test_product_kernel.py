@@ -187,19 +187,28 @@ def test_empty_symbol_set_is_rejected(cantor):
         pressure((), geometric_potential(cantor))
 
 
+class HookTail:
+    """A test tail whose moments come from a function (s, states) -> array."""
+
+    cofinitely_regular = True
+
+    def __init__(self, log_moments):
+        self.log_moments = log_moments
+
+
 def test_one_tail_call_and_no_per_state_calls(paper, monkeypatch):
     calls = []
     zeta = geometric_potential(paper)
 
     def counting(s, states):
         calls.append(tuple(states))
-        return zeta.tail_moment(s, states)
+        return zeta.tail.log_moments(s, states)
 
     def per_state(*args, **kwargs):
         raise AssertionError("the product route called unit_transfer_bounds")
 
     monkeypatch.setattr(FirstSymbolPotential, "unit_transfer_bounds", per_state)
-    pot = replace(zeta, tail_moment=counting)
+    pot = replace(zeta, tail=HookTail(counting))
     assert math.isfinite(pressure(None, pot.scaled(0.7)).value)
     assert calls == [paper.driving.state_support()]
     assert 0.0 < s_infinity(pot) < 0.01
@@ -291,9 +300,9 @@ def test_s_infinity_bisects_the_tail_hook_alone(build, monkeypatch):
 
     def counting(s, states):
         calls.append(s)
-        return zeta.tail_moment(s, states)
+        return zeta.tail.log_moments(s, states)
 
-    pot = replace(zeta, tail_moment=counting)
+    pot = replace(zeta, tail=HookTail(counting))
     want = ref_s_infinity(replace(pot))  # replace: a table of its own
 
     def no_sums(*args, **kwargs):
@@ -308,11 +317,11 @@ def test_s_infinity_bisects_the_tail_hook_alone(build, monkeypatch):
     assert probes > 20 and len(calls) == probes
 
 
-def _two_edge_potential(hook):
-    """Rows -1 and -2 at one fiber state, and the given tail hook."""
+def _two_edge_potential(log_moments):
+    """Rows -1 and -2 at one fiber state, and a tail with the given moments."""
     system = full_shift((1, 2), tail=GeometricTail(ratio=0.125, start=3))
     return FirstSymbolPotential(
-        system=system, row=lambda state: np.array([-1.0, -2.0]), tail_moment=hook, driving=deterministic(0)
+        system=system, row=lambda state: np.array([-1.0, -2.0]), tail=HookTail(log_moments), driving=deterministic(0)
     )
 
 
@@ -320,17 +329,17 @@ def _two_edge_potential(hook):
 def test_s_infinity_off_the_zero_abscissa(abscissa):
     """A tail that diverges at and below the abscissa: at 1.5 the bracket
     doubles up from s = 1, and at 0.3 the bisection moves its lower end and
-    lands on the divergent side, where the tail is cofinitely regular with no
-    rung evaluated."""
+    lands on the divergent side.  Either way the regularity is the tail's own
+    declaration."""
     tail = GeometricTail(ratio=0.125, start=3)
-    pot = _two_edge_potential(lambda s, states: tail.log_moment(s - abscissa, states))
+    pot = _two_edge_potential(lambda s, states: tail.log_moments(s - abscissa, states))
     want = ref_s_infinity(replace(pot))
     assert s_infinity(pot) == want and abs(want - abscissa) < 1e-6
     regularity = cofinite_regularity(pot)
     assert regularity.applicable and regularity.s_infinity == want
+    assert regularity.cofinitely_regular
     if abscissa == 0.3:
         assert not summability(pot, s=want).summable
-        assert regularity.cofinitely_regular and regularity.rung_values == ()
 
 
 def test_s_infinity_of_a_tail_summable_everywhere_is_minus_infinity():
@@ -343,4 +352,4 @@ def test_s_infinity_keeps_its_errors(pure_tail):
     with pytest.raises(ValueError, match="^summability needs the driving system$"):
         s_infinity(replace(zeta, driving=None))
     with pytest.raises(ValueError, match="^countable alphabet needs a tail moment hook$"):
-        s_infinity(replace(zeta, tail_moment=None))
+        s_infinity(replace(zeta, tail=None))

@@ -245,7 +245,7 @@ def test_enumeration_rejects_bad_arguments():
 @settings(max_examples=100, deadline=None)
 @given(st.floats(-2.0, 30.0, allow_nan=False), st.sampled_from([0.125, 0.5, 0.9]), st.integers(1, 300))
 def test_geometric_tail_moment_is_the_series(s, ratio, start):
-    got = GeometricTail(ratio=ratio, start=start).log_moment(s, ("a", "b", "c"))
+    got = GeometricTail(ratio=ratio, start=start).log_moments(s, ("a", "b", "c"))
     if s <= 0.0:
         assert got.tolist() == [math.inf] * 3
         return
@@ -261,7 +261,7 @@ def test_geometric_tail_moment_where_the_log_ratio_underflows():
     import mpmath
 
     s = 5e-324
-    got = GeometricTail(ratio=0.9, start=7).log_moment(s, (0, 1))
+    got = GeometricTail(ratio=0.9, start=7).log_moments(s, (0, 1))
     with mpmath.workprec(200):
         log_q = mpmath.mpf(s) * mpmath.log(mpmath.mpf(0.9))
         want = float(7 * log_q - mpmath.log(-mpmath.expm1(log_q)))
@@ -273,4 +273,4 @@ def test_pure_tail_hook_keeps_its_bits(s):
     # the closed form pure_tail evaluated in its own closure, 8^-e past cutoff 64
     log_q = -s * math.log(8.0)
     want = math.inf if s <= 0.0 else 65 * log_q - math.log(-math.expm1(log_q))
-    assert instances.pure_tail().tail_log_moment(s, (0,)).tolist() == [want]
+    assert instances.pure_tail().symbolic.tail.log_moments(s, (0,)).tolist() == [want]

@@ -13,7 +13,7 @@ from rcgdms.config import load_config
 from rcgdms.driving import deterministic, periodic
 from rcgdms.gdms import similarity_system
 from rcgdms.potentials import geometric_potential
-from rcgdms.shift import from_matrix, full_shift
+from rcgdms.shift import GeometricTail, from_matrix, full_shift
 from rcgdms.spectrum import (
     _transform_at,
     bowen_dimension,
@@ -114,6 +114,17 @@ def test_cofinite_regularity_cases(cantor, pure_tail, paper):
     rep2 = cofinite_regularity(geometric_potential(paper))
     assert rep2.cofinitely_regular
     assert abs(rep2.s_infinity) <= 1e-6
+    # edges 0 and 1 of ratios 1/4 and 1/8, then 8^-e from edge 3: the pressure
+    # log(4^-s + 8^-s + q^3 / (1 - q)), q = 8^-s, is +inf at the threshold 0
+    tailed = similarity_system(
+        full_shift((0, 1), tail=GeometricTail(ratio=0.125, start=3)),
+        deterministic(0),
+        {0: {0: Fraction(1, 4), 1: Fraction(1, 8)}},
+        {0: {0: 0.0, 1: 0.5}},
+    )
+    rep3 = cofinite_regularity(geometric_potential(tailed))
+    assert rep3.applicable and rep3.cofinitely_regular
+    assert abs(rep3.s_infinity) <= 1e-6
 
 
 def test_legendre_twoscale_interior(twoscale_curve):

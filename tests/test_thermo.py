@@ -1,10 +1,12 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rcgdms.driving import orbit_family, sample_orbit
+from rcgdms.driving import deterministic, orbit_family, sample_orbit
+from rcgdms.gdms import similarity_system
 from rcgdms.gibbs import conformal_measures
 from rcgdms.potentials import geometric_potential, table_potential, zero_potential
 from rcgdms.shift import build_ladder, count_words, find_primitivity, from_matrix
@@ -233,6 +235,22 @@ def test_compact_approximation_divergent_below_threshold(paper):
     ladder = build_ladder(paper.symbolic, (4, 16, 64), witness)
     approx = pressure_compact_approx(ladder, zeta)
     assert approx.limit == math.inf
+
+
+def test_compact_limit_of_a_finite_alphabet_is_its_pressure():
+    # the last rung is the whole 4-symbol alphabet; the rise from rung 3 to
+    # rung 4 (the ratio-1/2 symbol) is no sign of divergence
+    system = similarity_system(
+        from_matrix((0, 1, 2, 3), [[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]]),
+        deterministic(0),
+        {0: {0: Fraction(1, 50), 1: Fraction(1, 50), 2: Fraction(1, 3), 3: Fraction(1, 2)}},
+        {0: {0: 0.0, 1: 0.03, 2: 0.06, 3: 0.45}},
+    )
+    zeta = geometric_potential(system).scaled(1.0)
+    witness = find_primitivity(system.symbolic, (0, 1, 2, 3), 4)
+    approx = pressure_compact_approx(build_ladder(system.symbolic, (2, 3, 4), witness), zeta)
+    assert approx.anchor is None
+    assert approx.limit == pressure((0, 1, 2, 3), zeta).value == pytest.approx(-0.7280996106770053, abs=1e-12)
 
 
 def test_compact_finite_while_ru_moment_diverges(paper):

@@ -9,23 +9,19 @@ from .driving import (
     OrbitFamily,
     bernoulli,
     deterministic,
-    fiber_state,
     orbit_family,
     periodic,
-    sample_orbit,
 )
 from .gdms import (
     RCGDMS,
     LimitSetSample,
     build_paper_example,
     check_rbsc,
-    code_point,
     sample_limit_set,
     similarity_system,
 )
 from .gibbs import (
     CylinderMeasure,
-    EigenvalueSequence,
     conformal_measures,
     conformality_residual,
     ladder_convergence,
@@ -45,15 +41,12 @@ from .potentials import (
     s_infinity,
     summability,
     table_potential,
-    zero_potential,
 )
 from .shift import (
     GeometricTail,
     PrimitivityWitness,
-    SubalphabetLadder,
     SymbolicSystem,
     build_ladder,
-    cylinder_contains,
     count_words,
     find_primitivity,
     from_matrix,

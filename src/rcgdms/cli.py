@@ -28,7 +28,7 @@ import numpy as np
 
 from . import gdms as gdms_mod
 from .config import FLAGS, ConfigError, RunConfig, load_config
-from .driving import orbit_family, sample_orbit
+from .driving import DrivingOrbit, orbit_family
 from .gdms import sample_limit_set
 from .gibbs import conformal_measures
 from .oracle import box_counting, corrected_coarse_dimensions, level_histogram
@@ -41,6 +41,12 @@ from .spectrum import (
     pressure_curve,
 )
 from .thermo import check_gibbs, check_sandwich, pressure, pressure_compact_approx
+
+
+# Most words a command enumerates for one measure or limit-set sample: the
+# conformal measures of `measures` and of verify's Gibbs check take the
+# deepest depth within it, and verify's box count runs only within it.
+SAMPLE_WORDS = 500_000
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -81,10 +87,17 @@ def _write_meta(run: RunConfig, command: str) -> None:
 def _finite_symbols(run: RunConfig) -> tuple[int, ...]:
     """Working finite symbol set: whole alphabet when small, else first rung."""
     edges = run.system.symbolic.edges
-    if len(edges) <= 64 and not run.system.symbolic.has_tail:
+    if len(edges) <= 64 and run.system.symbolic.tail is None:
         return tuple(sorted(edges))
     rungs = run.analysis.rungs or (min(16, len(edges)),)
     return tuple(sorted(edges)[: rungs[0]])
+
+
+def _depth_within(run: RunConfig, symbols, cap: int) -> int:
+    """The largest word depth up to `cap` whose admissible words over
+    `symbols` number at most SAMPLE_WORDS (depth 1 when none does)."""
+    symbolic = run.system.symbolic
+    return next((d for d in range(cap, 1, -1) if count_words(symbolic, symbols, d) <= SAMPLE_WORDS), 1)
 
 
 def _witness(run: RunConfig, symbols) -> PrimitivityWitness:
@@ -98,7 +111,7 @@ def _exponent_hull(sysm) -> tuple[float, float]:
     """min and max of -log|phi'| over the edges and support states; the max
     is +inf on a countable alphabet."""
     block = np.array([sysm.log_ratios(st) for st in sysm.driving.state_support()])
-    hi = math.inf if sysm.symbolic.has_tail else -block.min().item()
+    hi = math.inf if sysm.symbolic.tail is not None else -block.min().item()
     return (-block.max().item(), hi)
 
 
@@ -165,7 +178,7 @@ def cmd_pressure(run: RunConfig) -> int:
             est = pressure(rung, zeta.scaled(s), orbits=orbits)
             depth = "exact" if est.exact else est.depths[-1]
             out.append((s, len(rung), depth, est.value, est.spread))
-        if sysm.symbolic.has_tail or sysm.symbolic.incidence_kind == "full":
+        if sysm.symbolic.tail is not None or sysm.symbolic.incidence_kind == "full":
             est = pressure(None, zeta.scaled(s))
             out.append((s, "full", "exact", est.value, est.spread))
         return out
@@ -186,7 +199,7 @@ def _write_curve_csv(run: RunConfig, curve) -> None:
 
 def cmd_dimension(run: RunConfig) -> int:
     curve = _curve(run)
-    s_star = bowen_dimension(curve.pressure_at, curve.s_infinity)
+    s_star = bowen_dimension(curve.evaluator, curve.s_infinity)
     _write_curve_csv(run, curve)
     regularity = cofinite_regularity(run.potential)
     payload = {
@@ -198,7 +211,7 @@ def cmd_dimension(run: RunConfig) -> int:
         },
         "cofinitely_regular": regularity.cofinitely_regular,
         "regularity_applicable": regularity.applicable,
-        "pressure_at_s_star": curve.pressure_at(s_star),
+        "pressure_at_s_star": curve.evaluator(s_star),
     }
     _write_json(run.out_dir / "dimension.json", payload)
     return 0
@@ -206,9 +219,9 @@ def cmd_dimension(run: RunConfig) -> int:
 
 def cmd_spectrum(run: RunConfig) -> int:
     curve = _curve(run)
-    s_star = bowen_dimension(curve.pressure_at, curve.s_infinity)
+    s_star = bowen_dimension(curve.evaluator, curve.s_infinity)
     _write_curve_csv(run, curve)
-    lo, hi = curve.validity_interval
+    lo, hi = curve.exponent_lo, curve.exponent_hi
     if not math.isfinite(hi):
         if run.analysis.beta_max is None:
             raise ConfigError(
@@ -224,7 +237,7 @@ def cmd_spectrum(run: RunConfig) -> int:
         run.out_dir / "spectrum.json",
         {
             "s_star": s_star,
-            "validity_interval": [curve.validity_interval[0], curve.validity_interval[1]],
+            "validity_interval": [curve.exponent_lo, curve.exponent_hi],
             "max_interior_value": result.max_value,
         },
     )
@@ -234,9 +247,9 @@ def cmd_spectrum(run: RunConfig) -> int:
 def cmd_measures(run: RunConfig) -> int:
     symbols = _finite_symbols(run)
     zeta = run.potential
-    orbit = sample_orbit(run.system.driving, run.seed)
-    depth = min(run.analysis.depth, 6)
-    measures, eigens = conformal_measures(symbols, zeta, orbit, depth=depth)
+    orbit = DrivingOrbit(run.system.driving, run.seed)
+    depth = _depth_within(run, symbols, min(run.analysis.depth, 6))
+    measures, log_eigenvalues = conformal_measures(symbols, zeta, orbit, depth=depth)
     rows = []
     for position in range(min(3, len(measures))):
         masses = measures[position].masses
@@ -245,14 +258,14 @@ def cmd_measures(run: RunConfig) -> int:
     _write_csv(run.out_dir / "measures.csv", ("word", "depth", "position", "mass"), rows)
     _write_json(
         run.out_dir / "eigenvalues.json",
-        {"log_eigenvalues": [float(v) for v in eigens.log_values[:10]]},
+        {"log_eigenvalues": [float(v) for v in log_eigenvalues[:10]]},
     )
     return 0
 
 
 def cmd_limitset(run: RunConfig) -> int:
     symbols = _finite_symbols(run)
-    orbit = sample_orbit(run.system.driving, run.seed)
+    orbit = DrivingOrbit(run.system.driving, run.seed)
     depth = run.analysis.depth
     exhaustive = count_words(run.system.symbolic, symbols, depth) <= 4096
     sample = sample_limit_set(
@@ -276,7 +289,7 @@ def _verify_checks(run: RunConfig) -> list[dict]:
     zeta = run.potential
     symbols = _finite_symbols(run)
     witness = _witness(run, symbols)
-    orbit = sample_orbit(sysm.driving, run.seed)
+    orbit = DrivingOrbit(sysm.driving, run.seed)
     checks = []
 
     ok = verify_primitivity(sysm.symbolic, symbols, witness)
@@ -287,19 +300,20 @@ def _verify_checks(run: RunConfig) -> list[dict]:
         {"name": "sandwich", "ok": sandwich.ok, "detail": f"worst margin {sandwich.worst:.3e}"}
     )
 
-    measures, eigens = conformal_measures(symbols, zeta.scaled(1.0), orbit, depth=5)
+    gibbs_depth = _depth_within(run, symbols, 5)
+    measures, log_eigenvalues = conformal_measures(symbols, zeta.scaled(1.0), orbit, depth=gibbs_depth)
     gibbs = check_gibbs(
-        symbols, zeta.scaled(1.0), orbit, measures, eigens.log_values, depth=5, witness=witness
+        symbols, zeta.scaled(1.0), orbit, measures, log_eigenvalues, depth=gibbs_depth, witness=witness
     )
     checks.append(
         {"name": "gibbs", "ok": gibbs.ok, "detail": f"{gibbs.checked} cylinders, worst dev {gibbs.worst_ratio_deviation:.3e}"}
     )
 
     curve = _curve(run)
-    s_star = bowen_dimension(curve.pressure_at, curve.s_infinity)
+    s_star = bowen_dimension(curve.evaluator, curve.s_infinity)
 
     depth = max(9, run.analysis.depth)
-    sample = sample_limit_set(sysm, orbit, depth=depth, symbols=symbols) if count_words(sysm.symbolic, symbols, depth) <= 500_000 else None
+    sample = sample_limit_set(sysm, orbit, depth=depth, symbols=symbols) if count_words(sysm.symbolic, symbols, depth) <= SAMPLE_WORDS else None
     if sample is not None:
         scales = [sysm.contraction ** j for j in range(2, 8)]
         est = box_counting(sample, scales)
@@ -316,14 +330,12 @@ def _verify_checks(run: RunConfig) -> list[dict]:
         max(4, int(math.log(1e6) / math.log(max(2, len(symbols))))),
     )
     hist = level_histogram(sysm, orbit, symbols, n=hist_depth, bins=run.analysis.bins)
-    lo_hull, hi_hull = curve.validity_interval
-    violations = int(
-        (hist.exponent_min < lo_hull - 1e-9) or (hist.exponent_max > (hi_hull if math.isfinite(hi_hull) else math.inf) + 1e-9)
-    )
+    lo_hull, hi_hull = curve.exponent_lo, curve.exponent_hi
+    in_hull = not (hist.exponent_min < lo_hull - 1e-9 or hist.exponent_max > hi_hull + 1e-9)
     checks.append(
         {
             "name": "exponent_range",
-            "ok": violations == 0,
+            "ok": in_hull,
             "detail": f"observed [{hist.exponent_min:.4f}, {hist.exponent_max:.4f}] within hull",
         }
     )
@@ -332,7 +344,7 @@ def _verify_checks(run: RunConfig) -> list[dict]:
     if corrected is not None:
         # the histogram covers the working symbols, so on a countable alphabet
         # its spectrum is theirs, not the whole alphabet's
-        if sysm.symbolic.has_tail:
+        if sysm.symbolic.tail is not None:
             curve = _curve(run, symbols)
         worst = 0.0
         for j in range(len(hist.counts)):

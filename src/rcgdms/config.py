@@ -196,15 +196,16 @@ def _build_potential(block, system: RCGDMS) -> FirstSymbolPotential:
     if kind == "geometric":
         return geometric_potential(system)
     symbolic, driving = system.symbolic, system.driving
-    _require(not symbolic.has_tail, "potential.type", "a value table covers finite alphabets only")
+    _require(symbolic.tail is None, "potential.type", "a value table covers finite alphabets only")
     states, edges = driving.state_support(), symbolic.edges
     table = _state_edge_table(block["table"], "potential.table", states, edges, lambda v, p: _typed(v, p, float))
     return table_potential(symbolic, table, driving=driving)
 
 
-def _build_analysis(block, flags: dict) -> Analysis:
+def _build_analysis(block, flags: dict, edges: int) -> Analysis:
     """The analysis block with the flags given ({field: text or None})
-    merged in, each field checked for its type and minimum."""
+    merged in, each field checked for its type and minimum, and no rung
+    larger than the `edges` materialized edges."""
     _require(isinstance(block, dict), "analysis", "object required")
     block, where = dict(block), {key: f"analysis.{key}" for key in block}
     for key, text in flags.items():
@@ -226,6 +227,8 @@ def _build_analysis(block, flags: dict) -> Analysis:
         else:
             fields[key] = _typed(value, where[key], kind, minimum)
     a = Analysis(**fields)
+    if a.rungs:
+        _require(a.rungs[-1] <= edges, where["rungs"], f"rung size {a.rungs[-1]} exceeds the {edges} materialized edges")
     _require(a.s_min < a.s_max, where.get("s_min", "analysis.s_min"), "grid must be increasing")
     if a.beta_min is not None and a.beta_max is not None:
         _require(a.beta_min < a.beta_max, where.get("beta_min", "analysis.beta_min"), "grid must be increasing")
@@ -260,11 +263,11 @@ def load_config(
         _require(isinstance(name, str), "name", "string required")
         return RunConfig(
             system=system,
-            analysis=_build_analysis(cfg.get("analysis", {}), flags or {}),
+            analysis=_build_analysis(cfg.get("analysis", {}), flags or {}, len(system.symbolic.edges)),
             potential=_build_potential(cfg.get("potential"), system),
             out_dir=Path(out_dir or output.get("dir", "out")),
             seed=_typed(cfg.get("seed", 0) if seed is None else seed, "seed", int),
-            workers=workers or 1,
+            workers=_typed(1 if workers is None else workers, "--workers", int, 1),
             name=name,
         )
     except ConfigError:

@@ -136,19 +136,6 @@ class DrivingOrbit:
         back, fwd = ks[ks < 0], ks[ks >= 0]
         return np.concatenate([self._draws(1, -start)[-1 - back], self._draws(0, stop)[fwd]])
 
-    def states(self, start: int, stop: int) -> list:
-        return [self.state(k) for k in range(start, stop)]
-
-
-def sample_orbit(system: DrivingSystem, seed: int = 0) -> DrivingOrbit:
-    """Reproducible orbit realizing a typical point of the base system."""
-    return DrivingOrbit(system, seed)
-
-
-def fiber_state(orbit: DrivingOrbit, k: int):
-    """State of the fiber at (possibly negative) index k."""
-    return orbit.state(k)
-
 
 class OrbitFamily:
     """Independent orbits of one driving system for Monte Carlo averages,
@@ -164,12 +151,6 @@ class OrbitFamily:
         self.system = system
         self.orbits = tuple(DrivingOrbit(system, int(s)) for s in seeds)
         self._by_depth: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def __len__(self) -> int:
-        return len(self.orbits)
-
-    def __iter__(self):
-        return iter(self.orbits)
 
     def state_matrix(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
         """(used, inverse) of np.unique over the (depth x orbits) matrix of

@@ -28,7 +28,7 @@ import numpy as np
 
 from .driving import DrivingOrbit, DrivingSystem, bernoulli
 from .potentials import _segment_log_sums, log_sum_exp
-from .shift import SymbolicSystem, Word, full_shift, suffix_tree, word_index
+from .shift import SymbolicSystem, full_shift, suffix_tree, word_index
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -91,7 +91,7 @@ class LimitSetSample:
     """Depth-n truncation of a fiber limit set: one point per sampled word,
     each within radius_bound of the true coded point.  `codes` holds the
     words as rows of symbols, built from `rows()` (positions in `symbols`)
-    when first read; `words` builds the tuples when read."""
+    when first read."""
 
     depth: int
     points: np.ndarray
@@ -104,37 +104,6 @@ class LimitSetSample:
         dtype = np.result_type(np.min_scalar_type(self.symbols[0]), np.min_scalar_type(self.symbols[-1]))
         return np.array(self.symbols, dtype=dtype)[self.rows()]
 
-    @property
-    def words(self) -> tuple[Word, ...]:
-        return tuple(map(tuple, self.codes.tolist()))
-
-
-def code_point(gdms: RCGDMS, orbit: DrivingOrbit, prefix: Sequence[int]) -> tuple[float, float]:
-    """Center and half-width of the nested image interval of a word prefix.
-
-    The k-th map of the composition acts at fiber state omega_k; the interval
-    contains the coded point of every extension of the prefix, and its width
-    is bounded by contraction**n times the space diameter.
-    """
-    prefix = tuple(prefix)
-    if not prefix:
-        raise ValueError("prefix must be nonempty")
-    if not gdms.symbolic.is_admissible(prefix):
-        raise ValueError(f"inadmissible prefix {prefix}")
-    lo, hi = gdms.space_of_edge_target(prefix[-1])
-    for k in range(len(prefix) - 1, -1, -1):
-        e = prefix[k]
-        a, r = gdms.map_of(e, orbit.state(k))
-        src_lo, src_hi = gdms.space_of_edge_target(e)
-        lo, hi = a + r * (lo - src_lo), a + r * (hi - src_lo)
-    return (0.5 * (lo + hi), 0.5 * (hi - lo))
-
-
-def image_of_word(gdms: RCGDMS, orbit: DrivingOrbit, prefix: Sequence[int]) -> tuple[float, float]:
-    """Image interval phi_{tau|n, omega}(X_{t(tau_{n-1})})."""
-    center, half = code_point(gdms, orbit, prefix)
-    return (center - half, center + half)
-
 
 def code_levels(
     gdms: RCGDMS,
@@ -143,18 +112,21 @@ def code_levels(
     depth: int,
     levels: Optional[Iterable[tuple[np.ndarray, np.ndarray]]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """code_point's center and half-width of every word that `levels` builds
-    from its last symbol up, by default shift.suffix_tree's: every
-    admissible word of length `depth` over `symbols`, in word_index's order,
-    each distinct suffix coded once.
+    """Center and half-width of the image interval phi_{w, omega}(X) of
+    every word w that `levels` builds from its last symbol up, by default
+    shift.suffix_tree's: every admissible word of length `depth` over
+    `symbols`, in word_index's order, each distinct suffix coded once.  The
+    k-th map of the composition acts at fiber state omega_k; the interval
+    holds the coded point of every extension of w, and its width is at most
+    contraction**depth times the space diameter.
 
     `levels` yields (first, parent) for positions depth - 1 down to 0, with
     `first` sorted, positions in sorted(symbols), and `parent` indexing the
     level before (at the deepest level, the symbol).  A level's interval is
-    the parent's under the symbol's map at that position's fiber state, with
-    the same operations in the same order as code_point, so the values are
-    bit-identical; a symbol's words are one contiguous block, updated in
-    place with scalar offset and ratio."""
+    the parent's under the symbol's map at that position's fiber state,
+    x -> offset + ratio * (x - left end of the map's target space); a
+    symbol's words are one contiguous block, updated in place with scalar
+    offset and ratio."""
     symbols = tuple(sorted(symbols))
     if levels is None:
         levels = suffix_tree(gdms.symbolic, symbols, depth)
@@ -341,7 +313,7 @@ class BlockTailExample:
     the materialized cutoff are summed in closed form, block by block, so
     the per-fiber transfer sums are exact for every state.  `log_moments`
     evaluates every state at once from a (state x block) table of log edge
-    counts; the scalar `log_moment` is the term-by-term reference.
+    counts.
     """
 
     cofinitely_regular = True
@@ -362,40 +334,12 @@ class BlockTailExample:
     def block_of(self, e: int) -> int:
         return bisect.bisect_left(self.bounds, e)
 
-    def log_ratio(self, e: int, state: int) -> float:
-        l = self.block_of(e)
-        if l <= int(state):
-            return -(l * l + l) * _LOG2
-        return -e * _LOG8
-
     def log_ratios(self, edges: np.ndarray, state: int) -> np.ndarray:
-        """log_ratio over an integer array of edges <= cutoff, with the same
-        float64 multiplies, so the values are bit-identical."""
+        """log |phi'_e| at a fiber state over an integer array of edges <=
+        cutoff: -(l^2 + l) log 2 on an edge of an unlocked block l <= state,
+        else -e log 8."""
         l = np.searchsorted(self._near_bounds, edges, side="left")
         return np.where(l <= int(state), -(l * l + l) * _LOG2, -edges * _LOG8)
-
-    def log_moment(self, s: float, state: int) -> float:
-        """log sum over tail edges e > cutoff of exp(s * log_ratio(e, state));
-        +inf when the series diverges (s <= 0)."""
-        if s <= 0.0:
-            return math.inf
-        i = int(state)
-        terms = []
-        # partially/fully unlocked blocks past the cutoff
-        l = self.block_of(self.cutoff + 1)
-        while l <= i and l < len(self.bounds) - 1:
-            first = max(self.bounds[l - 1], self.cutoff) + 1
-            last = self.bounds[l]
-            if first <= last:
-                terms.append(math.log(last - first + 1) - s * (l * l + l) * _LOG2)
-            l += 1
-        # geometric remainder past block i (or past the cutoff when i's blocks
-        # are all materialized); beyond ~1e15 edges it underflows any double
-        start = max(self.bounds[min(i, len(self.bounds) - 1)], self.cutoff) + 1
-        log_q = -s * _LOG8
-        if start < 1e15:
-            terms.append(start * log_q - math.log(-math.expm1(log_q)))
-        return float(log_sum_exp(np.array(terms)))
 
     def _table(self, states: tuple):
         """Per state, the log edge counts of the unlocked blocks past the
@@ -413,7 +357,9 @@ class BlockTailExample:
         return got
 
     def log_moments(self, s: float, states) -> np.ndarray:
-        """log_moment of every state of the sequence, in one log-sum-exp."""
+        """Per state of the sequence, log sum over the tail edges e > cutoff of
+        |phi'_e|**s, in one log-sum-exp; +inf when the series diverges
+        (s <= 0)."""
         states = tuple(states)
         if s <= 0.0:
             return np.full(len(states), math.inf)

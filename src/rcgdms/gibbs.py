@@ -27,7 +27,7 @@ import numpy as np
 
 from .driving import DrivingOrbit
 from .potentials import FirstSymbolPotential, float_log
-from .shift import SubalphabetLadder, SymbolicSystem, Word, prefix_tree, word_index
+from .shift import SymbolicSystem, Word, prefix_tree, word_index
 
 
 class _WordTree:
@@ -96,16 +96,6 @@ class CylinderMeasure:
         return out
 
 
-@dataclass(frozen=True)
-class EigenvalueSequence:
-    """Per-step log eigenvalues of the dual relation and their partial sums."""
-
-    log_values: tuple[float, ...]
-
-    def partial_sum(self, n: int) -> float:
-        return math.fsum(self.log_values[:n])
-
-
 def _weights(potential: FirstSymbolPotential, symbols, state, exact: bool) -> np.ndarray:
     """Per-symbol weights exp(value), as Fractions or as float64 (math.exp
     of each log weight)."""
@@ -133,9 +123,10 @@ def conformal_measures(
     depth: int,
     horizon: Optional[int] = None,
     exact: bool = False,
-) -> tuple[list[CylinderMeasure], EigenvalueSequence]:
+) -> tuple[list[CylinderMeasure], tuple[float, ...]]:
     """Conformal measure chain at orbit positions 0..horizon, by backward
-    induction from a uniform seed at the horizon.  exact=True computes in
+    induction from a uniform seed at the horizon, and the log eigenvalue
+    log lambda_k of each step k < horizon.  exact=True computes in
     Fractions, which requires rational weights and an integer potential
     scale.
     """
@@ -161,21 +152,21 @@ def conformal_measures(
         lam = sum(raw[0].tolist())
         chain.append(CylinderMeasure(symbols=symbols, position=k, levels=tuple(r / lam for r in raw), tree=tree))
         logs.append(float_log(lam))
-    return chain[::-1], EigenvalueSequence(log_values=tuple(logs[::-1]))
+    return chain[::-1], tuple(logs[::-1])
 
 
 def conformality_residual(
     potential: FirstSymbolPotential,
     orbit: DrivingOrbit,
     measures: Sequence[CylinderMeasure],
-    eigens: EigenvalueSequence,
+    log_eigenvalues: Sequence[float],
     position: int = 0,
 ) -> float:
     """Max absolute defect of L* m_{k+1} = lambda_k m_k over depth-(d-1)
     cylinders at the given position, on the measures' own word tree."""
     k = position
     m_next, m_here = measures[k + 1], measures[k]
-    lam = math.exp(eigens.log_values[k])
+    lam = math.exp(log_eigenvalues[k])
     weights = _weights(potential, m_here.symbols, orbit.state(k), exact=False)
     raw = _pulled(m_here.tree, weights, m_next.levels)
     return max(
@@ -194,7 +185,7 @@ class LadderConvergence:
 
 
 def ladder_convergence(
-    ladder: SubalphabetLadder,
+    ladder: Sequence[tuple[int, ...]],
     potential: FirstSymbolPotential,
     orbit: DrivingOrbit,
     depth: int,

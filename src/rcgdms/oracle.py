@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .driving import DrivingOrbit
-from .gdms import RCGDMS, LimitSetSample, check_rbsc, code_levels, code_point, image_of_word
+from .gdms import RCGDMS, LimitSetSample, _code_rows, check_rbsc, code_levels
 from .gibbs import CylinderMeasure
 from .shift import Word, prefix_tree
 
@@ -46,10 +46,6 @@ class LevelHistogram:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def bin_of(self, exponent: float) -> int:
-        j = int(np.searchsorted(self.bin_edges, exponent, side="right")) - 1
-        return min(max(j, 0), len(self.counts) - 1)
 
 
 def _exponent_sums(gdms: RCGDMS, orbit: DrivingOrbit, symbols, n: int) -> np.ndarray:
@@ -185,46 +181,48 @@ def local_dimension_samples(
     measure: CylinderMeasure,
     words: Sequence[Word],
 ) -> list[LocalDimensionSample]:
-    """Markov and metric local-dimension ratios along word prefixes.
+    """Markov and metric local-dimension ratios along the prefixes of
+    admissible words over the measure's symbols.
 
     Requires a positive boundary-separation margin so the coding is a
     bijection and balls of cylinder size meet few neighboring cylinders; the
-    gap between the two ratios is expected to vanish with depth.  Ball masses
-    sum the measure's level arrays, whose order is word_index's."""
+    gap between the two ratios is expected to vanish with depth.  Intervals
+    and balls are read off all words of each prefix length, coded at once in
+    word_index's order, which is also the order of the measure's levels."""
     symbols = measure.symbols
     margin = check_rbsc(gdms, symbols)
     if margin <= 0:
         raise ValueError(f"boundary separation margin {margin:.3g} is not positive")
     words = [tuple(w) for w in words]
+    position = {e: i for i, e in enumerate(symbols)}
+    for word in words:
+        if not (word and set(word) <= position.keys() and gdms.symbolic.is_admissible(word)):
+            raise ValueError(f"{word} is no admissible word over the measure's symbols")
     depth = min(max(map(len, words), default=0), measure.depth)
     # (centers, half-widths) of all words of each prefix length, coded once
     coded = [code_levels(gdms, orbit, symbols, j) for j in range(1, depth + 1)]
+    points = {}  # the centers of the words longer than the measure, coded once per length
+    for n in {len(w) for w in words if len(w) > depth}:
+        long = [w for w in words if len(w) == n]
+        index = np.array([[position[e] for e in w] for w in long])
+        points.update(zip(long, _code_rows(gdms, orbit, symbols, index).tolist()))
     out = []
     for word in words:
-        x = code_point(gdms, orbit, word)[0]
-        depths, markov, metric, gaps = [], [], [], []
-        for j in range(1, min(len(word), measure.depth) + 1):
-            prefix = word[:j]
-            mass = measure.mass(prefix)
-            lo_img, hi_img = image_of_word(gdms, orbit, prefix)
-            diam = hi_img - lo_img
+        cells = [0]  # the index of each prefix in its level of the measure's word tree
+        for child, e in zip(measure.tree.child, word):
+            cells.append(child[cells[-1], position[e]].item())
+        x = points[word] if word in points else coded[len(word) - 1][0][cells[-1]].item()
+        depths, markov, metric = [], [], []
+        for j, i in enumerate(cells[1:], 1):
+            center, half = coded[j - 1]
+            diam = (center[i] + half[i]).item() - (center[i] - half[i]).item()
+            mass = measure.levels[j - 1].item(i)
             if mass <= 0 or diam <= 0:
                 continue
-            mk = math.log(mass) / math.log(diam)
-            center, half = coded[j - 1]
             ball = np.flatnonzero((center + half >= x - diam) & (center - half <= x + diam))
-            mt = math.log(sum(measure.levels[j - 1][ball].tolist())) / math.log(diam)
             depths.append(j)
-            markov.append(mk)
-            metric.append(mt)
-            gaps.append(abs(mk - mt))
-        out.append(
-            LocalDimensionSample(
-                word=word,
-                depths=tuple(depths),
-                markov_ratios=tuple(markov),
-                metric_ratios=tuple(metric),
-                gaps=tuple(gaps),
-            )
-        )
+            markov.append(math.log(mass) / math.log(diam))
+            metric.append(math.log(sum(measure.levels[j - 1][ball].tolist())) / math.log(diam))
+        gaps = tuple(abs(mk - mt) for mk, mt in zip(markov, metric))
+        out.append(LocalDimensionSample(word, tuple(depths), tuple(markov), tuple(metric), gaps))
     return out

@@ -3,8 +3,8 @@
 Potentials are exposed only through per-cylinder Birkhoff sums; pointwise
 evaluation at infinite words is never needed.  Every potential here depends
 on the leading symbol and the fiber state only (geometric potentials of
-similarity systems and of the block example, custom weight tables, the zero
-potential), so it is constant on 1-cylinders and its cylinder sums are exact.
+similarity systems and of the block example, custom weight tables), so it is
+constant on 1-cylinders and its cylinder sums are exact.
 
 Everything reads a lazily built table: one float64 row of the unscaled
 potential over the materialized edges per fiber state, from the row(state)
@@ -201,11 +201,11 @@ class FirstSymbolPotential:
                 return per_target.max(axis=1), per_target.min(axis=1)
         elif self.system.incidence_kind != "full":
             raise ValueError("full-alphabet transfer bounds need a full shift")
-        elif self.system.has_tail and self.tail is None:
+        elif self.system.tail is not None and self.tail is None:
             raise ValueError("countable alphabet needs a tail moment hook")
         values, log_counts, starts, sizes = self._atoms(states, symbols)
         total = _segment_log_sums(self.scale * values + log_counts, starts, sizes)
-        if symbols is None and self.system.has_tail:
+        if symbols is None and self.system.tail is not None:
             total = np.logaddexp(total, self.tail.log_moments(self.scale, states))
         return total, total
 
@@ -213,12 +213,6 @@ class FirstSymbolPotential:
         """transfer_bounds at a single fiber state."""
         hi, lo = self.transfer_bounds((state,), symbols)
         return (float(hi[0]), float(lo[0]))
-
-
-def zero_potential(system: SymbolicSystem) -> FirstSymbolPotential:
-    zeros = np.zeros(len(system.edges))
-    ones = np.full(len(system.edges), Fraction(1), dtype=object)
-    return FirstSymbolPotential(system=system, row=lambda state: zeros, exact_row=lambda state: ones)
 
 
 def table_potential(
@@ -259,7 +253,6 @@ class SummabilityReport:
     log_lower_expectation: float  # expectation of the log transfer inf
     summable: bool
     normal_summable: bool
-    method: str
     per_state: Optional[dict] = None
 
 
@@ -285,7 +278,6 @@ def summability(
         log_lower_expectation=low,
         summable=up < math.inf,
         normal_summable=up < math.inf and low > -math.inf,
-        method="closed-form",
         per_state=dict(zip(states, zip(hi.tolist(), lo.tolist()))),
     )
 
@@ -298,7 +290,7 @@ def s_infinity(potential: FirstSymbolPotential) -> float:
     at every support state), bracketed from s = 1 and closed to 1e-6; the
     result is cached in the table that scaled copies share.
     """
-    if not potential.system.has_tail:
+    if potential.system.tail is None:
         return -math.inf
     drv = potential.driving
     if drv is None:

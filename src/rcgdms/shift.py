@@ -1,6 +1,6 @@
 """Countable-alphabet Markov shift combinatorics.
 
-Edges, incidence, admissible words as prefix-tree levels, cylinders,
+Edges, incidence, admissible words as prefix-tree levels,
 finite-primitivity witnesses and ascending finite-subalphabet ladders.
 Alphabets may be countably infinite: edges are materialized up to a declared
 cutoff, and an optional tail object stands for the non-materialized
@@ -104,10 +104,6 @@ class SymbolicSystem:
         """Edge -> its column in `edges`, the order of every per-state row."""
         return {e: i for i, e in enumerate(self.edges)}
 
-    @property
-    def has_tail(self) -> bool:
-        return self.tail is not None
-
 
 def full_shift(edges: Iterable[int], tail: object = None) -> SymbolicSystem:
     """Single-vertex system in which every transition is allowed."""
@@ -207,13 +203,6 @@ def count_words(system: SymbolicSystem, symbols: Sequence[int], n: int) -> int:
             e: sum(counts[b] for b in system.successors(e, symbols)) for e in symbols
         }
     return sum(counts.values())
-
-
-def cylinder_contains(word: Sequence[int], prefix: Sequence[int]) -> bool:
-    """True iff `word` extends (or equals) `prefix` symbolwise."""
-    if len(prefix) > len(word):
-        return False
-    return tuple(word[: len(prefix)]) == tuple(prefix)
 
 
 @dataclass(frozen=True)
@@ -324,27 +313,14 @@ def verify_primitivity(
     return True
 
 
-@dataclass(frozen=True)
-class SubalphabetLadder:
-    """Ascending finite subalphabets F_1 c F_2 c ... exhausting the
-    materialized alphabet; the first rung contains the connector alphabet."""
-
-    rungs: tuple[tuple[int, ...], ...]
-
-    def __iter__(self):
-        return iter(self.rungs)
-
-    def __len__(self):
-        return len(self.rungs)
-
-
 def build_ladder(
     system: SymbolicSystem,
     rung_sizes: Sequence[int],
     witness: Optional[PrimitivityWitness] = None,
-) -> SubalphabetLadder:
-    """Rungs filled with lowest-index unused symbols on top of the connector
-    alphabet.  Raises when a rung exceeds the materialized cutoff."""
+) -> tuple[tuple[int, ...], ...]:
+    """Ascending finite subalphabets F_1 c F_2 c ..., one sorted tuple per
+    rung: the connector alphabet, filled with the lowest-index unused
+    symbols.  Raises when a rung exceeds the materialized cutoff."""
     if list(rung_sizes) != sorted(set(rung_sizes)):
         raise ValueError("rung sizes must be strictly increasing")
     ordered = sorted(system.edges)
@@ -358,4 +334,4 @@ def build_ladder(
         if size < len(base):
             raise ValueError("first rung cannot be smaller than the connector alphabet")
         rungs.append(tuple(sorted(base + rest[: size - len(base)])))
-    return SubalphabetLadder(rungs=tuple(rungs))
+    return tuple(rungs)

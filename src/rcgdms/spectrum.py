@@ -99,18 +99,11 @@ class PressureCurve:
     repair_correction: float = 0.0
     slope: Optional[Callable[[float], Optional[float]]] = None  # analytic p'(s); None where uncertified
 
-    def pressure_at(self, s: float) -> float:
-        return self.evaluator(s)
-
     def slope_at(self, s: float) -> float:
         """p'(s): the analytic slope where it is given and certified, else a
         central difference of the evaluator."""
         d = None if self.slope is None else self.slope(s)
         return _slope(self.evaluator, s) if d is None else d
-
-    @property
-    def validity_interval(self) -> tuple[float, float]:
-        return (self.exponent_lo, self.exponent_hi)
 
 
 def pressure_curve(
@@ -184,7 +177,7 @@ def cofinite_regularity(potential) -> RegularityReport:
     alphabets are vacuous (threshold -inf)."""
     from .potentials import s_infinity as _s_inf
 
-    if not potential.system.has_tail:
+    if potential.system.tail is None:
         return RegularityReport(applicable=False, s_infinity=-math.inf, cofinitely_regular=True)
     s_inf = _s_inf(potential)
     return RegularityReport(applicable=True, s_infinity=s_inf, cofinitely_regular=potential.tail.cofinitely_regular)
@@ -248,7 +241,7 @@ def legendre_spectrum(curve: PressureCurve, beta_grid: Sequence[float]) -> Spect
     betas = np.asarray(sorted(beta_grid), dtype=float)
     if (betas <= 0).any():
         raise ValueError("exponents must be positive")
-    lo, hi = curve.validity_interval
+    lo, hi = curve.exponent_lo, curve.exponent_hi
     cell = float(betas[1] - betas[0]) if len(betas) > 1 else 0.0
     vals = np.empty_like(betas)
     flags = []

@@ -48,7 +48,7 @@ import numpy as np
 
 from .driving import DrivingOrbit, DrivingSystem, OrbitFamily, orbit_family
 from .potentials import FirstSymbolPotential, _expected, float_log, log_sum_exp
-from .shift import PrimitivityWitness, SubalphabetLadder, SymbolicSystem, find_primitivity
+from .shift import PrimitivityWitness, SymbolicSystem, find_primitivity
 
 
 def _primitivity_witness(
@@ -329,7 +329,6 @@ class PressureEstimate:
     depths: tuple[int, ...] = ()
     per_depth: tuple[float, ...] = ()
     spread: float = 0.0
-    raw_value: Optional[float] = None
     slope: Optional[float] = None  # p'(s), exact-spectral route only, when certified
 
     @property
@@ -536,34 +535,30 @@ def pressure(
         depths=depths,
         per_depth=mean_per_depth,
         spread=spread,
-        raw_value=mean_per_depth[-1],
     )
 
 
 @dataclass(frozen=True)
 class CompactApproximation:
-    rung_symbols: tuple[tuple[int, ...], ...]
     rung_values: tuple[float, ...]
     limit: float
     anchor: Optional[float]  # exact full-alphabet value, when available
     monotone: bool
 
 
-def pressure_compact_approx(ladder: SubalphabetLadder, potential: FirstSymbolPotential) -> CompactApproximation:
+def pressure_compact_approx(ladder: Sequence[tuple[int, ...]], potential: FirstSymbolPotential) -> CompactApproximation:
     """Increasing finite-subalphabet pressures and their limit.
 
     When the full-alphabet transfer sums have closed form (product systems,
     analytic tails) the exact value is the limit, +inf where the potential is
     not summable; otherwise the limit is the last rung's pressure.
     """
-    rungs = tuple(tuple(r) for r in ladder)
-    values = [pressure(r, potential).value for r in rungs]
+    values = [pressure(rung, potential).value for rung in ladder]
     monotone = all(values[i + 1] >= values[i] - 1e-9 for i in range(len(values) - 1))
     anchor = None
     if _is_full_over(potential.system, potential.system.edges):
         anchor = _product_pressure(potential, potential.driving, None)
     return CompactApproximation(
-        rung_symbols=rungs,
         rung_values=tuple(values),
         limit=values[-1] if anchor is None else anchor,
         anchor=anchor,

@@ -30,7 +30,7 @@ from words import enumerate_words, weight_fn
 
 from rcgdms import instances
 from rcgdms.cli import main as cli_main
-from rcgdms.driving import sample_orbit
+from rcgdms.driving import DrivingOrbit
 from rcgdms.gdms import sample_limit_set, similarity_system
 from rcgdms.gibbs import conformal_measures
 from rcgdms.oracle import box_counting, corrected_coarse_dimensions, level_histogram
@@ -96,7 +96,7 @@ def test_criterion_1_bowen_dimensions(cantor, twoscale, period2):
     for system, grid, hull, expected in cases:
         start = time.monotonic()
         curve = _exact_curve(system, grid, hull)
-        got = bowen_dimension(curve.pressure_at, curve.s_infinity)
+        got = bowen_dimension(curve.evaluator, curve.s_infinity)
         elapsed = time.monotonic() - start
         worst = max(worst, abs(got - expected))
         assert elapsed < 1.0, f"{system.name}: {elapsed:.2f}s"
@@ -145,7 +145,7 @@ def test_criterion_3_sandwich_chain(cantor, twoscale, period2, golden):
     worst = math.inf
     for system in (cantor, twoscale, golden, lopsided_golden, period2):
         zeta = geometric_potential(system)
-        orbit = sample_orbit(system.driving, 0)
+        orbit = DrivingOrbit(system.driving, 0)
         for s in (0.0, 0.5, 1.0):
             arithmetic = "mpf" if s == 0.5 else "fraction"
             for n in range(1, 7):
@@ -166,7 +166,7 @@ def test_criterion_4_gibbs_brackets(cantor, twoscale, period2):
     # masses reproduce exp(S_n f - P^n) exactly, so the ratio is exactly one
     for system in (twoscale, period2):
         zeta = geometric_potential(system).scaled(1.0)
-        orbit = sample_orbit(system.driving, 0)
+        orbit = DrivingOrbit(system.driving, 0)
         measures, _ = conformal_measures((0, 1), zeta, orbit, depth=8, exact=True)
         weight = weight_fn(zeta, "fraction")
         states = [orbit.state(k) for k in range(8)]
@@ -184,9 +184,9 @@ def test_criterion_4_gibbs_brackets(cantor, twoscale, period2):
     # two-sided bracket re-checked numerically on every product instance
     for system, scale in ((twoscale, 1.0), (period2, 1.0), (cantor, CANTOR_DIM)):
         zeta = geometric_potential(system).scaled(scale)
-        orbit = sample_orbit(system.driving, 0)
+        orbit = DrivingOrbit(system.driving, 0)
         measures, eigens = conformal_measures((0, 1), zeta, orbit, depth=8)
-        report = check_gibbs((0, 1), zeta, orbit, measures, eigens.log_values, depth=8)
+        report = check_gibbs((0, 1), zeta, orbit, measures, eigens, depth=8)
         assert report.violations == 0, system.name
 
     ok = report.violations == 0 and report.worst_ratio_deviation <= 1e-10
@@ -217,10 +217,10 @@ def test_criterion_5_pressure_properties(paper, cantor, twoscale, period2, twosc
     worst = 0.0
     for system in (twoscale, period2):
         zeta = geometric_potential(system).scaled(1.0)
-        orbit = sample_orbit(system.driving, 0)
+        orbit = DrivingOrbit(system.driving, 0)
         _, eigens = conformal_measures((0, 1), zeta, orbit, depth=2, horizon=30)
         for n in range(1, 31):
-            lam_route = eigens.partial_sum(n) / n
+            lam_route = math.fsum(eigens[:n]) / n
             direct = math.fsum(
                 zeta.unit_transfer_bounds(orbit.state(i), None)[0] for i in range(n)
             ) / n
@@ -245,7 +245,7 @@ def test_criterion_6b_histogram_matches_spectrum(twoscale, twoscale_curve):
     deviation, which carries the finite-depth counting bias, is reported
     alongside."""
     start = time.monotonic()
-    orbit = sample_orbit(twoscale.driving, 0)
+    orbit = DrivingOrbit(twoscale.driving, 0)
     hist = level_histogram(twoscale, orbit, (0, 1), n=20, bins=32)
     corrected = corrected_coarse_dimensions(hist)
     assert corrected is not None
@@ -292,7 +292,7 @@ def test_criterion_7_temperature_consistency(twoscale_curve):
     tq = tq_analysis(twoscale_curve, np.linspace(-2, 2, 9), symbol_count=2)
     t1 = tq.t_at(1.0)
     t0 = tq.t_at(0.0)
-    s_star = bowen_dimension(twoscale_curve.pressure_at, twoscale_curve.s_infinity)
+    s_star = bowen_dimension(twoscale_curve.evaluator, twoscale_curve.s_infinity)
     betas = np.linspace(LOG2 + 0.08, LOG4 - 0.08, 10)
     direct = legendre_spectrum(twoscale_curve, betas)
     worst_route = max(
@@ -310,11 +310,11 @@ def test_criterion_7_temperature_consistency(twoscale_curve):
 
 
 def test_criterion_8_box_counting(cantor, cantor_shrunk):
-    orbit = sample_orbit(cantor.driving, 0)
+    orbit = DrivingOrbit(cantor.driving, 0)
     est = box_counting(
         sample_limit_set(cantor, orbit, depth=10), [3.0 ** -j for j in range(2, 8)]
     )
-    orbit2 = sample_orbit(cantor_shrunk.driving, 0)
+    orbit2 = DrivingOrbit(cantor_shrunk.driving, 0)
     est2 = box_counting(
         sample_limit_set(cantor_shrunk, orbit2, depth=10), [0.3 ** j for j in range(2, 8)]
     )
@@ -332,9 +332,9 @@ def test_criterion_9_exponent_range(cantor, twoscale, twoscale_curve):
     cantor_curve = _exact_curve(cantor, np.linspace(-2, 6, 33), (LOG3, LOG3))
     violations = 0
     for system, curve in ((twoscale, twoscale_curve), (cantor, cantor_curve)):
-        orbit = sample_orbit(system.driving, 0)
+        orbit = DrivingOrbit(system.driving, 0)
         hist = level_histogram(system, orbit, (0, 1), n=20)
-        lo, hi = curve.validity_interval
+        lo, hi = curve.exponent_lo, curve.exponent_hi
         if hist.exponent_min < lo - 1e-12 or hist.exponent_max > hi + 1e-12:
             violations += 1
     _report("9", violations == 0, f"{violations} violations at depth 20")

@@ -284,6 +284,51 @@ def test_invalid_rungs_exits_2(tmp_path):
     assert run_cli("pressure", "--config", bad, "--out", tmp_path) == 2
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (("pressure", "--config", CONFIGS / "cantor.json", "--rungs", "4"), "--rungs: rung size 4 exceeds the 2 materialized edges"),
+        (("example-paper", "--rungs", "4,2000"), "--rungs: rung size 2000 exceeds the 1024 materialized edges"),
+    ],
+    ids=["cantor", "example-paper"],
+)
+def test_rung_above_the_alphabet_exits_2(tmp_path, capsys, args, named):
+    assert run_cli(*args, "--out", tmp_path / "out") == 2
+    assert named in capsys.readouterr().err
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"system": {"preset": "cantor"}, "analysis": {"rungs": [1, 3]}}))
+    assert run_cli("pressure", "--config", bad, "--out", tmp_path / "out") == 2
+    assert "analysis.rungs: rung size 3 exceeds the 2 materialized edges" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_exits_2(tmp_path, capsys, workers):
+    assert run_cli("pressure", "--config", CONFIGS / "cantor.json", "--out", tmp_path / "out", "--workers", workers) == 2
+    assert "--workers: integer >= 1 required" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["measures", "verify"])
+def test_large_alphabets_keep_within_the_sample_budget(tmp_path, command):
+    """32 symbols: the measures' depth-6 and the Gibbs check's depth-5 words
+    would pass the enumeration budget, so both take the deepest depth whose
+    words fit the sample budget (depth 3: 32,768 words; depth 4 has
+    1,048,576)."""
+    n = 32
+    cfg = tmp_path / "wide.json"
+    ratios = {str(st): {str(e): f"1/{2 * n + st + e % 3}" for e in range(n)} for st in (0, 1)}
+    offsets = {str(st): {str(e): e / n for e in range(n)} for st in (0, 1)}
+    cfg.write_text(json.dumps({"system": {"edges": n}, "maps": {"ratios": ratios, "offsets": offsets}, "driving": {"kind": "periodic", "states": [0, 1]}}))
+    assert run_cli(command, "--config", cfg, "--out", tmp_path / "out") == 0
+    if command == "measures":
+        depths = np.loadtxt(tmp_path / "out" / "measures.csv", delimiter=",", skiprows=1, usecols=1)
+        assert depths.max() == 3 and np.count_nonzero(depths == 3) == 3 * n ** 3
+    else:
+        checks = json.loads((tmp_path / "out" / "verify.json").read_text())["checks"]
+        gibbs = next(c for c in checks if c["name"] == "gibbs")
+        assert gibbs["detail"].startswith(f"{n + n ** 2 + n ** 3} cylinders")
+
+
 def test_unbounded_spectrum_needs_beta_cap(tmp_path):
     cfg = tmp_path / "paper.json"
     cfg.write_text(
@@ -388,20 +433,21 @@ def test_cli_import_leaves_mpmath_unloaded():
 
 
 def test_paper_commands_make_no_per_edge_log_ratio_calls(tmp_path, monkeypatch):
-    # rows come from BlockTailExample.log_ratios, one numpy pass per state
+    # rows come from BlockTailExample.log_ratios, one numpy pass per state;
+    # a per-edge reader would look up each of the 1,024 edges' blocks
     calls = 0
-    scalar = BlockTailExample.log_ratio
+    block_of = BlockTailExample.block_of
 
-    def counting(self, e, state):
+    def counting(self, e):
         nonlocal calls
         calls += 1
-        return scalar(self, e, state)
+        return block_of(self, e)
 
-    monkeypatch.setattr(BlockTailExample, "log_ratio", counting)
+    monkeypatch.setattr(BlockTailExample, "block_of", counting)
     for command in ("pressure", "dimension", "spectrum", "example-paper"):
         out = tmp_path / command
         assert run_cli(command, "--config", CONFIGS / "paper-example.json", "--out", out, "--s-steps", 10) == 0
-    assert calls == 0
+    assert calls < 1024
 
 
 @settings(max_examples=100, deadline=None)

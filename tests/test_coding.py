@@ -1,10 +1,10 @@
 """Limit-set coding over the suffix walk and Birkhoff sums over the prefix
 tree, against per-word references.
 
-The references code one word at a time with `code_point` and enumerate words
-with the tests' `enumerate_words` or itertools.product, so they share no code
-with the array path in `code_levels`, `shift.suffix_tree`, `word_index` and
-`shift.prefix_tree`.
+The references code one word at a time with the tests' `code_point` and
+enumerate words with the tests' `enumerate_words` or itertools.product, so
+they share no code with the array path in `code_levels`, `shift.suffix_tree`,
+`word_index` and `shift.prefix_tree`.
 """
 
 import itertools
@@ -14,19 +14,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from words import enumerate_words, ratio_of
+from words import code_point, enumerate_words, ratio_of
 
 import rcgdms.gdms
-import rcgdms.oracle
 import rcgdms.shift
-from rcgdms.driving import bernoulli, deterministic, periodic, sample_orbit
-from rcgdms.gdms import code_levels, code_point, image_of_word, sample_limit_set, similarity_system
+from rcgdms.driving import DrivingOrbit, bernoulli, deterministic, periodic
+from rcgdms.gdms import code_levels, sample_limit_set, similarity_system
 from rcgdms.gibbs import conformal_measures
 from rcgdms.oracle import _exponent_sums, level_histogram, local_dimension_samples
 from rcgdms.potentials import geometric_potential
-from rcgdms.shift import from_matrix, full_shift, word_index
+from rcgdms.shift import find_primitivity, from_matrix, full_shift, word_index
 
 TOL = 1e-12
 
@@ -66,7 +65,7 @@ def systems(draw):
     spaces = {e: (lo, lo + width) for e, (lo, width) in ((e, draw(ends)) for e in symbols)}
     system = replace(system, spaces=spaces, edge_vertex={e: (e, e) for e in symbols})
     subset = draw(st.sets(st.sampled_from(symbols), min_size=1)) if draw(st.booleans()) else symbols
-    orbit = sample_orbit(driving, draw(st.integers(0, 5)))
+    orbit = DrivingOrbit(driving, draw(st.integers(0, 5)))
     return system, orbit, tuple(sorted(subset))
 
 
@@ -76,7 +75,7 @@ def test_exhaustive_sample_matches_per_word_coding(case, depth):
     system, orbit, symbols = case
     sample = sample_limit_set(system, orbit, depth=depth, symbols=symbols)
     words = tuple(enumerate_words(system.symbolic, symbols, depth))
-    assert sample.words == words
+    assert tuple(map(tuple, sample.codes.tolist())) == words
     assert sample.codes.shape == (len(words), depth)
     assert sample.codes.dtype == np.min_scalar_type(max(symbols))
     # bit-for-bit, not approximately
@@ -103,8 +102,8 @@ def test_random_words_match_per_word_coding(case, depth, count, seed):
             w.append(nxt[rng.integers(len(nxt))])
         if len(w) == depth:
             want.append(tuple(w))
-    assert sample.words == tuple(want)
-    assert sample.points.tolist() == [code_point(system, orbit, w)[0] for w in sample.words]
+    assert tuple(map(tuple, sample.codes.tolist())) == tuple(want)
+    assert sample.points.tolist() == [code_point(system, orbit, w)[0] for w in want]
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,25 +120,25 @@ def test_exponent_sums_match_product_enumeration(case, n):
     assert np.allclose(got, want, rtol=TOL, atol=TOL)
 
 
-def test_coding_enumerates_no_words_and_calls_no_code_point(monkeypatch, paper, golden):
+def test_coding_makes_no_per_symbol_map_calls(monkeypatch, paper, golden):
     def forbidden(*args, **kwargs):
-        raise AssertionError("per-word coding or enumeration on the array path")
+        raise AssertionError("per-word coding on the array path")
 
-    monkeypatch.setattr(rcgdms.gdms, "code_point", forbidden)
-    monkeypatch.setattr(rcgdms.oracle, "code_point", forbidden)
-    orbit = sample_orbit(paper.driving, 0)
+    # the per-word reference codes through map_of; the array path reads rows
+    monkeypatch.setattr(rcgdms.gdms.RCGDMS, "map_of", forbidden)
+    orbit = DrivingOrbit(paper.driving, 0)
     sample = sample_limit_set(paper, orbit, depth=6, symbols=(1, 2, 3, 4))
     assert sample.points.shape == (4 ** 6,)
     sample = sample_limit_set(paper, orbit, depth=4, count=50, sampler="random-words", seed=3, symbols=(1, 2, 3, 4))
     assert sample.points.shape == (50,)
-    assert level_histogram(golden, sample_orbit(golden.driving, 0), (0, 1), n=12).total == 377
+    assert level_histogram(golden, DrivingOrbit(golden.driving, 0), (0, 1), n=12).total == 377
 
 
 def test_exhaustive_sample_builds_codes_only_when_read(monkeypatch, paper):
     def forbidden(*args, **kwargs):
         raise AssertionError("word_index called before the codes are read")
 
-    orbit = sample_orbit(paper.driving, 0)
+    orbit = DrivingOrbit(paper.driving, 0)
     want = word_index(paper.symbolic, (1, 2, 3, 4), 5)
     monkeypatch.setattr(rcgdms.gdms, "word_index", forbidden)
     sample = sample_limit_set(paper, orbit, depth=5, symbols=(1, 2, 3, 4))
@@ -175,26 +174,62 @@ def test_suffix_coding_matches_the_row_coding_reference(case, depth):
         assert g.tolist() == w.tolist()
 
 
-def test_local_dimension_samples_match_the_row_coding_reference(monkeypatch):
-    system = similarity_system(
-        from_matrix((0, 1, 2), [[1, 1, 0], [0, 1, 1], [1, 1, 1]]),
-        periodic((0, 1)),
-        {0: {0: Fraction(1, 4), 1: Fraction(1, 5), 2: Fraction(1, 6)}, 1: {0: Fraction(2, 9), 1: Fraction(1, 4), 2: Fraction(1, 5)}},
-        {0: {0: 0.05, 1: 0.4, 2: 0.75}, 1: {0: 0.1, 1: 0.45, 2: 0.7}},
-    )
-    symbols = (0, 1, 2)
-    zeta = geometric_potential(system).scaled(0.7)
-    orbit = sample_orbit(system.driving, 0)
-    measure = conformal_measures(symbols, zeta, orbit, depth=6)[0][0]
-    words = [(0, 1, 2, 2, 0, 0), (2, 1, 1, 2, 1, 2), (1, 2, 0)]
+def per_word_local_dimensions(gdms, orbit, measure, words):
+    """local_dimension_samples one word and one prefix at a time: every
+    interval from code_point, and each ball over the words of the prefix's
+    length in lexicographic order, their masses looked up one by one."""
+    out = []
+    for word in map(tuple, words):
+        x = code_point(gdms, orbit, word)[0]  # raises on an inadmissible word
+        depths, markov, metric = [], [], []
+        for j in range(1, min(len(word), measure.depth) + 1):
+            center, half = code_point(gdms, orbit, word[:j])
+            diam = (center + half) - (center - half)
+            mass = measure.mass(word[:j])
+            if mass <= 0 or diam <= 0:
+                continue
+            ball = []
+            for w in enumerate_words(gdms.symbolic, measure.symbols, j):
+                c, h = code_point(gdms, orbit, w)
+                if c + h >= x - diam and c - h <= x + diam:
+                    ball.append(measure.mass(w))
+            depths.append(j)
+            markov.append(math.log(mass) / math.log(diam))
+            metric.append(math.log(sum(ball)) / math.log(diam))
+        gaps = tuple(abs(a - b) for a, b in zip(markov, metric))
+        out.append((word, tuple(depths), tuple(markov), tuple(metric), gaps))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems(), st.integers(1, 4), st.data())
+def test_local_dimension_samples_match_per_word_coding(case, depth, data):
+    system, orbit, symbols = case
+    assume(find_primitivity(system.symbolic, symbols, 8) is not None)  # else some lambda_k is 0
+    # one wide target space for every symbol keeps each image inside it, so
+    # the boundary-separation margin is positive
+    system = replace(system, spaces=dict.fromkeys(system.spaces, (-1.0, 20.0)))
+    measure = conformal_measures(symbols, geometric_potential(system).scaled(0.7), orbit, depth=depth)[0][0]
+    # admissible words, up to two symbols longer than the measure
+    words = []
+    for length in data.draw(st.lists(st.integers(1, depth + 2), min_size=1, max_size=4)):
+        word = [data.draw(st.sampled_from(symbols))]
+        while len(word) < length:
+            nxt = system.symbolic.successors(word[-1], symbols)
+            if not nxt:
+                break
+            word.append(data.draw(st.sampled_from(nxt)))
+        words.append(tuple(word))
     got = local_dimension_samples(system, orbit, measure, words)
-
-    def reference(gdms, orbit, symbols, depth):
-        return reference_code_words(gdms, orbit, symbols, word_index(gdms.symbolic, symbols, depth))
-
-    monkeypatch.setattr(rcgdms.oracle, "code_levels", reference)
-    assert got == local_dimension_samples(system, orbit, measure, words)
-    assert [len(g.depths) for g in got] == [6, 6, 3]
+    want = per_word_local_dimensions(system, orbit, measure, words)
+    assert [(g.word, g.depths, g.markov_ratios, g.metric_ratios, g.gaps) for g in got] == want
+    # a word with an inadmissible prefix raises on both paths
+    bad = data.draw(st.lists(st.sampled_from(symbols), min_size=2, max_size=depth + 2).map(tuple))
+    if not system.symbolic.is_admissible(bad):
+        with pytest.raises(ValueError):
+            per_word_local_dimensions(system, orbit, measure, [bad])
+        with pytest.raises(ValueError):
+            local_dimension_samples(system, orbit, measure, [bad])
 
 
 def test_random_words_on_a_full_shift_check_no_pair(monkeypatch, paper):
@@ -208,7 +243,7 @@ def test_random_words_on_a_full_shift_check_no_pair(monkeypatch, paper):
         return admissible_pair(self, a, b)
 
     monkeypatch.setattr(rcgdms.shift.SymbolicSystem, "admissible_pair", counting)
-    orbit = sample_orbit(paper.driving, 0)
+    orbit = DrivingOrbit(paper.driving, 0)
     sample = sample_limit_set(paper, orbit, depth=3, count=512, sampler="random-words", seed=5)
     assert sample.codes.shape == (512, 3)
     assert calls == 0
@@ -226,7 +261,7 @@ def test_ball_mass_matches_per_word_images():
         {0: {0: 0.02, 1: 0.53}},
     )
     zeta = geometric_potential(system).scaled(0.85)
-    orbit = sample_orbit(system.driving, 0)
+    orbit = DrivingOrbit(system.driving, 0)
     measure = conformal_measures(symbols, zeta, orbit, depth=7)[0][0]
     words = [(0, 1, 1, 0, 1, 0, 0), (1, 1, 1, 0, 0, 0, 1)]
     samples = local_dimension_samples(system, orbit, measure, words)
@@ -235,12 +270,12 @@ def test_ball_mass_matches_per_word_images():
         x = code_point(system, orbit, word)[0]
         want = []
         for j in got.depths:
-            lo, hi = image_of_word(system, orbit, word[:j])
-            diam = hi - lo
+            center, half = code_point(system, orbit, word[:j])
+            diam = (center + half) - (center - half)
             ball, hits = 0.0, 0
             for w in itertools.product(symbols, repeat=j):
-                a, b = image_of_word(system, orbit, w)
-                if b >= x - diam and a <= x + diam:
+                c, h = code_point(system, orbit, w)
+                if c + h >= x - diam and c - h <= x + diam:
                     ball += measure.mass(w)
                     hits += 1
             most_hits = max(most_hits, hits)
@@ -268,4 +303,4 @@ def test_suffix_walk_shares_the_budget(monkeypatch):
     with pytest.raises(ValueError, match="budget"):
         next(levels)
     with pytest.raises(ValueError, match="budget"):
-        sample_limit_set(system, sample_orbit(system.driving, 0), 6)
+        sample_limit_set(system, DrivingOrbit(system.driving, 0), 6)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from words import ratio_of
 
-from rcgdms.driving import deterministic, periodic, sample_orbit
+from rcgdms.driving import DrivingOrbit, deterministic, periodic
 from rcgdms.gdms import sample_limit_set, similarity_system
 from rcgdms.oracle import box_counting, level_histogram
 from rcgdms.potentials import geometric_potential
@@ -63,7 +63,7 @@ def test_bowen_root_against_direct_moment_equation(seed):
         return pressure(None, zeta.scaled(s)).value
 
     curve = pressure_curve(evaluate, np.linspace(-2, 6, 33))
-    s_star = bowen_dimension(curve.pressure_at, curve.s_infinity)
+    s_star = bowen_dimension(curve.evaluator, curve.s_infinity)
 
     ratios = [float(ratio_of(system, e, 0)) for e in range(3)]
 
@@ -78,7 +78,7 @@ def test_bowen_root_against_direct_moment_equation(seed):
         else:
             hi = mid
     assert s_star == pytest.approx(0.5 * (lo + hi), abs=1e-8)
-    assert abs(curve.pressure_at(s_star)) <= 1e-8
+    assert abs(curve.evaluator(s_star)) <= 1e-8
 
 
 @pytest.mark.parametrize("seed", [3, 9, 31])
@@ -86,7 +86,7 @@ def test_sandwich_holds_on_random_systems(seed):
     rng = np.random.default_rng(seed)
     system = _random_system(rng, 3, 2)
     zeta = geometric_potential(system)
-    orbit = sample_orbit(system.driving, 0)
+    orbit = DrivingOrbit(system.driving, 0)
     for s in (0.4, 1.0):
         report = check_sandwich((0, 1, 2), zeta.scaled(s), orbit, 0, 3)
         assert report.worst >= -1e-12, report.inequalities
@@ -102,7 +102,7 @@ def test_box_counting_bounded_by_root(seed):
         return pressure(None, zeta.scaled(s)).value
 
     s_star = bowen_dimension(evaluate, -math.inf)
-    orbit = sample_orbit(system.driving, 0)
+    orbit = DrivingOrbit(system.driving, 0)
     # scale span adapts to the drawn contraction so it covers a decade, and
     # the sample truncation sits below the smallest scale
     span = max(6, math.ceil(math.log(12.0) / -math.log(system.contraction)))
@@ -135,7 +135,7 @@ def test_twoscale_spectrum_matches_entropy_formula(twoscale):
 def test_period2_degenerate_spectrum(period2):
     # alternating uniform fibers: every word shares one exponent, and the
     # spectrum collapses onto the root value there
-    orbit = sample_orbit(period2.driving, 0)
+    orbit = DrivingOrbit(period2.driving, 0)
     hist = level_histogram(period2, orbit, (0, 1), n=12)
     assert (hist.counts > 0).sum() == 1
     assert hist.exponent_min == pytest.approx(1.5 * math.log(2), abs=1e-12)
@@ -154,7 +154,7 @@ def test_period2_degenerate_spectrum(period2):
 
 
 def test_period2_box_dimension_near_root(period2):
-    orbit = sample_orbit(period2.driving, 0)
+    orbit = DrivingOrbit(period2.driving, 0)
     sample = sample_limit_set(period2, orbit, depth=14)
     est = box_counting(sample, [2.0 ** -j for j in range(3, 10)])
     assert 0.60 <= est.dimension <= 0.75  # alternating scales step unevenly

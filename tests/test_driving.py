@@ -3,45 +3,44 @@ import math
 import pytest
 
 from rcgdms.driving import (
+    DrivingOrbit,
     bernoulli,
     deterministic,
-    fiber_state,
     orbit_family,
     periodic,
-    sample_orbit,
 )
 from rcgdms.gdms import example_weights
 
 
 def test_deterministic_orbit_constant():
-    orbit = sample_orbit(deterministic("x"), seed=7)
-    assert all(fiber_state(orbit, k) == "x" for k in (-5, 0, 3, 1000))
+    orbit = DrivingOrbit(deterministic("x"), seed=7)
+    assert all(orbit.state(k) == "x" for k in (-5, 0, 3, 1000))
 
 
 def test_periodic_orbit_indexing():
-    orbit = sample_orbit(periodic(("a", "b")), seed=0)
-    assert fiber_state(orbit, 0) == "a"
-    assert fiber_state(orbit, 1) == "b"
-    assert fiber_state(orbit, -1) == "b"
-    assert fiber_state(orbit, -2) == "a"
-    assert fiber_state(orbit, 10**6) == "a"
+    orbit = DrivingOrbit(periodic(("a", "b")), seed=0)
+    assert orbit.state(0) == "a"
+    assert orbit.state(1) == "b"
+    assert orbit.state(-1) == "b"
+    assert orbit.state(-2) == "a"
+    assert orbit.state(10**6) == "a"
 
 
 def test_same_seed_same_sequence():
     drv = bernoulli((1, 2, 3), (0.2, 0.3, 0.5))
-    a = sample_orbit(drv, seed=42)
-    b = sample_orbit(drv, seed=42)
+    a = DrivingOrbit(drv, seed=42)
+    b = DrivingOrbit(drv, seed=42)
     assert [a.state(k) for k in range(-50, 50)] == [b.state(k) for k in range(-50, 50)]
-    c = sample_orbit(drv, seed=43)
+    c = DrivingOrbit(drv, seed=43)
     assert [a.state(k) for k in range(200)] != [c.state(k) for k in range(200)]
 
 
 def test_two_sided_consistency_independent_of_access_order():
     drv = bernoulli((0, 1), (0.5, 0.5))
-    far_first = sample_orbit(drv, seed=5)
+    far_first = DrivingOrbit(drv, seed=5)
     far_first.state(10**6)
     far_first.state(-(10**5))
-    fresh = sample_orbit(drv, seed=5)
+    fresh = DrivingOrbit(drv, seed=5)
     for k in (-1000, -1, 0, 1, 999, 12345):
         assert far_first.state(k) == fresh.state(k)
 
@@ -69,9 +68,9 @@ def test_example_weights_closed_form():
 def test_example_state_frequency_within_monte_carlo_error():
     states, weights = example_weights(20)
     drv = bernoulli(states, weights)
-    orbit = sample_orbit(drv, seed=11)
+    orbit = DrivingOrbit(drv, seed=11)
     n = 100_000
-    draws = orbit.states(0, n)
+    draws = [orbit.state(k) for k in range(n)]
     freq = sum(1 for s in draws if s == 1) / n
     w1 = drv.weights[0]
     se = math.sqrt(w1 * (1 - w1) / n)
@@ -80,9 +79,9 @@ def test_example_state_frequency_within_monte_carlo_error():
 
 def test_ergodic_average_converges():
     drv = bernoulli((1, 2), (0.3, 0.7))
-    orbit = sample_orbit(drv, seed=3)
+    orbit = DrivingOrbit(drv, seed=3)
     n = 200_000
-    avg = sum(1.0 if s == 1 else 0.0 for s in orbit.states(0, n)) / n
+    avg = sum(1.0 if s == 1 else 0.0 for s in [orbit.state(k) for k in range(n)]) / n
     assert abs(avg - 0.3) <= 4 * math.sqrt(0.3 * 0.7 / n)
 
 
@@ -98,5 +97,5 @@ def test_orbit_family_reproducible():
     drv = bernoulli((0, 1), (0.5, 0.5))
     fam1 = orbit_family(drv, count=4, root_seed=9)
     fam2 = orbit_family(drv, count=4, root_seed=9)
-    for a, b in zip(fam1, fam2):
-        assert a.states(0, 100) == b.states(0, 100)
+    for a, b in zip(fam1.orbits, fam2.orbits, strict=True):
+        assert [a.state(k) for k in range(100)] == [b.state(k) for k in range(100)]

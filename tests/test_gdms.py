@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from words import ratio_of
+from words import block_log_moment, block_log_ratio, code_point, ratio_of
 
 from rcgdms import instances
-from rcgdms.driving import periodic, sample_orbit
+from rcgdms.driving import DrivingOrbit, periodic
 from rcgdms.gdms import (
     BlockTailExample,
     check_rbsc,
-    code_point,
     example_weights,
-    image_of_word,
     sample_limit_set,
     similarity_system,
 )
@@ -23,8 +21,14 @@ from rcgdms.shift import full_shift
 LOG2 = math.log(2.0)
 
 
+def image(gdms, orbit, word):
+    """The image interval of a word, from its center and half-width."""
+    center, half = code_point(gdms, orbit, word)
+    return center - half, center + half
+
+
 def test_cantor_code_point_fixed_point(cantor):
-    orbit = sample_orbit(cantor.driving, 0)
+    orbit = DrivingOrbit(cantor.driving, 0)
     center, half = code_point(cantor, orbit, (0, 0, 0, 0))
     assert center - half == pytest.approx(0.0, abs=1e-15)
     assert center + half == pytest.approx(3.0 ** -4, abs=1e-15)
@@ -32,27 +36,27 @@ def test_cantor_code_point_fixed_point(cantor):
 
 
 def test_cantor_code_point_mixed_word(cantor):
-    orbit = sample_orbit(cantor.driving, 0)
-    lo, hi = image_of_word(cantor, orbit, (0, 1, 1, 1))
+    orbit = DrivingOrbit(cantor.driving, 0)
+    lo, hi = image(cantor, orbit, (0, 1, 1, 1))
     assert hi == pytest.approx(1 / 3, abs=1e-15)
     assert lo == pytest.approx(1 / 3 - 3.0 ** -4, abs=1e-15)
 
 
 def test_period2_image_length(period2):
-    orbit = sample_orbit(period2.driving, 0)
-    lo, hi = image_of_word(period2, orbit, (0,))
+    orbit = DrivingOrbit(period2.driving, 0)
+    lo, hi = image(period2, orbit, (0,))
     assert hi - lo == pytest.approx(0.5)
     # second map in the composition acts at the next fiber
-    lo2, hi2 = image_of_word(period2, orbit, (0, 0))
+    lo2, hi2 = image(period2, orbit, (0, 0))
     assert hi2 - lo2 == pytest.approx(0.5 * 0.25)
 
 
 def test_nesting_and_diameter_decay(twoscale):
-    orbit = sample_orbit(twoscale.driving, 0)
+    orbit = DrivingOrbit(twoscale.driving, 0)
     word = (0, 1, 0, 0, 1)
     for n in range(1, len(word)):
-        outer = image_of_word(twoscale, orbit, word[:n])
-        inner = image_of_word(twoscale, orbit, word[: n + 1])
+        outer = image(twoscale, orbit, word[:n])
+        inner = image(twoscale, orbit, word[: n + 1])
         assert outer[0] - 1e-15 <= inner[0] and inner[1] <= outer[1] + 1e-15
         assert inner[1] - inner[0] <= twoscale.contraction ** (n + 1) + 1e-15
 
@@ -60,9 +64,9 @@ def test_nesting_and_diameter_decay(twoscale):
 def test_diameter_matches_derivative_product(twoscale):
     # for interval similarities the image diameter is exactly the product of
     # the ratios times the space diameter
-    orbit = sample_orbit(twoscale.driving, 0)
+    orbit = DrivingOrbit(twoscale.driving, 0)
     word = (1, 0, 1)
-    lo, hi = image_of_word(twoscale, orbit, word)
+    lo, hi = image(twoscale, orbit, word)
     expected = math.exp(
         math.fsum(math.log(ratio_of(twoscale, e, orbit.state(k))) for k, e in enumerate(word))
     )
@@ -70,35 +74,35 @@ def test_diameter_matches_derivative_product(twoscale):
 
 
 def test_inadmissible_prefix_rejected(golden):
-    orbit = sample_orbit(golden.driving, 0)
+    orbit = DrivingOrbit(golden.driving, 0)
     with pytest.raises(ValueError, match="inadmissible"):
         code_point(golden, orbit, (1, 1))
 
 
 def test_limit_set_depth2_exhaustive(cantor):
-    orbit = sample_orbit(cantor.driving, 0)
+    orbit = DrivingOrbit(cantor.driving, 0)
     sample = sample_limit_set(cantor, orbit, depth=2)
     lefts = sorted(p - sample.radius_bound / 2 for p in sample.points)
-    starts = [image_of_word(cantor, orbit, w)[0] for w in sample.words]
+    starts = [image(cantor, orbit, w)[0] for w in sample.codes.tolist()]
     assert sorted(starts) == pytest.approx([0.0, 2 / 9, 2 / 3, 2 / 3 + 2 / 9])
     assert len(sample.points) == 4
     assert sample.radius_bound == pytest.approx(3.0 ** -2)
 
 
 def test_limit_set_depth1_count(twoscale):
-    orbit = sample_orbit(twoscale.driving, 0)
+    orbit = DrivingOrbit(twoscale.driving, 0)
     sample = sample_limit_set(twoscale, orbit, depth=1)
     assert len(sample.points) == 2
 
 
 def test_random_words_reproducible(paper):
-    orbit = sample_orbit(paper.driving, 0)
+    orbit = DrivingOrbit(paper.driving, 0)
     a = sample_limit_set(paper, orbit, depth=3, count=64, sampler="random-words", seed=5)
     b = sample_limit_set(paper, orbit, depth=3, count=64, sampler="random-words", seed=5)
-    assert a.words == b.words
+    assert np.array_equal(a.codes, b.codes)
     assert np.array_equal(a.points, b.points)
     c = sample_limit_set(paper, orbit, depth=3, count=64, sampler="random-words", seed=6)
-    assert a.words != c.words
+    assert not np.array_equal(a.codes, c.codes)
 
 
 def test_rbsc_margins(cantor, cantor_shrunk):
@@ -109,7 +113,7 @@ def test_rbsc_margins(cantor, cantor_shrunk):
 def test_rbsc_single_map_margin():
     from fractions import Fraction
 
-    from rcgdms.driving import deterministic
+    from rcgdms.driving import DrivingOrbit, deterministic
     from rcgdms.gdms import similarity_system
     from rcgdms.shift import full_shift
 
@@ -170,8 +174,8 @@ def test_paper_tail_moment_exactness():
     # plus a vanishing geometric remainder
     tail = BlockTailExample(1024)
     for i in (1, 2, 3, 5, 8):
-        materialized = math.fsum(math.exp(tail.log_ratio(e, i)) for e in range(1, 1025))
-        total = materialized + math.exp(tail.log_moment(1.0, i))
+        materialized = math.fsum(math.exp(block_log_ratio(tail, e, i)) for e in range(1, 1025))
+        total = materialized + math.exp(block_log_moment(tail, 1.0, i))
         expected = math.fsum(2.0 ** -(l + 1) for l in range(1, i + 1)) + 8.0 ** -(
             sum(2 ** (k * k - 1) for k in range(1, i + 1)) + 1
         ) / (1 - 0.125)
@@ -207,7 +211,7 @@ def test_paper_weights_decay():
 )
 def test_block_rows_match_scalar_log_ratio(cutoff, state):
     tail = BlockTailExample(cutoff)
-    want = np.array([tail.log_ratio(e, state) for e in range(1, cutoff + 1)])
+    want = np.array([block_log_ratio(tail, e, state) for e in range(1, cutoff + 1)])
     assert tail.log_ratios(np.arange(1, cutoff + 1), state).tobytes() == want.tobytes()
 
 
@@ -217,7 +221,7 @@ def closed_form_row(name, sysm, state):
     edges = sysm.symbolic.edges
     if name == "paper-example":
         tail = BlockTailExample(len(edges))
-        return np.array([tail.log_ratio(e, state) for e in edges])
+        return np.array([block_log_ratio(tail, e, state) for e in edges])
     if name == "pure-tail":
         return np.array([-e * math.log(8.0) for e in edges])
     return np.array([math.log(ratio_of(sysm, e, state)) for e in edges])
@@ -275,7 +279,7 @@ def test_pure_tail_offsets_match_the_packing_formula(cutoff):
 def test_paper_offsets_match_the_gap_loop(paper, state):
     # images packed left to right with one uniform gap from the slack
     tail = BlockTailExample(1024)
-    widths = [math.exp(tail.log_ratio(e, state)) for e in range(1, 1025)]
+    widths = [math.exp(block_log_ratio(tail, e, state)) for e in range(1, 1025)]
     gap = (1.0 - (math.fsum(widths) + math.exp(tail.log_moments(1.0, (state,))[0]))) / 1025
     want, acc = [], gap
     for w in widths:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from words import birkhoff, enumerate_words, value, weight_fn
 
-from rcgdms.driving import bernoulli, deterministic, periodic, sample_orbit
+from rcgdms.driving import DrivingOrbit, bernoulli, deterministic, periodic
 from rcgdms.gibbs import conformal_measures, conformality_residual
 from rcgdms.potentials import FirstSymbolPotential, float_log, geometric_potential
 from rcgdms.shift import PrimitivityWitness, find_primitivity, from_matrix, full_shift
@@ -155,7 +155,7 @@ def small_cases(draw):
         exact_row=lambda state: np.array([table[state][e] for e in edges], dtype=object),
         driving=driving,
     ).scaled(draw(st.sampled_from([1, 2])))
-    orbit = sample_orbit(driving, draw(st.integers(0, 50)))
+    orbit = DrivingOrbit(driving, draw(st.integers(0, 50)))
     depth = draw(st.integers(1, 5))
     return system, edges, potential, orbit, depth
 
@@ -164,7 +164,7 @@ def assert_chains_agree(system, symbols, potential, orbit, depth, horizon, exact
     measures, eigens = conformal_measures(symbols, potential, orbit, depth, horizon=horizon, exact=exact)
     chain, logs = ref_chain(system, symbols, potential, orbit, depth, horizon, exact)
     assert len(measures) == horizon + 1
-    assert all(close(a, b, floor=1.0) for a, b in zip(eigens.log_values, logs, strict=True))
+    assert all(close(a, b, floor=1.0) for a, b in zip(eigens, logs, strict=True))
     for k, (measure, want) in enumerate(zip(measures, chain)):
         assert measure.position == k and measure.depth == depth
         got = measure.masses
@@ -205,24 +205,24 @@ def test_gibbs_report_and_residual_match_word_loops(case):
     system, symbols, potential, orbit, depth = case
     measures, eigens = conformal_measures(symbols, potential, orbit, depth)
     witness = find_primitivity(system, symbols, max_order=8)
-    got = check_gibbs(symbols, potential, orbit, measures, eigens.log_values, depth, witness=witness)
-    want = ref_check_gibbs(system, symbols, potential, orbit, measures[0].masses, eigens.log_values, depth, witness)
+    got = check_gibbs(symbols, potential, orbit, measures, eigens, depth, witness=witness)
+    want = ref_check_gibbs(system, symbols, potential, orbit, measures[0].masses, eigens, depth, witness)
     assert got == want
     for k in range(3):
         res = conformality_residual(potential, orbit, measures, eigens, position=k)
         ref = ref_residual(
             system, symbols, potential, orbit, measures[k].masses, measures[k + 1].masses,
-            eigens.log_values[k], k, depth,
+            eigens[k], k, depth,
         )
         # both are rounding noise of the lambda-sized products: a few ulps of lambda
-        scale = max(1.0, math.exp(eigens.log_values[k]))
+        scale = max(1.0, math.exp(eigens[k]))
         assert abs(res - ref) <= 1e-14 * scale
         assert res <= 1e-12 * scale
 
 
 def test_mass_outside_the_tree_is_zero(golden):
     zeta = geometric_potential(golden).scaled(1.0)
-    measures, _ = conformal_measures((0, 1), zeta, sample_orbit(golden.driving, 0), depth=3)
+    measures, _ = conformal_measures((0, 1), zeta, DrivingOrbit(golden.driving, 0), depth=3)
     m = measures[0]
     assert m.mass(()) == 0.0
     assert m.mass((1, 1)) == 0.0  # inadmissible
@@ -234,8 +234,8 @@ def test_mass_outside_the_tree_is_zero(golden):
 
 def test_gibbs_rejects_measures_on_other_symbols(golden):
     zeta = geometric_potential(golden).scaled(1.0)
-    orbit = sample_orbit(golden.driving, 0)
+    orbit = DrivingOrbit(golden.driving, 0)
     measures, eigens = conformal_measures((0,), zeta, orbit, depth=2)
     witness = PrimitivityWitness(order=1, connectors=((0,),))
     with pytest.raises(ValueError, match="different symbol set"):
-        check_gibbs((0, 1), zeta, orbit, measures, eigens.log_values, 2, witness=witness)
+        check_gibbs((0, 1), zeta, orbit, measures, eigens, 2, witness=witness)

@@ -3,15 +3,15 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from words import weight_fn
+from words import weight_fn, zero_potential
 
-from rcgdms.driving import sample_orbit
+from rcgdms.driving import DrivingOrbit
 from rcgdms.gibbs import (
     conformal_measures,
     conformality_residual,
     ladder_convergence,
 )
-from rcgdms.potentials import geometric_potential, zero_potential
+from rcgdms.potentials import geometric_potential
 from rcgdms.shift import PrimitivityWitness, build_ladder
 
 S_STAR_CANTOR = math.log(2) / math.log(3)
@@ -19,19 +19,19 @@ S_STAR_CANTOR = math.log(2) / math.log(3)
 
 def test_period2_closed_form_masses(period2):
     zeta = geometric_potential(period2).scaled(1.0)
-    orbit = sample_orbit(period2.driving, 0)
+    orbit = DrivingOrbit(period2.driving, 0)
     measures, eigens = conformal_measures((0, 1), zeta, orbit, depth=2)
     m0 = measures[0]
     assert m0.mass((0, 1)) == pytest.approx(0.25)
     assert m0.mass((0, 0)) == pytest.approx(0.25)
     assert m0.mass((0,)) == pytest.approx(0.5)
-    lams = [math.exp(v) for v in eigens.log_values[:4]]
+    lams = [math.exp(v) for v in eigens[:4]]
     assert lams == pytest.approx([1.0, 0.5, 1.0, 0.5])
 
 
 def test_zero_potential_measures_uniform(twoscale):
     pot = replace(zero_potential(twoscale.symbolic), driving=twoscale.driving)
-    orbit = sample_orbit(twoscale.driving, 0)
+    orbit = DrivingOrbit(twoscale.driving, 0)
     measures, _ = conformal_measures((0, 1), pot, orbit, depth=4)
     for d, level in enumerate(measures[0].levels, 1):
         assert level.tolist() == pytest.approx([2.0 ** -d] * 2 ** d)
@@ -39,9 +39,9 @@ def test_zero_potential_measures_uniform(twoscale):
 
 def test_cantor_unit_eigenvalue_at_root(cantor):
     zeta = geometric_potential(cantor).scaled(S_STAR_CANTOR)
-    orbit = sample_orbit(cantor.driving, 0)
+    orbit = DrivingOrbit(cantor.driving, 0)
     _, eigens = conformal_measures((0, 1), zeta, orbit, depth=3)
-    for v in eigens.log_values[:5]:
+    for v in eigens[:5]:
         assert math.exp(v) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -50,7 +50,7 @@ def test_cantor_unit_eigenvalue_at_root(cantor):
 @pytest.mark.parametrize("horizon", [None, 3], ids=["auto", "induction"])
 def test_refinement_and_normalization(golden, horizon):
     zeta = geometric_potential(golden).scaled(1.0)
-    orbit = sample_orbit(golden.driving, 0)
+    orbit = DrivingOrbit(golden.driving, 0)
     measures, _ = conformal_measures((0, 1), zeta, orbit, depth=4, horizon=horizon)
     for m in measures[:3]:
         for level in m.levels:
@@ -67,16 +67,16 @@ def test_refinement_and_normalization(golden, horizon):
 
 def test_eigenvalues_within_transfer_bounds(golden):
     zeta = geometric_potential(golden).scaled(1.0)
-    orbit = sample_orbit(golden.driving, 0)
+    orbit = DrivingOrbit(golden.driving, 0)
     _, eigens = conformal_measures((0, 1), zeta, orbit, depth=4)
-    for k, log_lam in enumerate(eigens.log_values):
+    for k, log_lam in enumerate(eigens):
         hi, lo = zeta.unit_transfer_bounds(orbit.state(k), (0, 1))
         assert lo - 1e-12 <= log_lam <= hi + 1e-12
 
 
 def test_conformality_residual_tiny(golden):
     zeta = geometric_potential(golden).scaled(1.0)
-    orbit = sample_orbit(golden.driving, 0)
+    orbit = DrivingOrbit(golden.driving, 0)
     measures, eigens = conformal_measures((0, 1), zeta, orbit, depth=4)
     for position in range(3):
         res = conformality_residual(zeta, orbit, measures, eigens, position=position)
@@ -86,19 +86,19 @@ def test_conformality_residual_tiny(golden):
 def test_induction_agrees_with_product_route(period2):
     # closed form on a product system: mass([tau]) = prod_j w(tau_j, omega_j) / M(omega_j)
     zeta = geometric_potential(period2).scaled(1.0)
-    orbit = sample_orbit(period2.driving, 0)
+    orbit = DrivingOrbit(period2.driving, 0)
     measures, eigens = conformal_measures((0, 1), zeta, orbit, depth=3)
     weight = weight_fn(zeta, "float")
     norms = [sum(weight(orbit.state(j), e) for e in (0, 1)) for j in range(5)]
     for w, mass in measures[0].masses.items():
         closed = math.prod(weight(orbit.state(j), e) / norms[j] for j, e in enumerate(w))
         assert mass == pytest.approx(closed, abs=1e-12)
-    assert eigens.log_values[:5] == pytest.approx([math.log(v) for v in norms], abs=1e-12)
+    assert eigens[:5] == pytest.approx([math.log(v) for v in norms], abs=1e-12)
 
 
 def test_exact_fraction_masses(period2):
     zeta = geometric_potential(period2).scaled(1.0)
-    orbit = sample_orbit(period2.driving, 0)
+    orbit = DrivingOrbit(period2.driving, 0)
     measures, _ = conformal_measures((0, 1), zeta, orbit, depth=2, exact=True)
     assert measures[0].mass((0, 1)) == Fraction(1, 4)
     assert measures[0].mass((0,)) == Fraction(1, 2)
@@ -106,7 +106,7 @@ def test_exact_fraction_masses(period2):
 
 def test_ladder_convergence_finite_alphabet(twoscale):
     zeta = geometric_potential(twoscale).scaled(1.0)
-    orbit = sample_orbit(twoscale.driving, 0)
+    orbit = DrivingOrbit(twoscale.driving, 0)
     witness = PrimitivityWitness(order=1, connectors=((0,),))
     ladder = build_ladder(twoscale.symbolic, (2,), witness)
     out = ladder_convergence(ladder, zeta, orbit, depth=3)
@@ -116,7 +116,7 @@ def test_ladder_convergence_finite_alphabet(twoscale):
 
 def test_ladder_convergence_paper(paper):
     zeta = geometric_potential(paper).scaled(1.0)
-    orbit = sample_orbit(paper.driving, 0)
+    orbit = DrivingOrbit(paper.driving, 0)
     witness = PrimitivityWitness(order=1, connectors=((1,),))
     ladder = build_ladder(paper.symbolic, (4, 8, 16, 32), witness)
     out = ladder_convergence(ladder, zeta, orbit, depth=2, cylinders=[(1,), (2,)])
@@ -130,7 +130,7 @@ def test_ladder_convergence_paper(paper):
 
 def test_ladder_tail_flag_near_threshold(paper):
     zeta = geometric_potential(paper)
-    orbit = sample_orbit(paper.driving, 0)
+    orbit = DrivingOrbit(paper.driving, 0)
     witness = PrimitivityWitness(order=1, connectors=((1,),))
     ladder = build_ladder(paper.symbolic, (4, 8, 16), witness)
     near_threshold = ladder_convergence(ladder, zeta.scaled(0.05), orbit, depth=2, cylinders=[(1,)])

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from words import weight_fn
 
-from rcgdms.driving import periodic, sample_orbit
+from rcgdms.driving import DrivingOrbit, periodic
 from rcgdms.gdms import similarity_system
 from rcgdms.potentials import float_log, geometric_potential
 from rcgdms.shift import find_primitivity, from_matrix
@@ -49,7 +49,7 @@ def systems(draw, scale):
     offsets = {s: dict.fromkeys(symbols, 0.0) for s in states}
     system = similarity_system(from_matrix(symbols, rows), periodic(states), ratios, offsets)
     pot = geometric_potential(system).scaled(draw(scale))
-    orbit = sample_orbit(system.driving, draw(st.integers(0, 5)))
+    orbit = DrivingOrbit(system.driving, draw(st.integers(0, 5)))
     return pot, orbit, draw(st.sampled_from(symbols)), draw(st.integers(1, 4))
 
 
@@ -139,7 +139,7 @@ def test_sandwich_holding_with_equality_is_ok_on_the_float_lane():
         from_matrix(symbols, [[1, 1, 0], [0, 0, 1], [1, 0, 0]]), periodic((0,)), ratios, {0: dict.fromkeys(symbols, 0.0)}
     )
     pot = geometric_potential(system).scaled(0)
-    orbit = sample_orbit(system.driving, 0)
+    orbit = DrivingOrbit(system.driving, 0)
     flt = check_sandwich(symbols, pot, orbit, 2, 1)
     assert flt.ok and -SANDWICH_TOL <= flt.worst <= 0.0, flt.inequalities
     for arithmetic in ("fraction", "mpf"):

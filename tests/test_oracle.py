@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rcgdms.driving import sample_orbit
+from rcgdms.driving import DrivingOrbit
 from rcgdms.gibbs import conformal_measures
 from rcgdms.oracle import (
     box_counting,
@@ -17,16 +17,21 @@ from rcgdms.potentials import geometric_potential
 LOG2, LOG3, LOG4 = math.log(2.0), math.log(3.0), math.log(4.0)
 
 
+def bin_of(hist, exponent):
+    """The histogram bin holding an exponent inside its range."""
+    return int(np.searchsorted(hist.bin_edges, exponent, side="right")) - 1
+
+
 # ---------------------------------------------------------------------------
 # level histograms
 # ---------------------------------------------------------------------------
 
 
 def test_twoscale_histogram_central_bin(twoscale):
-    orbit = sample_orbit(twoscale.driving, 0)
+    orbit = DrivingOrbit(twoscale.driving, 0)
     hist = level_histogram(twoscale, orbit, (0, 1), n=20, bins=32)
     assert hist.total == 2 ** 20
-    j = hist.bin_of(1.5 * LOG2)
+    j = bin_of(hist, 1.5 * LOG2)
     # independent combinatorial oracle: words with ten ratio-1/4 symbols
     assert hist.counts[j] == math.comb(20, 10)
     assert hist.bin_exponents[j] == pytest.approx(1.5 * LOG2, abs=1e-9)
@@ -36,14 +41,14 @@ def test_twoscale_histogram_central_bin(twoscale):
 
 
 def test_twoscale_exponent_range(twoscale):
-    orbit = sample_orbit(twoscale.driving, 0)
+    orbit = DrivingOrbit(twoscale.driving, 0)
     hist = level_histogram(twoscale, orbit, (0, 1), n=14)
     assert hist.exponent_min == pytest.approx(LOG2, abs=1e-12)
     assert hist.exponent_max == pytest.approx(LOG4, abs=1e-12)
 
 
 def test_uniform_ratio_single_bin(cantor):
-    orbit = sample_orbit(cantor.driving, 0)
+    orbit = DrivingOrbit(cantor.driving, 0)
     hist = level_histogram(cantor, orbit, (0, 1), n=10)
     assert (hist.counts > 0).sum() == 1
     j = int(np.argmax(hist.counts))
@@ -53,11 +58,11 @@ def test_uniform_ratio_single_bin(cantor):
 
 def test_coarse_dimension_depth_trend(twoscale):
     # finite-depth bias shrinks like log(n)/n toward the true value 2/3
-    orbit = sample_orbit(twoscale.driving, 0)
+    orbit = DrivingOrbit(twoscale.driving, 0)
     values = []
     for n in (10, 16, 22):
         hist = level_histogram(twoscale, orbit, (0, 1), n=n, bins=32)
-        j = hist.bin_of(1.5 * LOG2)
+        j = bin_of(hist, 1.5 * LOG2)
         values.append(hist.coarse_dimensions[j])
     assert values[0] < values[1] < values[2] < 2 / 3
 
@@ -65,10 +70,10 @@ def test_coarse_dimension_depth_trend(twoscale):
 def test_corrected_dimension_central_bin(twoscale):
     # the local-limit term removes the counting bias: the central bin lands on
     # the true level-set dimension 2/3 up to Stirling's O(1/n) remainder
-    orbit = sample_orbit(twoscale.driving, 0)
+    orbit = DrivingOrbit(twoscale.driving, 0)
     hist = level_histogram(twoscale, orbit, (0, 1), n=20, bins=32)
     corrected = corrected_coarse_dimensions(hist)
-    j = hist.bin_of(1.5 * LOG2)
+    j = bin_of(hist, 1.5 * LOG2)
     assert 2 / 3 - hist.coarse_dimensions[j] > 0.08
     assert corrected[j] == pytest.approx(2 / 3, abs=1e-3)
     # the extreme words (q = 0 and q = 1) sit outside the correction's domain
@@ -76,22 +81,22 @@ def test_corrected_dimension_central_bin(twoscale):
 
 
 def test_corrected_dimension_rules(cantor, paper):
-    orbit = sample_orbit(cantor.driving, 0)
+    orbit = DrivingOrbit(cantor.driving, 0)
     # degenerate exponent range: no correction
     assert corrected_coarse_dimensions(level_histogram(cantor, orbit, (0, 1), n=8)) is None
     # more than two symbols: no correction
-    orbit = sample_orbit(paper.driving, 0)
+    orbit = DrivingOrbit(paper.driving, 0)
     assert corrected_coarse_dimensions(level_histogram(paper, orbit, (1, 2, 3), n=4)) is None
 
 
 def test_histogram_budget_guard(paper):
-    orbit = sample_orbit(paper.driving, 0)
+    orbit = DrivingOrbit(paper.driving, 0)
     with pytest.raises(ValueError, match="budget"):
         level_histogram(paper, orbit, tuple(range(1, 101)), n=6)
 
 
 def test_histogram_incidence_constrained(golden):
-    orbit = sample_orbit(golden.driving, 0)
+    orbit = DrivingOrbit(golden.driving, 0)
     hist = level_histogram(golden, orbit, (0, 1), n=12)
     from rcgdms.shift import count_words
 
@@ -106,7 +111,7 @@ def test_histogram_incidence_constrained(golden):
 
 
 def test_box_counting_cantor(cantor):
-    orbit = sample_orbit(cantor.driving, 0)
+    orbit = DrivingOrbit(cantor.driving, 0)
     sample = sample_limit_set(cantor, orbit, depth=10)
     scales = [3.0 ** -j for j in range(2, 8)]
     est = box_counting(sample, scales)
@@ -115,7 +120,7 @@ def test_box_counting_cantor(cantor):
 
 
 def test_box_counting_shrunk_below_root(cantor_shrunk):
-    orbit = sample_orbit(cantor_shrunk.driving, 0)
+    orbit = DrivingOrbit(cantor_shrunk.driving, 0)
     sample = sample_limit_set(cantor_shrunk, orbit, depth=10)
     scales = [0.3 ** j for j in range(2, 8)]
     est = box_counting(sample, scales)
@@ -135,7 +140,7 @@ def test_box_counting_full_interval():
 
 
 def test_box_counting_scale_validation(cantor):
-    orbit = sample_orbit(cantor.driving, 0)
+    orbit = DrivingOrbit(cantor.driving, 0)
     sample = sample_limit_set(cantor, orbit, depth=4)
     with pytest.raises(ValueError, match="three scales"):
         box_counting(sample, [0.1, 0.01])
@@ -155,7 +160,7 @@ def test_box_counting_scale_validation(cantor):
 def test_local_dimension_shrunk_cantor(cantor_shrunk):
     s_star = LOG2 / math.log(10 / 3)
     zeta = geometric_potential(cantor_shrunk).scaled(s_star)
-    orbit = sample_orbit(cantor_shrunk.driving, 0)
+    orbit = DrivingOrbit(cantor_shrunk.driving, 0)
     measures, _ = conformal_measures((0, 1), zeta, orbit, depth=10)
     samples = local_dimension_samples(
         cantor_shrunk, orbit, measures[0], [(0, 1, 0, 1, 0, 1, 0, 1, 0, 1)]
@@ -170,7 +175,7 @@ def test_local_dimension_shrunk_cantor(cantor_shrunk):
 
 def test_local_dimension_requires_positive_margin(cantor):
     zeta = geometric_potential(cantor).scaled(LOG2 / LOG3)
-    orbit = sample_orbit(cantor.driving, 0)
+    orbit = DrivingOrbit(cantor.driving, 0)
     measures, _ = conformal_measures((0, 1), zeta, orbit, depth=3)
     with pytest.raises(ValueError, match="margin"):
         local_dimension_samples(cantor, orbit, measures[0], [(0, 1, 0)])
@@ -181,7 +186,7 @@ def test_local_dimension_near_tiling():
     # dimension near one times the packing exponent
     from fractions import Fraction
 
-    from rcgdms.driving import deterministic
+    from rcgdms.driving import DrivingOrbit, deterministic
     from rcgdms.gdms import similarity_system
     from rcgdms.shift import full_shift
 
@@ -193,7 +198,7 @@ def test_local_dimension_near_tiling():
     )
     s_star = LOG2 / math.log(100 / 45)
     zeta = geometric_potential(system).scaled(s_star)
-    orbit = sample_orbit(system.driving, 0)
+    orbit = DrivingOrbit(system.driving, 0)
     measures, _ = conformal_measures((0, 1), zeta, orbit, depth=10)
     samples = local_dimension_samples(system, orbit, measures[0], [(0, 1) * 5])
     s = samples[0]
@@ -206,7 +211,7 @@ def test_local_dimension_near_tiling():
 def test_local_dimension_depth_one_bracket(cantor_shrunk):
     s = 0.5
     zeta = geometric_potential(cantor_shrunk).scaled(s)
-    orbit = sample_orbit(cantor_shrunk.driving, 0)
+    orbit = DrivingOrbit(cantor_shrunk.driving, 0)
     measures, _ = conformal_measures((0, 1), zeta, orbit, depth=2)
     samples = local_dimension_samples(cantor_shrunk, orbit, measures[0], [(0, 1)])
     ratio = samples[0].markov_ratios[0]

@@ -3,16 +3,15 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from words import birkhoff, value, weight_fn
+from words import birkhoff, value, weight_fn, zero_potential
 
-from rcgdms.driving import sample_orbit
+from rcgdms.driving import DrivingOrbit
 from rcgdms.gdms import build_paper_example
 from rcgdms.potentials import (
     float_log,
     geometric_potential,
     s_infinity,
     summability,
-    zero_potential,
 )
 from rcgdms.thermo import _connector_bound, _lane
 
@@ -22,7 +21,7 @@ LOG3 = math.log(3.0)
 
 def test_cantor_birkhoff_sum_on_cylinder(cantor):
     zeta = geometric_potential(cantor)
-    orbit = sample_orbit(cantor.driving, 0)
+    orbit = DrivingOrbit(cantor.driving, 0)
     hi, lo = birkhoff(zeta, orbit, 0, (0, 1)), float_log(exact_product(zeta, orbit, (0, 1)))
     assert hi == pytest.approx(lo, abs=1e-15)
     assert hi == pytest.approx(2 * math.log(1 / 3), abs=1e-14)
@@ -122,7 +121,7 @@ def test_first_symbol_potential_has_no_distortion(cantor):
     # constant on 1-cylinders: the Birkhoff sum of every cylinder, read from
     # the float rows, is the log of its exact weight
     zeta = geometric_potential(cantor)
-    orbit = sample_orbit(cantor.driving, 0)
+    orbit = DrivingOrbit(cantor.driving, 0)
     for word in ((0,), (0, 1, 1), (1, 0, 1, 0, 0)):
         hi, lo = birkhoff(zeta, orbit, 0, word), float_log(exact_product(zeta, orbit, word))
         assert hi == pytest.approx(lo, abs=1e-14)

@@ -14,7 +14,6 @@ from rcgdms.shift import (
     GeometricTail,
     build_ladder,
     count_words,
-    cylinder_contains,
     find_primitivity,
     from_matrix,
     full_shift,
@@ -76,14 +75,6 @@ def test_enumerated_words_are_admissible():
     sym = from_matrix((0, 1, 2), [[1, 1, 0], [0, 0, 1], [1, 0, 0]])
     for w in enumerate_words(sym, (0, 1, 2), 5):
         assert sym.is_admissible(w)
-        assert cylinder_contains(w, w[:3])
-
-
-def test_cylinder_contains():
-    assert cylinder_contains((0, 1), (0,))
-    assert not cylinder_contains((0, 1), (1,))
-    assert cylinder_contains((0, 1, 0), (0, 1))
-    assert cylinder_contains((0, 1), ())
 
 
 def test_primitivity_full_shift():
@@ -209,16 +200,16 @@ def test_ladder_lowest_index_fill():
     sym = full_shift(range(1, 101))
     witness = PrimitivityWitness(order=1, connectors=((1,),))
     ladder = build_ladder(sym, (2, 4), witness)
-    assert ladder.rungs == ((1, 2), (1, 2, 3, 4))
+    assert ladder == ((1, 2), (1, 2, 3, 4))
     # connectors past the lowest symbols are kept, and the fill skips them
     witness = PrimitivityWitness(order=2, connectors=((7, 5),))
-    assert build_ladder(sym, (2, 4, 6), witness).rungs == ((5, 7), (1, 2, 5, 7), (1, 2, 3, 4, 5, 7))
+    assert build_ladder(sym, (2, 4, 6), witness) == ((5, 7), (1, 2, 5, 7), (1, 2, 3, 4, 5, 7))
 
 
 def test_ladder_single_rung_full_shift():
     sym = full_shift((0, 1))
     ladder = build_ladder(sym, (2,), find_primitivity(sym, (0, 1), 2))
-    assert ladder.rungs == ((0, 1),)
+    assert ladder == ((0, 1),)
 
 
 def test_ladder_cutoff_violation():
@@ -230,7 +221,7 @@ def test_ladder_cutoff_violation():
 def test_ladder_rungs_ascend():
     sym = full_shift(range(1, 101))
     ladder = build_ladder(sym, (3, 9, 27))
-    for small, big in zip(ladder.rungs, ladder.rungs[1:]):
+    for small, big in zip(ladder, ladder[1:]):
         assert set(small) < set(big)
 
 

@@ -57,8 +57,8 @@ def test_cantor_curve_affine(cantor_curve):
 
 
 def test_twoscale_curve_values(twoscale_curve):
-    assert twoscale_curve.pressure_at(0.0) == pytest.approx(LOG2, abs=1e-12)
-    assert twoscale_curve.pressure_at(1.0) == pytest.approx(math.log(0.75), abs=1e-12)
+    assert twoscale_curve.evaluator(0.0) == pytest.approx(LOG2, abs=1e-12)
+    assert twoscale_curve.evaluator(1.0) == pytest.approx(math.log(0.75), abs=1e-12)
 
 
 def test_convex_hull_repair_flattens_noise():
@@ -73,15 +73,15 @@ def test_convex_hull_repair_flattens_noise():
 
 
 def test_bowen_roots(cantor_curve, twoscale_curve, period2):
-    assert bowen_dimension(cantor_curve.pressure_at, cantor_curve.s_infinity) == pytest.approx(LOG2 / LOG3, abs=1e-6)
-    assert bowen_dimension(twoscale_curve.pressure_at, twoscale_curve.s_infinity) == pytest.approx(GOLDEN_RATIO_ROOT, abs=1e-6)
+    assert bowen_dimension(cantor_curve.evaluator, cantor_curve.s_infinity) == pytest.approx(LOG2 / LOG3, abs=1e-6)
+    assert bowen_dimension(twoscale_curve.evaluator, twoscale_curve.s_infinity) == pytest.approx(GOLDEN_RATIO_ROOT, abs=1e-6)
     curve = _exact_curve(period2, np.linspace(-1, 3, 17), (1.5 * LOG2, 1.5 * LOG2))
-    assert bowen_dimension(curve.pressure_at, curve.s_infinity) == pytest.approx(2 / 3, abs=1e-6)
+    assert bowen_dimension(curve.evaluator, curve.s_infinity) == pytest.approx(2 / 3, abs=1e-6)
 
 
 def test_bowen_root_pressure_residual(twoscale_curve):
-    s_star = bowen_dimension(twoscale_curve.pressure_at, twoscale_curve.s_infinity)
-    assert abs(twoscale_curve.pressure_at(s_star)) <= 1e-8
+    s_star = bowen_dimension(twoscale_curve.evaluator, twoscale_curve.s_infinity)
+    assert abs(twoscale_curve.evaluator(s_star)) <= 1e-8
 
 
 def test_bowen_zero_when_pressure_nonpositive(twoscale):
@@ -91,7 +91,7 @@ def test_bowen_zero_when_pressure_nonpositive(twoscale):
         return pressure(None, zeta.scaled(s)).value - 2.0
 
     curve = pressure_curve(shifted, np.linspace(0, 4, 9), exponent_hull=(LOG2, LOG4))
-    assert bowen_dimension(curve.pressure_at, curve.s_infinity) == 0.0
+    assert bowen_dimension(curve.evaluator, curve.s_infinity) == 0.0
 
 
 def test_paper_pressure_below_minus_log2(paper):
@@ -102,8 +102,8 @@ def test_paper_pressure_below_minus_log2(paper):
 
     curve = pressure_curve(evaluate, np.linspace(0.05, 1.5, 30), s_infinity=0.0,
                            exponent_hull=(2 * LOG2, math.inf))
-    assert curve.pressure_at(1.0) <= -LOG2
-    s_star = bowen_dimension(curve.pressure_at, curve.s_infinity)
+    assert curve.evaluator(1.0) <= -LOG2
+    s_star = bowen_dimension(curve.evaluator, curve.s_infinity)
     assert 0.0 < s_star < 1.0
 
 
@@ -171,7 +171,7 @@ def test_spectrum_values_decrease_toward_endpoint(twoscale_curve):
 
 
 def test_max_spectrum_equals_bowen(twoscale_curve):
-    s_star = bowen_dimension(twoscale_curve.pressure_at, twoscale_curve.s_infinity)
+    s_star = bowen_dimension(twoscale_curve.evaluator, twoscale_curve.s_infinity)
     betas = np.linspace(LOG2 + 1e-4, LOG4 - 1e-4, 401)
     result = legendre_spectrum(twoscale_curve, betas)
     assert result.max_value == pytest.approx(s_star, abs=2e-3)
@@ -205,7 +205,7 @@ def test_tq_slope_negative(twoscale_curve):
         assert slope < 0
         # implicit-function identity: slope == p(0) / p'(T(q))
         t = tq.t_at(q)
-        p_slope = (twoscale_curve.pressure_at(t + h) - twoscale_curve.pressure_at(t - h)) / (2 * h)
+        p_slope = (twoscale_curve.evaluator(t + h) - twoscale_curve.evaluator(t - h)) / (2 * h)
         assert slope == pytest.approx(tq.p_zero / p_slope, rel=1e-3)
 
 
@@ -259,7 +259,7 @@ def test_slope_root_matches_similarity_closed_forms(ratios, s):
     result = legendre_spectrum(curve, [beta])
     assert result.flags == ("interior",)
     assert abs(result.values[0] - (s + p / beta)) <= 1e-10
-    assert abs(bowen_dimension(curve.pressure_at, curve.s_infinity) - _moran_root([float(Fraction(r)) for r in ratios])) <= 1e-10
+    assert abs(bowen_dimension(curve.evaluator, curve.s_infinity) - _moran_root([float(Fraction(r)) for r in ratios])) <= 1e-10
 
 
 @pytest.mark.parametrize("beta", [2.5, 5.0, 20.0, 200.0])
@@ -300,7 +300,7 @@ def test_analytic_slope_keeps_the_spectrum():
     assert estimate(1.0, slope=True).slope is not None
     plain = pressure_curve(lambda s: estimate(s).value, np.linspace(-3, 5, 17))
     analytic = replace(plain, slope=lambda s: estimate(s, slope=True).slope)
-    betas = np.linspace(*plain.validity_interval, 12)
+    betas = np.linspace(plain.exponent_lo, plain.exponent_hi, 12)
     want, got = legendre_spectrum(plain, betas), legendre_spectrum(analytic, betas)
     assert got.flags == want.flags and got.flags.count("interior") == 10
     interior = np.array(got.flags) == "interior"

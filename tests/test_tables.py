@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
-from words import value
+from words import block_log_moment, value
 
 from rcgdms.driving import bernoulli, periodic
 from rcgdms.gdms import BlockTailExample
@@ -273,7 +273,7 @@ def test_paper_full_alphabet_bounds_match_reference(paper, s):
     tail = BlockTailExample(len(paper.symbolic.edges))
     for state in (1, 2, 5, 17, 31):
         want = ref_lse(
-            [value(zeta, state, e) for e in paper.symbolic.edges] + [tail.log_moment(s, state)]
+            [value(zeta, state, e) for e in paper.symbolic.edges] + [block_log_moment(tail, s, state)]
         )
         hi, lo = zeta.unit_transfer_bounds(state, None)
         assert hi == lo

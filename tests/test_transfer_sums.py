@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from words import value
 
-from rcgdms.driving import bernoulli, sample_orbit
+from rcgdms.driving import DrivingOrbit, bernoulli
 from rcgdms.potentials import FirstSymbolPotential
 from rcgdms.shift import PrimitivityWitness, from_matrix
 from rcgdms.thermo import check_sandwich, partition_sums
@@ -87,7 +87,7 @@ def cases(draw):
         exact_row=lambda state: np.array([table[state][e] for e in symbols], dtype=object),
         driving=bernoulli(states, [1.0] * len(states)),
     ).scaled(draw(st.sampled_from((-1, 0, 1, 2))))
-    orbit = sample_orbit(potential.driving, draw(st.integers(0, 5)))
+    orbit = DrivingOrbit(potential.driving, draw(st.integers(0, 5)))
     return potential, orbit, draw(st.sampled_from(symbols)), draw(st.integers(1, 7)), draw(st.integers(-8, 8))
 
 
@@ -128,7 +128,7 @@ def test_cylinder_constant_sums_enumerate_no_words(golden):
         exact_row=lambda state: np.array([Fraction(1, 2), Fraction(1, 3)], dtype=object),
         driving=golden.driving,
     )
-    orbit = sample_orbit(pot.driving, 0)
+    orbit = DrivingOrbit(pot.driving, 0)
     witness = PrimitivityWitness(order=1, connectors=((0,),))
     for arithmetic in ("float", "fraction", "mpf"):
         ps = partition_sums((0, 1), pot, orbit, 0, 9, arithmetic=arithmetic)

@@ -58,7 +58,6 @@ from .spectrum import (
     SpectrumResult,
     TemperatureCurve,
     bowen_dimension,
-    cofinite_regularity,
     legendre_spectrum,
     pressure_curve,
     tq_analysis,

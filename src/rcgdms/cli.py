@@ -27,19 +27,14 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import gdms as gdms_mod
-from .config import FLAGS, ConfigError, RunConfig, load_config
+from .config import FLAGS, ConfigError, RunConfig, check_rungs, load_config
 from .driving import DrivingOrbit, orbit_family
 from .gdms import sample_limit_set
 from .gibbs import conformal_measures
 from .oracle import box_counting, corrected_coarse_dimensions, level_histogram
 from .potentials import geometric_potential, s_infinity
 from .shift import PrimitivityWitness, build_ladder, count_words, find_primitivity, verify_primitivity
-from .spectrum import (
-    bowen_dimension,
-    cofinite_regularity,
-    legendre_spectrum,
-    pressure_curve,
-)
+from .spectrum import bowen_dimension, legendre_spectrum, pressure_curve
 from .thermo import check_gibbs, check_sandwich, pressure, pressure_compact_approx
 
 
@@ -107,11 +102,12 @@ def _witness(run: RunConfig, symbols) -> PrimitivityWitness:
     return w
 
 
-def _exponent_hull(sysm) -> tuple[float, float]:
-    """min and max of -log|phi'| over the edges and support states; the max
-    is +inf on a countable alphabet."""
-    block = np.array([sysm.log_ratios(st) for st in sysm.driving.state_support()])
-    hi = math.inf if sysm.symbolic.tail is not None else -block.min().item()
+def _exponent_hull(potential) -> tuple[float, float]:
+    """min and max of -row(state) over the materialized edges and the support
+    states: every Birkhoff average of -row lies between them.  The max is
+    +inf when the potential has a tail."""
+    block = np.array([potential.log_weights(st) for st in potential.driving.state_support()])
+    hi = math.inf if potential.system.tail is not None else -block.min().item()
     return (-block.max().item(), hi)
 
 
@@ -135,7 +131,7 @@ def _curve(run: RunConfig, symbols=None):
     grid = [s for s in run.analysis.s_grid() if s > s_inf]
     if not grid:
         raise ConfigError("the whole s grid sits at or below the summability threshold")
-    curve = pressure_curve(evaluate, grid, s_infinity=s_inf, exponent_hull=_exponent_hull(sysm))
+    curve = pressure_curve(evaluate, grid, _exponent_hull(zeta), s_infinity=s_inf)
     # only the exact-spectral route returns p'(s); the others keep the central difference
     return replace(curve, slope=slope) if routes == {"exact-spectral"} else curve
 
@@ -201,7 +197,7 @@ def cmd_dimension(run: RunConfig) -> int:
     curve = _curve(run)
     s_star = bowen_dimension(curve.evaluator, curve.s_infinity)
     _write_curve_csv(run, curve)
-    regularity = cofinite_regularity(run.potential)
+    tail = run.potential.tail
     payload = {
         "s_star": s_star,
         "s_infinity": curve.s_infinity,
@@ -209,8 +205,8 @@ def cmd_dimension(run: RunConfig) -> int:
             "minus_p_prime_at_infinity": curve.exponent_lo,
             "minus_p_prime_at_s_infinity": curve.exponent_hi,
         },
-        "cofinitely_regular": regularity.cofinitely_regular,
-        "regularity_applicable": regularity.applicable,
+        "cofinitely_regular": tail is None or tail.cofinitely_regular,
+        "regularity_applicable": tail is not None,
         "pressure_at_s_star": curve.evaluator(s_star),
     }
     _write_json(run.out_dir / "dimension.json", payload)
@@ -309,7 +305,10 @@ def _verify_checks(run: RunConfig) -> list[dict]:
         {"name": "gibbs", "ok": gibbs.ok, "detail": f"{gibbs.checked} cylinders, worst dev {gibbs.worst_ratio_deviation:.3e}"}
     )
 
-    curve = _curve(run)
+    # the limit set, its box count and its level sets are the maps', so the
+    # checks against them read the maps' own (geometric) pressure
+    maps_run = replace(run, potential=geometric_potential(sysm))
+    curve = _curve(maps_run)
     s_star = bowen_dimension(curve.evaluator, curve.s_infinity)
 
     depth = max(9, run.analysis.depth)
@@ -345,7 +344,7 @@ def _verify_checks(run: RunConfig) -> list[dict]:
         # the histogram covers the working symbols, so on a countable alphabet
         # its spectrum is theirs, not the whole alphabet's
         if sysm.symbolic.tail is not None:
-            curve = _curve(run, symbols)
+            curve = _curve(maps_run, symbols)
         worst = 0.0
         for j in range(len(hist.counts)):
             if hist.counts[j] < 100 or math.isnan(corrected[j]):
@@ -372,10 +371,7 @@ def cmd_verify(run: RunConfig) -> int:
 
 
 def cmd_example_paper(run: RunConfig) -> int:
-    sysm = run.system
-    if sysm.name != "paper-example":
-        sysm = gdms_mod.build_paper_example()
-    zeta = geometric_potential(sysm)
+    sysm, zeta = run.system, run.potential
 
     p1 = pressure(None, zeta.scaled(1.0)).value
     ru = {}
@@ -388,7 +384,6 @@ def cmd_example_paper(run: RunConfig) -> int:
     compact = pressure_compact_approx(ladder, zeta.scaled(1.0))
     s_star = bowen_dimension(lambda s: pressure(None, zeta.scaled(s)).value, 0.0)
     s_inf = s_infinity(zeta)
-    regular = cofinite_regularity(zeta)
 
     verdicts = {
         "pressure_at_1_below_minus_log2": p1 <= -math.log(2) + 1e-6,
@@ -396,7 +391,7 @@ def cmd_example_paper(run: RunConfig) -> int:
         "m_ru_divergent_below_1": all(ru[k] == "divergent" for k in ("0.25", "0.5", "0.75")),
         "dimension_below_one": s_star < 1.0,
         "rungs_below_minus_log2": all(v <= -math.log(2) + 1e-9 for v in compact.rung_values),
-        "cofinitely_regular": regular.cofinitely_regular,
+        "cofinitely_regular": zeta.tail.cofinitely_regular,
     }
     payload = {
         "pressure_at_1": p1,
@@ -451,6 +446,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     flags = {field: getattr(args, field) for field in FLAGS}
     try:  # load_config raises nothing but ConfigError
         run = load_config(args.config, seed=args.seed, workers=args.workers, out_dir=args.out, flags=flags)
+        if args.command == "example-paper" and run.system.name != "paper-example":
+            paper = gdms_mod.build_paper_example()  # the system example-paper analyses under any config
+            run = replace(run, system=paper, potential=geometric_potential(paper))
+        check_rungs(run, flags)
         run.out_dir.mkdir(parents=True, exist_ok=True)
         code = COMMANDS[args.command](run)
     except ConfigError as exc:

@@ -202,10 +202,9 @@ def _build_potential(block, system: RCGDMS) -> FirstSymbolPotential:
     return table_potential(symbolic, table, driving=driving)
 
 
-def _build_analysis(block, flags: dict, edges: int) -> Analysis:
+def _build_analysis(block, flags: dict) -> Analysis:
     """The analysis block with the flags given ({field: text or None})
-    merged in, each field checked for its type and minimum, and no rung
-    larger than the `edges` materialized edges."""
+    merged in, each field checked for its type and minimum."""
     _require(isinstance(block, dict), "analysis", "object required")
     block, where = dict(block), {key: f"analysis.{key}" for key in block}
     for key, text in flags.items():
@@ -227,12 +226,20 @@ def _build_analysis(block, flags: dict, edges: int) -> Analysis:
         else:
             fields[key] = _typed(value, where[key], kind, minimum)
     a = Analysis(**fields)
-    if a.rungs:
-        _require(a.rungs[-1] <= edges, where["rungs"], f"rung size {a.rungs[-1]} exceeds the {edges} materialized edges")
     _require(a.s_min < a.s_max, where.get("s_min", "analysis.s_min"), "grid must be increasing")
     if a.beta_min is not None and a.beta_max is not None:
         _require(a.beta_min < a.beta_max, where.get("beta_min", "analysis.beta_min"), "grid must be increasing")
     return a
+
+
+def check_rungs(run: RunConfig, flags: dict) -> None:
+    """Refuse a rung larger than the materialized edges of run.system, the
+    alphabet the run's ladder is built from, naming --rungs when `flags`
+    set the rungs."""
+    edges = len(run.system.symbolic.edges)
+    if run.analysis.rungs:
+        where = "--rungs" if flags.get("rungs") is not None else "analysis.rungs"
+        _require(run.analysis.rungs[-1] <= edges, where, f"rung size {run.analysis.rungs[-1]} exceeds the {edges} materialized edges")
 
 
 def load_config(
@@ -263,7 +270,7 @@ def load_config(
         _require(isinstance(name, str), "name", "string required")
         return RunConfig(
             system=system,
-            analysis=_build_analysis(cfg.get("analysis", {}), flags or {}, len(system.symbolic.edges)),
+            analysis=_build_analysis(cfg.get("analysis", {}), flags or {}),
             potential=_build_potential(cfg.get("potential"), system),
             out_dir=Path(out_dir or output.get("dir", "out")),
             seed=_typed(cfg.get("seed", 0) if seed is None else seed, "seed", int),

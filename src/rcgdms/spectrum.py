@@ -11,12 +11,6 @@ alpha + T'(q) = alpha + p(0)/p'(T(q)) = 0.  Both read p' from
 `PressureCurve.slope_at`: the route's analytic slope where the curve carries
 one and it is certified (the exact-spectral route), else a central difference
 of the evaluator.
-
-Exponent-interval endpoints are estimated from secant slopes at the grid
-edges, widened by the analytic per-edge exponent hull when the instance
-provides one; the validity interval is reported conservatively and endpoint
-values are flagged as limit reports, distinct from the open interval
-on which the transform formula is exact.
 """
 
 from __future__ import annotations
@@ -93,8 +87,8 @@ class PressureCurve:
     raw_values: np.ndarray
     values: np.ndarray  # repaired
     s_infinity: float
-    exponent_lo: float  # conservative -p'(+inf): least admissible exponent
-    exponent_hi: float  # conservative -p'(s_infinity): largest admissible exponent
+    exponent_lo: float  # at most -p'(+inf), the least admissible exponent
+    exponent_hi: float  # at least -p'(s_infinity), the largest admissible exponent
     evaluator: Callable[[float], float]
     repair_correction: float = 0.0
     slope: Optional[Callable[[float], Optional[float]]] = None  # analytic p'(s); None where uncertified
@@ -109,14 +103,14 @@ class PressureCurve:
 def pressure_curve(
     evaluate: Callable[[float], float],
     s_grid: Sequence[float],
+    exponent_interval: tuple[float, float],
     s_infinity: float = -math.inf,
-    exponent_hull: Optional[tuple[float, float]] = None,
 ) -> PressureCurve:
-    """Assemble a curve from a pressure evaluator over a grid.
+    """Assemble a curve from a pressure evaluator over a grid, with the
+    interval of exponents [exponent_lo, exponent_hi] the caller gives.
 
-    The evaluator returns +inf below the summability threshold.  Derivative
-    endpoints come from the outermost finite secants, widened by the analytic
-    exponent hull when given; the all-infinite grid is rejected.
+    The evaluator returns +inf below the summability threshold; the
+    all-infinite grid is rejected.
     """
     s = np.asarray(sorted(s_grid), dtype=float)
     raw = np.array([evaluate(x) for x in s])
@@ -124,23 +118,15 @@ def pressure_curve(
         raise ValueError("pressure is infinite on the whole grid; extend it above the threshold")
     repaired = lower_convex_hull(s, raw)
     finite = np.isfinite(repaired)
-    correction = float(np.max(np.abs(repaired[finite] - raw[finite])))
-    sf, vf = s[finite], repaired[finite]
-    slope_right = (vf[-1] - vf[-2]) / (sf[-1] - sf[-2]) if len(sf) >= 2 else -1.0
-    slope_left = (vf[1] - vf[0]) / (sf[1] - sf[0]) if len(sf) >= 2 else -1.0
-    lo, hi = -slope_right, -slope_left
-    if exponent_hull is not None:
-        lo = min(lo, exponent_hull[0])
-        hi = max(hi, exponent_hull[1])
     return PressureCurve(
         s_grid=s,
         raw_values=raw,
         values=repaired,
         s_infinity=s_infinity,
-        exponent_lo=lo,
-        exponent_hi=hi,
+        exponent_lo=exponent_interval[0],
+        exponent_hi=exponent_interval[1],
         evaluator=evaluate,
-        repair_correction=correction,
+        repair_correction=float(np.max(np.abs(repaired[finite] - raw[finite]))),
     )
 
 
@@ -162,25 +148,6 @@ def bowen_dimension(p: Callable[[float], float], s_infinity: float) -> float:
         p_hi = p(hi)
     lo = max(0.0, s_infinity + 1e-12)  # above the threshold, where p = +inf
     return _root(p, lo, hi, p_zero if lo == 0.0 else p(lo), p_hi)
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    applicable: bool
-    s_infinity: float
-    cofinitely_regular: bool
-
-
-def cofinite_regularity(potential) -> RegularityReport:
-    """Whether the pressure is +inf at the summability threshold, as the
-    potential's tail declares it (tail.cofinitely_regular).  Finite
-    alphabets are vacuous (threshold -inf)."""
-    from .potentials import s_infinity as _s_inf
-
-    if potential.system.tail is None:
-        return RegularityReport(applicable=False, s_infinity=-math.inf, cofinitely_regular=True)
-    s_inf = _s_inf(potential)
-    return RegularityReport(applicable=True, s_infinity=s_inf, cofinitely_regular=potential.tail.cofinitely_regular)
 
 
 @dataclass(frozen=True)
@@ -234,7 +201,7 @@ def _transform_at(curve: PressureCurve, beta: float) -> float:
 def legendre_spectrum(curve: PressureCurve, beta_grid: Sequence[float]) -> SpectrumResult:
     """Lyapunov spectrum values l(beta) = (1/beta) inf_s {beta s + p(s)}.
 
-    Betas outside the conservative validity interval are clipped (flag
+    Betas outside the curve's exponent interval are clipped (flag
     "clipped"); betas within one grid cell of an interval edge are flagged
     "endpoint" and their values are limit reports rather than interior
     transform values.  Betas must be positive."""

@@ -75,7 +75,7 @@ def _exact_curve(system, s_grid, hull, s_inf=-math.inf):
             return math.inf
         return pressure(None, zeta.scaled(s)).value
 
-    return pressure_curve(evaluate, s_grid, s_infinity=s_inf, exponent_hull=hull)
+    return pressure_curve(evaluate, s_grid, hull, s_infinity=s_inf)
 
 
 @pytest.fixture(scope="module")

@@ -10,17 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from words import ratio_of
+from words import birkhoff, enumerate_words, ratio_of, value
 
 import rcgdms
 import rcgdms.shift
 from rcgdms import config
-from rcgdms.cli import _exponent_hull, _write_csv, main
-from rcgdms.config import ConfigError, load_config
-from rcgdms.driving import periodic
+from rcgdms.cli import _curve, _exponent_hull, _write_csv, main
+from rcgdms.config import Analysis, ConfigError, RunConfig, load_config
+from rcgdms.driving import DrivingOrbit, bernoulli, deterministic, periodic
 from rcgdms.gdms import BlockTailExample, similarity_system
-from rcgdms.potentials import geometric_potential
-from rcgdms.shift import full_shift
+from rcgdms.potentials import geometric_potential, table_potential
+from rcgdms.shift import from_matrix, full_shift
 from rcgdms.thermo import _connector_bound, _lane
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -459,7 +459,7 @@ def test_exponent_hull_and_connector_bound_match_the_ratio_table(data):
     ratios = {s: {e: data.draw(ratio) for e in edges} for s in states}
     sysm = similarity_system(full_shift(edges), periodic(states), ratios, {s: dict.fromkeys(edges, 0.0) for s in states})
     exponents = [-math.log(ratio_of(sysm, e, s)) for s in states for e in edges]
-    assert _exponent_hull(sysm) == (min(exponents), max(exponents))
+    assert _exponent_hull(geometric_potential(sysm)) == (min(exponents), max(exponents))
     symbols = sorted(data.draw(st.sets(st.sampled_from(edges), min_size=1)))
     scale = data.draw(st.floats(-4.0, 4.0, allow_nan=False))
     want = max(abs(scale * -math.log(ratio_of(sysm, e, s))) for s in states for e in symbols)
@@ -468,8 +468,76 @@ def test_exponent_hull_and_connector_bound_match_the_ratio_table(data):
 
 
 def test_countable_exponent_hulls(paper, pure_tail):
-    assert _exponent_hull(paper) == (2 * math.log(2.0), math.inf)
-    assert _exponent_hull(pure_tail) == (3 * math.log(2.0), math.inf)
+    assert _exponent_hull(geometric_potential(paper)) == (2 * math.log(2.0), math.inf)
+    assert _exponent_hull(geometric_potential(pure_tail)) == (3 * math.log(2.0), math.inf)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_curve_interval_is_the_hull_of_the_sampled_rows(data):
+    """On small random systems (full or matrix incidence; deterministic,
+    periodic or Bernoulli driving; geometric or table potentials) the curve's
+    exponent interval is the min and max of -row over the edges and support
+    states, so each end is some edge's at some state, and every Birkhoff
+    average of -row over admissible words up to length 6 lies in it."""
+    edges = tuple(range(data.draw(st.integers(1, 3))))
+    if data.draw(st.booleans()):
+        symbolic = full_shift(edges)
+    else:  # the diagonal and a cycle keep the drawn matrix primitive
+        drawn = data.draw(st.lists(st.integers(0, 1), min_size=len(edges) ** 2, max_size=len(edges) ** 2))
+        n = len(edges)
+        symbolic = from_matrix(edges, [[int(drawn[n * i + j] or j in (i, (i + 1) % n)) for j in edges] for i in edges])
+    kind = data.draw(st.sampled_from(["deterministic", "periodic", "bernoulli"]))
+    states = (0,) if kind == "deterministic" else tuple(range(data.draw(st.integers(2, 3))))
+    if kind == "bernoulli":
+        weights = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=len(states), max_size=len(states)).filter(any))
+        driving = bernoulli(states, weights)
+    else:
+        driving = deterministic(0) if kind == "deterministic" else periodic(states)
+    ratio = st.integers(1, 999).map(lambda k: Fraction(k, 1000))
+    ratios = {s: {e: data.draw(ratio) for e in edges} for s in states}
+    sysm = similarity_system(symbolic, driving, ratios, {s: dict.fromkeys(edges, 0.0) for s in states})
+    if data.draw(st.booleans()):
+        zeta = geometric_potential(sysm)
+    else:
+        table = {s: {e: data.draw(st.floats(-5.0, -0.01)) for e in edges} for s in states}
+        zeta = table_potential(symbolic, table, driving=driving)
+    run = RunConfig(system=sysm, analysis=Analysis(s_min=0.0, s_max=1.0, s_steps=3), potential=zeta, out_dir=Path("out"))
+    curve = _curve(run)
+    values = [-value(zeta, state, e) for state in driving.state_support() for e in edges]
+    assert (curve.exponent_lo, curve.exponent_hi) == (min(values), max(values))
+    assert {curve.exponent_lo, curve.exponent_hi} <= set(values)  # each end is reached
+    orbit = DrivingOrbit(driving, 0)
+    for n in range(1, 7):
+        for word in enumerate_words(symbolic, edges, n):
+            average = -birkhoff(zeta, orbit, 0, word) / n
+            assert curve.exponent_lo - 1e-12 <= average <= curve.exponent_hi + 1e-12
+
+
+TABLE_CONFIG = {
+    "system": {"preset": "twoscale"},
+    "potential": {"type": "custom-first-symbol", "table": {"0": {"0": -0.5, "1": -1.5}}},
+}
+
+
+def test_table_potential_reads_its_own_exponent_interval(tmp_path):
+    # the table's -0.5 and -1.5, not the twoscale maps' log 2 and log 4
+    cfg = tmp_path / "table.json"
+    cfg.write_text(json.dumps(TABLE_CONFIG))
+    assert run_cli("dimension", "--config", cfg, "--out", tmp_path / "d") == 0
+    ends = json.loads((tmp_path / "d" / "dimension.json").read_text())["p_prime_endpoints"]
+    assert (ends["minus_p_prime_at_infinity"], ends["minus_p_prime_at_s_infinity"]) == (0.5, 1.5)
+    assert run_cli("spectrum", "--config", cfg, "--out", tmp_path / "s") == 0
+    assert json.loads((tmp_path / "s" / "spectrum.json").read_text())["validity_interval"] == [0.5, 1.5]
+
+
+def test_verify_checks_the_maps_under_a_table_potential(tmp_path, capsys):
+    # the box count and the level-set histogram are the maps', so they are
+    # compared with the maps' pressure: twoscale's root is log2 of the golden ratio
+    cfg = tmp_path / "table.json"
+    cfg.write_text(json.dumps(TABLE_CONFIG))
+    assert run_cli("verify", "--config", cfg, "--out", tmp_path / "v") == 0
+    assert "vs bowen 0.6942" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["measures", "verify"])
@@ -599,6 +667,12 @@ def test_schema_admits_the_shipped_configs_and_refuses_retyped_fields():
         doc = json.loads((CONFIGS / "custom-example.json").read_text())
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(edit(doc) or doc, schema)
+
+
+def test_example_paper_checks_rungs_against_the_paper_alphabet(tmp_path):
+    # example-paper analyses the paper's 1,024 edges under any config
+    assert run_cli("example-paper", "--config", CONFIGS / "cantor.json", "--rungs", "4,16", "--out", tmp_path) == 0
+    assert json.loads((tmp_path / "example-paper.json").read_text())["rung_pressures_at_1"][1] < -math.log(2.0)
 
 
 def test_example_paper_ignores_a_custom_system_named_after_it(tmp_path):

@@ -62,10 +62,10 @@ def test_bowen_root_against_direct_moment_equation(seed):
     def evaluate(s):
         return pressure(None, zeta.scaled(s)).value
 
-    curve = pressure_curve(evaluate, np.linspace(-2, 6, 33))
-    s_star = bowen_dimension(curve.evaluator, curve.s_infinity)
-
     ratios = [float(ratio_of(system, e, 0)) for e in range(3)]
+    exponents = (-math.log(max(ratios)), -math.log(min(ratios)))
+    curve = pressure_curve(evaluate, np.linspace(-2, 6, 33), exponents)
+    s_star = bowen_dimension(curve.evaluator, curve.s_infinity)
 
     def moment(s):
         return sum(r ** s for r in ratios) - 1.0
@@ -120,9 +120,7 @@ def test_twoscale_spectrum_matches_entropy_formula(twoscale):
     def evaluate(s):
         return pressure(None, zeta.scaled(s)).value
 
-    curve = pressure_curve(
-        evaluate, np.linspace(-4, 8, 49), exponent_hull=(math.log(2), math.log(4))
-    )
+    curve = pressure_curve(evaluate, np.linspace(-4, 8, 49), (math.log(2), math.log(4)))
     worst = 0.0
     for q in np.linspace(0.02, 0.98, 25):
         beta = math.log(2) * (1 + q)
@@ -144,11 +142,7 @@ def test_period2_degenerate_spectrum(period2):
     def evaluate(s):
         return pressure(None, zeta.scaled(s)).value
 
-    curve = pressure_curve(
-        evaluate,
-        np.linspace(-1, 3, 17),
-        exponent_hull=(1.5 * math.log(2), 1.5 * math.log(2)),
-    )
+    curve = pressure_curve(evaluate, np.linspace(-1, 3, 17), (1.5 * math.log(2), 1.5 * math.log(2)))
     value = float(legendre_spectrum(curve, [1.5 * math.log(2)]).values[0])
     assert value == pytest.approx(2 / 3, abs=1e-9)
 

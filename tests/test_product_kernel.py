@@ -20,7 +20,6 @@ from rcgdms.driving import bernoulli, deterministic, periodic
 from rcgdms.gdms import BlockTailExample, build_paper_example
 from rcgdms.potentials import FirstSymbolPotential, geometric_potential, s_infinity, summability, table_potential
 from rcgdms.shift import GeometricTail, full_shift
-from rcgdms.spectrum import cofinite_regularity
 from rcgdms.thermo import pressure
 
 TOL = 1e-12
@@ -329,15 +328,11 @@ def _two_edge_potential(log_moments):
 def test_s_infinity_off_the_zero_abscissa(abscissa):
     """A tail that diverges at and below the abscissa: at 1.5 the bracket
     doubles up from s = 1, and at 0.3 the bisection moves its lower end and
-    lands on the divergent side.  Either way the regularity is the tail's own
-    declaration."""
+    lands on the divergent side."""
     tail = GeometricTail(ratio=0.125, start=3)
     pot = _two_edge_potential(lambda s, states: tail.log_moments(s - abscissa, states))
     want = ref_s_infinity(replace(pot))
     assert s_infinity(pot) == want and abs(want - abscissa) < 1e-6
-    regularity = cofinite_regularity(pot)
-    assert regularity.applicable and regularity.s_infinity == want
-    assert regularity.cofinitely_regular
     if abscissa == 0.3:
         assert not summability(pot, s=want).summable
 

@@ -12,12 +12,11 @@ from rcgdms import cli
 from rcgdms.config import load_config
 from rcgdms.driving import deterministic, periodic
 from rcgdms.gdms import similarity_system
-from rcgdms.potentials import geometric_potential
+from rcgdms.potentials import geometric_potential, s_infinity
 from rcgdms.shift import GeometricTail, from_matrix, full_shift
 from rcgdms.spectrum import (
     _transform_at,
     bowen_dimension,
-    cofinite_regularity,
     legendre_spectrum,
     lower_convex_hull,
     pressure_curve,
@@ -35,7 +34,7 @@ def _exact_curve(system, s_grid, hull, s_inf=-math.inf):
     def evaluate(s):
         return pressure(None, zeta.scaled(s)).value
 
-    return pressure_curve(evaluate, s_grid, s_infinity=s_inf, exponent_hull=hull)
+    return pressure_curve(evaluate, s_grid, hull, s_infinity=s_inf)
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +89,7 @@ def test_bowen_zero_when_pressure_nonpositive(twoscale):
     def shifted(s):
         return pressure(None, zeta.scaled(s)).value - 2.0
 
-    curve = pressure_curve(shifted, np.linspace(0, 4, 9), exponent_hull=(LOG2, LOG4))
+    curve = pressure_curve(shifted, np.linspace(0, 4, 9), (LOG2, LOG4))
     assert bowen_dimension(curve.evaluator, curve.s_infinity) == 0.0
 
 
@@ -100,20 +99,20 @@ def test_paper_pressure_below_minus_log2(paper):
     def evaluate(s):
         return pressure(None, zeta.scaled(s)).value if s > 0 else math.inf
 
-    curve = pressure_curve(evaluate, np.linspace(0.05, 1.5, 30), s_infinity=0.0,
-                           exponent_hull=(2 * LOG2, math.inf))
+    curve = pressure_curve(evaluate, np.linspace(0.05, 1.5, 30), (2 * LOG2, math.inf), s_infinity=0.0)
     assert curve.evaluator(1.0) <= -LOG2
     s_star = bowen_dimension(curve.evaluator, curve.s_infinity)
     assert 0.0 < s_star < 1.0
 
 
 def test_cofinite_regularity_cases(cantor, pure_tail, paper):
-    assert not cofinite_regularity(geometric_potential(cantor)).applicable
-    rep = cofinite_regularity(geometric_potential(pure_tail))
-    assert rep.applicable and rep.cofinitely_regular
-    rep2 = cofinite_regularity(geometric_potential(paper))
-    assert rep2.cofinitely_regular
-    assert abs(rep2.s_infinity) <= 1e-6
+    # regularity is the tail's declaration; a finite alphabet has no tail and
+    # the threshold -inf
+    assert geometric_potential(cantor).tail is None and s_infinity(geometric_potential(cantor)) == -math.inf
+    for system in (pure_tail, paper):
+        zeta = geometric_potential(system)
+        assert zeta.tail.cofinitely_regular
+    assert abs(s_infinity(geometric_potential(paper))) <= 1e-6
     # edges 0 and 1 of ratios 1/4 and 1/8, then 8^-e from edge 3: the pressure
     # log(4^-s + 8^-s + q^3 / (1 - q)), q = 8^-s, is +inf at the threshold 0
     tailed = similarity_system(
@@ -122,9 +121,11 @@ def test_cofinite_regularity_cases(cantor, pure_tail, paper):
         {0: {0: Fraction(1, 4), 1: Fraction(1, 8)}},
         {0: {0: 0.0, 1: 0.5}},
     )
-    rep3 = cofinite_regularity(geometric_potential(tailed))
-    assert rep3.applicable and rep3.cofinitely_regular
-    assert abs(rep3.s_infinity) <= 1e-6
+    zeta = geometric_potential(tailed)
+    assert zeta.tail.cofinitely_regular
+    assert abs(s_infinity(zeta)) <= 1e-6
+    # and p grows like -log s towards it
+    assert pressure(None, zeta.scaled(1e-9)).value > pressure(None, zeta.scaled(1e-6)).value + 6.0
 
 
 def test_legendre_twoscale_interior(twoscale_curve):
@@ -298,13 +299,15 @@ def test_analytic_slope_keeps_the_spectrum():
         return pressure(symbols, zeta.scaled(s), slope=slope)
 
     assert estimate(1.0, slope=True).slope is not None
-    plain = pressure_curve(lambda s: estimate(s).value, np.linspace(-3, 5, 17))
+    # the ratio table's extremes 1/2 and 1/7
+    plain = pressure_curve(lambda s: estimate(s).value, np.linspace(-3, 5, 17), (LOG2, math.log(7.0)))
     analytic = replace(plain, slope=lambda s: estimate(s, slope=True).slope)
-    betas = np.linspace(plain.exponent_lo, plain.exponent_hi, 12)
+    # -p' at the grid ends: inside the true exponent interval, where the
+    # transform's root is a scale on the grid
+    betas = np.linspace(-estimate(5.0, slope=True).slope, -estimate(-3.0, slope=True).slope, 12)
     want, got = legendre_spectrum(plain, betas), legendre_spectrum(analytic, betas)
-    assert got.flags == want.flags and got.flags.count("interior") == 10
-    interior = np.array(got.flags) == "interior"
-    assert np.allclose(got.values[interior], want.values[interior], rtol=0.0, atol=1e-10)
+    assert got.flags == want.flags == ("interior",) * 12
+    assert np.allclose(got.values, want.values, rtol=0.0, atol=1e-10)
 
 
 def test_slope_falls_back_where_the_weights_underflow():
@@ -370,16 +373,14 @@ def test_per_rung_spectra_increase(paper):
         def ev(s, rung=rung):
             return pressure(rung, zeta.scaled(s)).value
 
-        curve = pressure_curve(ev, np.linspace(-1.0, 2.5, 29))
+        rows = np.array([zeta.log_weights(st, rung) for st in paper.driving.state_support()])
+        curve = pressure_curve(ev, np.linspace(-1.0, 2.5, 29), (-rows.max(), -rows.min()))
         values.append(legendre_spectrum(curve, [beta]).values[0])
     assert all(values[i + 1] >= values[i] - 1e-9 for i in range(len(values) - 1))
 
     def ev_full(s):
         return pressure(None, zeta.scaled(s)).value if s > 0 else math.inf
 
-    full_curve = pressure_curve(
-        ev_full, np.linspace(0.05, 2.5, 30), s_infinity=0.0,
-        exponent_hull=(2 * LOG2, math.inf),
-    )
+    full_curve = pressure_curve(ev_full, np.linspace(0.05, 2.5, 30), (2 * LOG2, math.inf), s_infinity=0.0)
     full_value = legendre_spectrum(full_curve, [beta]).values[0]
     assert values[-1] <= full_value + 1e-9

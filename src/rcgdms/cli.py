@@ -102,13 +102,14 @@ def _witness(run: RunConfig, symbols) -> PrimitivityWitness:
     return w
 
 
-def _exponent_hull(potential) -> tuple[float, float]:
-    """min and max of -row(state) over the materialized edges and the support
-    states: every Birkhoff average of -row lies between them.  The max is
-    +inf when the potential has a tail."""
-    block = np.array([potential.log_weights(st) for st in potential.driving.state_support()])
-    hi = math.inf if potential.system.tail is not None else -block.min().item()
-    return (-block.max().item(), hi)
+def _exponent_hull(potential, symbols=None) -> tuple[float, float]:
+    """min and max of -row(state) over `symbols` (every materialized edge when
+    None) and the support states: every Birkhoff average of -row over those
+    symbols lies between them.  The max is +inf when the curve covers a
+    tailed alphabet whole."""
+    block = np.array([potential.log_weights(st, symbols) for st in potential.driving.state_support()])
+    whole = symbols is None and potential.system.tail is not None
+    return (-block.max().item(), math.inf if whole else -block.min().item())
 
 
 def _curve(run: RunConfig, symbols=None):
@@ -117,23 +118,31 @@ def _curve(run: RunConfig, symbols=None):
         symbols = _finite_symbols(run)
     orbits = orbit_family(sysm.driving, 16, 0)  # one family for every s; drawn on first read
 
-    routes = set()  # methods that served the evaluations
+    # s -> (estimate, whether it carries the slope): each scale is evaluated
+    # once; a slope estimate also answers value requests, whose value the
+    # route computes the same way
+    table = {}
+
+    def estimate(s: float, slope: bool = False):
+        hit = table.get(s)
+        if hit is None or (slope and not hit[1]):
+            hit = table[s] = (pressure(symbols, zeta.scaled(s), orbits=orbits, slope=slope), slope)
+        return hit[0]
 
     def evaluate(s: float) -> float:
-        est = pressure(symbols, zeta.scaled(s), orbits=orbits)
-        routes.add(est.method)
-        return est.value
+        return estimate(s).value
 
     def slope(s: float) -> Optional[float]:
-        return pressure(symbols, zeta.scaled(s), orbits=orbits, slope=True).slope
+        return estimate(s, slope=True).slope
 
     s_inf = s_infinity(zeta) if symbols is None else -math.inf  # a finite symbol set is summable at every s
     grid = [s for s in run.analysis.s_grid() if s > s_inf]
     if not grid:
         raise ConfigError("the whole s grid sits at or below the summability threshold")
-    curve = pressure_curve(evaluate, grid, _exponent_hull(zeta), s_infinity=s_inf)
+    curve = pressure_curve(evaluate, grid, _exponent_hull(zeta, symbols), s_infinity=s_inf)
     # only the exact-spectral route returns p'(s); the others keep the central difference
-    return replace(curve, slope=slope) if routes == {"exact-spectral"} else curve
+    spectral = {est.method for est, _ in table.values()} == {"exact-spectral"}
+    return replace(curve, slope=slope) if spectral else curve
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +233,10 @@ def cmd_spectrum(run: RunConfig) -> int:
                 "unbounded exponent interval (cofinitely regular tail); set analysis.beta_max"
             )
         hi = run.analysis.beta_max
-    betas = run.analysis.beta_grid(lo + 1e-9, hi)
+    if lo == hi and run.analysis.beta_min is None and run.analysis.beta_max is None:
+        betas = np.array([lo])  # a one-point interval: one exponent to report
+    else:
+        betas = run.analysis.beta_grid(lo + 1e-9, hi)
     betas = betas[betas > 0]
     result = legendre_spectrum(curve, betas)
     rows = [(float(b), float(v), flag) for b, v, flag in zip(result.betas, result.values, result.flags)]

@@ -106,6 +106,19 @@ def _fraction(value, path: str) -> Fraction:
         raise ConfigError(f"{path}: not a number ({exc})")
 
 
+def _offset(value, path: str) -> float:
+    """float(_fraction(value, path)).  A float whose shortest repr has no
+    exponent and at most 12 fraction digits is returned as it is: that
+    decimal has denominator <= 10**12, so the closest such fraction lies
+    within its half-ulp and rounds back to the float."""
+    if not isinstance(value, str):
+        x = _typed(value, path, float)
+        text = repr(x)
+        if "e" not in text and len(text) - text.index(".") <= 13 and text != "-0.0":
+            return x
+    return float(_fraction(value, path))
+
+
 def _ratio(value, path: str) -> Fraction:
     ratio = _fraction(value, path)
     _require(0 < ratio < 1, path, "ratio must lie in (0, 1)")
@@ -116,13 +129,14 @@ def _state_edge_table(table, path: str, states: tuple, edges: tuple, parse) -> d
     """{state: {edge: parse(value, path)}} from a {"state": {"edge": value}}
     block, over every given state and edge."""
     _require(isinstance(table, dict), path, "per-state table required")
+    keys = [str(e) for e in edges]
     out = {}
     for state in states:
         row = table.get(str(state))
         _require(isinstance(row, dict), path, f"per-edge table for state {str(state)!r} required")
-        for e in edges:
-            _require(str(e) in row, f"{path}.{state}", f"missing edge {str(e)!r}")
-        out[state] = {e: parse(row[str(e)], f"{path}.{state}.{e}") for e in edges}
+        missing = next((key for key in keys if key not in row), None)
+        _require(missing is None, f"{path}.{state}", f"missing edge {missing!r}")
+        out[state] = {e: parse(row[key], f"{path}.{state}.{key}") for e, key in zip(edges, keys)}
     return out
 
 
@@ -159,14 +173,15 @@ def _build_custom_system(cfg: dict, sys_block: dict) -> RCGDMS:
         symbolic = full_shift(edges, tail=tail)
     else:
         rows = isinstance(incidence, list) and all(isinstance(row, list) for row in incidence)
-        _require(rows and all(_is_int(v) and v in (0, 1) for row in incidence for v in row), "system.incidence", '"full" or a 0/1 matrix required')
+        cells = [v for row in incidence for v in row] if rows else ()
+        _require(rows and set(map(type, cells)) <= {int} and set(cells) <= {0, 1}, "system.incidence", '"full" or a 0/1 matrix required')
         _require(tail is None, "system.tail", "analytic tails need full incidence")
         symbolic = from_matrix(edges, incidence)
     driving = _build_driving(cfg.get("driving"))
     _require(maps_block.get("type", "similarity") == "similarity", "maps.type", "only similarity tables are supported in configs")
     states = driving.state_support()
     ratios = _state_edge_table(maps_block.get("ratios"), "maps.ratios", states, symbolic.edges, _ratio)
-    offsets = _state_edge_table(maps_block.get("offsets"), "maps.offsets", states, symbolic.edges, lambda v, p: float(_fraction(v, p)))
+    offsets = _state_edge_table(maps_block.get("offsets"), "maps.offsets", states, symbolic.edges, _offset)
     return similarity_system(symbolic, driving, ratios, offsets, name="custom")
 
 

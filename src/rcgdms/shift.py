@@ -115,10 +115,7 @@ def from_matrix(edges: Iterable[int], rows: Sequence[Sequence[int]]) -> Symbolic
     edges = tuple(edges)
     if len(rows) != len(edges) or any(len(r) != len(edges) for r in rows):
         raise ValueError("incidence matrix shape must match the edge count")
-    succ = {
-        e1: frozenset(e2 for j, e2 in enumerate(edges) if rows[i][j])
-        for i, e1 in enumerate(edges)
-    }
+    succ = {e1: frozenset(itertools.compress(edges, row)) for e1, row in zip(edges, rows)}
     return SymbolicSystem(
         vertices=("v",), edges=edges, incidence_kind="matrix", successors_map=succ
     )

@@ -202,8 +202,8 @@ def legendre_spectrum(curve: PressureCurve, beta_grid: Sequence[float]) -> Spect
     """Lyapunov spectrum values l(beta) = (1/beta) inf_s {beta s + p(s)}.
 
     Betas outside the curve's exponent interval are clipped (flag
-    "clipped"); betas within one grid cell of an interval edge are flagged
-    "endpoint" and their values are limit reports rather than interior
+    "clipped"); betas on an interval edge or within one grid cell of one are
+    flagged "endpoint" and their values are limit reports rather than interior
     transform values.  Betas must be positive."""
     betas = np.asarray(sorted(beta_grid), dtype=float)
     if (betas <= 0).any():
@@ -219,7 +219,7 @@ def legendre_spectrum(curve: PressureCurve, beta_grid: Sequence[float]) -> Spect
             flags.append("clipped")
             vals[i] = math.nan
             continue
-        if b < lo + cell or b > hi - cell:
+        if b < lo + cell or b > hi - cell or b in (lo, hi):
             flags.append("endpoint")
         else:
             flags.append("interior")

@@ -365,13 +365,12 @@ def _spectral_pressure(
     adm_t = potential.admissibility(symbols).T
     shift_total = 0.0
     steps = []
-    prod = np.eye(len(symbols))
     for st in cycle:
         logs = potential.log_weights(st, symbols)
         shift = logs.max()
         shift_total += shift
         steps.append(np.exp(logs - shift)[:, None] * adm_t)
-        prod = steps[-1] @ prod
+        prod = steps[-1] @ prod if len(steps) > 1 else steps[0]
     root = _perron_root(prod)
     rho = np.abs(np.linalg.eigvals(prod)).max() if root is None else root[0]
     if rho == 0.0:

@@ -21,6 +21,7 @@ from rcgdms.driving import DrivingOrbit, bernoulli, deterministic, periodic
 from rcgdms.gdms import BlockTailExample, similarity_system
 from rcgdms.potentials import geometric_potential, table_potential
 from rcgdms.shift import from_matrix, full_shift
+from rcgdms.spectrum import legendre_spectrum
 from rcgdms.thermo import _connector_bound, _lane
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -684,3 +685,77 @@ def test_example_paper_ignores_a_custom_system_named_after_it(tmp_path):
     assert load_config(cfg).system.name == "custom"
     assert run_cli("example-paper", "--config", cfg, "--out", tmp_path / "out") == 0
     assert json.loads((tmp_path / "out" / "run_meta.json").read_text())["name"] == "paper-example"
+
+
+def _near(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+_offsets = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0 / 3.0, 0.1, 0.5, 1e16, -1e16, 123456.000000000001]),
+    st.integers(-4, 4).map(lambda k: _near(1.0 / 3.0, k)),  # within a few ulps of 1/3
+    st.tuples(st.integers(-20, 60), st.integers(-2, 2)).map(lambda t: _near(2.0 ** t[0], t[1])),
+    st.integers(-(10**15), 10**15).map(lambda n: n / 10**12),  # at most 12 fraction digits
+    st.integers(10**12, 10**17).map(lambda n: n / 10**13),  # 13 or more digits
+    st.floats(1e12, 1e300) | st.floats(-1e300, -1e12),  # large magnitudes
+    st.integers(-(2**70), 2**70),  # JSON integers
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_offsets)
+def test_offset_fast_path_matches_the_fraction_formula(value):
+    # a short float is its own nearest fraction of denominator <= 10^12;
+    # every other value, -0.0 among them, takes that fraction
+    want = float(Fraction(float(value)).limit_denominator(10**12))
+    assert config._offset(value, "maps.offsets.0.0").hex() == want.hex()
+
+
+def test_offsets_keep_the_fraction_path_for_strings_and_refuse_non_numbers():
+    assert config._offset("1/3", "p") == float(Fraction(1, 3))
+    for bad, message in (("x", "p: not a number"), (True, "p: finite number required"), (None, "p: finite number required")):
+        with pytest.raises(ConfigError, match=message):
+            config._offset(bad, "p")
+
+
+@pytest.mark.parametrize("cells", [[[1, 0], [1, True]], [[1, 0], [1, 1.0]], [[1, 2], [1, 1]], [[1, [0]], [1, 1]], [[1, "1"], [1, 1]]])
+def test_incidence_cells_must_be_integer_zero_or_one(tmp_path, capsys, cells):
+    doc = json.loads((CONFIGS / "custom-example.json").read_text())
+    doc["system"]["incidence"] = cells
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("dimension", "--config", bad, "--out", tmp_path / "out") == 2
+    assert 'system.incidence: "full" or a 0/1 matrix required' in capsys.readouterr().err
+
+
+def test_one_point_exponent_interval_writes_one_exponent(tmp_path):
+    # every cantor edge has exponent log 3, so the spectrum is the one point
+    # (log 3, log 2 / log 3)
+    assert run_cli("spectrum", "--config", CONFIGS / "cantor.json", "--out", tmp_path) == 0
+    [header, row] = (tmp_path / "spectrum.csv").read_text().splitlines()
+    beta, value, flag = row.split(",")
+    assert (float(beta), flag) == (math.log(3.0), "endpoint")
+    assert float(value) == pytest.approx(math.log(2.0) / math.log(3.0), abs=1e-12)
+
+
+def test_finite_symbol_curve_reads_its_own_symbols(tmp_path):
+    # the two materialized edges (ratios 1/4 and 1/8) of a tailed alphabet
+    # have exponents [log 4, log 8]; the tail is not theirs
+    doc = {
+        "system": {"edges": 2, "tail": {"ratio": 0.125, "start": 3}},
+        "maps": {"ratios": {"0": {"0": "1/4", "1": "1/8"}}, "offsets": {"0": {"0": 0.0, "1": 0.5}}},
+        "driving": {"kind": "deterministic", "states": [0]},
+        "analysis": {"s_min": 0.05, "s_max": 2.0, "s_steps": 12},
+    }
+    cfg = tmp_path / "tailed.json"
+    cfg.write_text(json.dumps(doc))
+    run = load_config(cfg)
+    curve = _curve(run, (0, 1))
+    assert (curve.exponent_lo, curve.exponent_hi) == pytest.approx((math.log(4.0), math.log(8.0)), abs=1e-15)
+    assert legendre_spectrum(curve, [2.5, 3.0, 5.0]).flags == ("clipped",) * 3  # were interior, near -1e6
+    inside = legendre_spectrum(curve, [1.7])
+    assert inside.flags == ("interior",) and 0.0 < inside.values[0] < 1.0
+    assert _curve(run).exponent_hi == math.inf  # the whole tailed alphabet

@@ -73,6 +73,7 @@ from .thermo import (
     partition_sums,
     pressure,
     pressure_compact_approx,
+    pressures,
 )
 
 __version__ = "0.1.0"

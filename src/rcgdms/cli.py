@@ -34,8 +34,8 @@ from .gibbs import conformal_measures
 from .oracle import box_counting, corrected_coarse_dimensions, level_histogram
 from .potentials import geometric_potential, s_infinity
 from .shift import PrimitivityWitness, build_ladder, count_words, find_primitivity, verify_primitivity
-from .spectrum import bowen_dimension, legendre_spectrum, pressure_curve
-from .thermo import check_gibbs, check_sandwich, pressure, pressure_compact_approx
+from .spectrum import _slope, bowen_dimension, legendre_spectrum, pressure_curve
+from .thermo import check_gibbs, check_sandwich, pressure, pressure_compact_approx, pressures
 
 
 # Most words a command enumerates for one measure or limit-set sample: the
@@ -135,14 +135,23 @@ def _curve(run: RunConfig, symbols=None):
     def slope(s: float) -> Optional[float]:
         return estimate(s, slope=True).slope
 
+    def paired_slope(s: float) -> float:
+        # slope_at's central difference, its two scales in one evaluation
+        missing = [x for x in (s + 1e-6, s - 1e-6) if x not in table]
+        if missing:
+            table.update((x, (est, False)) for x, est in zip(missing, pressures(symbols, zeta, missing, orbits=orbits)))
+        return _slope(evaluate, s)
+
     s_inf = s_infinity(zeta) if symbols is None else -math.inf  # a finite symbol set is summable at every s
     grid = [s for s in run.analysis.s_grid() if s > s_inf]
     if not grid:
         raise ConfigError("the whole s grid sits at or below the summability threshold")
     curve = pressure_curve(evaluate, grid, _exponent_hull(zeta, symbols), s_infinity=s_inf)
-    # only the exact-spectral route returns p'(s); the others keep the central difference
-    spectral = {est.method for est, _ in table.values()} == {"exact-spectral"}
-    return replace(curve, slope=slope) if spectral else curve
+    # p'(s) from the exact-spectral route, paired difference scales on the exact-product route
+    routes = {est.method for est, _ in table.values()}
+    if routes == {"exact-spectral"}:
+        return replace(curve, slope=slope)
+    return replace(curve, slope=paired_slope) if routes == {"exact-product"} else curve
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +184,16 @@ def cmd_pressure(run: RunConfig) -> int:
     rung_sizes = run.analysis.rungs or (len(symbols),)
     ladder = build_ladder(sysm.symbolic, rung_sizes, witness)
     orbits = orbit_family(sysm.driving, 16, 0)
+    grid = run.analysis.s_grid()
+    # one column of estimates over the grid per rung, then the whole alphabet
+    columns = [(len(rung), pressures(rung, zeta, grid, orbits=orbits)) for rung in ladder]
+    if sysm.symbolic.tail is not None or sysm.symbolic.incidence_kind == "full":
+        columns.append(("full", pressures(None, zeta, grid)))
     rows = []
-
-    def one(s: float):
-        out = []
-        for rung in ladder:
-            est = pressure(rung, zeta.scaled(s), orbits=orbits)
-            depth = "exact" if est.exact else est.depths[-1]
-            out.append((s, len(rung), depth, est.value, est.spread))
-        if sysm.symbolic.tail is not None or sysm.symbolic.incidence_kind == "full":
-            est = pressure(None, zeta.scaled(s))
-            out.append((s, "full", "exact", est.value, est.spread))
-        return out
-
-    for s in run.analysis.s_grid():
-        rows.extend(one(s))
+    for i, s in enumerate(grid):
+        for size, column in columns:
+            est = column[i]
+            rows.append((s, size, "exact" if est.exact else est.depths[-1], est.value, est.spread))
     _write_csv(run.out_dir / "pressure.csv", ("s", "rung", "depth", "estimate", "spread"), rows)
     return 0
 

@@ -39,7 +39,24 @@ class DrivingSystem:
             if abs(sum(self.weights) - 1.0) > 1e-12:
                 raise ValueError("weights must sum to 1 within 1e-12 after tail inclusion")
             support = tuple(s for s, w in zip(self.states, self.weights) if w > 0)
+            # not a field: the weights of the support states, read by expected()
+            object.__setattr__(self, "_support_weights", np.array([w for w in self.weights if w > 0], dtype=float))
         object.__setattr__(self, "_support", support)  # not a field: read by state_support()
+
+    def expected(self, values: np.ndarray):
+        """expectation() of per-state values listed in the order of
+        state_support(), along the last axis: a float for one row, else one
+        value per row.  A bernoulli row is summed in state order from 0.0
+        (np.cumsum, + 0.0: the bits of expectation's loop), and +inf anywhere
+        gives +inf; the other kinds call expectation row by row."""
+        if self.kind != "bernoulli":
+            rows = [self.expectation(dict(zip(self._support, row)).__getitem__) for row in np.atleast_2d(values).tolist()]
+            return rows[0] if values.ndim == 1 else np.array(rows)
+        with np.errstate(invalid="ignore"):  # -inf + inf, in a row holding +inf
+            out = np.cumsum(self._support_weights * values, axis=-1)[..., -1] + 0.0
+        if not np.isfinite(out).all():  # where a row holds +inf, whatever else it holds
+            out = np.where((values == math.inf).any(axis=-1), math.inf, out)
+        return float(out) if values.ndim == 1 else out
 
     def expectation(self, fn: Callable[[object], float]) -> float:
         """Exact expectation of fn(state) under the marginal of the base measure."""

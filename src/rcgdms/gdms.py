@@ -334,12 +334,14 @@ class BlockTailExample:
     def block_of(self, e: int) -> int:
         return bisect.bisect_left(self.bounds, e)
 
-    def log_ratios(self, edges: np.ndarray, state: int) -> np.ndarray:
-        """log |phi'_e| at a fiber state over an integer array of edges <=
-        cutoff: -(l^2 + l) log 2 on an edge of an unlocked block l <= state,
-        else -e log 8."""
+    def log_ratios(self, edges: np.ndarray) -> Callable[[int], np.ndarray]:
+        """log |phi'_e| over an integer array of edges <= cutoff, as a
+        function of the fiber state: -(l^2 + l) log 2 on an edge of an
+        unlocked block l <= state, else -e log 8.  Both candidate rows are
+        computed once; each state's row is one np.where."""
         l = np.searchsorted(self._near_bounds, edges, side="left")
-        return np.where(l <= int(state), -(l * l + l) * _LOG2, -edges * _LOG8)
+        block, geometric = -(l * l + l) * _LOG2, -edges * _LOG8
+        return lambda state: np.where(l <= int(state), block, geometric)
 
     def _table(self, states: tuple):
         """Per state, the log edge counts of the unlocked blocks past the
@@ -404,11 +406,11 @@ def build_paper_example(cutoff: int = 1024, weight_states: int = 40) -> RCGDMS:
     drv = bernoulli(states, weights)
     symbolic = full_shift(range(1, cutoff + 1), tail=tail)
     edges = symbolic.edges
-    edge_array = np.array(edges)
+    rows = tail.log_ratios(np.array(edges))
 
     @functools.cache
     def log_ratios(state) -> np.ndarray:
-        return _frozen(tail.log_ratios(edge_array, state))
+        return _frozen(rows(state))
 
     @functools.cache
     def offsets(state) -> np.ndarray:

@@ -18,13 +18,14 @@ idempotent, so concurrent readers need no lock.
 Under full incidence the transfer sums of a tuple of fiber states come from
 an atom table, cached per (states, symbol set): the distinct values of each
 state's row, read off one sort of the (states x symbols) block, with the
-logs of their multiplicities, flattened with segment starts and sizes.  A
-sum at scale s is then one segmented log-sum-exp of s * value + log count
-over every state at once (the paper example's 31 rows of 1,024 edges hold
-2,915 atoms).  The whole-alphabet sum (symbol set None) adds the moments of
-the potential's tail object (the map system's symbolic.tail for geometric
-potentials): tail.log_moments(s, states) returns one log moment per state,
-+inf where the series diverges, so one evaluation makes one tail call.
+logs of their multiplicities, flattened with segment starts and sizes.  The
+sums at a vector of scales are then one segmented log-sum-exp of s * value
++ log count over every (scale, state) pair at once (the paper example's 31
+rows of 1,024 edges hold 2,915 atoms).  The whole-alphabet sum (symbol set
+None) adds the moments of the potential's tail object (the map system's
+symbolic.tail for geometric potentials): tail.log_moments(s, states)
+returns one log moment per state, +inf where the series diverges, so one
+evaluation makes one tail call per scale.
 """
 
 from __future__ import annotations
@@ -67,24 +68,18 @@ def float_log(x) -> float:
 
 
 def _segment_log_sums(terms: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Per segment, log of the sum of exp(terms) over it: segment k is the
-    sizes[k] consecutive terms from starts[k], and the segments cover terms.
+    """Per segment of the last axis, log of the sum of exp(terms) over it:
+    segment k is the sizes[k] consecutive terms from starts[k], and the
+    segments cover the axis; leading axes (one row per scale) broadcast.
     Each segment is shifted by its own finite maximum, so no term underflows
-    against a larger one; an all -inf segment gives -inf.  `terms` is
-    overwritten."""
-    m = np.maximum.reduceat(terms, starts)
+    against a larger one; an all -inf segment gives -inf, and NaN propagates.
+    `terms` is overwritten."""
+    m = np.maximum.reduceat(terms, starts, axis=-1)
     shift = np.where(np.isfinite(m), m, 0.0)
-    terms -= np.repeat(shift, sizes)
+    terms -= np.repeat(shift, sizes, axis=-1)
     np.exp(terms, out=terms)
     with np.errstate(divide="ignore"):
-        return shift + np.log(np.add.reduceat(terms, starts))
-
-
-def _expected(driving: DrivingSystem, states: tuple, values: np.ndarray) -> float:
-    """Expectation under the driving marginal of per-state values listed in
-    the order of `states`."""
-    by_state = dict(zip(states, values.tolist()))
-    return driving.expectation(by_state.__getitem__)
+        return shift + np.log(np.add.reduceat(terms, starts, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -164,7 +159,10 @@ class FirstSymbolPotential:
         """The distinct values of each state's row over the symbols (None:
         every edge) with the logs of their multiplicities, flattened state
         after state: (values, log_counts, starts, sizes), bit for bit those
-        of np.unique(row, return_counts=True), from one in-place block sort."""
+        of np.unique(row, return_counts=True), from one in-place block sort.
+        A symbol tuple equal to system.edges reads the whole-alphabet table."""
+        if symbols == self.system.edges:
+            symbols = None
 
         def build():
             cols = slice(None) if symbols is None else self._columns(symbols)
@@ -187,7 +185,7 @@ class FirstSymbolPotential:
         With a finite symbol set the sup/inf run over the admissible leading
         symbol of the argument; `symbols=None` means the whole alphabet
         including the analytic tail (full shifts only), where sup == inf.
-        Under full incidence both are one evaluation of the atom table.
+        Under full incidence both are one row of `product_sums`.
         """
         states = tuple(states)
         if symbols is not None:
@@ -199,15 +197,26 @@ class FirstSymbolPotential:
                 adm = self.admissibility(symbols)
                 per_target = log_sum_exp(np.where(adm.T > 0, weights[:, None, :], -np.inf))
                 return per_target.max(axis=1), per_target.min(axis=1)
-        elif self.system.incidence_kind != "full":
-            raise ValueError("full-alphabet transfer bounds need a full shift")
-        elif self.system.tail is not None and self.tail is None:
-            raise ValueError("countable alphabet needs a tail moment hook")
-        values, log_counts, starts, sizes = self._atoms(states, symbols)
-        total = _segment_log_sums(self.scale * values + log_counts, starts, sizes)
-        if symbols is None and self.system.tail is not None:
-            total = np.logaddexp(total, self.tail.log_moments(self.scale, states))
+        total = self.product_sums(self.scale, states, symbols)
         return total, total
+
+    def product_sums(self, scales, states: tuple, symbols: Optional[tuple]) -> np.ndarray:
+        """Under full incidence, the log transfer sum of 1 per fiber state
+        over a sorted nonempty symbol tuple, or for None the whole alphabet
+        and its tail: one row at one scale, or one row per scale of a 1-D
+        array, each the one-scale call's bits.  Every scale takes one
+        segmented log-sum-exp and one tail call."""
+        if symbols is None:
+            if self.system.incidence_kind != "full":
+                raise ValueError("full-alphabet transfer bounds need a full shift")
+            if self.system.tail is not None and self.tail is None:
+                raise ValueError("countable alphabet needs a tail moment hook")
+        values, log_counts, starts, sizes = self._atoms(states, symbols)
+        total = _segment_log_sums(np.asarray(scales)[..., None] * values + log_counts, starts, sizes)
+        if symbols is None and self.system.tail is not None:
+            for row, s in zip(np.atleast_2d(total), np.atleast_1d(scales).tolist()):
+                np.logaddexp(row, self.tail.log_moments(s, states), out=row)
+        return total
 
     def unit_transfer_bounds(self, state, symbols: Optional[Sequence[int]] = None) -> tuple[float, float]:
         """transfer_bounds at a single fiber state."""
@@ -271,7 +280,7 @@ def summability(
 
     states = drv.state_support()
     hi, lo = pot.transfer_bounds(states, symbols)
-    up, low = _expected(drv, states, hi), _expected(drv, states, lo)
+    up, low = drv.expected(hi), drv.expected(lo)
     return SummabilityReport(
         scale=pot.scale,
         log_upper_expectation=up,

@@ -8,9 +8,10 @@ of p; the Legendre transform l(beta) = inf_s (beta*s + p(s)) / beta is taken
 where p'(s) = -beta (the value is second order in the solve's error); T(q)
 solves p(T(q)) = q * p(0), and its concave transform is taken where
 alpha + T'(q) = alpha + p(0)/p'(T(q)) = 0.  Both read p' from
-`PressureCurve.slope_at`: the route's analytic slope where the curve carries
-one and it is certified (the exact-spectral route), else a central difference
-of the evaluator.
+`PressureCurve.slope_at`: the slope the curve carries where it gives one (the
+exact-spectral route's analytic slope where certified, the exact-product
+route's central difference from one two-scale evaluation), else a central
+difference of the evaluator.
 """
 
 from __future__ import annotations
@@ -91,10 +92,10 @@ class PressureCurve:
     exponent_hi: float  # at least -p'(s_infinity), the largest admissible exponent
     evaluator: Callable[[float], float]
     repair_correction: float = 0.0
-    slope: Optional[Callable[[float], Optional[float]]] = None  # analytic p'(s); None where uncertified
+    slope: Optional[Callable[[float], Optional[float]]] = None  # the route's p'(s), analytic or paired; None where uncertified
 
     def slope_at(self, s: float) -> float:
-        """p'(s): the analytic slope where it is given and certified, else a
+        """p'(s): the route's slope where it is given (and certified), else a
         central difference of the evaluator."""
         d = None if self.slope is None else self.slope(s)
         return _slope(self.evaluator, s) if d is None else d

@@ -22,8 +22,9 @@ symbol at a time, and the distortion constant B of the chain is 1.  One code
 path serves float (log space), Fraction and mpf arithmetic.
 
 Pressure evaluation prefers exact routes: product structure (a full shift)
-gives the marginal expectation of the log transfer sum; deterministic or
-periodic driving over a finite alphabet gives the spectral radius of the
+gives the marginal expectation of the log transfer sum (`pressures`: at a
+vector of scales in one evaluation); deterministic or periodic driving
+over a finite alphabet gives the spectral radius of the
 weighted transition matrix (cycle product) and, on request, the slope of the
 pressure in s from the Perron vectors of that product.  Radius and vectors
 come from a power iteration certified by its Collatz-Wielandt bracket, and
@@ -46,8 +47,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .driving import DrivingOrbit, DrivingSystem, OrbitFamily, orbit_family
-from .potentials import FirstSymbolPotential, _expected, float_log, log_sum_exp
+from .driving import DrivingOrbit, OrbitFamily, orbit_family
+from .potentials import FirstSymbolPotential, float_log, log_sum_exp
 from .shift import PrimitivityWitness, SymbolicSystem, find_primitivity
 
 
@@ -336,17 +337,26 @@ class PressureEstimate:
         return self.method.startswith("exact")
 
 
-def _is_full_over(system: SymbolicSystem, symbols: Sequence[int]) -> bool:
-    if system.incidence_kind == "full":
+def _is_full_over(system: SymbolicSystem, symbols: Optional[Sequence[int]]) -> bool:
+    """Whether every pair of the symbols is admissible: the exact-product
+    route of `pressure` and `pressures` (None: the whole alphabet)."""
+    if symbols is None or system.incidence_kind == "full":
         return True
     return all(system.admissible_pair(a, b) for a in symbols for b in symbols)
 
 
-def _product_pressure(
-    potential: FirstSymbolPotential, driving: DrivingSystem, symbols: Optional[Sequence[int]]
-) -> float:
-    states = driving.state_support()
-    return _expected(driving, states, potential.transfer_bounds(states, symbols)[0])
+def _product_pressure(symbols: Optional[Sequence[int]], potential: FirstSymbolPotential, scales):
+    """The driving expectation of the log transfer sums over the symbols
+    (None: the whole alphabet) at one scale, or at each of a 1-D array of
+    scales with the bits of the one-scale value."""
+    drv = potential.driving
+    states = drv.state_support()
+    rung = None if symbols is None else tuple(sorted(symbols))
+    if rung is not None and (not rung or potential.system.incidence_kind != "full"):
+        # no symbols (transfer_bounds raises), or a rung full over itself in a constrained shift
+        sums = [potential.scaled(s).transfer_bounds(states, rung)[0] for s in np.atleast_1d(scales).tolist()]
+        return drv.expected(np.reshape(sums, np.shape(scales) + (len(states),)))
+    return drv.expected(potential.product_sums(scales, states, rung))
 
 
 def _spectral_pressure(
@@ -501,10 +511,8 @@ def pressure(
     drv = potential.driving
     if drv is None:
         raise ValueError("pressure needs the potential's driving system")
-    full = symbols is None or _is_full_over(potential.system, symbols)
-    if method in ("auto", "exact-product") and full:
-        val = _product_pressure(potential, drv, None if symbols is None else tuple(sorted(symbols)))
-        return PressureEstimate(value=val, method="exact-product")
+    if method in ("auto", "exact-product") and _is_full_over(potential.system, symbols):
+        return PressureEstimate(value=_product_pressure(symbols, potential, potential.scale), method="exact-product")
     if symbols is None:
         raise ValueError("non-product systems need an explicit finite symbol set")
     if method in ("auto", "exact-spectral") and drv.kind in ("deterministic", "periodic") and len(symbols) <= 128:
@@ -537,6 +545,23 @@ def pressure(
     )
 
 
+def pressures(
+    symbols: Optional[Sequence[int]],
+    potential: FirstSymbolPotential,
+    scales: Sequence[float],
+    orbits: Optional[OrbitFamily] = None,
+) -> list[PressureEstimate]:
+    """pressure(symbols, potential.scaled(s), orbits=orbits) for each s of
+    `scales`, in order.  On the exact-product route every scale comes from
+    one evaluation of the atom table and one expectation, with the bits of
+    the one-scale call; every other route calls `pressure` once per scale."""
+    drv = potential.driving
+    if drv is None or not _is_full_over(potential.system, symbols):
+        return [pressure(symbols, potential.scaled(s), orbits=orbits) for s in scales]
+    values = _product_pressure(symbols, potential, np.array(scales, dtype=float))
+    return [PressureEstimate(value=v, method="exact-product") for v in values.tolist()]
+
+
 @dataclass(frozen=True)
 class CompactApproximation:
     rung_values: tuple[float, ...]
@@ -556,7 +581,7 @@ def pressure_compact_approx(ladder: Sequence[tuple[int, ...]], potential: FirstS
     monotone = all(values[i + 1] >= values[i] - 1e-9 for i in range(len(values) - 1))
     anchor = None
     if _is_full_over(potential.system, potential.system.edges):
-        anchor = _product_pressure(potential, potential.driving, None)
+        anchor = _product_pressure(None, potential, potential.scale)
     return CompactApproximation(
         rung_values=tuple(values),
         limit=values[-1] if anchor is None else anchor,

@@ -397,23 +397,32 @@ def test_dimension_emits_curve_csv(tmp_path):
     assert float(p0) == pytest.approx(math.log(2) - float(s0) * math.log(3), abs=1e-12)
 
 
-@pytest.mark.parametrize("command", ["dimension", "spectrum"])
+@pytest.mark.parametrize("command", ["dimension", "spectrum", "pressure"])
 def test_pressure_failure_exits_3(tmp_path, monkeypatch, capsys, command):
-    # a failing pressure evaluation is a numeric failure, not a +inf grid point
+    # a failing pressure evaluation is a numeric failure, not a +inf grid point;
+    # the pressure command evaluates its grid through pressures
     import rcgdms.cli as cli
 
-    real = cli.pressure
+    real, real_many = cli.pressure, cli.pressures
 
     def failing(symbols, potential, **kwargs):
         if 0.2 < potential.scale < 0.4:
             raise ValueError(f"no pressure at s = {potential.scale}")
         return real(symbols, potential, **kwargs)
 
+    def failing_many(symbols, potential, scales, **kwargs):
+        for s in scales:
+            if 0.2 < s < 0.4:
+                raise ValueError(f"no pressure at s = {s}")
+        return real_many(symbols, potential, scales, **kwargs)
+
     monkeypatch.setattr(cli, "pressure", failing)
+    monkeypatch.setattr(cli, "pressures", failing_many)
     code = run_cli(command, "--config", CONFIGS / "cantor.json", "--out", tmp_path)
     assert code == 3
     assert "numeric failure: no pressure at s = 0.25" in capsys.readouterr().err
-    assert not (tmp_path / f"{command}.json").exists()
+    artifact = "pressure.csv" if command == "pressure" else f"{command}.json"
+    assert not (tmp_path / artifact).exists()
 
 
 def test_repeated_main_calls_keep_their_own_grid(tmp_path):

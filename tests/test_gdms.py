@@ -212,7 +212,7 @@ def test_paper_weights_decay():
 def test_block_rows_match_scalar_log_ratio(cutoff, state):
     tail = BlockTailExample(cutoff)
     want = np.array([block_log_ratio(tail, e, state) for e in range(1, cutoff + 1)])
-    assert tail.log_ratios(np.arange(1, cutoff + 1), state).tobytes() == want.tobytes()
+    assert tail.log_ratios(np.arange(1, cutoff + 1))(state).tobytes() == want.tobytes()
 
 
 def closed_form_row(name, sysm, state):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .driving import DrivingOrbit, DrivingSystem, bernoulli
 from .potentials import _segment_log_sums, log_sum_exp
-from .shift import SymbolicSystem, full_shift, suffix_tree, word_index
+from .shift import SymbolicSystem, _incidence, full_shift, suffix_tree, word_index
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -196,17 +196,18 @@ def sample_limit_set(
     if count is None:
         raise ValueError("random-words sampling needs a count")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    successors = [np.flatnonzero(row).tolist() for row in _incidence(gdms.symbolic, symbols)]
     picked = []
     for _ in range(count):
-        w = [symbols[rng.integers(len(symbols))]]
+        w = [rng.integers(len(symbols))]  # positions in symbols
         for _ in range(depth - 1):
-            nxt = gdms.symbolic.successors(w[-1], symbols)
+            nxt = successors[w[-1]]
             if not nxt:
                 break
             w.append(nxt[rng.integers(len(nxt))])
         if len(w) == depth:
             picked.append(w)
-    index = np.searchsorted(symbols, np.array(picked, dtype=np.int64).reshape(-1, depth))
+    index = np.array(picked, dtype=np.intp).reshape(-1, depth)
     return LimitSetSample(depth, _code_rows(gdms, orbit, symbols, index), bound, symbols, lambda: index)
 
 
@@ -255,9 +256,11 @@ def similarity_system(
     spaces = dict(spaces) if spaces else {symbolic.vertices[0]: (0.0, 1.0)}
     states = driving.state_support()
     fraction_rows = {s: _frozen([Fraction(ratios[s][e]) for e in symbolic.edges], object) for s in states}
-    log_rows = {s: _frozen([math.log(r) for r in fraction_rows[s].tolist()]) for s in states}
+    # one float per ratio: math.log of a Fraction and (rounding being monotone) max read the same bits
+    float_rows = {s: [float(r) for r in fraction_rows[s].tolist()] for s in states}
+    log_rows = {s: _frozen([math.log(r) for r in float_rows[s]]) for s in states}
     offset_rows = {s: _frozen([float(offsets[s][e]) for e in symbolic.edges]) for s in states}
-    contraction = float(max(max(row.tolist()) for row in fraction_rows.values()))
+    contraction = max(max(row) for row in float_rows.values())
     tail = symbolic.tail
     return RCGDMS(
         symbolic=symbolic,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .driving import DrivingOrbit
 from .potentials import FirstSymbolPotential, float_log
-from .shift import SymbolicSystem, Word, prefix_tree, word_index
+from .shift import SymbolicSystem, Word, _incidence, prefix_tree, word_index
 
 
 class _WordTree:
@@ -51,8 +51,7 @@ class _WordTree:
             child[parent, last] = np.arange(len(last))
             levels.append((parent, last, first, suffix, child))
         self.parent, self.last, self.first, self.suffix, self.child = zip(*levels)
-        position = {e: i for i, e in enumerate(symbols)}
-        self.successors = [[position[b] for b in system.successors(a, symbols)] for a in symbols]
+        self.successors = [np.flatnonzero(row).tolist() for row in _incidence(system, symbols)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,9 +11,9 @@ potential over the materialized edges per fiber state, from the row(state)
 hook (geometric potentials read the map system's log_ratios); for rational
 potentials, one object row of the exact weights exp(row) as Fractions, from
 the exact_row(state) hook (the map system's ratio_fractions); plus
-per-symbol-set column indices (symbolic.position) and 0/1 admissibility
-matrices.  Every scaled(s) copy shares the table.  Filling an entry is
-idempotent, so concurrent readers need no lock.
+per-symbol-set column indices (symbolic.position) and slices of the shift's
+boolean incidence.  Every scaled(s) copy shares the table.  Filling an entry
+is idempotent, so concurrent readers need no lock.
 
 Under full incidence the transfer sums of a tuple of fiber states come from
 an atom table, cached per (states, symbol set): the distinct values of each
@@ -149,9 +149,9 @@ class FirstSymbolPotential:
         raise ValueError(f"unknown arithmetic {arithmetic!r}")
 
     def admissibility(self, symbols: tuple) -> np.ndarray:
-        """0/1 float matrix of admissible pairs (row: first symbol) over a
-        sorted symbol tuple, cached per tuple."""
-        return self._cached(("admissibility", symbols), lambda: _incidence(self.system, symbols).astype(np.float64))
+        """The shift's boolean incidence (row: first symbol) sliced to a sorted
+        symbol tuple, cached per tuple."""
+        return self._cached(("admissibility", symbols), lambda: _incidence(self.system, symbols))
 
     # -- transfer-operator unit bounds ---------------------------------------
 
@@ -195,7 +195,7 @@ class FirstSymbolPotential:
             if self.system.incidence_kind != "full":
                 weights = np.array([self.log_weights(st, symbols) for st in states])
                 adm = self.admissibility(symbols)
-                per_target = log_sum_exp(np.where(adm.T > 0, weights[:, None, :], -np.inf))
+                per_target = log_sum_exp(np.where(adm.T, weights[:, None, :], -np.inf))
                 return per_target.max(axis=1), per_target.min(axis=1)
         total = self.product_sums(self.scale, states, symbols)
         return total, total

@@ -1,12 +1,13 @@
 """Countable-alphabet Markov shift combinatorics.
 
-Edges, incidence, admissible words as prefix-tree levels,
-finite-primitivity witnesses and ascending finite-subalphabet ladders.
-Alphabets may be countably infinite: edges are materialized up to a declared
-cutoff, and an optional tail object stands for the non-materialized
-remainder.  A tail gives its closed-form moments, log_moments(s, states),
-which the potential layer adds to the transfer sums, and states its own
-regularity as the class constant cofinitely_regular.
+Edges, incidence (one read-only boolean matrix, sliced by every reader),
+admissible words as prefix-tree levels, finite-primitivity witnesses and
+ascending finite-subalphabet ladders.  Alphabets may be countably infinite:
+edges are materialized up to a declared cutoff, and an optional tail object
+stands for the non-materialized remainder.  A tail gives its closed-form
+moments, log_moments(s, states), which the potential layer adds to the
+transfer sums, and states its own regularity as the class constant
+cofinitely_regular.
 
 Everything here is immutable after construction and safe to share across
 parallel workers; words come level by level in lexicographic order.
@@ -18,7 +19,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -58,19 +59,16 @@ class GeometricTail:
         return np.full(len(states), self.start * log_q - math.log(-math.expm1(log_q)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an ndarray field has no truth value: systems compare by identity
 class SymbolicSystem:
-    """Vertex/edge alphabet with a 0/1 incidence structure.
-
-    incidence_kind is one of
-      "full"   -- every transition allowed,
-      "matrix" -- explicit successor sets.
-    """
+    """Vertex/edge alphabet with a 0/1 incidence structure: `incidence` is
+    None for a full shift (incidence_kind "full"), else the read-only boolean
+    matrix over `edges` ("matrix"), incidence[i, j] whether edges[j] may
+    follow edges[i]."""
 
     vertices: tuple
     edges: tuple[int, ...]
-    incidence_kind: str = "full"
-    successors_map: Optional[Mapping[int, frozenset[int]]] = None
+    incidence: Optional[np.ndarray] = None
     tail: object = None  # GeometricTail or gdms.BlockTailExample, past the edges
 
     def __post_init__(self):
@@ -78,26 +76,21 @@ class SymbolicSystem:
             raise ValueError("edge indices must be unique")
         if len(self.edges) < 1:
             raise ValueError("alphabet cutoff must be >= 1")
-        if self.incidence_kind == "matrix":
-            if self.successors_map is None:
-                raise ValueError("matrix incidence needs explicit successor sets")
-        elif self.incidence_kind != "full":
-            raise ValueError(f"unknown incidence kind {self.incidence_kind!r}")
-        if self.tail is not None and self.incidence_kind != "full":
+        if self.tail is not None and self.incidence is not None:
             raise ValueError("analytic tails are supported for full shifts only")
 
-    def admissible_pair(self, e1: int, e2: int) -> bool:
-        if self.incidence_kind == "full":
-            return True
-        return e2 in self.successors_map.get(e1, frozenset())
+    @property
+    def incidence_kind(self) -> str:
+        return "full" if self.incidence is None else "matrix"
 
-    def successors(self, e: int, symbols: Sequence[int]) -> tuple[int, ...]:
-        if self.incidence_kind == "full":
-            return tuple(symbols)
-        return tuple(b for b in symbols if self.admissible_pair(e, b))
+    def admissible_pair(self, e1: int, e2: int) -> bool:
+        return self.incidence is None or bool(self.incidence[self.position[e1], self.position[e2]])
 
     def is_admissible(self, word: Sequence[int]) -> bool:
-        return all(self.admissible_pair(a, b) for a, b in zip(word, word[1:]))
+        if self.incidence is None:
+            return True
+        at = [self.position[e] for e in word]
+        return bool(self.incidence[at[:-1], at[1:]].all())
 
     @functools.cached_property
     def position(self) -> dict[int, int]:
@@ -107,7 +100,7 @@ class SymbolicSystem:
 
 def full_shift(edges: Iterable[int], tail: object = None) -> SymbolicSystem:
     """Single-vertex system in which every transition is allowed."""
-    return SymbolicSystem(vertices=("v",), edges=tuple(edges), incidence_kind="full", tail=tail)
+    return SymbolicSystem(vertices=("v",), edges=tuple(edges), tail=tail)
 
 
 def from_matrix(edges: Iterable[int], rows: Sequence[Sequence[int]]) -> SymbolicSystem:
@@ -115,23 +108,24 @@ def from_matrix(edges: Iterable[int], rows: Sequence[Sequence[int]]) -> Symbolic
     edges = tuple(edges)
     if len(rows) != len(edges) or any(len(r) != len(edges) for r in rows):
         raise ValueError("incidence matrix shape must match the edge count")
-    succ = {e1: frozenset(itertools.compress(edges, row)) for e1, row in zip(edges, rows)}
-    return SymbolicSystem(
-        vertices=("v",), edges=edges, incidence_kind="matrix", successors_map=succ
-    )
+    incidence = np.array(rows, dtype=bool)
+    incidence.setflags(write=False)
+    return SymbolicSystem(vertices=("v",), edges=edges, incidence=incidence)
+
+
+def _pairs(system: SymbolicSystem, firsts: Sequence[int], seconds: Sequence[int]) -> np.ndarray:
+    """Boolean matrix of the admissible pairs (a, b), a over `firsts` (rows)
+    and b over `seconds`, sliced from the system's incidence."""
+    if system.incidence is None:
+        return np.ones((len(firsts), len(seconds)), dtype=bool)
+    at = system.position.__getitem__
+    return system.incidence[np.ix_(list(map(at, firsts)), list(map(at, seconds)))]
 
 
 def _incidence(system: SymbolicSystem, symbols: Sequence[int]) -> np.ndarray:
-    """Boolean matrix of admissible pairs over sorted(symbols), row: first
-    symbol; a matrix system's rows are filled from its successor sets."""
-    symbols = tuple(sorted(symbols))
-    if system.incidence_kind == "full":
-        return np.ones((len(symbols), len(symbols)), dtype=bool)
-    column = {e: j for j, e in enumerate(symbols)}
-    adm = np.zeros((len(symbols), len(symbols)), dtype=bool)
-    for i, a in enumerate(symbols):
-        adm[i, [column[b] for b in system.successors_map.get(a, ()) if b in column]] = True
-    return adm
+    """Boolean matrix of admissible pairs over sorted(symbols), row: first symbol."""
+    symbols = sorted(symbols)
+    return _pairs(system, symbols, symbols)
 
 
 def _grown(step: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -193,13 +187,11 @@ def word_index(system: SymbolicSystem, symbols: Sequence[int], n: int) -> np.nda
 
 def count_words(system: SymbolicSystem, symbols: Sequence[int], n: int) -> int:
     """Number of admissible words of length n (dynamic count, no enumeration)."""
-    symbols = tuple(sorted(symbols))
-    counts = {e: 1 for e in symbols}
+    steps = _incidence(system, symbols).astype(object)  # Python ints: exact past 2**63
+    counts = np.ones(len(steps), dtype=object)
     for _ in range(n - 1):
-        counts = {
-            e: sum(counts[b] for b in system.successors(e, symbols)) for e in symbols
-        }
-    return sum(counts.values())
+        counts = steps @ counts
+    return int(counts.sum())
 
 
 @dataclass(frozen=True)
@@ -265,7 +257,6 @@ def find_primitivity(
     if system.incidence_kind == "full":
         return PrimitivityWitness(order=1, connectors=((symbols[0],),))
     adm = _incidence(system, symbols)
-    pos = {e: i for i, e in enumerate(symbols)}
     steps = adm.astype(np.int64)
     for order, reach in zip(range(1, max_order + 1), _reach_chain(adm)):
         # pair (e, e') is covered iff some connector a ... b has e a and b e' admissible
@@ -273,8 +264,8 @@ def find_primitivity(
             continue
         # the search below always returns, so representatives are built once
         reps = _signature_reps(system, symbols, order)
-        before = adm[:, [pos[w[0]] for w in reps]].T
-        after = adm[[pos[w[-1]] for w in reps]]
+        before = _pairs(system, symbols, [w[0] for w in reps]).T
+        after = _pairs(system, [w[-1] for w in reps], symbols)
         cover = (before[:, :, None] & after[:, None, :]).reshape(len(reps), -1)  # (reps x pairs)
         for size in range(1, min(len(reps), max_exhaustive) + 1):
             # itertools order: every head of size - 1, then each later last member
@@ -299,15 +290,11 @@ def find_primitivity(
 def verify_primitivity(
     system: SymbolicSystem, symbols: Sequence[int], witness: PrimitivityWitness
 ) -> bool:
-    """Exhaustive pair re-check of a witness."""
-    for e1 in symbols:
-        for e2 in symbols:
-            if not any(
-                system.admissible_pair(e1, w[0]) and system.admissible_pair(w[-1], e2)
-                for w in witness.connectors
-            ):
-                return False
-    return True
+    """Exhaustive pair re-check of a witness, one boolean product of incidence
+    slices (connector letters outside the symbols read the whole matrix)."""
+    into = _pairs(system, symbols, [w[0] for w in witness.connectors])
+    out = _pairs(system, [w[-1] for w in witness.connectors], symbols)
+    return bool((into @ out).all())
 
 
 def build_ladder(

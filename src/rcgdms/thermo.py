@@ -145,7 +145,7 @@ def _transfer_steps(lane: _Lane, adm: np.ndarray, weights, rows=True):
     row and last symbol b, the total weight of the admissible words ending in
     b.  Each w_j (weights[j]) broadcasts against the rows, so one loop runs
     one orbit from several start rows or many orbits from one."""
-    into = adm.T > 0  # per target symbol, the symbols that may precede it
+    into = adm.T  # per target symbol, the symbols that may precede it
     v = np.where(rows, weights[0], lane.zero)
     yield v
     for w in weights[1:]:
@@ -170,7 +170,7 @@ def _sums(lane: _Lane, symbols, potential, orbit, anchor, n, position) -> dict:
     rows = np.array([[True] * len(symbols), [e == anchor for e in symbols]])
     weights = [lane.weights(orbit.state(position + j), symbols) for j in range(n)]
     *_, (every, anchored) = _transfer_steps(lane, adm, weights, rows)
-    back = adm[:, symbols.index(anchor)] > 0
+    back = adm[:, symbols.index(anchor)]
     z = lane.total(anchored[back])
     return {"anchored_sup": z, "return": lane.total(every[back]), "operator": z, "all": lane.total(every)}
 
@@ -337,12 +337,12 @@ class PressureEstimate:
         return self.method.startswith("exact")
 
 
-def _is_full_over(system: SymbolicSystem, symbols: Optional[Sequence[int]]) -> bool:
-    """Whether every pair of the symbols is admissible: the exact-product
-    route of `pressure` and `pressures` (None: the whole alphabet)."""
-    if symbols is None or system.incidence_kind == "full":
+def _is_full_over(potential: FirstSymbolPotential, symbols: Optional[Sequence[int]]) -> bool:
+    """Whether every pair of the symbols (None: the whole alphabet, only on a
+    full shift) is admissible: the exact-product route of the pressures."""
+    if potential.system.incidence_kind == "full":
         return True
-    return all(system.admissible_pair(a, b) for a in symbols for b in symbols)
+    return symbols is not None and bool(potential.admissibility(tuple(sorted(symbols))).all())
 
 
 def _product_pressure(symbols: Optional[Sequence[int]], potential: FirstSymbolPotential, scales):
@@ -511,7 +511,7 @@ def pressure(
     drv = potential.driving
     if drv is None:
         raise ValueError("pressure needs the potential's driving system")
-    if method in ("auto", "exact-product") and _is_full_over(potential.system, symbols):
+    if method in ("auto", "exact-product") and _is_full_over(potential, symbols):
         return PressureEstimate(value=_product_pressure(symbols, potential, potential.scale), method="exact-product")
     if symbols is None:
         raise ValueError("non-product systems need an explicit finite symbol set")
@@ -556,7 +556,7 @@ def pressures(
     one evaluation of the atom table and one expectation, with the bits of
     the one-scale call; every other route calls `pressure` once per scale."""
     drv = potential.driving
-    if drv is None or not _is_full_over(potential.system, symbols):
+    if drv is None or not _is_full_over(potential, symbols):
         return [pressure(symbols, potential.scaled(s), orbits=orbits) for s in scales]
     values = _product_pressure(symbols, potential, np.array(scales, dtype=float))
     return [PressureEstimate(value=v, method="exact-product") for v in values.tolist()]
@@ -579,9 +579,7 @@ def pressure_compact_approx(ladder: Sequence[tuple[int, ...]], potential: FirstS
     """
     values = [pressure(rung, potential).value for rung in ladder]
     monotone = all(values[i + 1] >= values[i] - 1e-9 for i in range(len(values) - 1))
-    anchor = None
-    if _is_full_over(potential.system, potential.system.edges):
-        anchor = _product_pressure(None, potential, potential.scale)
+    anchor = _product_pressure(None, potential, potential.scale) if _is_full_over(potential, None) else None
     return CompactApproximation(
         rung_values=tuple(values),
         limit=values[-1] if anchor is None else anchor,

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from words import code_point, enumerate_words, ratio_of
+from words import code_point, enumerate_words, ratio_of, successors
 
 import rcgdms.gdms
 import rcgdms.shift
@@ -215,7 +215,7 @@ def test_local_dimension_samples_match_per_word_coding(case, depth, data):
     for length in data.draw(st.lists(st.integers(1, depth + 2), min_size=1, max_size=4)):
         word = [data.draw(st.sampled_from(symbols))]
         while len(word) < length:
-            nxt = system.symbolic.successors(word[-1], symbols)
+            nxt = successors(system.symbolic, word[-1], symbols)
             if not nxt:
                 break
             word.append(data.draw(st.sampled_from(nxt)))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from words import block_log_moment, block_log_ratio, code_point, ratio_of
 
@@ -227,18 +227,31 @@ def closed_form_row(name, sysm, state):
     return np.array([math.log(ratio_of(sysm, e, state)) for e in edges])
 
 
+@st.composite
+def unit_fractions(draw):
+    """A Fraction whose float lies in (0, 1), with terms up to 2**80, where
+    rounding to a double loses digits and distinct ratios can share a float."""
+    den = draw(st.integers(2, 2**80))
+    r = Fraction(draw(st.integers(1, den - 1)), den)
+    assume(float(r) < 1.0)  # a contraction rounding to 1 is refused
+    return r
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_similarity_rows_match_scalar_log_ratio(data):
+    # the log row and the contraction, bit for bit those of math.log of each
+    # Fraction and of the float of the largest Fraction
     edges = sorted(data.draw(st.sets(st.integers(0, 40), min_size=1, max_size=6)))
     states = tuple(range(data.draw(st.integers(1, 3))))
-    ratio = st.integers(1, 999).map(lambda k: Fraction(k, 1000))
+    ratio = st.one_of(st.integers(1, 999).map(lambda k: Fraction(k, 1000)), unit_fractions())
     ratios = {s: {e: data.draw(ratio) for e in edges} for s in states}
     offsets = {s: {e: 0.0 for e in edges} for s in states}
     sysm = similarity_system(full_shift(edges), periodic(states), ratios, offsets)
     for state in states:
         want = np.array([math.log(ratios[state][e]) for e in edges])
         assert sysm.log_ratios(state).tobytes() == want.tobytes()
+    assert sysm.contraction == float(max(max(row.values()) for row in ratios.values()))
 
 
 @pytest.mark.parametrize("cutoff", [1, 8, 500])

@@ -5,6 +5,7 @@ sums with an exact math.fsum log-sum-exp, the way the transfer sums were
 computed before the log-weight table existed.
 """
 
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -255,16 +256,26 @@ def test_spectral_pressure_falls_back_to_eigvals(rows, logs, monkeypatch):
 
 
 @settings(max_examples=100, deadline=None)
-@given(small_systems(), st.data())
-def test_incidence_and_admissibility_match_per_pair_reference(system_and_states, data):
-    pot, _ = system_and_states
-    system = pot.system
-    symbols = tuple(sorted(data.draw(st.sets(st.sampled_from(system.edges), min_size=1, max_size=len(system.edges)))))
-    want = np.array([[system.admissible_pair(a, b) for b in symbols] for a in symbols], dtype=bool)
+@given(st.data())
+def test_incidence_and_admissibility_match_per_pair_reference(data):
+    """Every incidence reader against the 0/1 rows the shift was built from,
+    pair by pair: edges with scattered labels in drawn order, dead rows and
+    columns included."""
+    n = data.draw(st.integers(1, 6))
+    edges = data.draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+    rows = [[data.draw(st.integers(0, 1)) for _ in edges] for _ in edges]
+    system = from_matrix(edges, rows)
+    symbols = tuple(sorted(data.draw(st.sets(st.sampled_from(edges), min_size=1))))
+    want = np.array([[rows[edges.index(a)][edges.index(b)] == 1 for b in symbols] for a in symbols])
     got = _incidence(system, symbols)
     assert got.dtype == bool and np.array_equal(got, want)
+    assert [[system.admissible_pair(a, b) for b in symbols] for a in symbols] == want.tolist()
+    at = {e: i for i, e in enumerate(symbols)}
+    for word in itertools.product(symbols, repeat=3):
+        assert system.is_admissible(word) == all(want[at[a], at[b]] for a, b in zip(word, word[1:]))
+    pot = table_potential(system, {0: dict.fromkeys(edges, 0.0)}, driving=periodic((0,)))
     adm = pot.admissibility(symbols)
-    assert adm.dtype == np.float64 and np.array_equal(adm, want.astype(np.float64))
+    assert adm.dtype == bool and np.array_equal(adm, want) and pot.admissibility(symbols) is adm
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 1.0, 1.7])

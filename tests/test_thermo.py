@@ -17,6 +17,7 @@ from rcgdms.thermo import (
     partition_sums,
     pressure,
     pressure_compact_approx,
+    pressures,
 )
 
 LOG2, LOG3 = math.log(2.0), math.log(3.0)
@@ -252,6 +253,29 @@ def test_compact_limit_of_a_finite_alphabet_is_its_pressure():
     approx = pressure_compact_approx(build_ladder(system.symbolic, (2, 3, 4), witness), zeta)
     assert approx.anchor is None
     assert approx.limit == pressure((0, 1, 2, 3), zeta).value == pytest.approx(-0.7280996106770053, abs=1e-12)
+
+
+def test_compact_limit_of_an_all_ones_matrix_is_its_last_rung():
+    # a full incidence given as a matrix has no closed-form whole-alphabet sum
+    system = similarity_system(
+        from_matrix((0, 1, 2), np.ones((3, 3), dtype=int).tolist()),
+        deterministic(0),
+        {0: {0: Fraction(1, 3), 1: Fraction(1, 4), 2: Fraction(1, 5)}},
+        {0: {0: 0.0, 1: 0.4, 2: 0.7}},
+    )
+    zeta = geometric_potential(system).scaled(1.0)
+    approx = pressure_compact_approx(build_ladder(system.symbolic, (2, 3)), zeta)
+    assert approx.anchor is None
+    assert approx.limit == approx.rung_values[-1] == pytest.approx(math.log(47 / 60), abs=1e-15)
+
+
+def test_whole_alphabet_pressure_needs_a_full_shift(golden):
+    # symbols=None is the whole alphabet, which has product structure on a full shift only
+    zeta = geometric_potential(golden).scaled(1.0)
+    with pytest.raises(ValueError, match="explicit finite symbol set"):
+        pressure(None, zeta)
+    with pytest.raises(ValueError, match="explicit finite symbol set"):
+        pressures(None, zeta, [0.5, 1.0])
 
 
 def test_compact_finite_while_ru_moment_diverges(paper):

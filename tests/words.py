@@ -1,9 +1,9 @@
 """Brute-force word enumeration: the reference the tests check the package's
 word-level paths against (prefix-tree levels, signature representatives,
-partition sums, conformal measures), per-symbol readers of the rows the
-references weigh those words with, and the one-word-at-a-time references of
-limit-set coding, of the block example's ratios and tail moments, and of the
-zero potential."""
+partition sums, conformal measures) with the pair-by-pair successors it
+extends words by, per-symbol readers of the rows the references weigh those
+words with, and the one-word-at-a-time references of limit-set coding, of
+the block example's ratios and tail moments, and of the zero potential."""
 
 import math
 from fractions import Fraction
@@ -44,6 +44,11 @@ def weight_fn(potential, arithmetic):
     return lambda state, e: potential.exact_weights(state, (e,), arithmetic)[0]
 
 
+def successors(system: SymbolicSystem, e: int, symbols: Sequence[int]) -> tuple[int, ...]:
+    """The symbols b, in the given order, with (e, b) admissible, pair by pair."""
+    return tuple(b for b in symbols if system.admissible_pair(e, b))
+
+
 def enumerate_words(
     system: SymbolicSystem,
     symbols: Sequence[int],
@@ -62,7 +67,7 @@ def enumerate_words(
     symbols = tuple(sorted(symbols))
     if not symbols:
         raise ValueError("symbol set must be nonempty")
-    succ = {e: system.successors(e, symbols) for e in symbols}
+    succ = {e: successors(system, e, symbols) for e in symbols}
     starts = (first,) if first is not None else symbols
 
     def extend(prefix: list[int]) -> Iterator[Word]:

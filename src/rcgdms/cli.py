@@ -35,7 +35,7 @@ from .oracle import box_counting, corrected_coarse_dimensions, level_histogram
 from .potentials import geometric_potential, s_infinity
 from .shift import PrimitivityWitness, build_ladder, count_words, find_primitivity, verify_primitivity
 from .spectrum import _slope, bowen_dimension, legendre_spectrum, pressure_curve
-from .thermo import check_gibbs, check_sandwich, pressure, pressure_compact_approx, pressures
+from .thermo import _route, check_gibbs, check_sandwich, pressure, pressure_compact_approx, pressures
 
 
 # Most words a command enumerates for one measure or limit-set sample: the
@@ -148,10 +148,7 @@ def _curve(run: RunConfig, symbols=None):
         raise ConfigError("the whole s grid sits at or below the summability threshold")
     curve = pressure_curve(evaluate, grid, _exponent_hull(zeta, symbols), s_infinity=s_inf)
     # p'(s) from the exact-spectral route, paired difference scales on the exact-product route
-    routes = {est.method for est, _ in table.values()}
-    if routes == {"exact-spectral"}:
-        return replace(curve, slope=slope)
-    return replace(curve, slope=paired_slope) if routes == {"exact-product"} else curve
+    return replace(curve, slope={"exact-spectral": slope, "exact-product": paired_slope}.get(_route(symbols, zeta)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +184,7 @@ def cmd_pressure(run: RunConfig) -> int:
     grid = run.analysis.s_grid()
     # one column of estimates over the grid per rung, then the whole alphabet
     columns = [(len(rung), pressures(rung, zeta, grid, orbits=orbits)) for rung in ladder]
-    if sysm.symbolic.tail is not None or sysm.symbolic.incidence_kind == "full":
+    if sysm.symbolic.incidence_kind == "full":
         columns.append(("full", pressures(None, zeta, grid)))
     rows = []
     for i, s in enumerate(grid):
@@ -279,16 +276,8 @@ def cmd_limitset(run: RunConfig) -> int:
     symbols = _finite_symbols(run)
     orbit = DrivingOrbit(run.system.driving, run.seed)
     depth = run.analysis.depth
-    exhaustive = count_words(run.system.symbolic, symbols, depth) <= 4096
-    sample = sample_limit_set(
-        run.system,
-        orbit,
-        depth=depth,
-        count=None if exhaustive else 4096,
-        sampler="exhaustive" if exhaustive else "random-words",
-        seed=run.seed,
-        symbols=symbols,
-    )
+    count = None if count_words(run.system.symbolic, symbols, depth) <= 4096 else 4096
+    sample = sample_limit_set(run.system, orbit, depth=depth, count=count, seed=run.seed, symbols=symbols)
     names = {e: str(e) for e in symbols}
     labels = ["-".join([names[e] for e in w]) for w in sample.codes.tolist()]
     rows = zip(labels, sample.points.tolist(), itertools.repeat(str(sample.radius_bound)))

@@ -176,25 +176,21 @@ def sample_limit_set(
     orbit: DrivingOrbit,
     depth: int,
     count: Optional[int] = None,
-    sampler: str = "exhaustive",
     seed: int = 0,
     symbols: Optional[Sequence[int]] = None,
 ) -> LimitSetSample:
     """Point cloud approximating the fiber limit set at a given word depth.
 
-    Exhaustive mode codes every admissible word, in word_index's order;
-    random mode extends words one admissible symbol at a time, uniformly,
-    under a dedicated seed.
+    With no count, every admissible word is coded, in word_index's order;
+    with a count, that many random words, each extended one admissible
+    symbol at a time, uniformly, under a dedicated seed (a word that reaches
+    a dead end is dropped).
     """
     symbols = tuple(sorted(symbols if symbols is not None else gdms.symbolic.edges))
     bound = gdms.contraction ** depth * gdms.max_diameter()
-    if sampler == "exhaustive":
+    if count is None:
         points = code_levels(gdms, orbit, symbols, depth)[0]
         return LimitSetSample(depth, points, bound, symbols, lambda: word_index(gdms.symbolic, symbols, depth))
-    if sampler != "random-words":
-        raise ValueError(f"unknown sampler {sampler!r}")
-    if count is None:
-        raise ValueError("random-words sampling needs a count")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     successors = [np.flatnonzero(row).tolist() for row in _incidence(gdms.symbolic, symbols)]
     picked = []

@@ -207,19 +207,20 @@ class PrimitivityWitness:
         return frozenset(s for w in self.connectors for s in w)
 
 
-def _reach_chain(adm: np.ndarray) -> Iterator[np.ndarray]:
-    """reach[k][c, b] for k = 0, 1, ...: some admissible word c ... b of
-    length k + 1."""
+def _reach_chain(adm: np.ndarray) -> Iterator[list[np.ndarray]]:
+    """[reach[0], ..., reach[k]] for k = 0, 1, ..., one list grown in place:
+    reach[k][c, b] says some admissible word c ... b has length k + 1."""
     steps = adm.astype(np.int64)
-    reach = np.eye(len(adm), dtype=bool)
+    reach = [np.eye(len(adm), dtype=bool)]
     while True:
         yield reach
-        reach = (steps @ reach) > 0
+        reach.append((steps @ reach[-1]) > 0)
 
 
-def _signature_reps(system: SymbolicSystem, symbols: Sequence[int], n: int) -> list[Word]:
-    """Lexicographically first admissible word per (first, last) signature,
-    in signature order.
+def _signature_reps(symbols: tuple, adm: np.ndarray, reach: list) -> list[Word]:
+    """Lexicographically first admissible word of length n = len(reach) per
+    (first, last) signature, in signature order, from the sorted symbols'
+    incidence slice `adm` and the list `_reach_chain` yields at k = n - 1.
 
     Connector coverage of a pair only depends on the connector's first and
     last symbol, so one representative per signature suffices.  No word is
@@ -227,13 +228,10 @@ def _signature_reps(system: SymbolicSystem, symbols: Sequence[int], n: int) -> l
     least successor from which the last symbol is still reachable in the
     steps left, so the cost is polynomial in |symbols| and n.
     """
-    symbols = tuple(sorted(symbols))
-    adm = _incidence(system, symbols)
-    reach = list(itertools.islice(_reach_chain(adm), n))
     reps = []
     for a, b in zip(*np.nonzero(reach[-1])):
         word = [a]
-        for k in range(n - 2, -1, -1):
+        for k in range(len(reach) - 2, -1, -1):
             word.append(np.flatnonzero(adm[word[-1]] & reach[k][:, b])[0])
         reps.append(tuple(symbols[i] for i in word))
     return reps
@@ -260,10 +258,10 @@ def find_primitivity(
     steps = adm.astype(np.int64)
     for order, reach in zip(range(1, max_order + 1), _reach_chain(adm)):
         # pair (e, e') is covered iff some connector a ... b has e a and b e' admissible
-        if not (steps @ reach @ steps).all():
+        if not (steps @ reach[-1] @ steps).all():
             continue
         # the search below always returns, so representatives are built once
-        reps = _signature_reps(system, symbols, order)
+        reps = _signature_reps(symbols, adm, reach)
         before = _pairs(system, symbols, [w[0] for w in reps]).T
         after = _pairs(system, [w[-1] for w in reps], symbols)
         cover = (before[:, :, None] & after[:, None, :]).reshape(len(reps), -1)  # (reps x pairs)

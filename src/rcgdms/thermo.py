@@ -21,11 +21,12 @@ of per-symbol weights at fiber omega_j, M the incidence matrix), built one
 symbol at a time, and the distortion constant B of the chain is 1.  One code
 path serves float (log space), Fraction and mpf arithmetic.
 
-Pressure evaluation prefers exact routes: product structure (a full shift)
-gives the marginal expectation of the log transfer sum (`pressures`: at a
-vector of scales in one evaluation); deterministic or periodic driving
-over a finite alphabet gives the spectral radius of the
-weighted transition matrix (cycle product) and, on request, the slope of the
+`_route` alone picks the pressure route of a symbol set, once for all the
+scales of a `pressure` or `pressures` call.  Product structure (every pair
+of the symbols admissible) gives the marginal expectation of the log
+transfer sum, at every scale in one evaluation; deterministic or periodic
+driving over at most 128 symbols gives the spectral radius of the weighted
+transition matrix (cycle product) and, on request, the slope of the
 pressure in s from the Perron vectors of that product.  Radius and vectors
 come from a power iteration certified by its Collatz-Wielandt bracket, and
 from an eigenvalue solve only where the bracket does not close.  The Monte
@@ -337,12 +338,20 @@ class PressureEstimate:
         return self.method.startswith("exact")
 
 
-def _is_full_over(potential: FirstSymbolPotential, symbols: Optional[Sequence[int]]) -> bool:
-    """Whether every pair of the symbols (None: the whole alphabet, only on a
-    full shift) is admissible: the exact-product route of the pressures."""
-    if potential.system.incidence_kind == "full":
-        return True
-    return symbols is not None and bool(potential.admissibility(tuple(sorted(symbols))).all())
+def _route(symbols: Optional[Sequence[int]], potential: FirstSymbolPotential) -> str:
+    """The route of the pressure over the symbols (None: the whole alphabet,
+    only on a full shift): "exact-product" where every pair of them is
+    admissible, "exact-spectral" under deterministic or periodic driving over
+    at most 128 symbols, else "monte-carlo"."""
+    if potential.driving is None:
+        raise ValueError("pressure needs the potential's driving system")
+    full = potential.system.incidence_kind == "full"
+    if symbols is None and not full:
+        raise ValueError("non-product systems need an explicit finite symbol set")
+    if full or potential.admissibility(tuple(sorted(symbols))).all():
+        return "exact-product"
+    spectral = potential.driving.kind in ("deterministic", "periodic") and len(symbols) <= 128
+    return "exact-spectral" if spectral else "monte-carlo"
 
 
 def _product_pressure(symbols: Optional[Sequence[int]], potential: FirstSymbolPotential, scales):
@@ -481,48 +490,19 @@ def _mc_log_all(symbols, potential, orbits: OrbitFamily, depths) -> np.ndarray:
     return lane.total(np.stack([v for n, v in enumerate(steps, 1) if n in wanted]))
 
 
-def pressure(
-    symbols: Optional[Sequence[int]],
-    potential: FirstSymbolPotential,
-    orbits: Optional[OrbitFamily] = None,
-    depths: Sequence[int] = (4, 5, 6, 7, 8),
-    method: str = "auto",
-    slope: bool = False,
-) -> PressureEstimate:
-    """Relative pressure of the potential over a finite symbol set of its
-    shift, potential.system (or the whole alphabet for product-structure
-    systems when symbols is None).
+MC_DEPTHS = (4, 5, 6, 7, 8)  # the Monte Carlo route's depths; its fit reads the deepest three
 
-    Route selection: product structure and deterministic/periodic transfer
-    matrices are exact; otherwise depth-extrapolated Monte Carlo across
-    the orbits of an OrbitFamily (default: a new family of 16 seeded from
-    root 0; a caller that evaluates many s, rungs or depths passes one family,
-    so its orbits are drawn and indexed once), reported with the cross-orbit
-    spread: one batched pass to max(depths) yields log A_n at every orbit and
-    depth, and value = p + c/n is fitted per orbit over the deepest three of
-    the depths, which must be strictly increasing integers >= 1.
 
-    With `slope`, the exact-spectral route also fills `slope` with p'(s) from
-    the Perron vectors of the same cycle product (certified by the power
-    iteration's bracket, or else by an inverse-iteration residual), or leaves
-    it None where neither certifies them (as where the weights underflow);
-    the other routes leave it None.
-    """
-    drv = potential.driving
-    if drv is None:
-        raise ValueError("pressure needs the potential's driving system")
-    if method in ("auto", "exact-product") and _is_full_over(potential, symbols):
-        return PressureEstimate(value=_product_pressure(symbols, potential, potential.scale), method="exact-product")
-    if symbols is None:
-        raise ValueError("non-product systems need an explicit finite symbol set")
-    if method in ("auto", "exact-spectral") and drv.kind in ("deterministic", "periodic") and len(symbols) <= 128:
-        return _spectral_pressure(symbols, potential, drv.states, slope)
-
+def _mc_pressure(symbols, potential: FirstSymbolPotential, orbits: OrbitFamily, depths=MC_DEPTHS) -> PressureEstimate:
+    """Depth-extrapolated Monte Carlo pressure across the orbits of a family,
+    reported with the cross-orbit spread: one batched pass to max(depths)
+    yields log A_n at every orbit and depth, and value = p + c/n is fitted
+    per orbit over the deepest three of the depths, which must be strictly
+    increasing integers >= 1."""
     depths = tuple(depths)
     integral = all(isinstance(n, (int, np.integer)) for n in depths)
     if not (depths and integral and depths[0] >= 1 and all(a < b for a, b in zip(depths, depths[1:]))):
         raise ValueError(f"depths must be strictly increasing integers >= 1, got {depths}")
-    orbits = orbit_family(drv, count=16, root_seed=0) if orbits is None else orbits
     ns = np.array(depths)
     # Per orbit, the intercept p of p + c/n over the deepest three depths: the
     # sandwich constants bias every approximant by O(1/n).  An orbit with no
@@ -545,6 +525,36 @@ def pressure(
     )
 
 
+def _pressures(symbols, potential: FirstSymbolPotential, scales, orbits, slope=False) -> list[PressureEstimate]:
+    """The body of `pressure` (scales None: the potential's own scale, as it
+    is) and `pressures`: one route for every scale."""
+    route = _route(symbols, potential)
+    if route == "exact-product":
+        values = _product_pressure(symbols, potential, potential.scale if scales is None else np.array(scales, dtype=float))
+        return [PressureEstimate(value=v, method=route) for v in np.atleast_1d(values).tolist()]
+    scaled = [potential] if scales is None else [potential.scaled(s) for s in scales]
+    if route == "exact-spectral":
+        return [_spectral_pressure(symbols, p, potential.driving.states, slope) for p in scaled]
+    orbits = orbit_family(potential.driving, count=16, root_seed=0) if orbits is None else orbits
+    return [_mc_pressure(symbols, p, orbits) for p in scaled]
+
+
+def pressure(
+    symbols: Optional[Sequence[int]],
+    potential: FirstSymbolPotential,
+    orbits: Optional[OrbitFamily] = None,
+    slope: bool = False,
+) -> PressureEstimate:
+    """Relative pressure of the potential over a finite symbol set of its
+    shift (None: the whole alphabet, only on a full shift), on the route
+    `_route` picks.  The Monte Carlo route reads `orbits` (default: a new
+    family of 16 seeded from root 0; pass one family to many calls, so its
+    orbits are drawn once).  With `slope`, the exact-spectral route also
+    fills `slope` with p'(s) from the Perron vectors of its cycle product
+    where they certify (else None); the other routes leave it None."""
+    return _pressures(symbols, potential, None, orbits, slope)[0]
+
+
 def pressures(
     symbols: Optional[Sequence[int]],
     potential: FirstSymbolPotential,
@@ -552,14 +562,9 @@ def pressures(
     orbits: Optional[OrbitFamily] = None,
 ) -> list[PressureEstimate]:
     """pressure(symbols, potential.scaled(s), orbits=orbits) for each s of
-    `scales`, in order.  On the exact-product route every scale comes from
-    one evaluation of the atom table and one expectation, with the bits of
-    the one-scale call; every other route calls `pressure` once per scale."""
-    drv = potential.driving
-    if drv is None or not _is_full_over(potential, symbols):
-        return [pressure(symbols, potential.scaled(s), orbits=orbits) for s in scales]
-    values = _product_pressure(symbols, potential, np.array(scales, dtype=float))
-    return [PressureEstimate(value=v, method="exact-product") for v in values.tolist()]
+    `scales`, in order, on one route; on the exact-product route from one
+    evaluation of the atom table, with the bits of the one-scale call."""
+    return _pressures(symbols, potential, scales, orbits)
 
 
 @dataclass(frozen=True)
@@ -579,7 +584,7 @@ def pressure_compact_approx(ladder: Sequence[tuple[int, ...]], potential: FirstS
     """
     values = [pressure(rung, potential).value for rung in ladder]
     monotone = all(values[i + 1] >= values[i] - 1e-9 for i in range(len(values) - 1))
-    anchor = _product_pressure(None, potential, potential.scale) if _is_full_over(potential, None) else None
+    anchor = _product_pressure(None, potential, potential.scale) if potential.system.incidence_kind == "full" else None
     return CompactApproximation(
         rung_values=tuple(values),
         limit=values[-1] if anchor is None else anchor,

@@ -86,9 +86,7 @@ def test_exhaustive_sample_matches_per_word_coding(case, depth):
 @given(systems(), st.integers(1, 6), st.integers(0, 40), st.integers(0, 1000))
 def test_random_words_match_per_word_coding(case, depth, count, seed):
     system, orbit, symbols = case
-    sample = sample_limit_set(
-        system, orbit, depth=depth, count=count, sampler="random-words", seed=seed, symbols=symbols
-    )
+    sample = sample_limit_set(system, orbit, depth=depth, count=count, seed=seed, symbols=symbols)
     # the documented protocol: a uniform first symbol, then uniform admissible
     # successors, from a PCG64 stream of the seed; words that die are dropped
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -129,7 +127,7 @@ def test_coding_makes_no_per_symbol_map_calls(monkeypatch, paper, golden):
     orbit = DrivingOrbit(paper.driving, 0)
     sample = sample_limit_set(paper, orbit, depth=6, symbols=(1, 2, 3, 4))
     assert sample.points.shape == (4 ** 6,)
-    sample = sample_limit_set(paper, orbit, depth=4, count=50, sampler="random-words", seed=3, symbols=(1, 2, 3, 4))
+    sample = sample_limit_set(paper, orbit, depth=4, count=50, seed=3, symbols=(1, 2, 3, 4))
     assert sample.points.shape == (50,)
     assert level_histogram(golden, DrivingOrbit(golden.driving, 0), (0, 1), n=12).total == 377
 
@@ -244,7 +242,7 @@ def test_random_words_on_a_full_shift_check_no_pair(monkeypatch, paper):
 
     monkeypatch.setattr(rcgdms.shift.SymbolicSystem, "admissible_pair", counting)
     orbit = DrivingOrbit(paper.driving, 0)
-    sample = sample_limit_set(paper, orbit, depth=3, count=512, sampler="random-words", seed=5)
+    sample = sample_limit_set(paper, orbit, depth=3, count=512, seed=5)
     assert sample.codes.shape == (512, 3)
     assert calls == 0
 

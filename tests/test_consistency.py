@@ -14,7 +14,7 @@ from rcgdms.oracle import box_counting, level_histogram
 from rcgdms.potentials import geometric_potential
 from rcgdms.shift import full_shift
 from rcgdms.spectrum import bowen_dimension, legendre_spectrum, pressure_curve
-from rcgdms.thermo import check_sandwich, pressure
+from rcgdms.thermo import _product_pressure, _spectral_pressure, check_sandwich, pressure
 
 
 def _random_system(rng, n_symbols, cycle_len):
@@ -46,9 +46,9 @@ def test_exact_pressure_routes_agree(seed, n_symbols, cycle_len):
     zeta = geometric_potential(system)
     symbols = tuple(range(n_symbols))
     for s in (-0.5, 0.0, 0.7, 1.3):
-        product = pressure(symbols, zeta.scaled(s), method="exact-product")
-        spectral = pressure(symbols, zeta.scaled(s), method="exact-spectral")
-        assert product.value == pytest.approx(spectral.value, abs=1e-10)
+        product = _product_pressure(symbols, zeta, s)
+        spectral = _spectral_pressure(symbols, zeta.scaled(s), zeta.driving.states)
+        assert product == pytest.approx(spectral.value, abs=1e-10)
 
 
 @pytest.mark.parametrize("seed", [5, 17])

@@ -97,11 +97,11 @@ def test_limit_set_depth1_count(twoscale):
 
 def test_random_words_reproducible(paper):
     orbit = DrivingOrbit(paper.driving, 0)
-    a = sample_limit_set(paper, orbit, depth=3, count=64, sampler="random-words", seed=5)
-    b = sample_limit_set(paper, orbit, depth=3, count=64, sampler="random-words", seed=5)
+    a = sample_limit_set(paper, orbit, depth=3, count=64, seed=5)
+    b = sample_limit_set(paper, orbit, depth=3, count=64, seed=5)
     assert np.array_equal(a.codes, b.codes)
     assert np.array_equal(a.points, b.points)
-    c = sample_limit_set(paper, orbit, depth=3, count=64, sampler="random-words", seed=6)
+    c = sample_limit_set(paper, orbit, depth=3, count=64, seed=6)
     assert not np.array_equal(a.codes, c.codes)
 
 

@@ -8,7 +8,10 @@ non-full shift); `primitivity`, `limitset` and `verify` on the generated
 counts at 64 symbols); and `verify` and `measures` on the golden-mean
 incidence of configs/custom-example.json.  Recorded while the shift still
 kept successor sets beside its matrix; any change to how incidence is
-stored or read must keep them.
+stored or read must keep them.  `pressure --rungs 1,2` on that config was
+recorded while three functions still decided the pressure route: its rung
+(0,) takes the product route's fork for a rung full over itself in a
+constrained shift, and rung (0, 1) the spectral route.
 """
 
 import hashlib
@@ -33,6 +36,7 @@ GOLDEN = {
     "spectral64/verify.json": "3a834ceea931844f86f71c204f6a3313e3615eea112fd4a374d4d75c8d42c69b",
     "custom-example/verify.json": "25da52349110c9c8f180077c803b0adae00ceaec68962ca99e1c5c2a0d382896",
     "custom-example/measures.csv": "b69729c7bb4da295cc3375f54d631d63c3b897c3f03b87d4b713ed9cdd4bd27f",
+    "custom-example-rungs/pressure.csv": "66582d57c24718a6eb2ba26da064633fc4486aa6300298726f294f33e99b6157",
 }
 
 
@@ -72,3 +76,11 @@ def test_spectral64_incidence_readers_keep_their_bytes(tmp_path):
 def test_golden_mean_config_keeps_its_bytes(tmp_path):
     path = ROOT / "configs" / "custom-example.json"
     assert _pinned("custom-example", path, ("verify", "measures"), tmp_path) == _golden("custom-example")
+
+
+def test_constrained_pressure_rungs_keep_their_bytes(tmp_path):
+    out = tmp_path / "pressure"
+    path = ROOT / "configs" / "custom-example.json"
+    assert main(["pressure", "--config", str(path), "--rungs", "1,2", "--out", str(out)]) == 0
+    got = hashlib.sha256((out / "pressure.csv").read_bytes()).hexdigest()
+    assert got == GOLDEN["custom-example-rungs/pressure.csv"]

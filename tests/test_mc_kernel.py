@@ -20,7 +20,7 @@ import rcgdms.thermo
 from rcgdms.driving import _BLOCK, DrivingOrbit, bernoulli, orbit_family
 from rcgdms.potentials import FirstSymbolPotential
 from rcgdms.shift import from_matrix
-from rcgdms.thermo import _mc_log_all, partition_sums, pressure
+from rcgdms.thermo import _mc_log_all, _mc_pressure, partition_sums, pressure
 
 TOL = 1e-12
 
@@ -96,7 +96,7 @@ def cases(draw):
 @given(cases())
 def test_batched_route_matches_per_orbit_loop(case):
     system, symbols, potential, orbits, depths = case
-    est = pressure(symbols, potential, orbits=orbits, depths=depths, method="monte-carlo")
+    est = _mc_pressure(symbols, potential, orbits, depths)
     assert est.depths == depths
     assert_matches(est, reference(system, tuple(sorted(symbols)), potential, orbits, depths))
 
@@ -115,8 +115,8 @@ def test_one_family_serves_every_s_rung_and_depth_bit_for_bit(case, count, root,
             for rung in (symbols[:2], symbols):
                 pot = potential.scaled(s)
                 fresh = orbit_family(potential.driving, count, root)
-                got = pressure(rung, pot, orbits=family, depths=depths, method="monte-carlo")
-                assert got == pressure(rung, pot, orbits=fresh, depths=depths, method="monte-carlo")
+                got = _mc_pressure(rung, pot, family, depths)
+                assert got == _mc_pressure(rung, pot, fresh, depths)
         used, inverse = family.state_matrix(depths[-1])
         stacked = np.array([o.state_indices(0, depths[-1]) for o in family.orbits]).T
         assert np.array_equal(used[inverse], stacked)
@@ -151,7 +151,7 @@ def test_empty_rows_give_minus_infinity():
         driving=bernoulli((0, 1), (0.5, 0.5)),
     )
     for depths in ((3,), (1, 2, 3), (2, 3, 4)):
-        est = pressure((0, 1), pot, depths=depths)
+        est = _mc_pressure((0, 1), pot, orbit_family(pot.driving, 16, 0), depths)
         assert est.value == -math.inf
         assert est.per_depth[-1] == -math.inf
         assert est.spread == 0.0  # every orbit is empty: they agree exactly
@@ -169,7 +169,7 @@ def test_empty_rows_give_minus_infinity():
             want = partition_sums((0, 1), dead, o, 0, n).log_all
             assert log_all[i, j] == want
     assert np.isneginf(log_all).any() and np.isfinite(log_all).any()
-    mixed = pressure((0, 1), dead, orbits=orbits, depths=(1, 2))
+    mixed = _mc_pressure((0, 1), dead, orbits, (1, 2))
     assert mixed.value == -math.inf
     assert mixed.spread == math.inf  # only some orbits are empty
 
@@ -178,12 +178,12 @@ def test_empty_rows_give_minus_infinity():
 def test_depths_must_increase_strictly_from_one(depths):
     pot = _mc_potential()
     with pytest.raises(ValueError, match="depths"):
-        pressure((0, 1, 2), pot, depths=depths)
+        _mc_pressure((0, 1, 2), pot, orbit_family(pot.driving, 16, 0), depths)
 
 
 def test_numpy_integer_depths_are_accepted():
     pot = _mc_potential()
-    est = pressure((0, 1, 2), pot, depths=np.arange(3, 6))
+    est = _mc_pressure((0, 1, 2), pot, orbit_family(pot.driving, 16, 0), np.arange(3, 6))
     assert est.depths == (3, 4, 5)
 
 

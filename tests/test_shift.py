@@ -101,6 +101,14 @@ def test_primitivity_period_two_not_found():
     assert find_primitivity(sym, (0, 1), 4) is None
 
 
+def signature_reps(system, symbols, n):
+    """shift._signature_reps over the sorted symbols' incidence slice and its
+    first n reach matrices, as find_primitivity builds them."""
+    adm = rcgdms.shift._incidence(system, symbols)
+    reach = next(itertools.islice(rcgdms.shift._reach_chain(adm), n - 1, None))
+    return rcgdms.shift._signature_reps(symbols, adm, reach)
+
+
 def ref_signature_reps(system, symbols, n):
     """The lexicographically first enumerated word per (first, last) pair, in
     pair order."""
@@ -122,10 +130,10 @@ def incidences(draw):
 @given(incidences(), st.integers(1, 4))
 def test_signature_reps_and_witness_match_enumeration(sym, order):
     symbols = tuple(sorted(sym.edges))
-    assert rcgdms.shift._signature_reps(sym, symbols, order) == ref_signature_reps(sym, symbols, order)
+    assert signature_reps(sym, symbols, order) == ref_signature_reps(sym, symbols, order)
     got = find_primitivity(sym, symbols, max_order=order)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rcgdms.shift, "_signature_reps", ref_signature_reps)
+        mp.setattr(rcgdms.shift, "_signature_reps", lambda syms, adm, reach: ref_signature_reps(sym, syms, len(reach)))
         assert got == find_primitivity(sym, symbols, max_order=order)
 
 
@@ -136,7 +144,7 @@ def ref_find_primitivity(system, rows, max_order, max_exhaustive=3):
     symbols = tuple(range(len(rows)))
     pairs = [(e1, e2) for e1 in symbols for e2 in symbols]
     for order in range(1, max_order + 1):
-        reps = rcgdms.shift._signature_reps(system, symbols, order)
+        reps = signature_reps(system, symbols, order)
         cover = {w: frozenset(p for p in pairs if rows[p[0]][w[0]] and rows[w[-1]][p[1]]) for w in reps}
         if set().union(*cover.values(), frozenset()) != set(pairs):
             continue

@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 from words import zero_potential
 
-from rcgdms.driving import DrivingOrbit, deterministic, orbit_family
+import rcgdms.thermo as thermo
+from rcgdms import instances
+from rcgdms.driving import DrivingOrbit, bernoulli, deterministic, orbit_family, periodic
 from rcgdms.gdms import similarity_system
 from rcgdms.gibbs import conformal_measures
 from rcgdms.potentials import geometric_potential, table_potential
 from rcgdms.shift import build_ladder, count_words, find_primitivity, from_matrix
 from rcgdms.thermo import (
+    _mc_pressure,
+    _product_pressure,
+    _route,
     check_gibbs,
     check_sandwich,
     partition_sums,
@@ -130,7 +135,7 @@ def test_every_route_returns_a_python_float(cantor, golden):
     for est, route in (
         (pressure(None, geometric_potential(cantor)), "exact-product"),
         (pressure((0, 1), zeta), "exact-spectral"),
-        (pressure((0, 1), zeta, method="monte-carlo"), "monte-carlo"),
+        (_mc_pressure((0, 1), zeta, orbit_family(golden.driving, 16, 0)), "monte-carlo"),
     ):
         assert est.method == route and type(est.value) is float, (route, type(est.value))
 
@@ -157,9 +162,9 @@ def test_zero_potential_pressure_is_log_spectral_radius(rows):
 def test_monte_carlo_route_agrees_with_product(paper):
     zeta = geometric_potential(paper).scaled(1.0)
     symbols = (1, 2)
-    exact = pressure(symbols, zeta, method="exact-product").value
+    exact = _product_pressure(symbols, zeta, zeta.scale)
     orbits = orbit_family(paper.driving, count=24, root_seed=2)
-    mc = pressure(symbols, zeta, orbits=orbits, depths=(6, 8, 10, 12), method="monte-carlo")
+    mc = _mc_pressure(symbols, zeta, orbits, (6, 8, 10, 12))
     assert mc.method == "monte-carlo"
     tol = max(4 * mc.spread / math.sqrt(len(orbits.orbits)), 3e-3)
     assert mc.value == pytest.approx(exact, abs=tol)
@@ -276,6 +281,54 @@ def test_whole_alphabet_pressure_needs_a_full_shift(golden):
         pressure(None, zeta)
     with pytest.raises(ValueError, match="explicit finite symbol set"):
         pressures(None, zeta, [0.5, 1.0])
+
+
+def _constrained(n, driving):
+    """The zero potential on n symbols, every pair admissible but (1, 1)."""
+    rows = np.ones((n, n), dtype=int)
+    rows[1, 1] = 0
+    return replace(zero_potential(from_matrix(range(n), rows.tolist())), driving=driving)
+
+
+@pytest.mark.parametrize(
+    "symbols, potential, route",
+    [
+        ((0, 1), geometric_potential(instances.cantor()), "exact-product"),
+        (None, geometric_potential(instances.cantor()), "exact-product"),
+        ((1, 0), geometric_potential(instances.golden_mean()), "exact-spectral"),
+        ((0, 2), _constrained(3, bernoulli((0, 1), (0.5, 0.5))), "exact-product"),  # full over itself
+        (tuple(range(128)), _constrained(128, periodic((0, 1))), "exact-spectral"),
+        (tuple(range(129)), _constrained(129, periodic((0, 1))), "monte-carlo"),
+        ((0, 1, 2), _constrained(3, bernoulli((0, 1), (0.5, 0.5))), "monte-carlo"),
+    ],
+    ids=["full", "full-whole-alphabet", "deterministic", "rung-full-over-itself", "periodic-128", "periodic-129", "bernoulli"],
+)
+def test_route_is_decided_once_per_symbol_set(symbols, potential, route):
+    assert _route(symbols, potential) == route
+    assert pressure(symbols, potential).method == route
+    assert {est.method for est in pressures(symbols, potential, [0.5, 1.0])} == {route}
+
+
+def test_pressure_and_pressures_share_one_body(golden, monkeypatch):
+    # neither public name calls the other, so a traced call opens one span
+    zeta = geometric_potential(golden)
+    want = [pressure((0, 1), zeta.scaled(s)) for s in (0.5, 1.0)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("one public pressure function called the other")
+
+    monkeypatch.setattr(thermo, "pressure", forbidden)
+    assert pressures((0, 1), zeta, [0.5, 1.0]) == want
+    monkeypatch.undo()
+    monkeypatch.setattr(thermo, "pressures", forbidden)
+    assert [pressure((0, 1), zeta.scaled(s)) for s in (0.5, 1.0)] == want
+
+
+def test_route_refuses_what_no_route_serves(golden):
+    with pytest.raises(ValueError, match="explicit finite symbol set"):
+        _route(None, geometric_potential(golden))
+    with pytest.raises(ValueError, match="driving"):
+        _route((0, 1), zero_potential(golden.symbolic))
 
 
 def test_compact_finite_while_ru_moment_diverges(paper):

@@ -34,7 +34,7 @@ from .gibbs import conformal_measures
 from .oracle import box_counting, corrected_coarse_dimensions, level_histogram
 from .potentials import geometric_potential, s_infinity
 from .shift import PrimitivityWitness, build_ladder, count_words, find_primitivity, verify_primitivity
-from .spectrum import _slope, bowen_dimension, legendre_spectrum, pressure_curve
+from .spectrum import bowen_dimension, legendre_spectrum, pressure_curve
 from .thermo import _route, check_gibbs, check_sandwich, pressure, pressure_compact_approx, pressures
 
 
@@ -112,43 +112,47 @@ def _exponent_hull(potential, symbols=None) -> tuple[float, float]:
     return (-block.max().item(), math.inf if whole else -block.min().item())
 
 
+class _Pressures:
+    """The pressure over a symbol set (None: the whole alphabet) at any s,
+    each scale evaluated once, and again only where a slope is asked of one
+    evaluated without; the Monte Carlo route reads one orbit family."""
+
+    def __init__(self, potential, symbols):
+        self.potential, self.symbols, self.route = potential, symbols, _route(symbols, potential)
+        self.orbits, self.table = orbit_family(potential.driving, 16, 0), {}  # s -> (estimate, evaluated for its slope)
+
+    def estimate(self, s: float, slope: bool = False):
+        hit = self.table.get(s)
+        if hit is None or (slope and not hit[1]):
+            hit = self.table[s] = (pressure(self.symbols, self.potential.scaled(s), orbits=self.orbits, slope=slope), slope)
+        return hit[0]
+
+    def value(self, s: float) -> float:
+        """p(s) for a solver: a kept value, else a new evaluation, with p'
+        and p'' on the exact-product route, as the solver reads them next."""
+        hit = self.table.get(s)
+        return hit[0].value if hit else self.estimate(s, self.route == "exact-product").value
+
+    def slope(self, s: float) -> Optional[float]:
+        return self.estimate(s, True).slope
+
+    def curvature(self, s: float) -> Optional[float]:
+        return self.estimate(s, True).curvature
+
+
 def _curve(run: RunConfig, symbols=None):
     sysm, zeta = run.system, run.potential
     if symbols is None and sysm.symbolic.incidence_kind != "full":
         symbols = _finite_symbols(run)
-    orbits = orbit_family(sysm.driving, 16, 0)  # one family for every s; drawn on first read
-
-    # s -> (estimate, whether it carries the slope): each scale is evaluated
-    # once; a slope estimate also answers value requests, whose value the
-    # route computes the same way
-    table = {}
-
-    def estimate(s: float, slope: bool = False):
-        hit = table.get(s)
-        if hit is None or (slope and not hit[1]):
-            hit = table[s] = (pressure(symbols, zeta.scaled(s), orbits=orbits, slope=slope), slope)
-        return hit[0]
-
-    def evaluate(s: float) -> float:
-        return estimate(s).value
-
-    def slope(s: float) -> Optional[float]:
-        return estimate(s, slope=True).slope
-
-    def paired_slope(s: float) -> float:
-        # slope_at's central difference, its two scales in one evaluation
-        missing = [x for x in (s + 1e-6, s - 1e-6) if x not in table]
-        if missing:
-            table.update((x, (est, False)) for x, est in zip(missing, pressures(symbols, zeta, missing, orbits=orbits)))
-        return _slope(evaluate, s)
-
+    p = _Pressures(zeta, symbols)
     s_inf = s_infinity(zeta) if symbols is None else -math.inf  # a finite symbol set is summable at every s
     grid = [s for s in run.analysis.s_grid() if s > s_inf]
     if not grid:
         raise ConfigError("the whole s grid sits at or below the summability threshold")
-    curve = pressure_curve(evaluate, grid, _exponent_hull(zeta, symbols), s_infinity=s_inf)
-    # p'(s) from the exact-spectral route, paired difference scales on the exact-product route
-    return replace(curve, slope={"exact-spectral": slope, "exact-product": paired_slope}.get(_route(symbols, zeta)))
+    curve = pressure_curve(lambda s: p.estimate(s).value, grid, _exponent_hull(zeta, symbols), s_infinity=s_inf)
+    # p' from the exact routes (else slope_at's central difference), p'' from the exact-product route
+    exact, product = p.route != "monte-carlo", p.route == "exact-product"
+    return replace(curve, evaluator=p.value, slope=p.slope if exact else None, curvature=p.curvature if product else None)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +209,7 @@ def _write_curve_csv(run: RunConfig, curve) -> None:
 
 def cmd_dimension(run: RunConfig) -> int:
     curve = _curve(run)
-    s_star = bowen_dimension(curve.evaluator, curve.s_infinity)
+    s_star = curve.dimension()
     _write_curve_csv(run, curve)
     tail = run.potential.tail
     payload = {
@@ -225,7 +229,7 @@ def cmd_dimension(run: RunConfig) -> int:
 
 def cmd_spectrum(run: RunConfig) -> int:
     curve = _curve(run)
-    s_star = bowen_dimension(curve.evaluator, curve.s_infinity)
+    s_star = curve.dimension()
     _write_curve_csv(run, curve)
     lo, hi = curve.exponent_lo, curve.exponent_hi
     if not math.isfinite(hi):
@@ -314,7 +318,7 @@ def _verify_checks(run: RunConfig) -> list[dict]:
     # checks against them read the maps' own (geometric) pressure
     maps_run = replace(run, potential=geometric_potential(sysm))
     curve = _curve(maps_run)
-    s_star = bowen_dimension(curve.evaluator, curve.s_infinity)
+    s_star = curve.dimension()
 
     depth = max(9, run.analysis.depth)
     sample = sample_limit_set(sysm, orbit, depth=depth, symbols=symbols) if count_words(sysm.symbolic, symbols, depth) <= SAMPLE_WORDS else None
@@ -377,8 +381,9 @@ def cmd_verify(run: RunConfig) -> int:
 
 def cmd_example_paper(run: RunConfig) -> int:
     sysm, zeta = run.system, run.potential
+    p = _Pressures(zeta, None)
 
-    p1 = pressure(None, zeta.scaled(1.0)).value
+    p1 = p.value(1.0)
     ru = {}
     for s in (0.25, 0.5, 0.75, 1.0):
         value, divergent = sysm.symbolic.tail.ru_moment(s)
@@ -387,7 +392,7 @@ def cmd_example_paper(run: RunConfig) -> int:
     rungs = run.analysis.rungs or (4, 16, 64, 256, 1024)
     ladder = build_ladder(sysm.symbolic, rungs, witness)
     compact = pressure_compact_approx(ladder, zeta.scaled(1.0))
-    s_star = bowen_dimension(lambda s: pressure(None, zeta.scaled(s)).value, 0.0)
+    s_star = bowen_dimension(p.value, 0.0, p.slope)
     s_inf = s_infinity(zeta)
 
     verdicts = {

@@ -28,7 +28,7 @@ import numpy as np
 
 from .driving import DrivingOrbit, DrivingSystem, bernoulli
 from .potentials import _segment_log_sums, log_sum_exp
-from .shift import SymbolicSystem, _incidence, full_shift, suffix_tree, word_index
+from .shift import SymbolicSystem, _incidence, full_shift, geometric_derivatives, suffix_tree, word_index
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -310,9 +310,9 @@ class BlockTailExample:
     For fiber state i, edges within blocks 2..i carry the block ratio
     2^-(l^2+l) and everything past block i decays like 8^-e.  Edges beyond
     the materialized cutoff are summed in closed form, block by block, so
-    the per-fiber transfer sums are exact for every state.  `log_moments`
-    evaluates every state at once from a (state x block) table of log edge
-    counts.
+    the per-fiber transfer sums are exact for every state.  Its lanes, the
+    block terms past the cutoff and the geometric remainder, are written for
+    every state at once from a (state x block) table of log edge counts.
     """
 
     cofinitely_regular = True
@@ -329,6 +329,7 @@ class BlockTailExample:
             [math.log(self.bounds[l] - max(self.bounds[l - 1], cutoff)) for l in self._blocks.tolist()]
         )
         self._tables: dict = {}
+        self.lanes = len(self._blocks) + 1  # per state: the blocks past the cutoff, then the remainder
 
     def block_of(self, e: int) -> int:
         return bisect.bisect_left(self.bounds, e)
@@ -357,19 +358,34 @@ class BlockTailExample:
             got = self._tables.setdefault(states, (log_counts, np.array(first_edges)[:, None]))
         return got
 
+    def write_lanes(self, s: float, states: tuple, out: np.ndarray) -> None:
+        """Into `out`, one row per state: each block's log count plus s times
+        its log ratio (-inf while locked), then the remainder (-inf where
+        dropped); +inf throughout when s <= 0."""
+        if s <= 0.0:
+            out[:] = math.inf
+            return
+        log_counts, first_edges = self._table(states)
+        log_q = -s * _LOG8
+        np.subtract(log_counts, s * self._rates * _LOG2, out=out[:, :-1])
+        out[:, -1:] = first_edges * log_q - math.log(-math.expm1(log_q))
+
+    def lane_derivatives(self, s: float, states: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The first and second derivative in s of each lane (slope 0 on a
+        dropped remainder), as arrays that broadcast against them."""
+        first_edges = self._table(states)[1]
+        d1, d2 = geometric_derivatives(-_LOG8, s, first_edges)
+        slopes, curvatures = np.empty((len(states), self.lanes)), np.zeros(self.lanes)
+        slopes[:, :-1], slopes[:, -1:], curvatures[-1] = self._rates * -_LOG2, np.where(first_edges < math.inf, d1, 0.0), d2
+        return slopes, curvatures
+
     def log_moments(self, s: float, states) -> np.ndarray:
         """Per state of the sequence, log sum over the tail edges e > cutoff of
         |phi'_e|**s, in one log-sum-exp; +inf when the series diverges
         (s <= 0)."""
-        states = tuple(states)
-        if s <= 0.0:
-            return np.full(len(states), math.inf)
-        log_counts, first_edges = self._table(states)
-        log_q = -s * _LOG8
-        geometric = first_edges * log_q - math.log(-math.expm1(log_q))
-        terms = np.hstack((log_counts - s * self._rates * _LOG2, geometric))
-        width = terms.shape[1]
-        return _segment_log_sums(terms.ravel(), np.arange(0, terms.size, width), np.full(len(states), width))
+        terms = np.empty((len(states), self.lanes))
+        self.write_lanes(s, tuple(states), terms)
+        return _segment_log_sums(terms.ravel(), np.arange(0, terms.size, self.lanes), np.full(len(states), self.lanes))
 
     def ru_moment(self, s: float) -> tuple[float, bool]:
         """Essential-sup moment sum over edges: sum_l 2^(l^2-1) * 2^(-s(l^2+l)),

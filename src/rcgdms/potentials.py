@@ -23,9 +23,10 @@ sums at a vector of scales are then one segmented log-sum-exp of s * value
 + log count over every (scale, state) pair at once (the paper example's 31
 rows of 1,024 edges hold 2,915 atoms).  The whole-alphabet sum (symbol set
 None) adds the moments of the potential's tail object (the map system's
-symbolic.tail for geometric potentials): tail.log_moments(s, states)
-returns one log moment per state, +inf where the series diverges, so one
-evaluation makes one tail call per scale.
+symbolic.tail for geometric potentials), whose log terms (its lanes) one
+tail call per scale writes into the same block; each state joins its two
+sums with np.logaddexp.  On request the same shifted exponentials give the
+sums' first and second derivative in s.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _segment_log_sums(terms: np.ndarray, starts: np.ndarray, sizes: np.ndarray) 
     segments cover the axis; leading axes (one row per scale) broadcast.
     Each segment is shifted by its own finite maximum, so no term underflows
     against a larger one; an all -inf segment gives -inf, and NaN propagates.
-    `terms` is overwritten."""
+    `terms` is overwritten with exp(terms - segment shift)."""
     m = np.maximum.reduceat(terms, starts, axis=-1)
     shift = np.where(np.isfinite(m), m, 0.0)
     terms -= np.repeat(shift, sizes, axis=-1)
@@ -96,7 +97,7 @@ class FirstSymbolPotential:
     system: SymbolicSystem
     row: Callable[[object], np.ndarray]
     scale: float = 1.0
-    # the edges past system.edges: tail.log_moments(s, states) per state
+    # the edges past system.edges: tail.log_moments(s, states) per state (shift.py)
     tail: object = None
     exact_row: Optional[Callable[[object], np.ndarray]] = None
     driving: Optional[DrivingSystem] = None
@@ -200,23 +201,56 @@ class FirstSymbolPotential:
         total = self.product_sums(self.scale, states, symbols)
         return total, total
 
-    def product_sums(self, scales, states: tuple, symbols: Optional[tuple]) -> np.ndarray:
+    def product_sums(self, scales, states: tuple, symbols: Optional[tuple], slope: bool = False) -> np.ndarray:
         """Under full incidence, the log transfer sum of 1 per fiber state
         over a sorted nonempty symbol tuple, or for None the whole alphabet
         and its tail: one row at one scale, or one row per scale of a 1-D
-        array, each the one-scale call's bits.  Every scale takes one
-        segmented log-sum-exp and one tail call."""
+        array, each the one-scale call's bits, from one segmented
+        log-sum-exp over the atoms and the tail's lanes (one tail call per
+        scale).  With `slope`, each row becomes (sums, first, second
+        derivative in s): per state, the softmax mean and variance of the
+        lane slopes plus the mean lane curvature."""
         if symbols is None:
             if self.system.incidence_kind != "full":
                 raise ValueError("full-alphabet transfer bounds need a full shift")
             if self.system.tail is not None and self.tail is None:
                 raise ValueError("countable alphabet needs a tail moment hook")
         values, log_counts, starts, sizes = self._atoms(states, symbols)
-        total = _segment_log_sums(np.asarray(scales)[..., None] * values + log_counts, starts, sizes)
-        if symbols is None and self.system.tail is not None:
-            for row, s in zip(np.atleast_2d(total), np.atleast_1d(scales).tolist()):
-                np.logaddexp(row, self.tail.log_moments(s, states), out=row)
-        return total
+        tail = self.tail if symbols is None and self.system.tail is not None else None
+        scales, n, k = np.asarray(scales, dtype=float), values.size, len(states)
+        lanes = 0 if tail is None else getattr(tail, "lanes", 1)
+        block = np.empty(scales.shape + (n + k * lanes,))
+        np.multiply(scales[..., None], values, out=block[..., :n])
+        block[..., :n] += log_counts
+        rows, at = block.reshape(-1, block.shape[-1]), scales.ravel().tolist()
+        if tail is not None:
+            starts, sizes = self._cached(("lanes", states), lambda: (np.append(starts, n + lanes * np.arange(k)), np.append(sizes, [lanes] * k)))
+            for row, s in zip(rows, at):
+                if lanes == 1:
+                    row[n:] = tail.log_moments(s, states)
+                else:
+                    tail.write_lanes(s, states, row[n:].reshape(k, lanes))
+        sums = _segment_log_sums(block, starts, sizes)
+        total = sums if tail is None else np.logaddexp(sums[..., :k], sums[..., k:])
+        if not slope:
+            return total
+        slopes, curvatures = np.empty_like(rows), np.zeros((len(at), k, lanes))
+        slopes[:, :n] = values
+        if tail is not None:
+            for s, slope_row, curvature in zip(at, slopes, curvatures):
+                slope_row[n:].reshape(k, lanes)[:], curvature[:] = tail.lane_derivatives(s, states)
+        with np.errstate(invalid="ignore", over="ignore"):
+            # per segment, under the shifted exponentials `rows` now holds; its
+            # mass is 0 (every term -inf) or at least 1 (its largest is exp(0))
+            mass = np.maximum(np.add.reduceat(rows, starts, axis=-1), 1.0)
+            mean = np.add.reduceat(rows * slopes, starts, axis=-1) / mass
+            spread = (np.repeat(mean, sizes, axis=-1) - slopes) ** 2
+            spread[:, n:] += curvatures.reshape(len(at), k * lanes)
+            var = np.add.reduceat(spread * rows, starts, axis=-1) / mass
+            if tail is not None:  # a state's atom and tail sums by the tail's share: the law of total variance
+                share, gap = np.exp(sums.reshape(mass.shape)[:, k:] - total.reshape(-1, k)), mean[:, k:] - mean[:, :k]
+                mean, var = mean[:, :k] + share * gap, var[:, :k] + share * (var[:, k:] - var[:, :k] + (1.0 - share) * gap * gap)
+        return np.stack((total, mean.reshape(total.shape), var.reshape(total.shape)), axis=-2)
 
     def unit_transfer_bounds(self, state, symbols: Optional[Sequence[int]] = None) -> tuple[float, float]:
         """transfer_bounds at a single fiber state."""

@@ -7,7 +7,9 @@ edges are materialized up to a declared cutoff, and an optional tail object
 stands for the non-materialized remainder.  A tail gives its closed-form
 moments, log_moments(s, states), which the potential layer adds to the
 transfer sums, and states its own regularity as the class constant
-cofinitely_regular.
+cofinitely_regular.  The product kernel reads a tail's moment as `lanes` log
+terms per state (one, the moment, unless it declares more and writes them
+with write_lanes), and their derivatives in s from lane_derivatives.
 
 Everything here is immutable after construction and safe to share across
 parallel workers; words come level by level in lexicographic order.
@@ -57,6 +59,22 @@ class GeometricTail:
         if log_q == 0.0:  # underflowed: 1 - ratio**s is s*log(1/ratio) to first order
             return np.full(len(states), -math.log(s) - math.log(-math.log(self.ratio)))
         return np.full(len(states), self.start * log_q - math.log(-math.expm1(log_q)))
+
+    def lane_derivatives(self, s: float, states: tuple) -> tuple[float, float]:
+        """The first and second derivative of log_moments in s, every state's."""
+        return geometric_derivatives(math.log(self.ratio), s, self.start)
+
+
+def geometric_derivatives(rate: float, s: float, first):
+    """The first and second derivative in s of log sum_{e >= first} q^e =
+    first*log_q - log(1 - q), log_q = s*rate < 0: rate*first + u and
+    u*(u + rate), u = rate/expm1(-log_q), or its limit -1/s where log_q
+    underflows to 0; NaN for s <= 0."""
+    if s <= 0.0:
+        return math.nan, math.nan
+    log_q = s * rate
+    u = -1.0 / s if log_q == 0.0 else rate / math.expm1(-log_q)
+    return rate * first + u, u * (u + rate)
 
 
 @dataclass(frozen=True, eq=False)  # an ndarray field has no truth value: systems compare by identity
@@ -245,8 +263,10 @@ def find_primitivity(
 ) -> Optional[PrimitivityWitness]:
     """Minimal-order finite-primitivity witness with a minimal connector set.
 
-    Exhaustive search over connector-set cardinalities up to `max_exhaustive`,
-    then greedy set cover (all shipped instances need a single connector).
+    Exhaustive search over connector-set cardinalities up to `max_exhaustive`
+    (skipping a size, or a set's first members, when the most pairs one
+    representative covers cannot make up the rest), then greedy set cover
+    (all shipped instances need a single connector).
     Returns None when no witness of order <= max_order exists.
     """
     if max_order < 1:
@@ -265,11 +285,17 @@ def find_primitivity(
         before = _pairs(system, symbols, [w[0] for w in reps]).T
         after = _pairs(system, [w[-1] for w in reps], symbols)
         cover = (before[:, :, None] & after[:, None, :]).reshape(len(reps), -1)  # (reps x pairs)
+        most = int(cover.sum(axis=1).max())  # the most pairs one representative covers
         for size in range(1, min(len(reps), max_exhaustive) + 1):
+            if size * most < cover.shape[1]:
+                continue  # no `size` representatives cover every pair
             # itertools order: every head of size - 1, then each later last member
             for head in itertools.combinations(range(len(reps)), size - 1):
                 start = head[-1] + 1 if head else 0
-                hit = np.flatnonzero((cover[start:] | cover[list(head)].any(axis=0)).all(axis=1))
+                covered = cover[list(head)].any(axis=0)
+                if cover.shape[1] - np.count_nonzero(covered) > most:
+                    continue  # no one more representative covers the rest
+                hit = np.flatnonzero((cover[start:] | covered).all(axis=1))
                 if hit.size:
                     combo = (*head, start + int(hit[0]))
                     return PrimitivityWitness(order=order, connectors=tuple(reps[i] for i in combo))

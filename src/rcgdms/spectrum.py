@@ -10,8 +10,9 @@ solves p(T(q)) = q * p(0), and its concave transform is taken where
 alpha + T'(q) = alpha + p(0)/p'(T(q)) = 0.  Both read p' from
 `PressureCurve.slope_at`: the slope the curve carries where it gives one (the
 exact-spectral route's analytic slope where certified, the exact-product
-route's central difference from one two-scale evaluation), else a central
-difference of the evaluator.
+route's analytic slope), else a central difference of the evaluator.  Where
+the curve also carries p'' (the exact-product route), the Bowen root and
+the Legendre transform take Newton steps on p' and p''.
 """
 
 from __future__ import annotations
@@ -23,20 +24,30 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 
-def _root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float) -> float:
+def _root(f: Callable[[float], float], a: float, b: float, fa: float, fb: float, slope: Optional[Callable] = None) -> float:
     """A sign change of f on [a, b] by Illinois regula falsi (Dowell and
     Jarratt, BIT 11, 1971), given fa = f(a) and a finite fb = f(b).  A
     non-finite value lies on a's side (a summability threshold) and makes the
     step a bisection.  Returns the secant point of the final bracket, or
-    without a sign change the end nearer a zero."""
+    without a sign change the end nearer a zero.  Where `slope` gives f' at
+    the last iterate (first the end nearer a zero), Newton's step is taken
+    if it lands inside the bracket, and returned once within tolerance."""
     if math.isfinite(fa) and fa * fb >= 0.0:
         return float(a if abs(fa) <= abs(fb) else b)
     wa = wb = 1.0  # Illinois: an end left in place twice running has its weight halved
     moved = 0
+    x, fx = (a, fa) if math.isfinite(fa) and abs(fa) < abs(fb) else (b, fb)
     while b - a > 1e-9 * (1.0 + abs(a) + abs(b)):
-        x = b - wb * fb * (b - a) / (wb * fb - wa * fa) if math.isfinite(fa) else 0.5 * (a + b)
-        if not a < x < b:
-            x = 0.5 * (a + b)
+        d = None if slope is None else slope(x)
+        newton = x - fx / d if d and math.isfinite(d) else math.nan
+        if a < newton < b:
+            if abs(newton - x) <= 1e-9 * (1.0 + abs(a) + abs(b)):
+                return float(newton)
+            x = newton
+        else:
+            x = b - wb * fb * (b - a) / (wb * fb - wa * fa) if math.isfinite(fa) else 0.5 * (a + b)
+            if not a < x < b:
+                x = 0.5 * (a + b)
         fx = f(x)
         if fx == 0.0:
             return float(x)
@@ -92,7 +103,17 @@ class PressureCurve:
     exponent_hi: float  # at least -p'(s_infinity), the largest admissible exponent
     evaluator: Callable[[float], float]
     repair_correction: float = 0.0
-    slope: Optional[Callable[[float], Optional[float]]] = None  # the route's p'(s), analytic or paired; None where uncertified
+    slope: Optional[Callable[[float], Optional[float]]] = None  # the route's p'(s); None where uncertified
+    curvature: Optional[Callable[[float], Optional[float]]] = None  # the route's p''(s), likewise
+
+    def dimension(self) -> float:
+        """`bowen_dimension` of the evaluator; where the curve gives p'',
+        with Newton steps on p' inside the grid's sign change from s >= 0."""
+        if self.curvature is None:
+            return bowen_dimension(self.evaluator, self.s_infinity)
+        s, p = self.s_grid, self.raw_values
+        cross = np.flatnonzero((s[:-1] >= 0.0) & (p[:-1] > 0.0) & (p[1:] <= 0.0))
+        return bowen_dimension(self.evaluator, self.s_infinity, self.slope, s[cross[0] : cross[0] + 2] if cross.size else None)
 
     def slope_at(self, s: float) -> float:
         """p'(s): the route's slope where it is given (and certified), else a
@@ -131,13 +152,16 @@ def pressure_curve(
     )
 
 
-def bowen_dimension(p: Callable[[float], float], s_infinity: float) -> float:
+def bowen_dimension(p: Callable[[float], float], s_infinity: float, slope=None, bracket=None) -> float:
     """Root of the pressure along the scale axis: inf{s >= 0 : p(s) <= 0}.
 
     Solved against the pressure evaluator p, which is +inf at and below the
     summability threshold s_infinity; returns 0 when the pressure at 0 is
     already nonpositive, and raises ValueError when p stays positive up to
-    s = 64."""
+    s = 64.  `slope` gives p' (`_root`); `bracket`, scales 0 <= a < b with
+    p(a) > 0 >= p(b), replaces the search."""
+    if bracket is not None:
+        return _root(p, *bracket, p(bracket[0]), p(bracket[1]), slope)
     p_zero = p(0.0)
     if p_zero <= 0.0:
         return 0.0
@@ -148,7 +172,7 @@ def bowen_dimension(p: Callable[[float], float], s_infinity: float) -> float:
             raise ValueError("no pressure sign change below the bracket cap")
         p_hi = p(hi)
     lo = max(0.0, s_infinity + 1e-12)  # above the threshold, where p = +inf
-    return _root(p, lo, hi, p_zero if lo == 0.0 else p(lo), p_hi)
+    return _root(p, lo, hi, p_zero if lo == 0.0 else p(lo), p_hi, slope)
 
 
 @dataclass(frozen=True)
@@ -170,13 +194,22 @@ def _transform_at(curve: PressureCurve, beta: float) -> float:
 
     The bracket is the pair of hull nodes around the best node, grown outward
     until the slope changes sign and clamped just above the summability
-    threshold.  The hull-node minimum guards the result."""
+    threshold.  Where the curve gives p'', the solve takes Newton steps on
+    it from the best node, and the transform is the least value at the
+    scales it read (the last iterate's, second order in its step).  The
+    hull-node minimum guards the result."""
     finite = np.isfinite(curve.values)
     nodes = curve.s_grid[finite]
     node_vals = beta * nodes + curve.values[finite]
     j = int(np.argmin(node_vals))
     best = float(node_vals[j])
-    f = lambda s: curve.slope_at(s) + beta
+    newton, seen = curve.curvature, []  # with p'': beta*s + p(s) at every scale read
+
+    def f(s):
+        if newton:
+            seen.append(beta * s + curve.evaluator(s))
+        return curve.slope_at(s) + beta
+
     floor = curve.s_infinity + 1e-12
 
     def walk(near, f_near, far, f_far, direction):
@@ -192,11 +225,13 @@ def _transform_at(curve: PressureCurve, beta: float) -> float:
         return near, f_near, far, f_far
 
     lo, hi = float(nodes[max(0, j - 1)]), float(nodes[min(len(nodes) - 1, j + 1)])
+    if newton:  # the best node's slope halves the bracket
+        lo, hi = (lo, float(nodes[j])) if f(float(nodes[j])) > 0.0 else (float(nodes[j]), hi)
     f_lo, f_hi = f(lo), f(hi)
     hi, f_hi, lo, f_lo = walk(hi, f_hi, lo, f_lo, -1.0)
     lo, f_lo, hi, f_hi = walk(lo, f_lo, hi, f_hi, 1.0)
-    s = _root(f, lo, hi, f_lo, f_hi)
-    return min(beta * s + curve.evaluator(s), best)
+    s = _root(f, lo, hi, f_lo, f_hi, newton)
+    return min(min(seen) if seen else beta * s + curve.evaluator(s), best)
 
 
 def legendre_spectrum(curve: PressureCurve, beta_grid: Sequence[float]) -> SpectrumResult:

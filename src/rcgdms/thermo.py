@@ -331,7 +331,8 @@ class PressureEstimate:
     depths: tuple[int, ...] = ()
     per_depth: tuple[float, ...] = ()
     spread: float = 0.0
-    slope: Optional[float] = None  # p'(s), exact-spectral route only, when certified
+    slope: Optional[float] = None  # p'(s), on request: exact-spectral where certified, exact-product
+    curvature: Optional[float] = None  # p''(s), on request: exact-product only
 
     @property
     def exact(self) -> bool:
@@ -354,18 +355,17 @@ def _route(symbols: Optional[Sequence[int]], potential: FirstSymbolPotential) ->
     return "exact-spectral" if spectral else "monte-carlo"
 
 
-def _product_pressure(symbols: Optional[Sequence[int]], potential: FirstSymbolPotential, scales):
+def _product_pressure(symbols: Optional[Sequence[int]], potential: FirstSymbolPotential, scales, slope=False):
     """The driving expectation of the log transfer sums over the symbols
-    (None: the whole alphabet) at one scale, or at each of a 1-D array of
-    scales with the bits of the one-scale value."""
-    drv = potential.driving
-    states = drv.state_support()
+    (None: the whole alphabet; else every pair of them is admissible) at one
+    scale, or at each of a 1-D array of scales with the bits of the
+    one-scale value; with `slope`, (p, p', p'') from one expectation over
+    the kernel's (3 x states) rows."""
     rung = None if symbols is None else tuple(sorted(symbols))
-    if rung is not None and (not rung or potential.system.incidence_kind != "full"):
-        # no symbols (transfer_bounds raises), or a rung full over itself in a constrained shift
-        sums = [potential.scaled(s).transfer_bounds(states, rung)[0] for s in np.atleast_1d(scales).tolist()]
-        return drv.expected(np.reshape(sums, np.shape(scales) + (len(states),)))
-    return drv.expected(potential.product_sums(scales, states, rung))
+    if rung == ():
+        raise ValueError("symbol set must be nonempty")
+    drv = potential.driving
+    return drv.expected(potential.product_sums(scales, drv.state_support(), rung, slope))
 
 
 def _spectral_pressure(
@@ -530,8 +530,11 @@ def _pressures(symbols, potential: FirstSymbolPotential, scales, orbits, slope=F
     is) and `pressures`: one route for every scale."""
     route = _route(symbols, potential)
     if route == "exact-product":
-        values = _product_pressure(symbols, potential, potential.scale if scales is None else np.array(scales, dtype=float))
-        return [PressureEstimate(value=v, method=route) for v in np.atleast_1d(values).tolist()]
+        got = _product_pressure(symbols, potential, potential.scale if scales is None else np.array(scales, dtype=float), slope)
+        if not slope:
+            return [PressureEstimate(value=v, method=route) for v in np.atleast_1d(got).tolist()]
+        given = lambda d: d if math.isfinite(d) else None
+        return [PressureEstimate(v, route, slope=given(d1), curvature=given(d2)) for v, d1, d2 in np.reshape(got, (-1, 3)).tolist()]
     scaled = [potential] if scales is None else [potential.scaled(s) for s in scales]
     if route == "exact-spectral":
         return [_spectral_pressure(symbols, p, potential.driving.states, slope) for p in scaled]
@@ -551,7 +554,9 @@ def pressure(
     family of 16 seeded from root 0; pass one family to many calls, so its
     orbits are drawn once).  With `slope`, the exact-spectral route also
     fills `slope` with p'(s) from the Perron vectors of its cycle product
-    where they certify (else None); the other routes leave it None."""
+    where they certify, and the exact-product route fills `slope` and
+    `curvature` with p'(s) and p''(s) from its kernel call, where they are
+    finite; the Monte Carlo route leaves both None."""
     return _pressures(symbols, potential, None, orbits, slope)[0]
 
 

@@ -1,7 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+import rcgdms.driving as driving
+from rcgdms.cli import main
 from rcgdms.driving import (
     DrivingOrbit,
     bernoulli,
@@ -99,3 +103,33 @@ def test_orbit_family_reproducible():
     fam2 = orbit_family(drv, count=4, root_seed=9)
     for a, b in zip(fam1.orbits, fam2.orbits, strict=True):
         assert [a.state(k) for k in range(100)] == [b.state(k) for k in range(100)]
+
+
+def test_orbit_family_builds_its_orbits_on_first_read():
+    drv = bernoulli((0, 1), (0.5, 0.5))
+    family = orbit_family(drv, count=4, root_seed=9)
+    assert "orbits" not in vars(family)
+    family.state_matrix(3)
+    assert len(family.orbits) == 4 and family.orbits is family.orbits
+    assert [o.seed for o in family.orbits] == [o.seed for o in orbit_family(drv, count=4, root_seed=9).orbits]
+
+
+@pytest.mark.parametrize("config,orbits", [("paper-example", 0), ("bernoulli", 16)])
+def test_commands_draw_orbits_only_on_the_monte_carlo_route(config, orbits, tmp_path, monkeypatch):
+    """The exact routes read no orbit family; a Monte Carlo `dimension`
+    draws its one family of 16 once."""
+    path = Path(__file__).resolve().parents[1] / "configs" / "paper-example.json"
+    if config == "bernoulli":
+        path = tmp_path / "bernoulli.json"
+        path.write_text(json.dumps({
+            "system": {"edges": 2, "incidence": [[1, 1], [1, 0]]},
+            "maps": {"ratios": {"0": {"0": "1/3", "1": "1/4"}, "1": {"0": "1/5", "1": "1/3"}},
+                     "offsets": {"0": {"0": 0.0, "1": 0.5}, "1": {"0": 0.0, "1": 0.5}}},
+            "driving": {"kind": "bernoulli", "states": [0, 1], "weights": [0.5, 0.5]},
+            "analysis": {"s_min": 0.0, "s_max": 1.0, "s_steps": 3},
+        }))
+    built = []
+    init = driving.DrivingOrbit.__init__
+    monkeypatch.setattr(driving.DrivingOrbit, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    assert main(["dimension", "--config", str(path), "--out", str(tmp_path / "out"), "--s-steps", "5"]) == 0
+    assert len(built) == orbits

@@ -4,7 +4,7 @@ Every batched path must give the bits of the call it replaces: the segmented
 log-sum-exp over (scales x atoms) rows against one row at a time,
 `pressures` against `pressure` per scale,
 DrivingSystem.expected against DrivingSystem.expectation, and the curve's
-paired central difference against `spectrum._slope`.
+slope and curvature against the estimates `pressure` gives with its slope.
 """
 
 import math
@@ -20,7 +20,6 @@ from rcgdms import instances
 from rcgdms.driving import bernoulli, deterministic, orbit_family, periodic
 from rcgdms.potentials import FirstSymbolPotential, _segment_log_sums, geometric_potential, table_potential
 from rcgdms.shift import GeometricTail, from_matrix, full_shift
-from rcgdms.spectrum import _slope
 from rcgdms.thermo import pressure, pressures
 
 UNDERFLOW = -745.1332191019412  # float64 exp is 0.0 below this
@@ -227,22 +226,20 @@ def _tailed_config(tmp_path):
 
 
 @pytest.mark.parametrize("which", ["paper-example", "tailed"])
-def test_paired_slope_matches_the_central_difference(which, tmp_path):
+def test_curve_slopes_are_the_estimates_derivatives(which, tmp_path):
     path = Path(__file__).resolve().parents[1] / "configs" / "paper-example.json"
     if which == "tailed":
         path = _tailed_config(tmp_path)
     run = cli.load_config(path)
     curve = cli._curve(run)
-    assert curve.slope is not None  # installed on the exact-product route
+    assert curve.slope is not None and curve.curvature is not None  # installed on the exact-product route
     zeta = run.potential
-
-    def p(s):
-        return pressure(None, zeta.scaled(s)).value
-
     for s in (curve.s_infinity + 1e-12, 0.05, 0.31, 0.9, 1.5, 7.0):
-        assert same_bits(curve.slope(s), _slope(p, s))
-        assert same_bits(curve.slope_at(s), _slope(p, s))
-        assert same_bits(curve.evaluator(s + 1e-6), p(s + 1e-6))
+        est = pressure(None, zeta.scaled(s), slope=True)
+        assert est.slope is not None and est.curvature is not None
+        assert same_bits(curve.slope(s), est.slope) and same_bits(curve.slope_at(s), est.slope)
+        assert same_bits(curve.curvature(s), est.curvature)
+        assert same_bits(curve.evaluator(s), pressure(None, zeta.scaled(s)).value)
 
 
 def test_monte_carlo_curves_keep_the_plain_central_difference(tmp_path):
@@ -254,4 +251,5 @@ def test_monte_carlo_curves_keep_the_plain_central_difference(tmp_path):
         ' "driving": {"kind": "bernoulli", "states": [0, 1], "weights": [0.5, 0.5]},'
         ' "analysis": {"s_min": 0.0, "s_max": 1.0, "s_steps": 3}}'
     )
-    assert cli._curve(cli.load_config(path)).slope is None
+    curve = cli._curve(cli.load_config(path))
+    assert curve.slope is None and curve.curvature is None

@@ -172,6 +172,21 @@ def test_witness_matches_the_pair_set_search(k, density, seed, max_exhaustive):
     assert find_primitivity(sym, symbols, 4, max_exhaustive) == want
 
 
+def test_connector_set_sizes_that_cannot_cover_are_skipped(monkeypatch):
+    """Each symbol of a 12-cycle may be followed by the next three, so one
+    representative covers at most 9 of the 144 pairs and no set of 3 can
+    cover them: no combination is tried, and the greedy witness is the one
+    the search gives without an exhaustive pass."""
+    rows = [[int((j - i) % 12 in (1, 2, 3)) for j in range(12)] for i in range(12)]
+    sym = from_matrix(range(12), rows)
+    tried = []
+    combinations = itertools.combinations
+    monkeypatch.setattr(itertools, "combinations", lambda *args: tried.append(args) or combinations(*args))
+    got = find_primitivity(sym, tuple(range(12)), max_order=8)
+    assert tried == [] and got is not None and verify_primitivity(sym, tuple(range(12)), got)
+    assert got == find_primitivity(sym, tuple(range(12)), max_order=8, max_exhaustive=0)
+
+
 def test_reducible_64_symbols_have_no_witness():
     # no symbol of the second half leads back to the first, at any order
     rows = [[int(i < 32 or j >= 32) for j in range(64)] for i in range(64)]

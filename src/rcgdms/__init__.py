@@ -74,6 +74,7 @@ from .thermo import (
     pressure,
     pressure_compact_approx,
     pressures,
+    primitivity_witness,
 )
 
 __version__ = "0.1.0"

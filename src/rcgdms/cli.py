@@ -28,14 +28,14 @@ import numpy as np
 
 from . import gdms as gdms_mod
 from .config import FLAGS, ConfigError, RunConfig, check_rungs, load_config
-from .driving import DrivingOrbit, orbit_family
+from .driving import DrivingOrbit
 from .gdms import sample_limit_set
 from .gibbs import conformal_measures
 from .oracle import box_counting, corrected_coarse_dimensions, level_histogram
 from .potentials import geometric_potential, s_infinity
-from .shift import PrimitivityWitness, build_ladder, count_words, find_primitivity, verify_primitivity
+from .shift import PrimitivityWitness, build_ladder, count_words, verify_primitivity
 from .spectrum import bowen_dimension, legendre_spectrum, pressure_curve
-from .thermo import _route, check_gibbs, check_sandwich, pressure, pressure_compact_approx, pressures
+from .thermo import _route, check_gibbs, check_sandwich, pressure, pressure_compact_approx, pressures, primitivity_witness
 
 
 # Most words a command enumerates for one measure or limit-set sample: the
@@ -96,10 +96,10 @@ def _depth_within(run: RunConfig, symbols, cap: int) -> int:
 
 
 def _witness(run: RunConfig, symbols) -> PrimitivityWitness:
-    w = find_primitivity(run.system.symbolic, symbols, max_order=8)
-    if w is None:
-        raise ConfigError("system is not finitely primitive over the working symbols")
-    return w
+    try:
+        return primitivity_witness(run.potential, symbols)
+    except ValueError:
+        raise ConfigError("system is not finitely primitive over the working symbols") from None
 
 
 def _exponent_hull(potential, symbols=None) -> tuple[float, float]:
@@ -115,16 +115,16 @@ def _exponent_hull(potential, symbols=None) -> tuple[float, float]:
 class _Pressures:
     """The pressure over a symbol set (None: the whole alphabet) at any s,
     each scale evaluated once, and again only where a slope is asked of one
-    evaluated without; the Monte Carlo route reads one orbit family."""
+    evaluated without."""
 
     def __init__(self, potential, symbols):
         self.potential, self.symbols, self.route = potential, symbols, _route(symbols, potential)
-        self.orbits, self.table = orbit_family(potential.driving, 16, 0), {}  # s -> (estimate, evaluated for its slope)
+        self.table = {}  # s -> (estimate, evaluated for its slope)
 
     def estimate(self, s: float, slope: bool = False):
         hit = self.table.get(s)
         if hit is None or (slope and not hit[1]):
-            hit = self.table[s] = (pressure(self.symbols, self.potential.scaled(s), orbits=self.orbits, slope=slope), slope)
+            hit = self.table[s] = (pressure(self.symbols, self.potential.scaled(s), slope=slope), slope)
         return hit[0]
 
     def value(self, s: float) -> float:
@@ -183,11 +183,12 @@ def cmd_pressure(run: RunConfig) -> int:
     symbols = _finite_symbols(run)
     witness = _witness(run, symbols)
     rung_sizes = run.analysis.rungs or (len(symbols),)
+    if rung_sizes[0] < len(witness.connector_alphabet):
+        raise ConfigError(f"analysis.rungs: first rung {rung_sizes[0]} is smaller than the {len(witness.connector_alphabet)}-symbol connector alphabet")
     ladder = build_ladder(sysm.symbolic, rung_sizes, witness)
-    orbits = orbit_family(sysm.driving, 16, 0)
     grid = run.analysis.s_grid()
     # one column of estimates over the grid per rung, then the whole alphabet
-    columns = [(len(rung), pressures(rung, zeta, grid, orbits=orbits)) for rung in ladder]
+    columns = [(len(rung), pressures(rung, zeta, grid)) for rung in ladder]
     if sysm.symbolic.incidence_kind == "full":
         columns.append(("full", pressures(None, zeta, grid)))
     rows = []
@@ -300,16 +301,14 @@ def _verify_checks(run: RunConfig) -> list[dict]:
     ok = verify_primitivity(sysm.symbolic, symbols, witness)
     checks.append({"name": "primitivity", "ok": ok, "detail": f"order {witness.order}"})
 
-    sandwich = check_sandwich(symbols, zeta.scaled(1.0), orbit, min(symbols), 4, witness=witness)
+    sandwich = check_sandwich(symbols, zeta.scaled(1.0), orbit, min(symbols), 4)
     checks.append(
         {"name": "sandwich", "ok": sandwich.ok, "detail": f"worst margin {sandwich.worst:.3e}"}
     )
 
     gibbs_depth = _depth_within(run, symbols, 5)
     measures, log_eigenvalues = conformal_measures(symbols, zeta.scaled(1.0), orbit, depth=gibbs_depth)
-    gibbs = check_gibbs(
-        symbols, zeta.scaled(1.0), orbit, measures, log_eigenvalues, depth=gibbs_depth, witness=witness
-    )
+    gibbs = check_gibbs(symbols, zeta.scaled(1.0), orbit, measures, log_eigenvalues, depth=gibbs_depth)
     checks.append(
         {"name": "gibbs", "ok": gibbs.ok, "detail": f"{gibbs.checked} cylinders, worst dev {gibbs.worst_ratio_deviation:.3e}"}
     )
@@ -388,9 +387,8 @@ def cmd_example_paper(run: RunConfig) -> int:
     for s in (0.25, 0.5, 0.75, 1.0):
         value, divergent = sysm.symbolic.tail.ru_moment(s)
         ru[str(s)] = "divergent" if divergent else value
-    witness = PrimitivityWitness(order=1, connectors=((1,),))
     rungs = run.analysis.rungs or (4, 16, 64, 256, 1024)
-    ladder = build_ladder(sysm.symbolic, rungs, witness)
+    ladder = build_ladder(sysm.symbolic, rungs, _witness(run, sysm.symbolic.edges))
     compact = pressure_compact_approx(ladder, zeta.scaled(1.0))
     s_star = bowen_dimension(p.value, 0.0, p.slope)
     s_inf = s_infinity(zeta)

@@ -9,7 +9,6 @@ zero, which is legitimate because the base measure is an i.i.d. product.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -159,21 +158,16 @@ class OrbitFamily:
     """Independent orbits of one driving system for Monte Carlo averages,
     with the drawn states of positions 0, ..., depth - 1 memoised per depth.
 
-    A family lives as long as its creator keeps it (a command builds one and
-    reads it at every s, rung and depth), and holds no global state.  Its
-    orbits are built on first read, so a family that only the exact routes
-    see costs its seeds alone.  The memos are idempotent: two readers that
-    race build equal orbits and equal arrays, so they need no lock.
+    A family lives as long as its owner keeps it (the Monte Carlo route
+    keeps one per potential and reads it at every s, rung and depth), and
+    holds no global state.  The memo is idempotent: two readers that race
+    build equal arrays, so it needs no lock.
     """
 
     def __init__(self, system: DrivingSystem, seeds: Sequence[int]):
         self.system = system
-        self._seeds = tuple(int(s) for s in seeds)
+        self.orbits = tuple(DrivingOrbit(system, s) for s in seeds)
         self._by_depth: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    @functools.cached_property
-    def orbits(self) -> tuple[DrivingOrbit, ...]:
-        return tuple(DrivingOrbit(self.system, s) for s in self._seeds)
 
     def state_matrix(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
         """(used, inverse) of np.unique over the (depth x orbits) matrix of

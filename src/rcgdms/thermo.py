@@ -35,6 +35,10 @@ orbits; all orbits run through the same recursion in one batched pass, and
 every depth is read off the way to the deepest.  The orbits come as one
 family, whose matrix of drawn states is built once per depth and then read
 at every scale and symbol set.
+
+What the shift and the driving determine is derived here alone, once per
+potential, into the table that scaled copies share: the Monte Carlo orbit
+family and each symbol set's primitivity witness (`primitivity_witness`).
 """
 
 from __future__ import annotations
@@ -50,18 +54,18 @@ import numpy as np
 
 from .driving import DrivingOrbit, OrbitFamily, orbit_family
 from .potentials import FirstSymbolPotential, float_log, log_sum_exp
-from .shift import PrimitivityWitness, SymbolicSystem, find_primitivity
+from .shift import PrimitivityWitness, find_primitivity
 
 
-def _primitivity_witness(
-    system: SymbolicSystem, symbols: tuple, witness: Optional[PrimitivityWitness]
-) -> PrimitivityWitness:
-    """The given primitivity witness, else the least-order one up to order 8;
-    ValueError when the symbol set has none."""
-    if witness is None:
-        witness = find_primitivity(system, symbols, max_order=8)
-        if witness is None:
-            raise ValueError("symbol set is not finitely primitive")
+def primitivity_witness(potential: FirstSymbolPotential, symbols: Sequence[int]) -> PrimitivityWitness:
+    """The least-order primitivity witness of the symbol set in the
+    potential's shift, up to order 8, searched once per sorted symbol tuple;
+    ValueError when the set has none."""
+    symbols = tuple(sorted(symbols))
+    # False: searched and none found (the table reads a stored None as a miss)
+    witness = potential._cached(("witness", symbols), lambda: find_primitivity(potential.system, symbols, 8) or False)
+    if not witness:
+        raise ValueError("symbol set is not finitely primitive")
     return witness
 
 
@@ -248,7 +252,6 @@ def check_sandwich(
     orbit: DrivingOrbit,
     anchor: int,
     n: int,
-    witness: Optional[PrimitivityWitness] = None,
     arithmetic: str = "float",
 ) -> SandwichReport:
     """Verify the full comparability chain at depth n.
@@ -264,7 +267,7 @@ def check_sandwich(
     """
     symbols = tuple(sorted(symbols))
     system = potential.system
-    witness = _primitivity_witness(system, symbols, witness)
+    witness = primitivity_witness(potential, symbols)
     N = witness.order
     lane = _lane(potential, arithmetic)
     mul = lane.mul
@@ -491,6 +494,7 @@ def _mc_log_all(symbols, potential, orbits: OrbitFamily, depths) -> np.ndarray:
 
 
 MC_DEPTHS = (4, 5, 6, 7, 8)  # the Monte Carlo route's depths; its fit reads the deepest three
+MC_ORBITS = 16  # the Monte Carlo route's orbits, seeded from root 0
 
 
 def _mc_pressure(symbols, potential: FirstSymbolPotential, orbits: OrbitFamily, depths=MC_DEPTHS) -> PressureEstimate:
@@ -525,7 +529,7 @@ def _mc_pressure(symbols, potential: FirstSymbolPotential, orbits: OrbitFamily, 
     )
 
 
-def _pressures(symbols, potential: FirstSymbolPotential, scales, orbits, slope=False) -> list[PressureEstimate]:
+def _pressures(symbols, potential: FirstSymbolPotential, scales, slope=False) -> list[PressureEstimate]:
     """The body of `pressure` (scales None: the potential's own scale, as it
     is) and `pressures`: one route for every scale."""
     route = _route(symbols, potential)
@@ -538,38 +542,36 @@ def _pressures(symbols, potential: FirstSymbolPotential, scales, orbits, slope=F
     scaled = [potential] if scales is None else [potential.scaled(s) for s in scales]
     if route == "exact-spectral":
         return [_spectral_pressure(symbols, p, potential.driving.states, slope) for p in scaled]
-    orbits = orbit_family(potential.driving, count=16, root_seed=0) if orbits is None else orbits
+    orbits = potential._cached(("mc_orbits",), lambda: orbit_family(potential.driving, MC_ORBITS, 0))
     return [_mc_pressure(symbols, p, orbits) for p in scaled]
 
 
 def pressure(
     symbols: Optional[Sequence[int]],
     potential: FirstSymbolPotential,
-    orbits: Optional[OrbitFamily] = None,
     slope: bool = False,
 ) -> PressureEstimate:
     """Relative pressure of the potential over a finite symbol set of its
     shift (None: the whole alphabet, only on a full shift), on the route
-    `_route` picks.  The Monte Carlo route reads `orbits` (default: a new
-    family of 16 seeded from root 0; pass one family to many calls, so its
-    orbits are drawn once).  With `slope`, the exact-spectral route also
+    `_route` picks.  The Monte Carlo route reads one family of MC_ORBITS
+    orbits of the potential's driving, drawn once into the table that
+    scaled copies share.  With `slope`, the exact-spectral route also
     fills `slope` with p'(s) from the Perron vectors of its cycle product
     where they certify, and the exact-product route fills `slope` and
     `curvature` with p'(s) and p''(s) from its kernel call, where they are
     finite; the Monte Carlo route leaves both None."""
-    return _pressures(symbols, potential, None, orbits, slope)[0]
+    return _pressures(symbols, potential, None, slope)[0]
 
 
 def pressures(
     symbols: Optional[Sequence[int]],
     potential: FirstSymbolPotential,
     scales: Sequence[float],
-    orbits: Optional[OrbitFamily] = None,
 ) -> list[PressureEstimate]:
-    """pressure(symbols, potential.scaled(s), orbits=orbits) for each s of
+    """pressure(symbols, potential.scaled(s)) for each s of
     `scales`, in order, on one route; on the exact-product route from one
     evaluation of the atom table, with the bits of the one-scale call."""
-    return _pressures(symbols, potential, scales, orbits)
+    return _pressures(symbols, potential, scales)
 
 
 @dataclass(frozen=True)
@@ -627,7 +629,6 @@ def check_gibbs(
     measures,
     log_eigenvalues: Sequence[float],
     depth: int,
-    witness: Optional[PrimitivityWitness] = None,
 ) -> GibbsReport:
     """Two-sided Gibbs bracket for every cylinder up to the given depth.
 
@@ -642,7 +643,7 @@ def check_gibbs(
     base = measures[0]
     if symbols != base.symbols:
         raise ValueError("the measures live on a different symbol set")
-    witness = _primitivity_witness(potential.system, symbols, witness)
+    witness = primitivity_witness(potential, symbols)
     N = witness.order
     conn = tuple(sorted(witness.connector_alphabet))
     K = _connector_bound(_lane(potential, "float"), conn, orbit.system.state_support())

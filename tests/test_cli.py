@@ -302,6 +302,28 @@ def test_rung_above_the_alphabet_exits_2(tmp_path, capsys, args, named):
     assert "analysis.rungs: rung size 3 exceeds the 2 materialized edges" in capsys.readouterr().err
 
 
+BERNOULLI3 = {  # a Monte Carlo config whose connector alphabet is all three symbols
+    "system": {"edges": 3, "incidence": [[1, 1, 0], [0, 0, 1], [1, 0, 1]]},
+    "maps": {"ratios": {str(i): {"0": "1/3", "1": "1/4", "2": "1/5"} for i in range(3)},
+             "offsets": {str(i): {"0": 0.0, "1": 0.4, "2": 0.7} for i in range(3)}},
+    "driving": {"kind": "bernoulli", "states": [0, 1, 2], "weights": [0.5, 0.0, 0.5]},
+    "analysis": {"s_min": 0.0, "s_max": 1.0, "s_steps": 5},
+}
+
+
+@pytest.mark.parametrize("from_flag", [True, False], ids=["flag", "config"])
+def test_rung_below_the_connector_alphabet_exits_2(tmp_path, capsys, from_flag):
+    doc = json.loads(json.dumps(BERNOULLI3))
+    if not from_flag:
+        doc["analysis"]["rungs"] = [2, 3]
+    path = tmp_path / "bernoulli.json"
+    path.write_text(json.dumps(doc))
+    flags = ("--rungs", "2,3") if from_flag else ()
+    assert run_cli("pressure", "--config", path, "--out", tmp_path / "out", *flags) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: analysis.rungs: first rung 2 is smaller than the 3-symbol connector alphabet\n"
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_workers_below_one_exits_2(tmp_path, capsys, workers):
     assert run_cli("pressure", "--config", CONFIGS / "cantor.json", "--out", tmp_path / "out", "--workers", workers) == 2
@@ -748,6 +770,23 @@ def test_one_point_exponent_interval_writes_one_exponent(tmp_path):
     beta, value, flag = row.split(",")
     assert (float(beta), flag) == (math.log(3.0), "endpoint")
     assert float(value) == pytest.approx(math.log(2.0) / math.log(3.0), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ("custom-example.json", ("--beta-min", "0.5", "--beta-max", "0.6")),
+        ("paper-example.json", ("--s-steps", "3", "--beta-steps", "2", "--beta-min", "1.0", "--beta-max", "1.2")),
+    ],
+    ids=["custom-example", "paper-example"],
+)
+def test_all_clipped_spectrum_reads_nan_without_a_warning(tmp_path, config, flags):
+    # every beta lies below the exponent interval, so no row has a value;
+    # pytest turns a RuntimeWarning into an error
+    assert run_cli("spectrum", "--config", CONFIGS / config, "--out", tmp_path, *flags) == 0
+    assert json.loads((tmp_path / "spectrum.json").read_text())["max_interior_value"] == "nan"
+    rows = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
+    assert rows and all(row.endswith(",nan,clipped") for row in rows)
 
 
 def test_finite_symbol_curve_reads_its_own_symbols(tmp_path):

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rcgdms.driving as driving
@@ -105,13 +106,11 @@ def test_orbit_family_reproducible():
         assert [a.state(k) for k in range(100)] == [b.state(k) for k in range(100)]
 
 
-def test_orbit_family_builds_its_orbits_on_first_read():
+def test_orbit_family_seeds_its_orbits_from_the_root():
     drv = bernoulli((0, 1), (0.5, 0.5))
     family = orbit_family(drv, count=4, root_seed=9)
-    assert "orbits" not in vars(family)
-    family.state_matrix(3)
-    assert len(family.orbits) == 4 and family.orbits is family.orbits
-    assert [o.seed for o in family.orbits] == [o.seed for o in orbit_family(drv, count=4, root_seed=9).orbits]
+    assert [o.seed for o in family.orbits] == np.random.SeedSequence(9).generate_state(4).tolist()
+    assert all(o.system is drv for o in family.orbits)
 
 
 @pytest.mark.parametrize("config,orbits", [("paper-example", 0), ("bernoulli", 16)])

@@ -20,7 +20,7 @@ from words import birkhoff, enumerate_words, value, weight_fn
 from rcgdms.driving import DrivingOrbit, bernoulli, deterministic, periodic
 from rcgdms.gibbs import conformal_measures, conformality_residual
 from rcgdms.potentials import FirstSymbolPotential, float_log, geometric_potential
-from rcgdms.shift import PrimitivityWitness, find_primitivity, from_matrix, full_shift
+from rcgdms.shift import find_primitivity, from_matrix, full_shift
 from rcgdms.thermo import GibbsReport, check_gibbs
 
 TOL = 1e-12
@@ -205,7 +205,7 @@ def test_gibbs_report_and_residual_match_word_loops(case):
     system, symbols, potential, orbit, depth = case
     measures, eigens = conformal_measures(symbols, potential, orbit, depth)
     witness = find_primitivity(system, symbols, max_order=8)
-    got = check_gibbs(symbols, potential, orbit, measures, eigens, depth, witness=witness)
+    got = check_gibbs(symbols, potential, orbit, measures, eigens, depth)
     want = ref_check_gibbs(system, symbols, potential, orbit, measures[0].masses, eigens, depth, witness)
     assert got == want
     for k in range(3):
@@ -236,6 +236,5 @@ def test_gibbs_rejects_measures_on_other_symbols(golden):
     zeta = geometric_potential(golden).scaled(1.0)
     orbit = DrivingOrbit(golden.driving, 0)
     measures, eigens = conformal_measures((0,), zeta, orbit, depth=2)
-    witness = PrimitivityWitness(order=1, connectors=((0,),))
     with pytest.raises(ValueError, match="different symbol set"):
-        check_gibbs((0, 1), zeta, orbit, measures, eigens, 2, witness=witness)
+        check_gibbs((0, 1), zeta, orbit, measures, eigens, 2)

@@ -96,8 +96,8 @@ def assert_lane_matches_float(pot, orbit, anchor, n, arithmetic):
             want = float_log(ext.exact[key])
             assert close(getattr(flt, f"log_{key}"), want, want), (key, depth, position)
 
-    flt = check_sandwich(symbols, pot, orbit, anchor, n, witness=witness)
-    ext = check_sandwich(symbols, pot, orbit, anchor, n, witness=witness, arithmetic=arithmetic)
+    flt = check_sandwich(symbols, pot, orbit, anchor, n)
+    ext = check_sandwich(symbols, pot, orbit, anchor, n, arithmetic=arithmetic)
     chain = reference_chain(pot, orbit, anchor, n, witness, arithmetic)
     assert [name for name, _ in flt.inequalities] == [name for name, _ in ext.inequalities]
     for (name, got), (_, exact_margin), (lhs, rhs) in zip(flt.inequalities, ext.inequalities, chain):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import rcgdms.cli as cli
 from rcgdms import instances
-from rcgdms.driving import bernoulli, deterministic, orbit_family, periodic
+from rcgdms.driving import bernoulli, deterministic, periodic
 from rcgdms.potentials import FirstSymbolPotential, _segment_log_sums, geometric_potential, table_potential
 from rcgdms.shift import GeometricTail, from_matrix, full_shift
 from rcgdms.thermo import pressure, pressures
@@ -134,10 +134,9 @@ def test_other_routes_call_pressure_per_scale(golden):
     assert [e.method for e in got] == ["exact-spectral"] * 2 and got == one_at_a_time((0, 1), spectral, (0.2, 0.9))
     system = from_matrix((0, 1), [[1, 1], [1, 0]])
     mc = table_potential(system, {0: {0: -1.0, 1: -2.0}, 1: {0: -0.5, 1: -1.5}}, driving=bernoulli((0, 1), (0.5, 0.5)))
-    orbits = orbit_family(mc.driving, 4, 0)
-    got = pressures((0, 1), mc, (0.2, 0.9), orbits=orbits)
+    got = pressures((0, 1), mc, (0.2, 0.9))
     assert [e.method for e in got] == ["monte-carlo"] * 2
-    assert got == [pressure((0, 1), mc.scaled(s), orbits=orbits) for s in (0.2, 0.9)]
+    assert got == [pressure((0, 1), mc.scaled(s)) for s in (0.2, 0.9)]
     # a rung over which the constrained shift is full takes the product route,
     # its sums one scale at a time through transfer_bounds
     states = mc.driving.state_support()

@@ -7,7 +7,7 @@ import pytest
 from words import zero_potential
 
 import rcgdms.thermo as thermo
-from rcgdms import instances
+from rcgdms import driving, instances
 from rcgdms.driving import DrivingOrbit, bernoulli, deterministic, orbit_family, periodic
 from rcgdms.gdms import similarity_system
 from rcgdms.gibbs import conformal_measures
@@ -23,6 +23,7 @@ from rcgdms.thermo import (
     pressure,
     pressure_compact_approx,
     pressures,
+    primitivity_witness,
 )
 
 LOG2, LOG3 = math.log(2.0), math.log(3.0)
@@ -400,7 +401,53 @@ def test_checks_run_on_a_table_potential_without_driving(twoscale):
     assert check_gibbs((0, 1), pot, orbit, measures, eigens, depth=4).ok
 
 
-def test_checks_reject_a_symbol_set_without_a_witness():
+def _mc_potential():
+    """A potential on the Monte Carlo route: a constrained 3-symbol shift
+    under Bernoulli driving."""
+    system = from_matrix((0, 1, 2), [[1, 1, 0], [0, 0, 1], [1, 0, 1]])
+    table = {0: {0: -1.1, 1: -1.4, 2: -1.6}, 1: {0: -1.6, 1: -1.1, 2: -1.4}}
+    return table_potential(system, table, driving=bernoulli((0, 1), (0.5, 0.5)))
+
+
+def test_one_potential_draws_one_orbit_family(monkeypatch):
+    """pressure, pressures and a Monte Carlo compact ladder over one potential
+    and its scaled copies build MC_ORBITS orbits in total."""
+    built = []
+    init = driving.DrivingOrbit.__init__
+    monkeypatch.setattr(driving.DrivingOrbit, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    pot = _mc_potential()
+    assert pressure((0, 1, 2), pot).method == "monte-carlo"
+    assert [e.method for e in pressures((0, 1, 2), pot.scaled(0.5), (0.2, 0.9))] == ["monte-carlo"] * 2
+    approx = pressure_compact_approx(((0, 2), (0, 1, 2)), pot.scaled(1.0))
+    assert approx.anchor is None and len(approx.rung_values) == 2
+    assert len(built) == thermo.MC_ORBITS == 16
+
+
+@pytest.mark.parametrize("s", [0.3, 1.0])
+def test_monte_carlo_pressure_reads_sixteen_orbits_from_root_zero(s):
+    pot = _mc_potential().scaled(s)
+    assert pressure((0, 1, 2), pot) == _mc_pressure((0, 1, 2), pot, orbit_family(pot.driving, 16, 0))
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The calls thermo makes to find_primitivity."""
+    calls = []
+    monkeypatch.setattr(thermo, "find_primitivity", lambda *args, **kw: calls.append(args) or find_primitivity(*args, **kw))
+    return calls
+
+
+def test_sandwich_then_gibbs_search_the_witness_once(golden, searches):
+    zeta = geometric_potential(golden)
+    orbit = DrivingOrbit(golden.driving, 0)
+    assert check_sandwich((0, 1), zeta.scaled(1.0), orbit, 0, 3).ok
+    measures, eigens = conformal_measures((0, 1), zeta.scaled(1.0), orbit, depth=3)
+    assert check_gibbs((0, 1), zeta.scaled(1.0), orbit, measures, eigens, depth=3).ok
+    assert len(searches) == 1
+    assert primitivity_witness(zeta, (1, 0)) == find_primitivity(golden.symbolic, (0, 1), 8) and len(searches) == 1
+
+
+def test_checks_reject_a_symbol_set_without_a_witness(searches):
     from rcgdms.driving import DrivingOrbit, deterministic
 
     sym = from_matrix((0, 1), [[0, 1], [0, 1]])  # no symbol leads to 0
@@ -411,3 +458,4 @@ def test_checks_reject_a_symbol_set_without_a_witness():
         check_sandwich((0, 1), pot, orbit, 1, 3)
     with pytest.raises(ValueError, match="not finitely primitive"):
         check_gibbs((0, 1), pot, orbit, measures, eigens, depth=3)
+    assert len(searches) == 1  # the failed search is kept, and not run again

@@ -15,7 +15,7 @@ from words import value
 
 from rcgdms.driving import DrivingOrbit, bernoulli
 from rcgdms.potentials import FirstSymbolPotential
-from rcgdms.shift import PrimitivityWitness, from_matrix
+from rcgdms.shift import from_matrix
 from rcgdms.thermo import check_sandwich, partition_sums
 
 TOL = 1e-12
@@ -129,9 +129,8 @@ def test_cylinder_constant_sums_enumerate_no_words(golden):
         driving=golden.driving,
     )
     orbit = DrivingOrbit(pot.driving, 0)
-    witness = PrimitivityWitness(order=1, connectors=((0,),))
     for arithmetic in ("float", "fraction", "mpf"):
         ps = partition_sums((0, 1), pot, orbit, 0, 9, arithmetic=arithmetic)
         assert math.isfinite(ps.log_all)
-        report = check_sandwich((0, 1), pot, orbit, 0, 4, witness=witness, arithmetic=arithmetic)
+        report = check_sandwich((0, 1), pot, orbit, 0, 4, arithmetic=arithmetic)
         assert report.ok, report.inequalities

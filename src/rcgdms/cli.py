@@ -142,7 +142,7 @@ class _Pressures:
 
 def _curve(run: RunConfig, symbols=None):
     sysm, zeta = run.system, run.potential
-    if symbols is None and sysm.symbolic.incidence_kind != "full":
+    if symbols is None and sysm.symbolic.incidence is not None:
         symbols = _finite_symbols(run)
     p = _Pressures(zeta, symbols)
     s_inf = s_infinity(zeta) if symbols is None else -math.inf  # a finite symbol set is summable at every s
@@ -189,7 +189,7 @@ def cmd_pressure(run: RunConfig) -> int:
     grid = run.analysis.s_grid()
     # one column of estimates over the grid per rung, then the whole alphabet
     columns = [(len(rung), pressures(rung, zeta, grid)) for rung in ladder]
-    if sysm.symbolic.incidence_kind == "full":
+    if sysm.symbolic.incidence is None:
         columns.append(("full", pressures(None, zeta, grid)))
     rows = []
     for i, s in enumerate(grid):
@@ -380,6 +380,9 @@ def cmd_verify(run: RunConfig) -> int:
 
 def cmd_example_paper(run: RunConfig) -> int:
     sysm, zeta = run.system, run.potential
+    rungs, edges = run.analysis.rungs or (4, 16, 64, 256, 1024), len(sysm.symbolic.edges)
+    if rungs[-1] > edges:  # the default ladder: check_rungs checked a given one
+        raise ConfigError(f"system.cutoff: the default rungs reach {rungs[-1]}, past the {edges} materialized edges; set analysis.rungs (--rungs) to at most {edges}")
     p = _Pressures(zeta, None)
 
     p1 = p.value(1.0)
@@ -387,7 +390,6 @@ def cmd_example_paper(run: RunConfig) -> int:
     for s in (0.25, 0.5, 0.75, 1.0):
         value, divergent = sysm.symbolic.tail.ru_moment(s)
         ru[str(s)] = "divergent" if divergent else value
-    rungs = run.analysis.rungs or (4, 16, 64, 256, 1024)
     ladder = build_ladder(sysm.symbolic, rungs, _witness(run, sysm.symbolic.edges))
     compact = pressure_compact_approx(ladder, zeta.scaled(1.0))
     s_star = bowen_dimension(p.value, 0.0, p.slope)

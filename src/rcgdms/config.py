@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import instances
-from .driving import DrivingSystem, bernoulli, deterministic, periodic
+from .driving import DrivingSystem, bernoulli, periodic
 from .gdms import RCGDMS, similarity_system
 from .potentials import FirstSymbolPotential, geometric_potential, table_potential
 from .shift import GeometricTail, from_matrix, full_shift
@@ -147,10 +147,8 @@ def _build_driving(block) -> DrivingSystem:
     states = block.get("states")
     _require(isinstance(states, list) and states, "driving.states", "nonempty list required")
     states = [tuple(s) if isinstance(s, list) else s for s in states]
-    if kind == "deterministic":
-        _require(len(states) == 1, "driving.states", "deterministic driving takes one state")
-        return deterministic(states[0])
-    if kind == "periodic":
+    if kind != "bernoulli":  # a deterministic base is the periodic cycle of its one state
+        _require(kind == "periodic" or len(states) == 1, "driving.states", "deterministic driving takes one state")
         return periodic(states)
     weights = block.get("weights")
     _require(isinstance(weights, list) and len(weights) == len(states), "driving.weights", "one weight per state required")

@@ -1,7 +1,7 @@
 """Invertible ergodic base systems supplying two-sided fiber orbits.
 
-Three kinds are supported: deterministic (a single fixed fiber), periodic
-(a finite cycle) and bernoulli (two-sided i.i.d. draws over a countable state
+Two kinds are supported: periodic (a finite cycle; a fixed fiber is the cycle
+of length one) and bernoulli (two-sided i.i.d. draws over a countable state
 set with closed-form weights).  Orbits are seeded and reproducible; negative
 indices of a bernoulli orbit come from an independent seeded stream glued at
 zero, which is legitimate because the base measure is an i.i.d. product.
@@ -21,12 +21,12 @@ _BLOCK = 64  # uniforms per draw: doubles leave the stream in order, so any bloc
 
 @dataclass(frozen=True)
 class DrivingSystem:
-    kind: str  # "deterministic" | "periodic" | "bernoulli"
+    kind: str  # "periodic" | "bernoulli"
     states: tuple
     weights: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.kind not in ("deterministic", "periodic", "bernoulli"):
+        if self.kind not in ("periodic", "bernoulli"):
             raise ValueError(f"unknown driving kind {self.kind!r}")
         if not self.states:
             raise ValueError("state space must be nonempty")
@@ -47,9 +47,9 @@ class DrivingSystem:
         """expectation() of per-state values listed in the order of
         state_support(), along the last axis: a float for one row, else one
         value per row.  A bernoulli row is summed in state order from 0.0
-        (np.cumsum, + 0.0: the bits of expectation's loop), and +inf anywhere
-        gives +inf; the other kinds call expectation row by row."""
-        if self.kind != "bernoulli":
+        (np.cumsum, + 0.0), and +inf anywhere gives +inf; a periodic row
+        is expectation's cycle mean."""
+        if self.kind == "periodic":
             rows = [self.expectation(dict(zip(self._support, row)).__getitem__) for row in np.atleast_2d(values).tolist()]
             return rows[0] if values.ndim == 1 else np.array(rows)
         with np.errstate(invalid="ignore"):  # -inf + inf, in a row holding +inf
@@ -59,20 +59,11 @@ class DrivingSystem:
         return float(out) if values.ndim == 1 else out
 
     def expectation(self, fn: Callable[[object], float]) -> float:
-        """Exact expectation of fn(state) under the marginal of the base measure."""
-        if self.kind == "deterministic":
-            return fn(self.states[0])
+        """Exact expectation of fn(state) under the marginal of the base
+        measure: the cycle mean of a periodic base, else expected's sum."""
         if self.kind == "periodic":
             return math.fsum(fn(s) for s in self.states) / len(self.states)
-        total = 0.0
-        for s, w in zip(self.states, self.weights):
-            if w == 0.0:
-                continue
-            v = fn(s)
-            if v == math.inf:
-                return math.inf
-            total += w * v
-        return total
+        return self.expected(np.array([fn(s) for s in self._support], dtype=float))
 
     def state_support(self) -> tuple:
         """States carrying mass (materialized support for bernoulli), built
@@ -81,7 +72,8 @@ class DrivingSystem:
 
 
 def deterministic(state) -> DrivingSystem:
-    return DrivingSystem(kind="deterministic", states=(state,))
+    """A fixed fiber: the periodic cycle of length one."""
+    return periodic((state,))
 
 
 def periodic(cycle: Sequence) -> DrivingSystem:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .driving import DrivingOrbit
 from .potentials import FirstSymbolPotential, float_log
-from .shift import SymbolicSystem, Word, _incidence, prefix_tree, word_index
+from .shift import SymbolicSystem, Word, _incidence, prefix_tree
 
 
 class _WordTree:
@@ -39,7 +39,6 @@ class _WordTree:
     successors[a] lists the positions b with (a, b) admissible."""
 
     def __init__(self, system: SymbolicSystem, symbols: tuple, depth: int):
-        self.system, self.symbols = system, symbols
         levels = []
         for parent, last in prefix_tree(system, symbols, depth):
             if levels:
@@ -88,10 +87,10 @@ class CylinderMeasure:
     @property
     def masses(self) -> dict:
         """{word: mass} over every level."""
-        out = {}
-        for n, level in enumerate(self.levels, 1):
-            rows = word_index(self.tree.system, self.symbols, n).tolist()
-            out.update(zip((tuple(self.symbols[p] for p in row) for row in rows), level.tolist()))
+        out, words = {}, [()]
+        for parent, last, level in zip(self.tree.parent, self.tree.last, self.levels):
+            words = [words[p] + (self.symbols[b],) for p, b in zip(parent.tolist(), last.tolist())]
+            out.update(zip(words, level.tolist()))
         return out
 
 

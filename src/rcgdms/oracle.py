@@ -78,10 +78,10 @@ def level_histogram(
         edges = np.array([lo - 1e-12, hi + 1e-12])
     else:
         edges = np.linspace(lo, hi + 1e-12, bins + 1)
-    counts, _ = np.histogram(sums, bins=edges)
-    idx = np.clip(np.searchsorted(edges, sums, side="right") - 1, 0, len(counts) - 1)
-    mean_exp = np.zeros(len(counts))
-    np.add.at(mean_exp, idx, sums)
+    # bin i holds edges[i] <= x < edges[i + 1], the top edge in the last bin
+    idx = np.clip(np.searchsorted(edges, sums, side="right") - 1, 0, len(edges) - 2)
+    counts = np.bincount(idx, minlength=len(edges) - 1)
+    mean_exp = np.bincount(idx, weights=sums, minlength=len(edges) - 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     nonzero = counts > 0
     mean_exp[nonzero] = mean_exp[nonzero] / counts[nonzero]

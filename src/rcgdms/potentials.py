@@ -193,7 +193,7 @@ class FirstSymbolPotential:
             symbols = tuple(sorted(symbols))
             if not symbols:
                 raise ValueError("symbol set must be nonempty")
-            if self.system.incidence_kind != "full":
+            if self.system.incidence is not None:
                 weights = np.array([self.log_weights(st, symbols) for st in states])
                 adm = self.admissibility(symbols)
                 per_target = log_sum_exp(np.where(adm.T, weights[:, None, :], -np.inf))
@@ -211,14 +211,14 @@ class FirstSymbolPotential:
         derivative in s): per state, the softmax mean and variance of the
         lane slopes plus the mean lane curvature."""
         if symbols is None:
-            if self.system.incidence_kind != "full":
+            if self.system.incidence is not None:
                 raise ValueError("full-alphabet transfer bounds need a full shift")
             if self.system.tail is not None and self.tail is None:
                 raise ValueError("countable alphabet needs a tail moment hook")
         values, log_counts, starts, sizes = self._atoms(states, symbols)
         tail = self.tail if symbols is None and self.system.tail is not None else None
         scales, n, k = np.asarray(scales, dtype=float), values.size, len(states)
-        lanes = 0 if tail is None else getattr(tail, "lanes", 1)
+        lanes = 0 if tail is None else tail.lanes
         block = np.empty(scales.shape + (n + k * lanes,))
         np.multiply(scales[..., None], values, out=block[..., :n])
         block[..., :n] += log_counts
@@ -226,10 +226,7 @@ class FirstSymbolPotential:
         if tail is not None:
             starts, sizes = self._cached(("lanes", states), lambda: (np.append(starts, n + lanes * np.arange(k)), np.append(sizes, [lanes] * k)))
             for row, s in zip(rows, at):
-                if lanes == 1:
-                    row[n:] = tail.log_moments(s, states)
-                else:
-                    tail.write_lanes(s, states, row[n:].reshape(k, lanes))
+                tail.write_lanes(s, states, row[n:].reshape(k, lanes))
         sums = _segment_log_sums(block, starts, sizes)
         total = sums if tail is None else np.logaddexp(sums[..., :k], sums[..., k:])
         if not slope:

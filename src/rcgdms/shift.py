@@ -7,9 +7,9 @@ edges are materialized up to a declared cutoff, and an optional tail object
 stands for the non-materialized remainder.  A tail gives its closed-form
 moments, log_moments(s, states), which the potential layer adds to the
 transfer sums, and states its own regularity as the class constant
-cofinitely_regular.  The product kernel reads a tail's moment as `lanes` log
-terms per state (one, the moment, unless it declares more and writes them
-with write_lanes), and their derivatives in s from lane_derivatives.
+cofinitely_regular.  The product kernel reads a tail's moment as the
+`lanes` log terms per state that it declares and writes with write_lanes,
+and their derivatives in s from lane_derivatives.
 
 Everything here is immutable after construction and safe to share across
 parallel workers; words come level by level in lexicographic order.
@@ -42,7 +42,8 @@ class GeometricTail:
 
     ratio: float
     start: int
-    cofinitely_regular = True  # unannotated: a class constant, not a field
+    cofinitely_regular = True  # unannotated: class constants, not fields
+    lanes = 1
 
     def __post_init__(self):
         if not (0.0 < self.ratio < 1.0):
@@ -59,6 +60,10 @@ class GeometricTail:
         if log_q == 0.0:  # underflowed: 1 - ratio**s is s*log(1/ratio) to first order
             return np.full(len(states), -math.log(s) - math.log(-math.log(self.ratio)))
         return np.full(len(states), self.start * log_q - math.log(-math.expm1(log_q)))
+
+    def write_lanes(self, s: float, states: tuple, out: np.ndarray) -> None:
+        """Into `out`, one row per state: the log moment."""
+        out[:, 0] = self.log_moments(s, states)
 
     def lane_derivatives(self, s: float, states: tuple) -> tuple[float, float]:
         """The first and second derivative of log_moments in s, every state's."""
@@ -80,9 +85,8 @@ def geometric_derivatives(rate: float, s: float, first):
 @dataclass(frozen=True, eq=False)  # an ndarray field has no truth value: systems compare by identity
 class SymbolicSystem:
     """Vertex/edge alphabet with a 0/1 incidence structure: `incidence` is
-    None for a full shift (incidence_kind "full"), else the read-only boolean
-    matrix over `edges` ("matrix"), incidence[i, j] whether edges[j] may
-    follow edges[i]."""
+    None for a full shift, else the read-only boolean matrix over `edges`,
+    incidence[i, j] whether edges[j] may follow edges[i]."""
 
     vertices: tuple
     edges: tuple[int, ...]
@@ -96,10 +100,6 @@ class SymbolicSystem:
             raise ValueError("alphabet cutoff must be >= 1")
         if self.tail is not None and self.incidence is not None:
             raise ValueError("analytic tails are supported for full shifts only")
-
-    @property
-    def incidence_kind(self) -> str:
-        return "full" if self.incidence is None else "matrix"
 
     def admissible_pair(self, e1: int, e2: int) -> bool:
         return self.incidence is None or bool(self.incidence[self.position[e1], self.position[e2]])
@@ -272,7 +272,7 @@ def find_primitivity(
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     symbols = tuple(sorted(symbols))
-    if system.incidence_kind == "full":
+    if system.incidence is None:
         return PrimitivityWitness(order=1, connectors=((symbols[0],),))
     adm = _incidence(system, symbols)
     steps = adm.astype(np.int64)

@@ -24,10 +24,10 @@ path serves float (log space), Fraction and mpf arithmetic.
 `_route` alone picks the pressure route of a symbol set, once for all the
 scales of a `pressure` or `pressures` call.  Product structure (every pair
 of the symbols admissible) gives the marginal expectation of the log
-transfer sum, at every scale in one evaluation; deterministic or periodic
-driving over at most 128 symbols gives the spectral radius of the weighted
-transition matrix (cycle product) and, on request, the slope of the
-pressure in s from the Perron vectors of that product.  Radius and vectors
+transfer sum, at every scale in one evaluation; periodic driving (a fixed
+fiber is a cycle) over at most 128 symbols gives the spectral radius of the
+weighted transition matrix (cycle product) and, on request, the slope of
+the pressure in s from the Perron vectors of that product.  Radius and vectors
 come from a power iteration certified by its Collatz-Wielandt bracket, and
 from an eigenvalue solve only where the bracket does not close.  The Monte
 Carlo route averages depth-extrapolated slopes log A_n / n over independent
@@ -345,16 +345,16 @@ class PressureEstimate:
 def _route(symbols: Optional[Sequence[int]], potential: FirstSymbolPotential) -> str:
     """The route of the pressure over the symbols (None: the whole alphabet,
     only on a full shift): "exact-product" where every pair of them is
-    admissible, "exact-spectral" under deterministic or periodic driving over
-    at most 128 symbols, else "monte-carlo"."""
+    admissible, "exact-spectral" under periodic driving (a fixed fiber is the
+    cycle of length one) over at most 128 symbols, else "monte-carlo"."""
     if potential.driving is None:
         raise ValueError("pressure needs the potential's driving system")
-    full = potential.system.incidence_kind == "full"
+    full = potential.system.incidence is None
     if symbols is None and not full:
         raise ValueError("non-product systems need an explicit finite symbol set")
     if full or potential.admissibility(tuple(sorted(symbols))).all():
         return "exact-product"
-    spectral = potential.driving.kind in ("deterministic", "periodic") and len(symbols) <= 128
+    spectral = potential.driving.kind == "periodic" and len(symbols) <= 128
     return "exact-spectral" if spectral else "monte-carlo"
 
 
@@ -591,7 +591,7 @@ def pressure_compact_approx(ladder: Sequence[tuple[int, ...]], potential: FirstS
     """
     values = [pressure(rung, potential).value for rung in ladder]
     monotone = all(values[i + 1] >= values[i] - 1e-9 for i in range(len(values) - 1))
-    anchor = _product_pressure(None, potential, potential.scale) if potential.system.incidence_kind == "full" else None
+    anchor = _product_pressure(None, potential, potential.scale) if potential.system.incidence is None else None
     return CompactApproximation(
         rung_values=tuple(values),
         limit=values[-1] if anchor is None else anchor,

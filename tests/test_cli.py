@@ -707,6 +707,19 @@ def test_example_paper_checks_rungs_against_the_paper_alphabet(tmp_path):
     assert json.loads((tmp_path / "example-paper.json").read_text())["rung_pressures_at_1"][1] < -math.log(2.0)
 
 
+def test_example_paper_refuses_a_default_ladder_past_the_cutoff(tmp_path, capsys):
+    """With no rungs, the default ladder (up to 1024) is checked against a
+    small paper-example cutoff like a given one: exit 2, naming the fields."""
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps({"system": {"preset": "paper-example", "cutoff": 4}}))
+    assert run_cli("example-paper", "--config", small, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "config error: system.cutoff:" in err and "analysis.rungs" in err
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({"system": {"preset": "paper-example", "cutoff": 2}}))
+    assert run_cli("example-paper", "--config", tiny, "--rungs", "2", "--out", tmp_path / "tiny") == 0
+
+
 def test_example_paper_ignores_a_custom_system_named_after_it(tmp_path):
     # the config's name names the run, not the system
     doc = json.loads((CONFIGS / "custom-example.json").read_text())

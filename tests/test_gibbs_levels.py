@@ -181,7 +181,7 @@ def assert_chains_agree(system, symbols, potential, orbit, depth, horizon, exact
 def test_float_levels_match_dict_induction(case, extra):
     system, symbols, potential, orbit, depth = case
     measures, eigens = assert_chains_agree(system, symbols, potential, orbit, depth, depth + extra, exact=False)
-    if system.incidence_kind == "full":
+    if system.incidence is None:
         for k in range(extra + 1):  # positions the seed no longer reaches
             for w, m in measures[k].masses.items():
                 assert close(m, ref_closed_form(symbols, potential, orbit, k, w, exact=False))
@@ -193,7 +193,7 @@ def test_fraction_levels_match_dict_induction_exactly(case, extra):
     system, symbols, potential, orbit, depth = case
     depth = min(depth, 3)
     measures, _ = assert_chains_agree(system, symbols, potential, orbit, depth, depth + extra, exact=True)
-    if system.incidence_kind == "full":
+    if system.incidence is None:
         for k in range(extra + 1):
             for w, m in measures[k].masses.items():
                 assert m == ref_closed_form(symbols, potential, orbit, k, w, exact=True)

@@ -5,14 +5,15 @@ from fractions import Fraction
 import pytest
 from words import weight_fn, zero_potential
 
-from rcgdms.driving import DrivingOrbit
+from rcgdms.driving import DrivingOrbit, deterministic
+from rcgdms.gdms import similarity_system
 from rcgdms.gibbs import (
     conformal_measures,
     conformality_residual,
     ladder_convergence,
 )
 from rcgdms.potentials import geometric_potential
-from rcgdms.shift import PrimitivityWitness, build_ladder
+from rcgdms.shift import PrimitivityWitness, build_ladder, from_matrix, word_index
 
 S_STAR_CANTOR = math.log(2) / math.log(3)
 
@@ -102,6 +103,34 @@ def test_exact_fraction_masses(period2):
     measures, _ = conformal_measures((0, 1), zeta, orbit, depth=2, exact=True)
     assert measures[0].mass((0, 1)) == Fraction(1, 4)
     assert measures[0].mass((0,)) == Fraction(1, 2)
+
+
+def ref_masses(measure, system):
+    """{word: mass} with each level's words from word_index."""
+    out = {}
+    for n, level in enumerate(measure.levels, 1):
+        rows = word_index(system, measure.symbols, n).tolist()
+        out.update(zip((tuple(measure.symbols[p] for p in row) for row in rows), level.tolist()))
+    return out
+
+
+def three_symbol_constrained():
+    ratios = {0: {0: Fraction(1, 3), 1: Fraction(1, 4), 2: Fraction(1, 5)}}
+    return similarity_system(from_matrix((0, 1, 2), [[1, 1, 0], [0, 0, 1], [1, 0, 1]]), deterministic(0), ratios, {0: {0: 0.0, 1: 0.4, 2: 0.7}})
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+@pytest.mark.parametrize("name", ["period2", "golden", "three-symbol"])
+def test_masses_match_the_word_index_reference(name, exact, request):
+    """masses lists every level's words in word_index order, full and
+    constrained shifts alike, with the level's masses as values."""
+    gdms = three_symbol_constrained() if name == "three-symbol" else request.getfixturevalue(name)
+    symbols = tuple(gdms.symbolic.edges)
+    measures, _ = conformal_measures(symbols, geometric_potential(gdms), DrivingOrbit(gdms.driving, 0), depth=4, horizon=5, exact=exact)
+    for m in measures[:3]:
+        got, want = m.masses, ref_masses(m, gdms.symbolic)
+        assert list(got) == list(want) and list(got.values()) == list(want.values())
+        assert len(got) == sum(map(len, m.levels))
 
 
 def test_ladder_convergence_finite_alphabet(twoscale):

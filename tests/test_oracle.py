@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rcgdms.oracle as oracle
 from rcgdms.driving import DrivingOrbit
 from rcgdms.gibbs import conformal_measures
 from rcgdms.oracle import (
@@ -103,6 +106,40 @@ def test_histogram_incidence_constrained(golden):
     assert hist.total == count_words(golden.symbolic, (0, 1), 12)
     # single contraction ratio: every admissible word has the same exponent
     assert (hist.counts > 0).sum() == 1
+
+
+def ref_bins(sums, edges):
+    """Per-bin counts and mean exponents (bin centers where empty) from
+    np.histogram and an np.add.at sum over the same searchsorted bins."""
+    counts, _ = np.histogram(sums, bins=edges)
+    idx = np.clip(np.searchsorted(edges, sums, side="right") - 1, 0, len(counts) - 1)
+    means = np.zeros(len(counts))
+    np.add.at(means, idx, sums)
+    full = counts > 0
+    means[full] = means[full] / counts[full]
+    means[~full] = 0.5 * (edges[:-1] + edges[1:])[~full]
+    return counts, means
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from((1e-3, 0.5, 3e4, 1e5)), st.floats(1e-3, 1e6)),
+       st.sampled_from((0.0, 1e-16, 1e-13, 1e-9, 1.0, 3.7, 1e3)), st.integers(1, 40), st.data())
+def test_histogram_bins_match_the_histogram_reference(lo, width, bins, data):
+    """Counts and bin_exponents equal np.histogram and np.add.at over the
+    same bins of positive exponents: values on interior edges, on the top
+    edge (hi + 1e-12 rounds to hi past 2**14), and the one-bin degenerate
+    range included."""
+    hi = lo + width
+    grid = np.linspace(lo, hi + 1e-12, bins + 1)
+    pool = [x for x in grid.tolist() if lo <= x <= hi] + [lo, hi]
+    sums = np.array(data.draw(st.lists(st.one_of(st.sampled_from(pool), st.floats(lo, hi)), max_size=30)) + [lo, hi])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_exponent_sums", lambda gdms, orbit, symbols, n: sums)
+        hist = level_histogram(None, None, (0, 1), n=1, bins=bins)
+    counts, means = ref_bins(sums, hist.bin_edges)
+    assert len(hist.counts) == (1 if hi - lo < 1e-15 else bins)
+    assert hist.counts.dtype == counts.dtype and np.array_equal(hist.counts, counts)
+    assert hist.bin_exponents.tobytes() == means.tobytes()
 
 
 # ---------------------------------------------------------------------------

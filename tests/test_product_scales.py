@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import rcgdms.cli as cli
 from rcgdms import instances
-from rcgdms.driving import bernoulli, deterministic, periodic
+from rcgdms.driving import DrivingSystem, bernoulli, deterministic, periodic
 from rcgdms.potentials import FirstSymbolPotential, _segment_log_sums, geometric_potential, table_potential
 from rcgdms.shift import GeometricTail, from_matrix, full_shift
 from rcgdms.thermo import pressure, pressures
@@ -160,6 +160,15 @@ VALUE = st.one_of(
 
 
 @st.composite
+def bernoullis(draw):
+    states = tuple(range(draw(st.integers(1, 5))))
+    weights = [draw(st.floats(0.01, 1.0)) for _ in states]
+    if len(states) > 1:
+        weights[draw(st.integers(0, len(states) - 1))] = 0.0  # a zero-weight state
+    return bernoulli(states, weights)
+
+
+@st.composite
 def drivings(draw):
     states = tuple(range(draw(st.integers(1, 5))))
     kind = draw(st.sampled_from(("deterministic", "periodic", "bernoulli")))
@@ -167,13 +176,23 @@ def drivings(draw):
         return deterministic(states[0])
     if kind == "periodic":
         return periodic(draw(st.lists(st.sampled_from(states), min_size=1, max_size=6)))
-    weights = [draw(st.floats(0.01, 1.0)) for _ in states]
-    if len(states) > 1:
-        weights[draw(st.integers(0, len(states) - 1))] = 0.0  # a zero-weight state
-    return bernoulli(states, weights)
+    return draw(bernoullis())
+
+
+def bernoulli_loop(driving, row):
+    """A Bernoulli expectation state by state over the support: summed in
+    state order from 0.0, and +inf as soon as a value is +inf."""
+    total = 0.0
+    for w, v in zip([w for w in driving.weights if w > 0], row):
+        if v == math.inf:
+            return math.inf
+        total += w * v
+    return total
 
 
 def reference(driving, row):
+    if driving.kind == "bernoulli":
+        return bernoulli_loop(driving, row)
     by_state = dict(zip(driving.state_support(), row))
     try:
         return driving.expectation(by_state.__getitem__)
@@ -203,6 +222,36 @@ def test_vector_expectation_matches_the_loop(driving, data):
             assert math.isnan(g) and math.isnan(one)
         else:
             assert same_bits(g, w) and same_bits(one, w), (g, one, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bernoullis(), st.data())
+def test_bernoulli_expectation_has_the_bits_of_expected(driving, data):
+    """expectation(fn) on a Bernoulli base is expected over fn's values on
+    state_support(), bit for bit, and never reads a zero-weight state."""
+    row = [data.draw(VALUE) for _ in driving.state_support()]
+    if data.draw(st.booleans()):
+        row[data.draw(st.integers(0, len(row) - 1))] = math.inf
+    got = driving.expectation(dict(zip(driving.state_support(), row)).__getitem__)
+    want = driving.expected(np.array(row))
+    assert isinstance(got, float)
+    assert same_bits(got, want) and same_bits(got, bernoulli_loop(driving, row)), (got, want, row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-3, 3), st.lists(VALUE, min_size=1, max_size=4))
+def test_a_fixed_fiber_is_the_cycle_of_length_one(state, values):
+    """deterministic(s) is periodic((s,)): equal systems, with the same
+    expectation and expected bits on every row, +-inf and NaN included."""
+    fixed, cycle = deterministic(state), periodic((state,))
+    assert fixed == cycle and fixed.kind == "periodic"
+    rows = np.array(values)[:, None]
+    for value, row in zip(values, rows):
+        got = [d.expectation(lambda s: value) for d in (fixed, cycle)] + [d.expected(row) for d in (fixed, cycle)]
+        assert all(isinstance(g, float) and same_bits(g, got[0]) for g in got)
+    assert same_bits(fixed.expected(rows), cycle.expected(rows))
+    with pytest.raises(ValueError, match="unknown driving kind"):
+        DrivingSystem(kind="deterministic", states=(state,))
 
 
 def test_zero_weight_state_is_not_read():

@@ -37,7 +37,7 @@ def ref_lse(xs):
 
 def ref_bounds(pot, state, symbols):
     symbols = sorted(symbols)
-    if pot.system.incidence_kind == "full":
+    if pot.system.incidence is None:
         total = ref_lse(value(pot, state, e) for e in symbols)
         return (total, total)
     per_target = [

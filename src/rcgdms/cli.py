@@ -16,13 +16,12 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
-import itertools
 import json
 import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -44,12 +43,37 @@ from .thermo import _route, check_gibbs, check_sandwich, pressure, pressure_comp
 SAMPLE_WORDS = 500_000
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """One line per row: numpy scalars become Python ones with .item(), and
-    str of a Python float is its repr."""
-    lines = [",".join(header)]
-    lines.extend(",".join([str(v.item() if isinstance(v, np.generic) else v) for v in row]) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: Sequence[str], columns: Iterable[Sequence]) -> None:
+    """One line per row of the columns, sequences of Python values (as .tolist()
+    gives them) formatted with str, which is repr for a Python float."""
+    cells = [map(str, column) for column in columns]
+    path.write_text("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
+
+
+def _labels(levels: Iterable[tuple[np.ndarray, np.ndarray]], names: np.ndarray) -> Iterator[np.ndarray]:
+    """Per (parent, last) level of a word tree, its words' names (an object
+    array of str per symbol position) joined by "-": one concatenation per node."""
+    dashed = "-" + names
+    labels = None
+    for parent, last in levels:
+        labels = names[last] if labels is None else labels[parent] + dashed[last]
+        yield labels
+
+
+def _preorder(parents: Sequence[np.ndarray]) -> np.ndarray:
+    """For a word tree's levels, lexicographic (parents[n][i]: the index of
+    word i's prefix one level up), the word at each place of the pre-order
+    over all levels, levels concatenated: the order sorted() gives the words."""
+    sizes = [np.ones(len(parents[-1]), dtype=np.intp)]  # words in each word's subtree
+    for parent, up in zip(parents[:0:-1], parents[-2::-1]):
+        sizes.insert(0, 1 + np.bincount(parent, weights=sizes[0], minlength=len(up)).astype(np.intp))
+    places, prefixes = [], np.zeros(1, dtype=np.intp)
+    for n, (parent, size) in enumerate(zip(parents, sizes)):
+        prefixes = prefixes[parent] + parent  # the level indices of a word's proper prefixes, summed
+        places.append(prefixes + n + np.cumsum(size) - size)  # + its n prefixes + the earlier subtrees
+    word = np.empty(sum(map(len, places)), dtype=np.intp)
+    word[np.concatenate(places)] = np.arange(len(word))
+    return word
 
 
 def _sanitize(obj):
@@ -192,20 +216,17 @@ def cmd_pressure(run: RunConfig) -> int:
     if sysm.symbolic.incidence is None:
         columns.append(("full", pressures(None, zeta, grid)))
     rows = []
-    for i, s in enumerate(grid):
+    for i, s in enumerate(grid.tolist()):
         for size, column in columns:
             est = column[i]
             rows.append((s, size, "exact" if est.exact else est.depths[-1], est.value, est.spread))
-    _write_csv(run.out_dir / "pressure.csv", ("s", "rung", "depth", "estimate", "spread"), rows)
+    _write_csv(run.out_dir / "pressure.csv", ("s", "rung", "depth", "estimate", "spread"), zip(*rows))
     return 0
 
 
 def _write_curve_csv(run: RunConfig, curve) -> None:
-    rows = [
-        (float(s), float(raw), float(rep))
-        for s, raw, rep in zip(curve.s_grid, curve.raw_values, curve.values)
-    ]
-    _write_csv(run.out_dir / "pressure_curve.csv", ("s", "p", "p_repaired"), rows)
+    columns = [c.tolist() for c in (curve.s_grid, curve.raw_values, curve.values)]
+    _write_csv(run.out_dir / "pressure_curve.csv", ("s", "p", "p_repaired"), columns)
 
 
 def cmd_dimension(run: RunConfig) -> int:
@@ -245,8 +266,7 @@ def cmd_spectrum(run: RunConfig) -> int:
         betas = run.analysis.beta_grid(lo + 1e-9, hi)
     betas = betas[betas > 0]
     result = legendre_spectrum(curve, betas)
-    rows = [(float(b), float(v), flag) for b, v, flag in zip(result.betas, result.values, result.flags)]
-    _write_csv(run.out_dir / "spectrum.csv", ("beta", "l", "flag"), rows)
+    _write_csv(run.out_dir / "spectrum.csv", ("beta", "l", "flag"), (result.betas.tolist(), result.values.tolist(), result.flags))
     _write_json(
         run.out_dir / "spectrum.json",
         {
@@ -264,12 +284,14 @@ def cmd_measures(run: RunConfig) -> int:
     orbit = DrivingOrbit(run.system.driving, run.seed)
     depth = _depth_within(run, symbols, min(run.analysis.depth, 6))
     measures, log_eigenvalues = conformal_measures(symbols, zeta, orbit, depth=depth)
-    rows = []
-    for position in range(min(3, len(measures))):
-        masses = measures[position].masses
-        for word in sorted(masses):
-            rows.append(("-".join(map(str, word)), len(word), position, masses[word]))
-    _write_csv(run.out_dir / "measures.csv", ("word", "depth", "position", "mass"), rows)
+    positions, tree = min(3, len(measures)), measures[0].tree
+    word = _preorder(tree.parent)  # rows in sorted(words) order: a word, then its extensions
+    names = np.array([str(e) for e in symbols], dtype=object)
+    labels = np.concatenate(list(_labels(zip(tree.parent, tree.last), names)))[word].tolist()
+    depths = np.repeat(np.arange(1, depth + 1), list(map(len, tree.last)))[word].tolist()
+    masses = np.concatenate([np.concatenate(m.levels)[word] for m in measures[:positions]]).tolist()
+    columns = (labels * positions, depths * positions, np.repeat(np.arange(positions), len(word)).tolist(), masses)
+    _write_csv(run.out_dir / "measures.csv", ("word", "depth", "position", "mass"), columns)
     _write_json(
         run.out_dir / "eigenvalues.json",
         {"log_eigenvalues": [float(v) for v in log_eigenvalues[:10]]},
@@ -283,10 +305,12 @@ def cmd_limitset(run: RunConfig) -> int:
     depth = run.analysis.depth
     count = None if count_words(run.system.symbolic, symbols, depth) <= 4096 else 4096
     sample = sample_limit_set(run.system, orbit, depth=depth, count=count, seed=run.seed, symbols=symbols)
-    names = {e: str(e) for e in symbols}
-    labels = ["-".join([names[e] for e in w]) for w in sample.codes.tolist()]
-    rows = zip(labels, sample.points.tolist(), itertools.repeat(str(sample.radius_bound)))
-    _write_csv(run.out_dir / "limitset.csv", ("word", "point", "radius_bound"), rows)
+    names, rows = np.array([str(e) for e in symbols], dtype=object), sample.rows()
+    labels, dashed = names[rows[:, 0]], "-" + names
+    for column in rows.T[1:]:
+        labels = labels + dashed[column]
+    columns = (labels.tolist(), sample.points.tolist(), [str(sample.radius_bound)] * len(labels))
+    _write_csv(run.out_dir / "limitset.csv", ("word", "point", "radius_bound"), columns)
     return 0
 
 
@@ -307,8 +331,7 @@ def _verify_checks(run: RunConfig) -> list[dict]:
     )
 
     gibbs_depth = _depth_within(run, symbols, 5)
-    measures, log_eigenvalues = conformal_measures(symbols, zeta.scaled(1.0), orbit, depth=gibbs_depth)
-    gibbs = check_gibbs(symbols, zeta.scaled(1.0), orbit, measures, log_eigenvalues, depth=gibbs_depth)
+    gibbs = check_gibbs(symbols, zeta.scaled(1.0), orbit, *conformal_measures(symbols, zeta.scaled(1.0), orbit, depth=gibbs_depth), depth=gibbs_depth)
     checks.append(
         {"name": "gibbs", "ok": gibbs.ok, "detail": f"{gibbs.checked} cylinders, worst dev {gibbs.worst_ratio_deviation:.3e}"}
     )
@@ -320,10 +343,9 @@ def _verify_checks(run: RunConfig) -> list[dict]:
     s_star = curve.dimension()
 
     depth = max(9, run.analysis.depth)
-    sample = sample_limit_set(sysm, orbit, depth=depth, symbols=symbols) if count_words(sysm.symbolic, symbols, depth) <= SAMPLE_WORDS else None
-    if sample is not None:
+    if count_words(sysm.symbolic, symbols, depth) <= SAMPLE_WORDS:
         scales = [sysm.contraction ** j for j in range(2, 8)]
-        est = box_counting(sample, scales)
+        est = box_counting(sample_limit_set(sysm, orbit, depth=depth, symbols=symbols), scales)  # freed before the histogram
         checks.append(
             {
                 "name": "box_counting_vs_bowen",

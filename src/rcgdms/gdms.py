@@ -89,20 +89,14 @@ class RCGDMS:
 @dataclass(frozen=True)
 class LimitSetSample:
     """Depth-n truncation of a fiber limit set: one point per sampled word,
-    each within radius_bound of the true coded point.  `codes` holds the
-    words as rows of symbols, built from `rows()` (positions in `symbols`)
-    when first read."""
+    each within radius_bound of the true coded point.  `rows()` builds the
+    words as rows of positions in `symbols`, one row per point."""
 
     depth: int
     points: np.ndarray
     radius_bound: float
     symbols: tuple[int, ...]
     rows: Callable[[], np.ndarray] = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def codes(self) -> np.ndarray:
-        dtype = np.result_type(np.min_scalar_type(self.symbols[0]), np.min_scalar_type(self.symbols[-1]))
-        return np.array(self.symbols, dtype=dtype)[self.rows()]
 
 
 def code_levels(
@@ -139,11 +133,10 @@ def code_levels(
         state = orbit.state(k)
         offsets = gdms.offsets(state)[columns].tolist()
         ratios = [math.exp(x) for x in gdms.log_ratios(state)[columns].tolist()]
+        blocks = np.searchsorted(first, np.arange(len(symbols) + 1, dtype=first.dtype)).tolist()  # no copy of first
+        del first  # the last level yielded (position 0) is the largest: free it before the gathers,
         lo, hi = lo[parent], hi[parent]
-        blocks = np.searchsorted(first, np.arange(len(symbols) + 1)).tolist()
-        # the last level yielded (position 0) is the largest: free its arrays
-        # before the centers are allocated
-        del first, parent
+        del parent  # and this before the centers
         for i, (a, r) in enumerate(zip(offsets, ratios)):
             block = slice(blocks[i], blocks[i + 1])
             for x in (lo[block], hi[block]):

@@ -60,7 +60,7 @@ class CylinderMeasure:
     prefix_tree order (float64, or Fractions in an object array), and all
     positions of a chain share one word tree.  Each level sums to one and
     refines consistently: mass(w) = sum over admissible extensions w+e.
-    mass(word) and masses ({word: mass}) are lookups for output and tests."""
+    mass(word) looks one cylinder up."""
 
     symbols: tuple[int, ...]
     position: int
@@ -83,15 +83,6 @@ class CylinderMeasure:
             if i < 0:
                 return 0.0
         return self.levels[len(word) - 1].item(i)
-
-    @property
-    def masses(self) -> dict:
-        """{word: mass} over every level."""
-        out, words = {}, [()]
-        for parent, last, level in zip(self.tree.parent, self.tree.last, self.levels):
-            words = [words[p] + (self.symbols[b],) for p, b in zip(parent.tolist(), last.tolist())]
-            out.update(zip(words, level.tolist()))
-        return out
 
 
 def _weights(potential: FirstSymbolPotential, symbols, state, exact: bool) -> np.ndarray:

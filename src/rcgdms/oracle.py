@@ -55,7 +55,8 @@ def _exponent_sums(gdms: RCGDMS, orbit: DrivingOrbit, symbols, n: int) -> np.nda
     columns = [gdms.symbolic.position[e] for e in symbols]
     acc = np.zeros(1)
     for j, (parent, last) in enumerate(prefix_tree(gdms.symbolic, symbols, n)):
-        acc = acc[parent] - gdms.log_ratios(orbit.state(j))[columns][last]
+        acc = acc[parent]
+        acc -= gdms.log_ratios(orbit.state(j))[columns][last]
     return acc
 
 
@@ -72,14 +73,15 @@ def level_histogram(
     along the orbit.  Bin width defaults to the observed exponent range over
     `bins`; per-bin coarse dimensions use the mean observed exponent."""
     symbols = tuple(sorted(symbols if symbols is not None else gdms.symbolic.edges))
-    sums = _exponent_sums(gdms, orbit, symbols, n) / n
+    sums = _exponent_sums(gdms, orbit, symbols, n)
+    sums /= n
     lo, hi = float(sums.min()), float(sums.max())
     if hi - lo < 1e-15:
         edges = np.array([lo - 1e-12, hi + 1e-12])
     else:
         edges = np.linspace(lo, hi + 1e-12, bins + 1)
     # bin i holds edges[i] <= x < edges[i + 1], the top edge in the last bin
-    idx = np.clip(np.searchsorted(edges, sums, side="right") - 1, 0, len(edges) - 2)
+    idx = np.searchsorted(edges[1:-1], sums, side="right")
     counts = np.bincount(idx, minlength=len(edges) - 1)
     mean_exp = np.bincount(idx, weights=sums, minlength=len(edges) - 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -131,6 +133,25 @@ class BoxCountEstimate:
     residual: float
 
 
+def _occupied_boxes(pts: np.ndarray, eps: float) -> int:
+    """len(np.unique(np.floor(pts / eps))) for sorted points, each box one
+    run of them.  Over few boxes, each box's first point is searched at b * eps
+    and checked by floor on either side; else, or if a check fails, one pass."""
+    n = len(pts)
+    lo, hi = np.floor(pts[[0, -1]] / eps).tolist()
+    # timed on 262,144 sorted points (2 vCPUs), the jump wins below n/16 boxes
+    # (0.12 against 1.8 ms at n/256) and the pass from n/8 (1.7 against 2.0 ms)
+    if hi - lo < n / 16 and max(-lo, hi) < 2.0**53:  # few boxes, exact box indices
+        b = lo + np.arange(1, hi - lo + 1)  # every box after the first
+        starts = np.searchsorted(pts, b * eps)
+        at = np.floor(pts[np.minimum(starts, n - 1)] / eps)
+        before = np.floor(pts[starts - 1] / eps)  # starts >= 1 wherever `at` confirms
+        if (((starts == n) | (at >= b)) & (before < b)).all():
+            return 1 + np.count_nonzero(np.diff(starts, append=n))
+    boxes = np.floor(pts / eps)
+    return 1 + np.count_nonzero(boxes[1:] != boxes[:-1])
+
+
 def box_counting(
     points: LimitSetSample | np.ndarray,
     scales: Sequence[float],
@@ -153,10 +174,9 @@ def box_counting(
         pts = np.asarray(points, dtype=float)
     if pts.size == 0:
         raise ValueError("empty point set")
-    counts = []
-    for eps in scales:
-        boxes = np.unique(np.floor(pts / eps))
-        counts.append(len(boxes))
+    if not (pts[1:] >= pts[:-1]).all():
+        pts = np.sort(pts)
+    counts = [_occupied_boxes(pts, eps) for eps in scales]
     if max(counts) == 1:
         return BoxCountEstimate(0.0, tuple(scales), tuple(counts), 0.0)
     x = np.log(1.0 / np.array(scales))

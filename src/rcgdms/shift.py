@@ -160,7 +160,8 @@ def prefix_tree(system: SymbolicSystem, symbols: Sequence[int], n: int) -> Itera
     """Admissible words over `symbols`, lexicographic, one level per step for n
     levels: yields (parent, last), parent[i] the index of word i's prefix one
     level up (0 at level 1), last[i] the position of its last symbol in
-    sorted(symbols).  A level of more than WORD_BUDGET words raises unbuilt."""
+    sorted(symbols).  A level of more than WORD_BUDGET (< 2**31) words raises
+    unbuilt.  On a full shift, later levels are int32 ranges only the caller holds."""
     if n < 1:
         raise ValueError("word length must be >= 1")
     succ = _incidence(system, symbols)
@@ -168,9 +169,12 @@ def prefix_tree(system: SymbolicSystem, symbols: Sequence[int], n: int) -> Itera
     yield np.zeros_like(last), last
     counts = np.ones(len(succ), dtype=np.int64)  # words per last symbol
     for _ in range(n - 1):
-        counts = _grown(succ.T, counts)
-        parent, last = np.nonzero(succ[last])
-        yield parent, last
+        words, counts = int(counts.sum()), _grown(succ.T, counts)
+        if system.incidence is None:  # each of the level's words extends by every symbol
+            yield np.repeat(np.arange(words, dtype=np.int32), len(succ)), np.tile(np.arange(len(succ), dtype=np.int32), words)
+        else:
+            parent, last = np.nonzero(succ[last])
+            yield parent, last
 
 
 def suffix_tree(system: SymbolicSystem, symbols: Sequence[int], n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -179,8 +183,8 @@ def suffix_tree(system: SymbolicSystem, symbols: Sequence[int], n: int) -> Itera
     parent), first[i] the position of word i's first symbol in
     sorted(symbols) and parent[i] the index of its suffix one level down (at
     level 1, the symbol's own position).  Every level is lexicographic, so
-    `first` is sorted and the last level is word_index's order.  A level of
-    more than WORD_BUDGET words raises unbuilt."""
+    `first` is sorted and the last level is word_index's order.  Budget and
+    full-shift levels as in prefix_tree."""
     if n < 1:
         raise ValueError("word length must be >= 1")
     succ = _incidence(system, symbols)
@@ -188,9 +192,12 @@ def suffix_tree(system: SymbolicSystem, symbols: Sequence[int], n: int) -> Itera
     yield first, first
     counts = np.ones(len(succ), dtype=np.int64)  # words per first symbol
     for _ in range(n - 1):
-        counts = _grown(succ, counts)
-        first, parent = np.nonzero(succ[:, first])
-        yield first, parent
+        words, counts = int(counts.sum()), _grown(succ, counts)
+        if system.incidence is None:  # each of the level's words extends by every symbol
+            yield np.repeat(np.arange(len(succ), dtype=np.int32), words), np.tile(np.arange(words, dtype=np.int32), len(succ))
+        else:
+            first, parent = np.nonzero(succ[:, first])
+            yield first, parent
 
 
 def word_index(system: SymbolicSystem, symbols: Sequence[int], n: int) -> np.ndarray:

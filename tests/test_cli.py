@@ -10,17 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from words import birkhoff, enumerate_words, ratio_of, value
+from words import birkhoff, codes, enumerate_words, ratio_of, value
 
 import rcgdms
 import rcgdms.shift
 from rcgdms import config
-from rcgdms.cli import _curve, _exponent_hull, _write_csv, main
+from rcgdms.cli import _curve, _exponent_hull, _labels, _preorder, _write_csv, main
 from rcgdms.config import Analysis, ConfigError, RunConfig, load_config
 from rcgdms.driving import DrivingOrbit, bernoulli, deterministic, periodic
-from rcgdms.gdms import BlockTailExample, similarity_system
+from rcgdms.gdms import BlockTailExample, sample_limit_set, similarity_system
 from rcgdms.potentials import geometric_potential, table_potential
-from rcgdms.shift import from_matrix, full_shift
+from rcgdms.shift import from_matrix, full_shift, prefix_tree
 from rcgdms.spectrum import legendre_spectrum
 from rcgdms.thermo import _connector_bound, _lane
 
@@ -88,36 +88,90 @@ def test_limitset_command_deterministic(tmp_path):
     assert (a / "limitset.csv").read_bytes() == (b / "limitset.csv").read_bytes()
 
 
-def _reference_fmt(value) -> str:
-    # the per-value cell formatter the CSV writer replaced
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _reference_writer(path: Path, header, rows) -> None:
+    # the per-cell writer the column writer replaced
+    lines = [",".join(header)]
+    lines.extend(",".join([str(v.item() if isinstance(v, np.generic) else v) for v in row]) for row in rows)
+    path.write_text("\n".join(lines) + "\n")
 
 
 _floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
-_cells = st.one_of(
-    _floats,
-    _floats.map(np.float64),
-    st.floats(width=32, allow_subnormal=True).map(np.float32),
-    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308]),
-    st.integers(-(2**63), 2**63 - 1),
-    st.integers(-(2**63), 2**63 - 1).map(np.int64),
-    st.integers(0, 255).map(np.uint8),
-    st.booleans(),
-    st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126, exclude_characters=","), max_size=6),
-)
+_specials = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308])
+_text = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126, exclude_characters=","), max_size=6)
+
+
+def _column(n: int):
+    """n cells of one kind: a numpy array (float64, float32, int64, uint8 or
+    bool), or Python floats, ints, bools and strings as they come."""
+    def array(cells, dtype):
+        return st.lists(cells, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=dtype))
+
+    return st.one_of(
+        array(st.one_of(_floats, _specials), np.float64),
+        array(st.floats(width=32, allow_subnormal=True), np.float32),
+        array(st.integers(-(2**63), 2**63 - 1), np.int64),
+        array(st.integers(0, 255), np.uint8),
+        array(st.booleans(), bool),
+        st.lists(st.one_of(_floats, _specials, st.integers(-(2**70), 2**70), st.booleans(), _text), min_size=n, max_size=n),
+    )
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(_cells, min_size=1, max_size=5), max_size=8))
-def test_csv_writer_matches_per_value_formatting(tmp_path_factory, rows):
-    path = tmp_path_factory.mktemp("csv") / "rows.csv"
-    _write_csv(path, ("a", "b"), rows)
-    lines = ["a,b"] + [",".join(_reference_fmt(v) for v in row) for row in rows]
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+@given(st.integers(0, 8).flatmap(lambda n: st.lists(_column(n), min_size=1, max_size=5)))
+def test_csv_writer_matches_per_value_formatting(tmp_path_factory, columns):
+    """The column writer, fed .tolist() of numpy columns, writes the bytes
+    the per-cell writer wrote from their numpy scalars."""
+    header = tuple("abcde"[: len(columns)])
+    got, want = tmp_path_factory.mktemp("csv") / "got.csv", tmp_path_factory.mktemp("csv") / "want.csv"
+    _write_csv(got, header, [c.tolist() if isinstance(c, np.ndarray) else c for c in columns])
+    _reference_writer(want, header, zip(*columns))
+    assert got.read_bytes() == want.read_bytes()
+
+
+@st.composite
+def _word_trees(draw):
+    """A random incidence on 2-4 symbols, dead ends allowed, a symbol subset
+    and a depth of 1-4."""
+    k = draw(st.integers(2, 4))
+    edges = sorted(draw(st.sets(st.integers(0, 40), min_size=k, max_size=k)))
+    system = full_shift(edges) if draw(st.booleans()) else from_matrix(edges, [[draw(st.integers(0, 1)) for _ in edges] for _ in edges])
+    symbols = tuple(sorted(draw(st.sets(st.sampled_from(edges), min_size=1))))
+    return system, symbols, draw(st.integers(1, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_word_trees())
+def test_measures_rows_follow_the_sorted_words(case):
+    """measures.csv's order and labels, from the word tree's levels: the
+    pre-order over all lengths is sorted() of the words, the order the rows
+    took from sorted(masses), and each label is its symbols joined by "-"."""
+    system, symbols, depth = case
+    levels = list(prefix_tree(system, symbols, depth))
+    if not len(levels[-1][1]):
+        return  # no word of the full depth: measures refuses it
+    words = [list(enumerate_words(system, symbols, n)) for n in range(1, depth + 1)]
+    flat = [w for level in words for w in level]
+    assert [flat[i] for i in _preorder([parent for parent, _ in levels])] == sorted(flat)
+    names = np.array([str(e) for e in symbols], dtype=object)
+    for level, labels in zip(words, _labels(levels, names)):
+        assert labels.tolist() == ["-".join(map(str, w)) for w in level]
+
+
+@pytest.mark.parametrize("config, extra", [("cantor.json", ()), ("twoscale.json", ("--seed", "5")), ("paper-example.json", ("--depth", "7"))])
+def test_limitset_labels_spell_the_sampled_words(tmp_path, monkeypatch, config, extra):
+    """Each limitset.csv label is its word's symbols joined by "-", in the
+    sample's order: exhaustive samples (cantor, twoscale) and a random one
+    (paper-example past 4096 words)."""
+    samples = []
+
+    def keep(*args, **kwargs):
+        samples.append(sample_limit_set(*args, **kwargs))
+        return samples[-1]
+
+    monkeypatch.setattr(rcgdms.cli, "sample_limit_set", keep)
+    assert run_cli("limitset", "--config", CONFIGS / config, "--out", tmp_path, *extra) == 0
+    labels = [line.split(",")[0] for line in (tmp_path / "limitset.csv").read_text().splitlines()[1:]]
+    assert labels == ["-".join(map(str, w)) for w in codes(samples[0]).tolist()]
 
 
 def test_primitivity_command(tmp_path):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from words import code_point, enumerate_words, ratio_of, successors
+from words import code_point, codes, enumerate_words, ratio_of, successors
 
 import rcgdms.gdms
 import rcgdms.shift
@@ -75,9 +75,9 @@ def test_exhaustive_sample_matches_per_word_coding(case, depth):
     system, orbit, symbols = case
     sample = sample_limit_set(system, orbit, depth=depth, symbols=symbols)
     words = tuple(enumerate_words(system.symbolic, symbols, depth))
-    assert tuple(map(tuple, sample.codes.tolist())) == words
-    assert sample.codes.shape == (len(words), depth)
-    assert sample.codes.dtype == np.min_scalar_type(max(symbols))
+    assert tuple(map(tuple, codes(sample).tolist())) == words
+    assert codes(sample).shape == (len(words), depth)
+    assert codes(sample).dtype == np.min_scalar_type(max(symbols))
     # bit-for-bit, not approximately
     assert sample.points.tolist() == [code_point(system, orbit, w)[0] for w in words]
 
@@ -100,7 +100,7 @@ def test_random_words_match_per_word_coding(case, depth, count, seed):
             w.append(nxt[rng.integers(len(nxt))])
         if len(w) == depth:
             want.append(tuple(w))
-    assert tuple(map(tuple, sample.codes.tolist())) == tuple(want)
+    assert tuple(map(tuple, codes(sample).tolist())) == tuple(want)
     assert sample.points.tolist() == [code_point(system, orbit, w)[0] for w in want]
 
 
@@ -134,7 +134,7 @@ def test_coding_makes_no_per_symbol_map_calls(monkeypatch, paper, golden):
 
 def test_exhaustive_sample_builds_codes_only_when_read(monkeypatch, paper):
     def forbidden(*args, **kwargs):
-        raise AssertionError("word_index called before the codes are read")
+        raise AssertionError("word_index called before the rows are read")
 
     orbit = DrivingOrbit(paper.driving, 0)
     want = word_index(paper.symbolic, (1, 2, 3, 4), 5)
@@ -142,10 +142,10 @@ def test_exhaustive_sample_builds_codes_only_when_read(monkeypatch, paper):
     sample = sample_limit_set(paper, orbit, depth=5, symbols=(1, 2, 3, 4))
     assert sample.points.shape == (4 ** 5,)
     with pytest.raises(AssertionError, match="word_index"):
-        sample.codes
+        sample.rows()
     monkeypatch.setattr(rcgdms.gdms, "word_index", rcgdms.shift.word_index)
-    assert (sample.codes == want + 1).all()
-    assert sample.codes is sample.codes
+    assert (sample.rows() == want).all()
+    assert (codes(sample) == want + 1).all()
 
 
 def reference_code_words(gdms, orbit, symbols, index):
@@ -243,7 +243,7 @@ def test_random_words_on_a_full_shift_check_no_pair(monkeypatch, paper):
     monkeypatch.setattr(rcgdms.shift.SymbolicSystem, "admissible_pair", counting)
     orbit = DrivingOrbit(paper.driving, 0)
     sample = sample_limit_set(paper, orbit, depth=3, count=512, seed=5)
-    assert sample.codes.shape == (512, 3)
+    assert codes(sample).shape == (512, 3)
     assert calls == 0
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from words import block_log_moment, block_log_ratio, code_point, ratio_of
+from words import block_log_moment, block_log_ratio, code_point, codes, ratio_of
 
 from rcgdms import instances
 from rcgdms.driving import DrivingOrbit, periodic
@@ -83,7 +83,7 @@ def test_limit_set_depth2_exhaustive(cantor):
     orbit = DrivingOrbit(cantor.driving, 0)
     sample = sample_limit_set(cantor, orbit, depth=2)
     lefts = sorted(p - sample.radius_bound / 2 for p in sample.points)
-    starts = [image(cantor, orbit, w)[0] for w in sample.codes.tolist()]
+    starts = [image(cantor, orbit, w)[0] for w in codes(sample).tolist()]
     assert sorted(starts) == pytest.approx([0.0, 2 / 9, 2 / 3, 2 / 3 + 2 / 9])
     assert len(sample.points) == 4
     assert sample.radius_bound == pytest.approx(3.0 ** -2)
@@ -99,10 +99,10 @@ def test_random_words_reproducible(paper):
     orbit = DrivingOrbit(paper.driving, 0)
     a = sample_limit_set(paper, orbit, depth=3, count=64, seed=5)
     b = sample_limit_set(paper, orbit, depth=3, count=64, seed=5)
-    assert np.array_equal(a.codes, b.codes)
+    assert np.array_equal(codes(a), codes(b))
     assert np.array_equal(a.points, b.points)
     c = sample_limit_set(paper, orbit, depth=3, count=64, seed=6)
-    assert not np.array_equal(a.codes, c.codes)
+    assert not np.array_equal(codes(a), codes(c))
 
 
 def test_rbsc_margins(cantor, cantor_shrunk):
@@ -124,6 +124,19 @@ def test_rbsc_single_map_margin():
         {0: {0: 0.2}},
     )
     assert check_rbsc(sys1, (0,)) == pytest.approx(0.2)
+
+
+def test_similarity_system_takes_any_rational_ratio():
+    """Floats, strings and Fractions all become Fractions, so the exact paths
+    never compute in floats."""
+    from rcgdms.driving import deterministic
+
+    given_ratios = {0: 0.25, 1: "1/3", 2: Fraction(2, 5)}
+    system = similarity_system(full_shift((0, 1, 2)), deterministic(0), {0: given_ratios}, {0: dict.fromkeys(given_ratios, 0.0)})
+    fractions = system.ratio_fractions(0).tolist()
+    assert all(type(r) is Fraction for r in fractions)
+    assert fractions == [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5)]
+    assert system.log_ratios(0).tolist() == [math.log(r) for r in (0.25, 1 / 3, 0.4)]
 
 
 def test_rbsc_paper_positive(paper):

@@ -165,6 +165,57 @@ def test_box_counting_shrunk_below_root(cantor_shrunk):
     assert est.dimension <= s_star + 0.05
 
 
+def ref_box_counts(pts, scales):
+    """The box counts of box_counting before the sorted pass: one np.unique
+    over the floored points per scale, largest scale first."""
+    return tuple(len(np.unique(np.floor(np.asarray(pts, dtype=float) / eps))) for eps in sorted(scales, reverse=True))
+
+
+@st.composite
+def box_cases(draw):
+    """Unsorted points with duplicates, negative coordinates, points on and
+    one ulp beside box edges, and scales from a few boxes to one box per
+    point or more."""
+    top = draw(st.sampled_from([1e-3, 0.1, 1.0, 3.0]))
+    scales = [top * draw(st.sampled_from([0.1, 0.3, 1 / 3])) ** j for j in range(draw(st.integers(4, 7)))]
+    pts = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=200))
+    for _ in range(draw(st.integers(0, 20))):
+        edge = draw(st.one_of(st.integers(-3, 3), st.integers(-2000, 2000))) * draw(st.sampled_from(scales))
+        pts.append(draw(st.sampled_from([edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)])))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=10))  # duplicates
+    return draw(st.permutations(pts)), scales
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_cases())
+def test_box_counts_match_unique_of_floors(case):
+    pts, scales = case
+    assert box_counting(np.array(pts), scales).counts == ref_box_counts(pts, scales)
+    assert box_counting(np.sort(pts), scales).counts == ref_box_counts(pts, scales)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3000), st.floats(1e-6, 10.0), st.floats(-5.0, 5.0))
+def test_box_counts_of_dense_grids_match_unique_of_floors(n, eps, start):
+    """Many boxes per scale, and edge points from a grid of the box width."""
+    pts = np.sort(np.concatenate([np.linspace(start, start + n * eps / 7, n), start + eps * np.arange(n)]))
+    assert oracle._occupied_boxes(pts, eps) == len(np.unique(np.floor(pts / eps)))
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3, 1 / 3, 0.027])
+def test_box_counts_where_a_box_edge_rounds(eps):
+    """A point at b * eps or one ulp beside it, which floor(x / eps) may place
+    in the box on the other side of the edge, next to boxes of many points
+    after it, before it, or both two boxes before and after: the search at
+    b * eps alone would count one box too many or too few."""
+    for b in range(-300, 300):
+        edge = b * eps
+        for x in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)):
+            for around in ((0.5,), (-0.5,), (-1.5, 0.5)):
+                pts = np.sort(np.array([x] + [edge + k * eps for k in around for _ in range(40)]))
+                assert oracle._occupied_boxes(pts, eps) == len(np.unique(np.floor(pts / eps)))
+
+
 def test_box_counting_single_point():
     est = box_counting(np.array([0.37]), [0.1, 0.05, 0.01, 0.005])
     assert est.dimension == 0.0

@@ -17,6 +17,7 @@ from rcgdms.shift import (
     find_primitivity,
     from_matrix,
     full_shift,
+    prefix_tree,
     suffix_tree,
     verify_primitivity,
     word_index,
@@ -215,6 +216,36 @@ def test_suffix_tree_top_level_is_word_index(sym, data, n):
     want = word_index(sym, symbols, n)
     assert rows.shape == want.shape
     assert rows.tolist() == want.tolist()
+
+
+def ref_tree_levels(symbols, n, prepend):
+    """Word-tree levels over a full shift as np.nonzero gives them from the
+    all-ones incidence: (parent, last) per appended symbol, or (first,
+    parent) per prepended one."""
+    succ = np.ones((len(symbols), len(symbols)), dtype=bool)
+    ends = np.arange(len(symbols))
+    levels = [(ends, ends) if prepend else (np.zeros_like(ends), ends)]
+    for _ in range(n - 1):
+        levels.append(np.nonzero(succ[:, levels[-1][0]] if prepend else succ[levels[-1][1]]))
+    return levels
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(0, 50), min_size=1, max_size=6), st.integers(1, 5), st.integers(0, 6))
+def test_full_shift_levels_match_the_boolean_scan(edges, n, kept):
+    """Full-shift levels, built from ranges, hold the index values the scan
+    of the all-ones incidence gives, value for value, in int32 past level 1,
+    over every symbol, some of them or none."""
+    sym = full_shift(sorted(edges))
+    symbols = tuple(sorted(edges))[:kept]
+    for walk, prepend in ((prefix_tree, False), (suffix_tree, True)):
+        got, want = list(walk(sym, symbols, n)), ref_tree_levels(symbols, n, prepend)
+        assert [tuple(a.tolist() for a in level) for level in got] == [tuple(a.tolist() for a in level) for level in want]
+        assert all(a.dtype == np.int32 for level in got[1:] for a in level)
+
+
+def test_full_shift_words_over_no_symbols_are_empty():
+    assert word_index(full_shift((0, 1)), (), 3).shape == (0, 3)
 
 
 def test_primitivity_reverification_catches_bad_witness():

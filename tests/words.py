@@ -143,3 +143,22 @@ def zero_potential(system: SymbolicSystem) -> FirstSymbolPotential:
     zeros = np.zeros(len(system.edges))
     ones = np.full(len(system.edges), Fraction(1), dtype=object)
     return FirstSymbolPotential(system=system, row=lambda state: zeros, exact_row=lambda state: ones)
+
+
+def masses(measure) -> dict:
+    """{word: mass} over every level of a CylinderMeasure, each level's words
+    rebuilt from its word tree: the dict the measures rows are checked
+    against."""
+    out, words = {}, [()]
+    for parent, last, level in zip(measure.tree.parent, measure.tree.last, measure.levels):
+        words = [words[p] + (measure.symbols[b],) for p, b in zip(parent.tolist(), last.tolist())]
+        out.update(zip(words, level.tolist()))
+    return out
+
+
+def codes(sample) -> np.ndarray:
+    """A LimitSetSample's words as rows of symbols, in the smallest unsigned
+    dtype that holds them: the reference the limitset labels are checked
+    against."""
+    dtype = np.result_type(np.min_scalar_type(sample.symbols[0]), np.min_scalar_type(sample.symbols[-1]))
+    return np.array(sample.symbols, dtype=dtype)[sample.rows()]

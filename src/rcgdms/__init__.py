@@ -16,15 +16,12 @@ from .gdms import (
     RCGDMS,
     LimitSetSample,
     build_paper_example,
-    check_rbsc,
     sample_limit_set,
     similarity_system,
 )
 from .gibbs import (
     CylinderMeasure,
     conformal_measures,
-    conformality_residual,
-    ladder_convergence,
 )
 from .oracle import (
     BoxCountEstimate,
@@ -32,14 +29,11 @@ from .oracle import (
     box_counting,
     corrected_coarse_dimensions,
     level_histogram,
-    local_dimension_samples,
 )
 from .potentials import (
     FirstSymbolPotential,
-    SummabilityReport,
     geometric_potential,
     s_infinity,
-    summability,
     table_potential,
 )
 from .shift import (
@@ -56,21 +50,17 @@ from .shift import (
 from .spectrum import (
     PressureCurve,
     SpectrumResult,
-    TemperatureCurve,
     bowen_dimension,
     legendre_spectrum,
     pressure_curve,
-    tq_analysis,
 )
 from .thermo import (
     CompactApproximation,
     GibbsReport,
-    PartitionSums,
     PressureEstimate,
     SandwichReport,
     check_gibbs,
     check_sandwich,
-    partition_sums,
     pressure,
     pressure_compact_approx,
     pressures,

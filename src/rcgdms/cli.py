@@ -47,6 +47,7 @@ def _write_csv(path: Path, header: Sequence[str], columns: Iterable[Sequence]) -
     """One line per row of the columns, sequences of Python values (as .tolist()
     gives them) formatted with str, which is repr for a Python float."""
     cells = [map(str, column) for column in columns]
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n")
 
 
@@ -89,6 +90,7 @@ def _sanitize(obj):
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(_sanitize(payload), indent=2, sort_keys=True, default=str) + "\n")
 
 
@@ -252,7 +254,6 @@ def cmd_dimension(run: RunConfig) -> int:
 def cmd_spectrum(run: RunConfig) -> int:
     curve = _curve(run)
     s_star = curve.dimension()
-    _write_curve_csv(run, curve)
     lo, hi = curve.exponent_lo, curve.exponent_hi
     if not math.isfinite(hi):
         if run.analysis.beta_max is None:
@@ -264,8 +265,11 @@ def cmd_spectrum(run: RunConfig) -> int:
         betas = np.array([lo])  # a one-point interval: one exponent to report
     else:
         betas = run.analysis.beta_grid(lo + 1e-9, hi)
-    betas = betas[betas > 0]
-    result = legendre_spectrum(curve, betas)
+    positive = betas[betas > 0]
+    if not positive.size:
+        raise ConfigError(f"analysis.beta_min, beta_max: the beta range [{betas[0]:g}, {betas[-1]:g}] holds no positive exponent")
+    _write_curve_csv(run, curve)
+    result = legendre_spectrum(curve, positive)
     _write_csv(run.out_dir / "spectrum.csv", ("beta", "l", "flag"), (result.betas.tolist(), result.values.tolist(), result.flags))
     _write_json(
         run.out_dir / "spectrum.json",
@@ -482,8 +486,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             paper = gdms_mod.build_paper_example()  # the system example-paper analyses under any config
             run = replace(run, system=paper, potential=geometric_potential(paper))
         check_rungs(run, flags)
-        run.out_dir.mkdir(parents=True, exist_ok=True)
-        code = COMMANDS[args.command](run)
+        code = COMMANDS[args.command](run)  # the writers make the out dir, so a config error leaves none
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

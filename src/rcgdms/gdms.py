@@ -12,7 +12,9 @@ alphabets (e.g. weight 8^-e) underflow double precision long before they stop
 mattering analytically.  The edges past the materialized cutoff are the
 system's symbolic.tail, whose log_moments(s, states) sums their ratios to
 the power s in closed form: a GeometricTail, or for the worked example its
-BlockTailExample.
+BlockTailExample.  The boundary separation margin, which no command checks,
+is the tests' `oracles.check_rbsc`, and one map as (offset, ratio) their
+`words.map_of`.
 """
 
 from __future__ import annotations
@@ -71,16 +73,6 @@ class RCGDMS:
 
     def space_of_edge_target(self, e: int) -> tuple[float, float]:
         return self.spaces[self.vertex_of(e)[1]]
-
-    def map_of(self, e: int, state) -> tuple[float, float]:
-        """(offset, ratio) of edge e's map at a fiber state, as Python floats."""
-        i = self.symbolic.position[e]
-        return self.offsets(state)[i].item(), math.exp(self.log_ratios(state)[i].item())
-
-    def image_interval(self, e: int, state) -> tuple[float, float]:
-        lo, hi = self.space_of_edge_target(e)
-        a, r = self.map_of(e, state)
-        return (a, a + r * (hi - lo))
 
     def max_diameter(self) -> float:
         return max(hi - lo for lo, hi in self.spaces.values())
@@ -198,33 +190,6 @@ def sample_limit_set(
             picked.append(w)
     index = np.array(picked, dtype=np.intp).reshape(-1, depth)
     return LimitSetSample(depth, _code_rows(gdms, orbit, symbols, index), bound, symbols, lambda: index)
-
-
-def check_rbsc(
-    gdms: RCGDMS, symbols: Sequence[int], fiber_samples: Optional[Sequence] = None
-) -> float:
-    """Margin of the boundary separation condition over a finite edge set.
-
-    The margin is the least distance between a vertex-space boundary and the
-    union of the finite subsystem's images, minimized over sampled fibers.
-    Nonpositive margins mean the condition fails on the samples.
-    """
-    if fiber_samples is None:
-        fiber_samples = gdms.driving.state_support()
-    margin = math.inf
-    for state in fiber_samples:
-        by_vertex: dict = {}
-        for e in symbols:
-            by_vertex.setdefault(gdms.vertex_of(e)[0], []).append(e)
-        for v, edges in by_vertex.items():
-            lo, hi = gdms.spaces[v]
-            imgs = [gdms.image_interval(e, state) for e in edges]
-            margin = min(
-                margin,
-                min(img[0] for img in imgs) - lo,
-                hi - max(img[1] for img in imgs),
-            )
-    return margin
 
 
 def similarity_system(

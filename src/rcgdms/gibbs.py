@@ -14,6 +14,9 @@ Every pull-back step reads each word's first symbol and the index of its
 suffix w[1:] one level up from a table built once per (system, symbols,
 depth), so a step is one gather and one product per level:
 (L* m)(w) = w(first) * m(suffix).  Floats and Fractions run the same code.
+A cylinder's mass is read off its level (the tests key the levels by word
+in `words.masses`); the defect of the dual relation and the masses along a
+subalphabet ladder, which no command reports, are the tests' `oracles.py`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .driving import DrivingOrbit
 from .potentials import FirstSymbolPotential, float_log
-from .shift import SymbolicSystem, Word, _incidence, prefix_tree
+from .shift import SymbolicSystem, _incidence, prefix_tree
 
 
 class _WordTree:
@@ -59,8 +62,7 @@ class CylinderMeasure:
     position, one array per length: levels[n-1] holds the length-n words in
     prefix_tree order (float64, or Fractions in an object array), and all
     positions of a chain share one word tree.  Each level sums to one and
-    refines consistently: mass(w) = sum over admissible extensions w+e.
-    mass(word) looks one cylinder up."""
+    refines consistently: mass(w) = sum over admissible extensions w+e."""
 
     symbols: tuple[int, ...]
     position: int
@@ -70,19 +72,6 @@ class CylinderMeasure:
     @property
     def depth(self) -> int:
         return len(self.levels)
-
-    def mass(self, word: Sequence[int]):
-        """Mass of one cylinder; 0.0 for a word outside the tree."""
-        if not 0 < len(word) <= self.depth:
-            return 0.0
-        i = 0
-        for child, e in zip(self.tree.child, word):
-            if e not in self.symbols:
-                return 0.0
-            i = child[i, self.symbols.index(e)]
-            if i < 0:
-                return 0.0
-        return self.levels[len(word) - 1].item(i)
 
 
 def _weights(potential: FirstSymbolPotential, symbols, state, exact: bool) -> np.ndarray:
@@ -142,82 +131,3 @@ def conformal_measures(
         chain.append(CylinderMeasure(symbols=symbols, position=k, levels=tuple(r / lam for r in raw), tree=tree))
         logs.append(float_log(lam))
     return chain[::-1], tuple(logs[::-1])
-
-
-def conformality_residual(
-    potential: FirstSymbolPotential,
-    orbit: DrivingOrbit,
-    measures: Sequence[CylinderMeasure],
-    log_eigenvalues: Sequence[float],
-    position: int = 0,
-) -> float:
-    """Max absolute defect of L* m_{k+1} = lambda_k m_k over depth-(d-1)
-    cylinders at the given position, on the measures' own word tree."""
-    k = position
-    m_next, m_here = measures[k + 1], measures[k]
-    lam = math.exp(log_eigenvalues[k])
-    weights = _weights(potential, m_here.symbols, orbit.state(k), exact=False)
-    raw = _pulled(m_here.tree, weights, m_next.levels)
-    return max(
-        (float(np.max(np.abs(r - lam * m))) for r, m in zip(raw[:-1], m_here.levels[:-1])),
-        default=0.0,
-    )
-
-
-@dataclass(frozen=True)
-class LadderConvergence:
-    cylinders: tuple[Word, ...]
-    rung_masses: dict  # word -> tuple of masses per rung
-    max_deviation: tuple[float, ...]  # successive sup deviation across rungs
-    tail_fraction: tuple[float, ...]  # untracked alphabet mass per rung, fiber 0
-    cauchy: bool
-
-
-def ladder_convergence(
-    ladder: Sequence[tuple[int, ...]],
-    potential: FirstSymbolPotential,
-    orbit: DrivingOrbit,
-    depth: int,
-    cylinders: Optional[Sequence[Word]] = None,
-) -> LadderConvergence:
-    """Masses of fixed cylinders under each ladder rung plus Cauchy
-    diagnostics.  The tail fraction reports how much transfer mass the rung
-    misses at the base fiber; rungs whose deviations stop shrinking are
-    flagged non-Cauchy."""
-    rungs = tuple(tuple(r) for r in ladder)
-    if cylinders is None:
-        seeds = sorted(rungs[0])[:2]
-        cylinders = tuple((e,) for e in seeds)
-    cylinders = tuple(tuple(c) for c in cylinders)
-    per_rung = []
-    tails = []
-    state0 = orbit.state(0)
-    for r in rungs:
-        measures, _ = conformal_measures(r, potential, orbit, depth=depth)
-        per_rung.append({c: measures[0].mass(c) for c in cylinders})
-        log_rung, _ = potential.unit_transfer_bounds(state0, r)
-        try:
-            log_full, _ = potential.unit_transfer_bounds(state0, None)
-        except ValueError:
-            log_full = None
-        if log_full is None:
-            tails.append(0.0)
-        elif log_full == math.inf:
-            tails.append(1.0)
-        else:
-            tails.append(max(0.0, 1.0 - math.exp(log_rung - log_full)))
-    masses = {c: tuple(per_rung[i][c] for i in range(len(rungs))) for c in cylinders}
-    deviations = tuple(
-        max(abs(masses[c][i + 1] - masses[c][i]) for c in cylinders)
-        for i in range(len(rungs) - 1)
-    )
-    cauchy = all(
-        deviations[i + 1] <= deviations[i] + 1e-12 for i in range(len(deviations) - 1)
-    )
-    return LadderConvergence(
-        cylinders=cylinders,
-        rung_masses=masses,
-        max_deviation=deviations,
-        tail_fraction=tuple(tails),
-        cauchy=cauchy,
-    )

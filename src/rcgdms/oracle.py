@@ -1,5 +1,6 @@
-"""Brute-force oracles: exact level-set histograms by word enumeration,
-box-counting dimension of sampled limit sets, and local-dimension sampling.
+"""Brute-force oracles: exact level-set histograms by word enumeration and
+box-counting dimension of sampled limit sets.  (Markov against metric local
+dimensions, which no command reports, is the tests' `oracles.py`.)
 
 These validate the transform-based spectrum and dimension outputs from the
 other direction and deliberately avoid the pressure machinery: exponents come
@@ -25,9 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .driving import DrivingOrbit
-from .gdms import RCGDMS, LimitSetSample, _code_rows, check_rbsc, code_levels
-from .gibbs import CylinderMeasure
-from .shift import Word, prefix_tree
+from .gdms import RCGDMS, LimitSetSample
+from .shift import prefix_tree
 
 
 @dataclass(frozen=True)
@@ -184,65 +184,3 @@ def box_counting(
     coef = np.polyfit(x, y, 1)
     residual = float(np.sqrt(np.mean((y - np.polyval(coef, x)) ** 2)))
     return BoxCountEstimate(float(coef[0]), tuple(scales), tuple(counts), residual)
-
-
-@dataclass(frozen=True)
-class LocalDimensionSample:
-    word: Word
-    depths: tuple[int, ...]
-    markov_ratios: tuple[float, ...]  # cylinder mass against cylinder diameter
-    metric_ratios: tuple[float, ...]  # ball mass against radius, matched radii
-    gaps: tuple[float, ...]
-
-
-def local_dimension_samples(
-    gdms: RCGDMS,
-    orbit: DrivingOrbit,
-    measure: CylinderMeasure,
-    words: Sequence[Word],
-) -> list[LocalDimensionSample]:
-    """Markov and metric local-dimension ratios along the prefixes of
-    admissible words over the measure's symbols.
-
-    Requires a positive boundary-separation margin so the coding is a
-    bijection and balls of cylinder size meet few neighboring cylinders; the
-    gap between the two ratios is expected to vanish with depth.  Intervals
-    and balls are read off all words of each prefix length, coded at once in
-    word_index's order, which is also the order of the measure's levels."""
-    symbols = measure.symbols
-    margin = check_rbsc(gdms, symbols)
-    if margin <= 0:
-        raise ValueError(f"boundary separation margin {margin:.3g} is not positive")
-    words = [tuple(w) for w in words]
-    position = {e: i for i, e in enumerate(symbols)}
-    for word in words:
-        if not (word and set(word) <= position.keys() and gdms.symbolic.is_admissible(word)):
-            raise ValueError(f"{word} is no admissible word over the measure's symbols")
-    depth = min(max(map(len, words), default=0), measure.depth)
-    # (centers, half-widths) of all words of each prefix length, coded once
-    coded = [code_levels(gdms, orbit, symbols, j) for j in range(1, depth + 1)]
-    points = {}  # the centers of the words longer than the measure, coded once per length
-    for n in {len(w) for w in words if len(w) > depth}:
-        long = [w for w in words if len(w) == n]
-        index = np.array([[position[e] for e in w] for w in long])
-        points.update(zip(long, _code_rows(gdms, orbit, symbols, index).tolist()))
-    out = []
-    for word in words:
-        cells = [0]  # the index of each prefix in its level of the measure's word tree
-        for child, e in zip(measure.tree.child, word):
-            cells.append(child[cells[-1], position[e]].item())
-        x = points[word] if word in points else coded[len(word) - 1][0][cells[-1]].item()
-        depths, markov, metric = [], [], []
-        for j, i in enumerate(cells[1:], 1):
-            center, half = coded[j - 1]
-            diam = (center[i] + half[i]).item() - (center[i] - half[i]).item()
-            mass = measure.levels[j - 1].item(i)
-            if mass <= 0 or diam <= 0:
-                continue
-            ball = np.flatnonzero((center + half >= x - diam) & (center - half <= x + diam))
-            depths.append(j)
-            markov.append(math.log(mass) / math.log(diam))
-            metric.append(math.log(sum(measure.levels[j - 1][ball].tolist())) / math.log(diam))
-        gaps = tuple(abs(mk - mt) for mk, mt in zip(markov, metric))
-        out.append(LocalDimensionSample(word, tuple(depths), tuple(markov), tuple(metric), gaps))
-    return out

@@ -26,7 +26,9 @@ None) adds the moments of the potential's tail object (the map system's
 symbolic.tail for geometric potentials), whose log terms (its lanes) one
 tail call per scale writes into the same block; each state joins its two
 sums with np.logaddexp.  On request the same shifted exponentials give the
-sums' first and second derivative in s.
+sums' first and second derivative in s.  `s_infinity` bisects the tail's
+moments alone; the summability flags of one scale (the driving expectations
+of the log transfer sup and inf) are the tests' `oracles.summability`.
 """
 
 from __future__ import annotations
@@ -278,47 +280,6 @@ def geometric_potential(gdms) -> FirstSymbolPotential:
         tail=gdms.symbolic.tail,
         exact_row=gdms.ratio_fractions,
         driving=gdms.driving,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Summability
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SummabilityReport:
-    scale: float
-    log_upper_expectation: float  # expectation of the log transfer sup
-    log_lower_expectation: float  # expectation of the log transfer inf
-    summable: bool
-    normal_summable: bool
-    per_state: Optional[dict] = None
-
-
-def summability(
-    potential: FirstSymbolPotential, s: Optional[float] = None, symbols: Optional[Sequence[int]] = None
-) -> SummabilityReport:
-    """Summability flags via the marginal expectation of the log transfer sup.
-
-    Exact when the driving marginal has closed form (all supported kinds);
-    per-state values are reported for inspection.
-    """
-    pot = potential if s is None else potential.scaled(s)
-    drv = potential.driving
-    if drv is None:
-        raise ValueError("summability needs the driving system")
-
-    states = drv.state_support()
-    hi, lo = pot.transfer_bounds(states, symbols)
-    up, low = drv.expected(hi), drv.expected(lo)
-    return SummabilityReport(
-        scale=pot.scale,
-        log_upper_expectation=up,
-        log_lower_expectation=low,
-        summable=up < math.inf,
-        normal_summable=up < math.inf and low > -math.inf,
-        per_state=dict(zip(states, zip(hi.tolist(), lo.tolist()))),
     )
 
 

@@ -5,14 +5,15 @@ projected onto its lower convex hull (Monte Carlo noise may break convexity;
 the true curve is convex, so the repair is a projection onto the feasible
 class), and consumed through one root solver: the Bowen dimension is the root
 of p; the Legendre transform l(beta) = inf_s (beta*s + p(s)) / beta is taken
-where p'(s) = -beta (the value is second order in the solve's error); T(q)
-solves p(T(q)) = q * p(0), and its concave transform is taken where
-alpha + T'(q) = alpha + p(0)/p'(T(q)) = 0.  Both read p' from
-`PressureCurve.slope_at`: the slope the curve carries where it gives one (the
-exact-spectral route's analytic slope where certified, the exact-product
-route's analytic slope), else a central difference of the evaluator.  Where
-the curve also carries p'' (the exact-product route), the Bowen root and
-the Legendre transform take Newton steps on p' and p''.
+where p'(s) = -beta (the value is second order in the solve's error), with
+p' from `PressureCurve.slope_at`: the slope the curve carries where it gives
+one (the exact-spectral route's analytic slope where certified, the
+exact-product route's analytic slope), else a central difference of the
+evaluator.  Where the curve also carries p'' (the exact-product route), the
+Bowen root and the Legendre transform take Newton steps on p' and p''.
+Acceptance criterion 7's temperature curve T(q), the root of p(T(q)) =
+q * p(0) and the second route to the transform, is the tests' `oracles.py`,
+on the same root solver.
 """
 
 from __future__ import annotations
@@ -261,63 +262,3 @@ def legendre_spectrum(curve: PressureCurve, beta_grid: Sequence[float]) -> Spect
             flags.append("interior")
         vals[i] = _transform_at(curve, b) / b
     return SpectrumResult(betas=betas, values=vals, flags=tuple(flags))
-
-
-# ---------------------------------------------------------------------------
-# Implicit temperature curve
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TemperatureCurve:
-    q_grid: np.ndarray
-    t_values: np.ndarray
-    p_zero: float
-    evaluator: Callable[[float], float]  # pressure evaluator used for roots
-    slope: Callable[[float], float]  # p'(s): the pressure curve's slope_at
-
-    def t_at(self, q: float) -> float:
-        return _solve_t(self.evaluator, self.p_zero, q)
-
-    def transform(self, alpha: float) -> float:
-        """Concave transform inf_q (alpha q + T(q)) over q in [-64, 64], at the
-        root of alpha + T'(q) = alpha + p(0) / p'(T(q))."""
-        f = lambda q: alpha + self.p_zero / self.slope(self.t_at(q))
-        q = _root(f, -64.0, 64.0, f(-64.0), f(64.0))
-        return alpha * q + self.t_at(q)
-
-
-def _solve_t(p: Callable[[float], float], p0: float, q: float) -> float:
-    """Unique t with p(t) = q * p(0); pressure is strictly decreasing."""
-    f = lambda t: p(t) - q * p0
-    lo, f_lo = -1.0, f(-1.0)
-    while f_lo <= 0.0 and lo > -2.0 ** 200:
-        lo *= 2.0
-        f_lo = f(lo)
-    hi, f_hi = 1.0, f(1.0)
-    while f_hi >= 0.0 and hi < 2.0 ** 200:
-        hi *= 2.0
-        f_hi = f(hi)
-    return _root(f, lo, hi, f_lo, f_hi)
-
-
-def tq_analysis(
-    curve: PressureCurve,
-    q_grid: Sequence[float],
-    symbol_count: int,
-) -> TemperatureCurve:
-    """Implicit temperature curve for a finite symbol set of size >= 2.
-
-    Solves the family of root problems p(T(q)) = q * p(0) against the exact
-    evaluator; also sanity-checks that T is strictly decreasing (its slope is
-    p(0)/p'(T), negative for nondegenerate finite alphabets)."""
-    if symbol_count < 2:
-        raise ValueError("temperature analysis needs at least two symbols")
-    p0 = curve.evaluator(0.0)
-    qs = np.asarray(sorted(q_grid), dtype=float)
-    ts = np.array([_solve_t(curve.evaluator, p0, q) for q in qs])
-    if not all(ts[i + 1] < ts[i] + 1e-9 for i in range(len(ts) - 1)):
-        raise ValueError("temperature curve is not decreasing; pressure evaluator suspect")
-    return TemperatureCurve(
-        q_grid=qs, t_values=ts, p_zero=p0, evaluator=curve.evaluator, slope=curve.slope_at
-    )

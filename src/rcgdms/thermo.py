@@ -13,7 +13,9 @@ with anchor symbol e:
 
 They share one exponential growth rate; the sandwich chain bounding each by
 the next with explicit constants is checked inequality by inequality, in
-Fraction or high-precision arithmetic when requested.
+Fraction or high-precision arithmetic when requested.  `check_sandwich`
+reads the four sums at the depths its chain needs; the tests read them one
+depth at a time through `oracles.partition_sums`.
 
 Every potential is constant on 1-cylinders, so the four sums are row and
 column sums of the transfer product prod_j D_{omega_j} M^T (D the diagonal
@@ -67,21 +69,6 @@ def primitivity_witness(potential: FirstSymbolPotential, symbols: Sequence[int])
     if not witness:
         raise ValueError("symbol set is not finitely primitive")
     return witness
-
-
-@dataclass(frozen=True)
-class PartitionSums:
-    """Log values of the four depth-n partition sums at one orbit position."""
-
-    depth: int
-    anchor: int
-    symbols: tuple[int, ...]
-    position: int
-    log_anchored_sup: float  # Z
-    log_return: float  # L
-    log_operator: float  # Lop
-    log_all: float  # A
-    exact: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -178,39 +165,6 @@ def _sums(lane: _Lane, symbols, potential, orbit, anchor, n, position) -> dict:
     back = adm[:, symbols.index(anchor)]
     z = lane.total(anchored[back])
     return {"anchored_sup": z, "return": lane.total(every[back]), "operator": z, "all": lane.total(every)}
-
-
-def partition_sums(
-    symbols: Sequence[int],
-    potential: FirstSymbolPotential,
-    orbit: DrivingOrbit,
-    anchor: int,
-    n: int,
-    position: int = 0,
-    arithmetic: str = "float",
-) -> PartitionSums:
-    """Depth-n partition sums Z, L, Lop and A at one orbit position.
-
-    The potential factors over symbols, so the sums are row and column sums
-    of the transfer product prod_j D_{omega_j} M^T, built one symbol at a
-    time in O(n |F|^2).  Empty admissible sets contribute 0 (log value
-    -inf).  The "fraction" and "mpf" arithmetic modes return the exact sums
-    alongside the float logs for provably signed comparisons.
-    """
-    symbols = tuple(sorted(symbols))
-    lane = _lane(potential, arithmetic)
-    sums = _sums(lane, symbols, potential, orbit, anchor, n, position)
-    return PartitionSums(
-        depth=n,
-        anchor=anchor,
-        symbols=symbols,
-        position=position,
-        log_anchored_sup=lane.log(sums["anchored_sup"]),
-        log_return=lane.log(sums["return"]),
-        log_operator=lane.log(sums["operator"]),
-        log_all=lane.log(sums["all"]),
-        exact=sums if lane.exact else None,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from words import enumerate_words, weight_fn
+from oracles import tq_analysis, tq_transform
+from words import enumerate_words, masses, weight_fn
 
 from rcgdms import instances
 from rcgdms.cli import main as cli_main
@@ -45,7 +46,6 @@ from rcgdms.spectrum import (
     bowen_dimension,
     legendre_spectrum,
     pressure_curve,
-    tq_analysis,
 )
 from rcgdms.thermo import (
     check_gibbs,
@@ -168,6 +168,7 @@ def test_criterion_4_gibbs_brackets(cantor, twoscale, period2):
         zeta = geometric_potential(system).scaled(1.0)
         orbit = DrivingOrbit(system.driving, 0)
         measures, _ = conformal_measures((0, 1), zeta, orbit, depth=8, exact=True)
+        mass = masses(measures[0])
         weight = weight_fn(zeta, "fraction")
         states = [orbit.state(k) for k in range(8)]
         norms = [sum(weight(st, e) for e in (0, 1)) for st in states]
@@ -178,7 +179,7 @@ def test_criterion_4_gibbs_brackets(cantor, twoscale, period2):
                 for j in range(n):
                     wprod *= weight(states[j], w[j])
                     pn *= norms[j]
-                ratio = measures[0].mass(w) / (wprod / pn)
+                ratio = mass[w] / (wprod / pn)
                 assert ratio == 1  # inside [lower, distortion factor] exactly
 
     # two-sided bracket re-checked numerically on every product instance
@@ -289,14 +290,15 @@ def test_criterion_6c_endpoint_value(twoscale_curve):
 
 
 def test_criterion_7_temperature_consistency(twoscale_curve):
-    tq = tq_analysis(twoscale_curve, np.linspace(-2, 2, 9), symbol_count=2)
-    t1 = tq.t_at(1.0)
-    t0 = tq.t_at(0.0)
+    t_at = tq_analysis(twoscale_curve, np.linspace(-2, 2, 9), symbol_count=2)
+    t1 = t_at(1.0)
+    t0 = t_at(0.0)
     s_star = bowen_dimension(twoscale_curve.evaluator, twoscale_curve.s_infinity)
+    p_zero = twoscale_curve.evaluator(0.0)
     betas = np.linspace(LOG2 + 0.08, LOG4 - 0.08, 10)
     direct = legendre_spectrum(twoscale_curve, betas)
     worst_route = max(
-        abs(tq.transform(tq.p_zero / beta) - l_direct)
+        abs(tq_transform(twoscale_curve, t_at, p_zero / beta) - l_direct)
         for beta, l_direct in zip(betas, direct.values)
     )
     ok = abs(t1) <= 1e-8 and abs(t0 - s_star) <= 1e-6 and worst_route <= 1e-6

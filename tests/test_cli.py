@@ -266,6 +266,16 @@ def _tailed(**tail):
     return edit
 
 
+# the tailed config of CI and test_reach.py: two edges (ratios 1/4 and 1/8)
+# and a geometric tail of ratio 1/8 from edge 3
+TAILED = {
+    "system": {"edges": 2, "tail": {"ratio": 0.125, "start": 3}},
+    "maps": {"ratios": {"0": {"0": "1/4", "1": "1/8"}}, "offsets": {"0": {"0": 0.0, "1": 0.5}}},
+    "driving": {"kind": "deterministic", "states": [0]},
+    "analysis": {"s_min": 0.05, "s_max": 2.0, "s_steps": 12},
+}
+NOT_PRIMITIVE = "system is not finitely primitive over the working symbols"
+
 # id -> (edit of configs/custom-example.json, command, text the config error names)
 MALFORMED = {
     "analysis-list": (_set("analysis", [1]), "dimension", "analysis: object required"),
@@ -293,6 +303,16 @@ MALFORMED = {
     "potential-scale-string": (_set("potential", {"type": "geometric", "scale": "abc"}), "dimension", "potential.scale: unknown field"),
     "potential-scale": (_set("potential", {"type": "geometric", "scale": 2.0}), "dimension", "potential.scale: unknown field"),
     "pure-tail-cutoff": (lambda doc: {"system": {"preset": "pure-tail", "cutoff": "x"}}, "dimension", "system.cutoff: integer >= 1"),
+    # documented failures of valid documents: found by a command, before it writes
+    "not-primitive-primitivity": (_set("system", "incidence", [[1, 0], [0, 1]]), "primitivity", NOT_PRIMITIVE),
+    "not-primitive-pressure": (_set("system", "incidence", [[1, 0], [0, 1]]), "pressure", NOT_PRIMITIVE),
+    "not-primitive-verify": (_set("system", "incidence", [[1, 0], [0, 1]]), "verify", NOT_PRIMITIVE),
+    "s-grid-at-the-threshold": (
+        lambda doc: {"system": {"preset": "paper-example"}, "analysis": {"s_min": -1.0, "s_max": 0.0}},
+        "dimension",
+        "the whole s grid sits at or below the summability threshold",
+    ),
+    "unbounded-exponents": (lambda doc: TAILED, "spectrum", "unbounded exponent interval (cofinitely regular tail); set analysis.beta_max"),
 }
 
 
@@ -321,6 +341,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, case):
         ("dimension", ("--s-min", "5", "--s-max", "1"), "--s-min: grid must be increasing"),
         ("dimension", ("--s-max", "nan"), "--s-max: finite number required"),
         ("spectrum", ("--beta-min", "2", "--beta-max", "1"), "--beta-min: grid must be increasing"),
+        ("spectrum", ("--beta-min", "-2", "--beta-max", "-1"), "analysis.beta_min, beta_max: the beta range [-2, -1] holds no positive exponent"),
     ],
 )
 def test_malformed_flag_exits_2(tmp_path, capsys, command, flags, named):
@@ -329,6 +350,7 @@ def test_malformed_flag_exits_2(tmp_path, capsys, command, flags, named):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert named in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_rungs_exits_2(tmp_path):
@@ -859,14 +881,8 @@ def test_all_clipped_spectrum_reads_nan_without_a_warning(tmp_path, config, flag
 def test_finite_symbol_curve_reads_its_own_symbols(tmp_path):
     # the two materialized edges (ratios 1/4 and 1/8) of a tailed alphabet
     # have exponents [log 4, log 8]; the tail is not theirs
-    doc = {
-        "system": {"edges": 2, "tail": {"ratio": 0.125, "start": 3}},
-        "maps": {"ratios": {"0": {"0": "1/4", "1": "1/8"}}, "offsets": {"0": {"0": 0.0, "1": 0.5}}},
-        "driving": {"kind": "deterministic", "states": [0]},
-        "analysis": {"s_min": 0.05, "s_max": 2.0, "s_steps": 12},
-    }
     cfg = tmp_path / "tailed.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(json.dumps(TAILED))
     run = load_config(cfg)
     curve = _curve(run, (0, 1))
     assert (curve.exponent_lo, curve.exponent_hi) == pytest.approx((math.log(4.0), math.log(8.0)), abs=1e-15)

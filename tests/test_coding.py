@@ -16,14 +16,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from words import code_point, codes, enumerate_words, ratio_of, successors
+from oracles import local_dimension_samples
+from words import code_point, codes, enumerate_words, masses, ratio_of, successors
 
 import rcgdms.gdms
 import rcgdms.shift
 from rcgdms.driving import DrivingOrbit, bernoulli, deterministic, periodic
 from rcgdms.gdms import code_levels, sample_limit_set, similarity_system
 from rcgdms.gibbs import conformal_measures
-from rcgdms.oracle import _exponent_sums, level_histogram, local_dimension_samples
+from rcgdms.oracle import _exponent_sums, level_histogram
 from rcgdms.potentials import geometric_potential
 from rcgdms.shift import find_primitivity, from_matrix, full_shift, word_index
 
@@ -123,7 +124,7 @@ def test_coding_makes_no_per_symbol_map_calls(monkeypatch, paper, golden):
         raise AssertionError("per-word coding on the array path")
 
     # the per-word reference codes through map_of; the array path reads rows
-    monkeypatch.setattr(rcgdms.gdms.RCGDMS, "map_of", forbidden)
+    monkeypatch.setattr("words.map_of", forbidden)
     orbit = DrivingOrbit(paper.driving, 0)
     sample = sample_limit_set(paper, orbit, depth=6, symbols=(1, 2, 3, 4))
     assert sample.points.shape == (4 ** 6,)
@@ -176,21 +177,21 @@ def per_word_local_dimensions(gdms, orbit, measure, words):
     """local_dimension_samples one word and one prefix at a time: every
     interval from code_point, and each ball over the words of the prefix's
     length in lexicographic order, their masses looked up one by one."""
-    out = []
+    out, mass_of = [], masses(measure)
     for word in map(tuple, words):
         x = code_point(gdms, orbit, word)[0]  # raises on an inadmissible word
         depths, markov, metric = [], [], []
         for j in range(1, min(len(word), measure.depth) + 1):
             center, half = code_point(gdms, orbit, word[:j])
             diam = (center + half) - (center - half)
-            mass = measure.mass(word[:j])
+            mass = mass_of[word[:j]]
             if mass <= 0 or diam <= 0:
                 continue
             ball = []
             for w in enumerate_words(gdms.symbolic, measure.symbols, j):
                 c, h = code_point(gdms, orbit, w)
                 if c + h >= x - diam and c - h <= x + diam:
-                    ball.append(measure.mass(w))
+                    ball.append(mass_of[w])
             depths.append(j)
             markov.append(math.log(mass) / math.log(diam))
             metric.append(math.log(sum(ball)) / math.log(diam))
@@ -220,7 +221,7 @@ def test_local_dimension_samples_match_per_word_coding(case, depth, data):
         words.append(tuple(word))
     got = local_dimension_samples(system, orbit, measure, words)
     want = per_word_local_dimensions(system, orbit, measure, words)
-    assert [(g.word, g.depths, g.markov_ratios, g.metric_ratios, g.gaps) for g in got] == want
+    assert got == want
     # a word with an inadmissible prefix raises on both paths
     bad = data.draw(st.lists(st.sampled_from(symbols), min_size=2, max_size=depth + 2).map(tuple))
     if not system.symbolic.is_admissible(bad):
@@ -263,23 +264,24 @@ def test_ball_mass_matches_per_word_images():
     measure = conformal_measures(symbols, zeta, orbit, depth=7)[0][0]
     words = [(0, 1, 1, 0, 1, 0, 0), (1, 1, 1, 0, 0, 0, 1)]
     samples = local_dimension_samples(system, orbit, measure, words)
+    mass_of = masses(measure)
     most_hits = 0
-    for word, got in zip(words, samples):
+    for word, (_, depths, _, metric_ratios, _) in zip(words, samples):
         x = code_point(system, orbit, word)[0]
         want = []
-        for j in got.depths:
+        for j in depths:
             center, half = code_point(system, orbit, word[:j])
             diam = (center + half) - (center - half)
             ball, hits = 0.0, 0
             for w in itertools.product(symbols, repeat=j):
                 c, h = code_point(system, orbit, w)
                 if c + h >= x - diam and c - h <= x + diam:
-                    ball += measure.mass(w)
+                    ball += mass_of[w]
                     hits += 1
             most_hits = max(most_hits, hits)
             want.append(math.log(ball) / math.log(diam))
-        assert got.depths == tuple(range(1, 8))
-        assert got.metric_ratios == tuple(want)
+        assert depths == tuple(range(1, 8))
+        assert metric_ratios == tuple(want)
     assert most_hits >= 3
 
 

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import check_rbsc
 from words import block_log_moment, block_log_ratio, code_point, codes, ratio_of
 
 from rcgdms import instances
 from rcgdms.driving import DrivingOrbit, periodic
 from rcgdms.gdms import (
     BlockTailExample,
-    check_rbsc,
     example_weights,
     sample_limit_set,
     similarity_system,

@@ -15,12 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import partition_sums
 
 import rcgdms.thermo
 from rcgdms.driving import _BLOCK, DrivingOrbit, bernoulli, orbit_family
 from rcgdms.potentials import FirstSymbolPotential
 from rcgdms.shift import from_matrix
-from rcgdms.thermo import _mc_log_all, _mc_pressure, partition_sums, pressure
+from rcgdms.thermo import _mc_log_all, _mc_pressure, pressure
 
 TOL = 1e-12
 
@@ -35,7 +36,7 @@ def reference(system, symbols, potential, orbits, depths):
     """(value, per_depth, spread) from one partition_sums call per
     orbit and depth and one polyfit per orbit over the deepest three depths."""
     anchor = min(symbols)
-    vals = [[partition_sums(symbols, potential, o, anchor, n).log_all / n for n in depths] for o in orbits.orbits]
+    vals = [[partition_sums(symbols, potential, o, anchor, n)["all"] / n for n in depths] for o in orbits.orbits]
     if len(depths) == 1:
         fits = [v[0] for v in vals]
     else:
@@ -139,7 +140,7 @@ def test_cylinder_constant_route_enumerates_nothing(monkeypatch):
     pot = _mc_potential()
     orbits = orbit_family(pot.driving, 16, 0)
     want = reference(pot.system, (0, 1, 2), pot, orbits, (4, 5, 6, 7, 8))
-    monkeypatch.setattr(rcgdms.thermo, "partition_sums", forbidden)
+    monkeypatch.setattr(rcgdms.thermo, "_sums", forbidden)  # the body of the per-depth sums
     assert_matches(pressure((0, 1, 2), pot), want)
 
 
@@ -166,7 +167,7 @@ def test_empty_rows_give_minus_infinity():
     log_all = _mc_log_all((0, 1), dead, orbits, (1, 2))
     for j, o in enumerate(orbits.orbits):
         for i, n in enumerate((1, 2)):
-            want = partition_sums((0, 1), dead, o, 0, n).log_all
+            want = partition_sums((0, 1), dead, o, 0, n)["all"]
             assert log_all[i, j] == want
     assert np.isneginf(log_all).any() and np.isfinite(log_all).any()
     mixed = _mc_pressure((0, 1), dead, orbits, (1, 2))

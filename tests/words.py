@@ -2,8 +2,11 @@
 word-level paths against (prefix-tree levels, signature representatives,
 partition sums, conformal measures) with the pair-by-pair successors it
 extends words by, per-symbol readers of the rows the references weigh those
-words with, and the one-word-at-a-time references of limit-set coding, of
-the block example's ratios and tail moments, and of the zero potential."""
+words with, and the one-word-at-a-time references of limit-set coding (one
+map at a time, from `map_of`), of the block example's ratios and tail
+moments, and of the zero potential.  A measure's masses are read as the
+{word: mass} dict of `masses`; the diagnostics built on these readers live
+in `oracles.py`."""
 
 import math
 from fractions import Fraction
@@ -25,6 +28,12 @@ def ratio_of(system, e, state) -> Fraction:
 def value(potential, state, e) -> float:
     """The potential on the 1-cylinder [e] at a fiber state, from its row."""
     return potential.log_weights(state)[potential.system.position[e]].item()
+
+
+def map_of(gdms, e, state) -> tuple[float, float]:
+    """(offset, ratio) of edge e's map at a fiber state, as Python floats."""
+    i = gdms.symbolic.position[e]
+    return gdms.offsets(state)[i].item(), math.exp(gdms.log_ratios(state)[i].item())
 
 
 def birkhoff(potential, orbit, k, word) -> float:
@@ -98,7 +107,7 @@ def code_point(gdms, orbit, prefix: Sequence[int]) -> tuple[float, float]:
     lo, hi = gdms.space_of_edge_target(prefix[-1])
     for k in range(len(prefix) - 1, -1, -1):
         e = prefix[k]
-        a, r = gdms.map_of(e, orbit.state(k))
+        a, r = map_of(gdms, e, orbit.state(k))
         src_lo, src_hi = gdms.space_of_edge_target(e)
         lo, hi = a + r * (lo - src_lo), a + r * (hi - src_lo)
     return (0.5 * (lo + hi), 0.5 * (hi - lo))
@@ -148,7 +157,8 @@ def zero_potential(system: SymbolicSystem) -> FirstSymbolPotential:
 def masses(measure) -> dict:
     """{word: mass} over every level of a CylinderMeasure, each level's words
     rebuilt from its word tree: the dict the measures rows are checked
-    against."""
+    against, and the tests' one way to look a cylinder's mass up (a word
+    outside the tree is no key)."""
     out, words = {}, [()]
     for parent, last, level in zip(measure.tree.parent, measure.tree.last, measure.levels):
         words = [words[p] + (measure.symbols[b],) for p, b in zip(parent.tolist(), last.tolist())]
